@@ -21,8 +21,8 @@ import numpy as np
 from repro import (
     ASketch,
     ExactCounter,
-    load_asketch,
-    save_asketch,
+    load_synopsis,
+    save_synopsis,
     zipf_stream,
 )
 from repro.runtime.sharding import ShardedASketch
@@ -52,7 +52,7 @@ def main() -> None:
             )
             collector.process_stream(partition.keys)
             path = Path(workdir) / f"shard{shard}.npz"
-            save_asketch(collector, path)
+            save_synopsis(collector, path)
             checkpoint_paths.append(path)
             print(f"  shard {shard}: checkpointed "
                   f"({collector.exchange_count} exchanges, "
@@ -60,7 +60,10 @@ def main() -> None:
 
         # Phase 2: a fresh aggregator restores every checkpoint ("the
         # collectors restarted") and merges them into one synopsis.
-        restored = [load_asketch(path) for path in checkpoint_paths]
+        restored = [
+            load_synopsis(path, expect_kind="asketch")
+            for path in checkpoint_paths
+        ]
         merged = restored[0]
         for other in restored[1:]:
             merged.merge(other)

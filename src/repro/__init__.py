@@ -86,16 +86,7 @@ from repro.obs import (
     validate_metrics_json,
     write_metrics_json,
 )
-from repro.persistence import (
-    load_asketch,
-    load_count_min,
-    load_hierarchical,
-    load_synopsis,
-    save_asketch,
-    save_count_min,
-    save_hierarchical,
-    save_synopsis,
-)
+from repro.persistence import load_synopsis, save_synopsis
 from repro.synopses import (
     Synopsis,
     SynopsisSpec,
@@ -179,18 +170,12 @@ __all__ = [
     "install_tracer",
     "ip_trace_stream",
     "kosarak_stream",
-    "load_asketch",
-    "load_count_min",
-    "load_hierarchical",
     "load_synopsis",
     "make_filter",
     "parallel_ingest",
     "register_synopsis",
     "registered_kinds",
     "render_prometheus",
-    "save_asketch",
-    "save_count_min",
-    "save_hierarchical",
     "save_synopsis",
     "set_backend",
     "snapshot_metrics",

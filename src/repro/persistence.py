@@ -13,9 +13,8 @@ Every registered synopsis kind is supported — plain sketches (Count-Min,
 Count Sketch, FCM, Holistic UDAF, hierarchical Count-Min), counter
 summaries (Space Saving, Misra-Gries), :class:`~repro.core.asketch.
 ASketch` over any filter kind and any persistable backend, and
-:class:`~repro.runtime.sharding.ShardedASketch` groups.  The historical
-per-type entry points (``save_count_min`` and friends) remain as thin
-wrappers that additionally pin the archive's kind.
+:class:`~repro.runtime.sharding.ShardedASketch` groups.
+``load_synopsis(path, expect_kind=...)`` also pins the archive's kind.
 
 Archive layout (format version 2): one ``metadata`` array holding a
 UTF-8 JSON blob ``{version, kind, params, extra}`` plus the state's
@@ -172,50 +171,3 @@ def load_synopsis(path: str | Path, *, expect_kind: str | None = None) -> Any:
         )
         return cls.from_state(state)
 
-
-# -- legacy per-type wrappers ------------------------------------------------
-
-
-def _require_kind(synopsis: Any, kind: str) -> None:
-    actual = getattr(type(synopsis), "SYNOPSIS_KIND", None)
-    if actual != kind:
-        raise StreamFormatError(
-            f"expected a {kind} synopsis, got {type(synopsis).__name__}"
-        )
-
-
-def save_count_min(sketch: Any, path: str | Path) -> None:
-    """Write a Count-Min sketch to ``path`` (``save_synopsis`` wrapper)."""
-    _require_kind(sketch, "count-min")
-    save_synopsis(sketch, path)
-
-
-def load_count_min(path: str | Path) -> Any:
-    """Restore a Count-Min sketch archive (``load_synopsis`` wrapper)."""
-    return load_synopsis(path, expect_kind="count-min")
-
-
-def save_hierarchical(hierarchy: Any, path: str | Path) -> None:
-    """Write a hierarchical Count-Min (all level tables) to ``path``."""
-    _require_kind(hierarchy, "hierarchical-count-min")
-    save_synopsis(hierarchy, path)
-
-
-def load_hierarchical(path: str | Path) -> Any:
-    """Restore a hierarchy saved by :func:`save_hierarchical`."""
-    return load_synopsis(path, expect_kind="hierarchical-count-min")
-
-
-def save_asketch(asketch: Any, path: str | Path) -> None:
-    """Write an ASketch (filter state + backend + statistics) to ``path``.
-
-    Works for every filter kind and any backend implementing the state
-    protocol (Count-Min, Count Sketch, FCM, ...).
-    """
-    _require_kind(asketch, "asketch")
-    save_synopsis(asketch, path)
-
-
-def load_asketch(path: str | Path) -> Any:
-    """Restore an ASketch saved by :func:`save_asketch`."""
-    return load_synopsis(path, expect_kind="asketch")

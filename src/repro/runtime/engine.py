@@ -1,19 +1,27 @@
-"""Ingestion engine with periodic consumers over a synopsis.
+"""The ingest loop, with periodic consumers over a synopsis.
 
-The engine is synopsis-agnostic: anything with ``process_stream`` works
-(ASketch, plain sketches, Space Saving, a sharded group).  Synopses that
-also expose a vectorised ``process_batch`` (ASketch, ShardedASketch) are
-driven through it by default — each chunk becomes one batched ingest
-call instead of a per-item Python loop.  Consumers are callbacks fired
-every ``period`` ingested tuples — the "continuous query" pattern of the
-paper's application scenarios.
+:class:`StreamEngine` is the repository's one per-chunk ingest loop —
+Algorithm 1 pushed over a chunked source.  It is synopsis-agnostic:
+anything with ``process_stream`` works (ASketch, plain sketches, Space
+Saving, a sharded group).  Synopses that also expose a vectorised
+``process_batch`` (ASketch, ShardedASketch) are driven through it by
+default — each chunk becomes one batched ingest call instead of a
+per-item Python loop.  Consumers are callbacks fired every ``period``
+ingested tuples — the "continuous query" pattern of the paper's
+application scenarios.
+
+The other drivers are this loop with their own source layers, sink,
+quarantine and :class:`Checkpointing` step:
+:class:`~repro.runtime.reliability.ResilientEngine`, the fleet parent
+of :mod:`repro.runtime.parallel` (sink: the chunk router) and each
+fleet worker (source: its ring; sink: its shard group).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -125,10 +133,33 @@ class _Consumer:
     name: str
     period: int
     callback: Callable[[int], None]
-    next_due: int = field(init=False)
+    next_due: int
 
-    def __post_init__(self) -> None:
-        self.next_due = self.period
+
+@dataclass
+class Checkpointing:
+    """The checkpoint step: every ``every`` handled chunks (``None``:
+    never), plus once at end of stream when anything was handled since
+    the last checkpoint.  ``save(position)`` is the driver's own
+    checkpoint, given the count of source chunks handled so far.
+    """
+
+    every: int | None
+    save: Callable[[int], None]
+    #: Chunks handled since the last checkpoint.
+    lag: int = 0
+
+    def chunk_handled(self, position: int) -> None:
+        """Count one handled chunk; checkpoint when the cadence is due."""
+        self.lag += 1
+        if self.every is not None and self.lag >= self.every:
+            self.flush(position)
+
+    def flush(self, position: int) -> None:
+        """Checkpoint now unless nothing was handled since the last one."""
+        if self.lag:
+            self.save(position)
+            self.lag = 0
 
 
 class StreamEngine:
@@ -150,7 +181,9 @@ class StreamEngine:
     """
 
     def __init__(
-        self, synopsis: SupportsIngest, batched: bool | None = None
+        self,
+        synopsis: SupportsIngest | SupportsBatchIngest,
+        batched: bool | None = None,
     ) -> None:
         self.synopsis = synopsis
         process_batch = getattr(synopsis, "process_batch", None)
@@ -162,69 +195,110 @@ class StreamEngine:
         self.batched = (
             process_batch is not None if batched is None else bool(batched)
         )
-        self._ingest = process_batch if self.batched else synopsis.process_stream
+        self._ingest = (
+            process_batch
+            if self.batched
+            else getattr(synopsis, "process_stream")
+        )
         self.stats = EngineStats()
         self._consumers: list[_Consumer] = []
+        #: Source chunks handled so far, ingested or quarantined: the
+        #: position poison is reported at and checkpoints are keyed to.
+        self.position = 0
+        #: Set by the drivers built on this loop:
+        #: ``quarantine(position, payload, reason)`` takes a chunk that
+        #: fails validation (``None``: raise
+        #: :class:`~repro.errors.PoisonChunkError`), and the checkpoint
+        #: step runs after every handled chunk.
+        self.quarantine: Callable[[int, Any, str], None] | None = None
+        self.checkpointing: Checkpointing | None = None
 
     def every(
         self, period: int, callback: Callable[[int], None], name: str = ""
     ) -> None:
         """Register ``callback(tuples_so_far)`` to fire every ``period``
-        ingested tuples (aligned to chunk boundaries)."""
+        ingested tuples (aligned to chunk boundaries).
+
+        Firings sit at absolute stream positions: the first is due at
+        the first multiple of ``period`` past the tuples already
+        ingested, so an engine restored to a checkpoint does not repeat
+        firings delivered before it.
+        """
         if period < 1:
             raise ConfigurationError(f"period must be >= 1, got {period}")
         self._consumers.append(
-            _Consumer(name=name or f"consumer-{len(self._consumers)}",
-                      period=period, callback=callback)
+            _Consumer(
+                name=name or f"consumer-{len(self._consumers)}",
+                period=period,
+                callback=callback,
+                next_due=(self.stats.tuples_ingested // period + 1) * period,
+            )
         )
 
-    def run(self, chunks: Iterable[np.ndarray]) -> EngineStats:
+    def run(self, chunks: Iterable[Any]) -> EngineStats:
         """Ingest every chunk, firing due consumers between chunks.
 
         Each chunk is validated through :func:`coerce_chunk` before it
         reaches the synopsis; malformed payloads (float/object dtypes,
         NaN keys, wrong shape) raise
         :class:`~repro.errors.PoisonChunkError` carrying the offending
-        chunk's index instead of being silently truncated to ``int64``.
+        chunk's position instead of being silently truncated to
+        ``int64`` — or go to :attr:`quarantine` when one is set.  After
+        every handled chunk, and once more at end of stream, the
+        :attr:`checkpointing` step runs when one is set.
 
         With a metrics registry installed (:mod:`repro.obs`), every
         chunk records engine-level counters (tuples, chunks, per-chunk
         latency, running items/s) and, with a trace sink installed, an
         ``ingest`` span; the synopsis state is unaffected either way.
         """
-        ingest = self._ingest
         registry = current_registry()
         if registry is not None:
             # Which compute backend served this run — every perf number
             # recorded below is meaningless without it.
             stamp_backend(registry)
         traced = current_tracer() is not None
-        for chunk in chunks:
-            chunk_index = self.stats.chunks_ingested
-            chunk = coerce_chunk(chunk, chunk_index)
-            n_items = int(chunk.shape[0])
-            if traced:
-                with trace_span("ingest", chunk_index=chunk_index,
-                                items=n_items):
-                    start = time.perf_counter()
-                    ingest(chunk)
-                    elapsed = time.perf_counter() - start
+        for payload in chunks:
+            position = self.position
+            try:
+                chunk = coerce_chunk(payload, position)
+            except PoisonChunkError as exc:
+                if self.quarantine is None:
+                    raise
+                self.quarantine(position, payload, exc.reason)
             else:
-                start = time.perf_counter()
-                ingest(chunk)
-                elapsed = time.perf_counter() - start
-            self.stats.wall_seconds += elapsed
-            self.stats.tuples_ingested += n_items
-            self.stats.chunks_ingested += 1
-            if registry is not None:
-                registry.counter("engine_tuples_total").inc(n_items)
-                registry.counter("engine_chunks_total").inc()
-                registry.histogram("engine_chunk_seconds").observe(elapsed)
-                registry.gauge("engine_items_per_s").set(
-                    1000.0 * self.stats.wall_throughput_items_per_ms
-                )
-            self._fire_due_consumers()
+                self._ingest_chunk(chunk, position, registry, traced)
+            self.position = position + 1
+            if self.checkpointing is not None:
+                self.checkpointing.chunk_handled(self.position)
+        if self.checkpointing is not None:
+            self.checkpointing.flush(self.position)
         return self.stats
+
+    def _ingest_chunk(
+        self, chunk: np.ndarray, position: int, registry, traced: bool
+    ) -> None:
+        n_items = int(chunk.shape[0])
+        if traced:
+            with trace_span("ingest", chunk_index=position, items=n_items):
+                start = time.perf_counter()
+                self._ingest(chunk)
+                elapsed = time.perf_counter() - start
+        else:
+            start = time.perf_counter()
+            self._ingest(chunk)
+            elapsed = time.perf_counter() - start
+        self.stats.wall_seconds += elapsed
+        self.stats.tuples_ingested += n_items
+        self.stats.chunks_ingested += 1
+        if registry is not None:
+            registry.counter("engine_tuples_total").inc(n_items)
+            registry.counter("engine_chunks_total").inc()
+            registry.histogram("engine_chunk_seconds").observe(elapsed)
+            registry.gauge("engine_items_per_s").set(
+                1000.0 * self.stats.wall_throughput_items_per_ms
+            )
+        self._fire_due_consumers()
 
     def _fire_due_consumers(self) -> None:
         if not self._consumers:

@@ -72,13 +72,13 @@ the worker — **this trades away both bit-identity and the one-sided
 guarantee for the shed keys** until the dead letters are replayed;
 :meth:`health` reports the run degraded whenever shed chunks exist.
 
-**In-worker resilience.**  Each worker wraps its ring in a
-:class:`~repro.runtime.reliability.RetryingSource` (transient ring
-faults retried with backoff) and quarantines poison chunks to a
-worker-local :class:`~repro.runtime.reliability.DeadLetterQueue`,
-reporting them to the parent instead of dying — the single-process
-:class:`~repro.runtime.reliability.ResilientEngine` semantics, inside
-the fleet.
+**One ingest loop.**  The parent drives
+:class:`~repro.runtime.engine.StreamEngine` with the chunk router as its
+sink; each worker drives it over its ring, through the source layers of
+:class:`~repro.runtime.reliability.ResilientEngine` (its per-worker
+:class:`~repro.runtime.reliability.FaultPlan`, then retries), into its
+shard group.  A worker quarantines poison chunks, reporting them to the
+parent instead of dying, and its checkpoint step is the pipe snapshot.
 
 **Observability.**  With a registry installed (:mod:`repro.obs`) the
 parent records routing skew, per-worker item counters, ring depth,
@@ -108,16 +108,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    PoisonChunkError,
-    WorkerStalledError,
-)
-from repro.kernels import active_backend, set_backend, stamp_backend
+from repro.errors import ConfigurationError, WorkerStalledError
+from repro.kernels import active_backend, set_backend
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -127,7 +123,7 @@ from repro.obs.registry import (
     uninstall_registry,
 )
 from repro.obs.trace import trace_point
-from repro.runtime.engine import EngineStats, coerce_chunk
+from repro.runtime.engine import Checkpointing, EngineStats, StreamEngine
 from repro.runtime.reliability import (
     CheckpointStore,
     DeadLetterQueue,
@@ -135,6 +131,7 @@ from repro.runtime.reliability import (
     RetryingSource,
     RetryPolicy,
     ShardSupervisor,
+    SimulatedCrash,
 )
 from repro.runtime.sharding import ShardedASketch
 from repro.synopses.protocol import SynopsisState
@@ -429,62 +426,36 @@ def _export_metrics(registry: MetricsRegistry) -> list[tuple]:
     return rows
 
 
-class _RingSource:
-    """The worker's view of its ring as a retryable chunk iterator.
+def _corrupt_in_flight(state: SynopsisState) -> None:
+    """Flip one payload value of a state whose digest is already taken:
+    the receiver must detect the mismatch and reject it."""
+    for name in sorted(state.arrays):
+        array = state.arrays[name]
+        if array.size:
+            corrupted = array.copy()
+            corrupted.reshape(-1)[0] += 1
+            state.arrays[name] = corrupted
+            return
 
-    Satisfies the :class:`~repro.runtime.reliability.RetryingSource`
-    re-offer contract: an injected transient failure is raised *before*
-    the chunk is surrendered and the same chunk is offered again on the
-    next ``__next__`` call.  ``control`` runs once per iteration (and
-    per idle timeout), keeping the worker responsive to parent control
-    messages even while the ring is empty.
+
+def _ring_chunks(ring: ChunkRing, control) -> Iterator[np.ndarray]:
+    """The worker's ring as a chunk iterator, ending at end of stream
+    or once the parent is gone (nobody would drain the worker then).
+
+    ``control`` runs once per iteration (and per idle timeout), keeping
+    the worker responsive to parent control messages even while the
+    ring is empty.
     """
-
-    def __init__(self, ring: ChunkRing, control, transient: dict | None) -> None:
-        self._ring = ring
-        self._control = control
-        self._transient = dict(transient or {})
-        #: 0-based count of chunks surrendered so far (= next position).
-        self.position = 0
-        #: Set when the parent died: stop quietly, nobody will drain us.
-        self.orphaned = False
-        self._pending: Any = None
-        self._has_pending = False
-
-    def __iter__(self) -> "_RingSource":
-        """Iterator protocol: the source is its own iterator."""
-        return self
-
-    def __next__(self) -> np.ndarray:
-        """Next chunk off the ring, injecting planned transient faults."""
-        while True:
-            self._control()
-            if not self._has_pending:
-                chunk = self._ring.get(timeout=0.05)
-                if chunk is RING_TIMEOUT:
-                    parent = mp.parent_process()
-                    if parent is not None and not parent.is_alive():
-                        self.orphaned = True
-                        raise StopIteration
-                    continue
-                if chunk is None:
-                    raise StopIteration
-                self._pending = chunk
-                self._has_pending = True
-            remaining = self._transient.get(self.position, 0)
-            if remaining > 0:
-                self._transient[self.position] = remaining - 1
-                from repro.errors import TransientSourceError
-
-                raise TransientSourceError(
-                    f"injected transient ring fault at chunk {self.position} "
-                    f"({remaining - 1} more to come)"
-                )
-            chunk = self._pending
-            self._pending = None
-            self._has_pending = False
-            self.position += 1
-            return chunk
+    parent = mp.parent_process()
+    while True:
+        control()
+        chunk = ring.get(timeout=0.05)
+        if chunk is None:
+            return
+        if chunk is not RING_TIMEOUT:
+            yield chunk
+        elif parent is not None and not parent.is_alive():
+            return
 
 
 def _worker_main(
@@ -494,10 +465,10 @@ def _worker_main(
     conn,
     sync_every: int,
     backend_name: str,
-    faults: dict | None = None,
+    faults: FaultPlan,
     initial: tuple | None = None,
 ) -> None:
-    """Worker body: drain the ring into a shard-local group.
+    """Worker body: the ingest loop from the ring into a shard group.
 
     Spawn-safe top-level function.  The group has the *full* shard
     layout; the parent only ever sends keys owned by this worker's
@@ -507,12 +478,13 @@ def _worker_main(
     scratch, so the selection must travel explicitly for the whole
     fleet to compute on the same backend.
 
-    ``faults`` are the picklable hooks from
-    :meth:`~repro.runtime.reliability.FaultPlan.worker_faults_for`
-    (crash/exit/hang at a local chunk position, poison payload swap,
-    transient ring errors, snapshot corruption).  Faults are one-shot
-    per process *generation*: a respawned replacement runs fault-free,
-    otherwise a ``crash_after`` would re-fire on restore forever.
+    The ring feeds :class:`~repro.runtime.engine.StreamEngine` through
+    the source layers of
+    :class:`~repro.runtime.reliability.ResilientEngine`: ``faults``
+    (this worker's plan from
+    :meth:`~repro.runtime.reliability.FaultPlan.worker_faults_for`),
+    then retries, then validate-or-quarantine.  The checkpoint step is
+    the pipe snapshot every ``sync_every`` chunks and at end of stream.
 
     ``initial`` is ``(state, chunks_done, items_done)`` for a respawned
     replacement: the group restores from the parent's last accepted
@@ -522,49 +494,41 @@ def _worker_main(
     set_backend(backend_name)
     ring = ChunkRing.from_handle(handle)
     registry = install_registry(MetricsRegistry())
-    faults = dict(faults or {})
     if initial is not None:
         state, chunks_done, items_done = initial
         group = ShardedASketch.from_state(state)
-        chunks_done = int(chunks_done)
-        items_done = int(items_done)
     else:
         group = ShardedASketch(**group_params)
-        chunks_done = 0
-        items_done = 0
-    dead_letters = DeadLetterQueue(capacity=64)
-    snapshots_sent = 0
+        chunks_done = items_done = 0
+    engine = StreamEngine(group, batched=True)
+    engine.position = int(chunks_done)
+    engine.stats.tuples_ingested = int(items_done)
+    checkpoints = 0
     sync_target: int | None = None
 
-    def send_snapshot(tag: str = "snapshot") -> None:
-        nonlocal snapshots_sent
+    def send_state(tag: str, state: SynopsisState, digest: str) -> None:
+        conn.send((tag, engine.position, engine.stats.tuples_ingested,
+                   state, digest, _export_metrics(registry)))
+
+    def send_snapshot(tag: str) -> None:
+        state = group.state()
+        send_state(tag, state, _state_digest(state))
+
+    def checkpoint(position: int | None = None) -> None:
+        nonlocal checkpoints
+        checkpoints += 1
         state = group.state()
         digest = _state_digest(state)
-        snapshots_sent += 1
-        if (
-            tag == "snapshot"
-            and faults.get("corrupt_snapshot_at") == snapshots_sent
-        ):
-            # In-flight corruption: the digest was computed over the
-            # true state, then a payload array is flipped — the parent
-            # must detect the mismatch and reject.
-            for name in sorted(state.arrays):
-                array = state.arrays[name]
-                if array.size:
-                    corrupted = array.copy()
-                    corrupted.reshape(-1)[0] += 1
-                    state.arrays[name] = corrupted
-                    break
-        conn.send(
-            (
-                tag,
-                int(chunks_done),
-                int(items_done),
-                state,
-                digest,
-                _export_metrics(registry),
-            )
+        faults.checkpoint_written(
+            checkpoints, lambda: _corrupt_in_flight(state)
         )
+        send_state("snapshot", state, digest)
+
+    def quarantine(position: int, payload: Any, reason: str) -> None:
+        # The parent's dead-letter queue keeps the pristine payload from
+        # its retained tail.  The position still counts: tail pruning is
+        # keyed to chunks *handled*, ingested or not.
+        conn.send(("quarantine", int(position), reason))
 
     def handle_control() -> None:
         nonlocal sync_target
@@ -586,7 +550,7 @@ def _worker_main(
                 conn.send(
                     (
                         "migrated",
-                        int(chunks_done),
+                        engine.position,
                         states,
                         _states_digest(states),
                     )
@@ -603,55 +567,25 @@ def _worker_main(
                 for shard in message[1]:
                     group.export_shard(int(shard))  # discard: reset
                 send_snapshot("migrate_committed")
-        if sync_target is not None and chunks_done >= sync_target:
-            send_snapshot()
+        if sync_target is not None and engine.position >= sync_target:
+            checkpoint()
             sync_target = None
 
-    source = _RingSource(ring, handle_control, faults.get("transient"))
     retrying = RetryingSource(
-        source,
+        faults.wrap(_ring_chunks(ring, handle_control)),
         default_policy=RetryPolicy(
             max_retries=8, base_delay=0.001, multiplier=2.0,
             max_delay=0.05, jitter=0.5,
         ),
-        seed=int(faults.get("seed", 0)) * 131 + worker_id,
+        seed=faults.seed * 131 + worker_id,
     )
+    engine.quarantine = quarantine
+    engine.checkpointing = Checkpointing(sync_every, checkpoint)
     try:
-        for chunk in retrying:
-            position = chunks_done
-            if "crash_after" in faults and position >= faults["crash_after"]:
-                os._exit(17)  # injected mid-stream kill -9, no cleanup
-            if "exit_after" in faults and position >= faults["exit_after"]:
-                sys.exit(3)  # premature "clean" exit, no final snapshot
-            if "hang_after" in faults and position >= faults["hang_after"]:
-                while True:  # alive but stalled: the slow/hung case
-                    time.sleep(0.05)
-                    parent = mp.parent_process()
-                    if parent is None or not parent.is_alive():
-                        os._exit(0)
-            if faults.get("poison_at") == position:
-                chunk = np.asarray(chunk, dtype=np.float64) + 0.5
-            try:
-                array = coerce_chunk(chunk, position)
-            except PoisonChunkError as exc:
-                # Quarantine and continue — the ResilientEngine
-                # semantics inside a worker.  The position still
-                # counts: the parent's retained-tail pruning is keyed
-                # to chunks *handled*, ingested or not.
-                dead_letters.quarantine(position, chunk, exc.reason)
-                conn.send(("quarantine", int(position), exc.reason))
-                chunks_done += 1
-                handle_control()
-                continue
-            group.process_batch(array)
-            chunks_done += 1
-            items_done += int(array.shape[0])
-            if chunks_done % sync_every == 0:
-                send_snapshot()
-            handle_control()
-        if not source.orphaned:
-            send_snapshot()
-            conn.send(("done", int(chunks_done), int(items_done)))
+        engine.run(faults.boundary_faults(retrying, engine.position))
+        conn.send(("done", engine.position, engine.stats.tuples_ingested))
+    except SimulatedCrash:
+        faults.act_out_crash()
     except Exception as error:  # surface, then die visibly
         try:
             conn.send(("error", f"{type(error).__name__}: {error}"))
@@ -694,11 +628,28 @@ class _WorkerSlot:
     #: While healing: the chunk count a replacement's snapshot must
     #: reach before the worker's shards flip back to healthy.
     heal_target: int | None = None
+    #: The ring's ``consumed()`` when a share was last shed for a
+    #: stall: while it has not moved, later shares shed at once.
+    shed_mark: int | None = None
 
     @property
     def feeding_ring(self) -> bool:
         """Whether new shares still go through the shared-memory ring."""
         return self.status == "ok"
+
+
+class _Router:
+    """The fleet as the ingest loop's sink: its batch ingest routes
+    each chunk to the workers owning the chunk's keys."""
+
+    def __init__(self, runtime: "ParallelIngestRuntime") -> None:
+        self._runtime = runtime
+
+    def process_batch(
+        self, keys: np.ndarray, counts: np.ndarray | None = None
+    ) -> None:
+        assert counts is None  # the ingest loop passes keys only
+        self._runtime._route(keys)
 
 
 class ParallelIngestRuntime:
@@ -764,8 +715,6 @@ class ParallelIngestRuntime:
         cross-process faults (``worker_crash``/``worker_exit``/
         ``worker_hang``/``worker_poison``/``worker_transient``/
         ``corrupt_snapshot``) are acted out inside the workers.
-    inject_crash:
-        Legacy shorthand for ``FaultPlan(worker_crash=...)``.
     put_timeout, drain_timeout:
         Seconds the parent waits on a stuck ring slot / on drain
         messages before declaring the worker hung and failing it over.
@@ -799,7 +748,6 @@ class ParallelIngestRuntime:
         standby_hashes: int = 4,
         standby_bytes: int | None = None,
         fault_plan: FaultPlan | None = None,
-        inject_crash: dict[int, int] | None = None,
         put_timeout: float = 60.0,
         drain_timeout: float = 60.0,
     ) -> None:
@@ -851,8 +799,7 @@ class ParallelIngestRuntime:
         self.stall_timeout = stall_timeout
         self.standby_hashes = int(standby_hashes)
         self.standby_bytes = standby_bytes
-        self.fault_plan = fault_plan
-        self.inject_crash = dict(inject_crash or {})
+        self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.put_timeout = float(put_timeout)
         self.drain_timeout = float(drain_timeout)
         #: The combined result (populated by :meth:`run`).
@@ -862,16 +809,21 @@ class ParallelIngestRuntime:
         #: chunks workers quarantined (recovered from the retained tail
         #: when still available).
         self.dead_letters = DeadLetterQueue(capacity=dead_letter_capacity)
+        self._respawn_rng = random.Random(int(seed) * 31337 + 7)
+        self._reset()
+
+    def _reset(self) -> None:
+        """Per-run fleet state, fresh for every :meth:`run`."""
         #: Completed shard migrations (reshard moves applied).
         self.migrations = 0
         #: Chunk shares shed to the dead-letter queue under load.
         self.shed_chunks = 0
         self._slots: list[_WorkerSlot] = []
+        shards = self.group_params["shards"]
         self._assignment = np.array(
             [s % self.workers for s in range(shards)], dtype=np.int64
         )
         self._shard_items = np.zeros(shards, dtype=np.int64)
-        self._respawn_rng = random.Random(int(seed) * 31337 + 7)
         #: shards exported from a worker but not yet commit-acked there
         #: — stripped from that worker's snapshot on failover so a
         #: mid-migration death cannot double-count them.
@@ -931,21 +883,11 @@ class ParallelIngestRuntime:
             else:
                 os.environ["PYTHONPATH"] = previous
 
-    def _worker_faults(self, index: int) -> dict | None:
-        hooks: dict | None = None
-        if self.fault_plan is not None:
-            hooks = self.fault_plan.worker_faults_for(index)
-        if index in self.inject_crash:
-            hooks = dict(hooks or {"seed": 0})
-            hooks.setdefault("crash_after", int(self.inject_crash[index]))
-        return hooks
-
     def _launch(
         self,
         index: int,
-        *,
+        faults: FaultPlan,
         initial: tuple | None = None,
-        faults: dict | None = None,
     ) -> tuple[Any, Any, ChunkRing]:
         """Start one worker process with a fresh ring and pipe."""
         ctx = mp.get_context("spawn")
@@ -982,7 +924,7 @@ class ParallelIngestRuntime:
         with self._pinned_pythonpath():
             for index in range(self.workers):
                 process, conn, ring = self._launch(
-                    index, faults=self._worker_faults(index)
+                    index, self.fault_plan.worker_faults_for(index)
                 )
                 self._slots.append(
                     _WorkerSlot(
@@ -1106,13 +1048,16 @@ class ParallelIngestRuntime:
             self._drain_messages(slot)
             if slot.process.is_alive() or slot.done:
                 continue
-            self._fail_worker(
-                slot,
-                f"worker {slot.index} died "
-                f"(exitcode {slot.process.exitcode})",
-            )
+            self._fail_dead(slot)
 
     # -- failover ----------------------------------------------------------
+
+    def _fail_dead(self, slot: _WorkerSlot) -> None:
+        """Fail over a worker whose process is gone."""
+        self._fail_worker(
+            slot,
+            f"worker {slot.index} died (exitcode {slot.process.exitcode})",
+        )
 
     def _complete_healing(self, slot: _WorkerSlot) -> None:
         """A replacement's snapshot caught up: shards healthy again."""
@@ -1123,8 +1068,16 @@ class ParallelIngestRuntime:
             self.supervisor.heal_shard(shard)
         trace_point("worker_healed", worker=slot.index)
 
-    def _record_stall(self, slot: _WorkerSlot, waited: float, what: str):
-        """Build the typed stall error and record its telemetry."""
+    def _stall(
+        self,
+        slot: _WorkerSlot,
+        waited: float,
+        what: str,
+        *,
+        allow_respawn: bool = True,
+    ) -> None:
+        """Record a typed stall and fail the worker over (hung ≠ dead,
+        but both leave the ring unserved)."""
         slot.stalls += 1
         registry = current_registry()
         if registry is not None:
@@ -1135,24 +1088,12 @@ class ParallelIngestRuntime:
             "worker_stalled", worker=slot.index, waited_seconds=waited,
             what=what,
         )
-        return WorkerStalledError(
+        error = WorkerStalledError(
             f"worker {slot.index} stalled: no progress on {what} for "
             f"{waited:.1f}s",
             worker=slot.index,
             waited_seconds=waited,
         )
-
-    def _stall(
-        self,
-        slot: _WorkerSlot,
-        waited: float,
-        what: str,
-        *,
-        allow_respawn: bool = True,
-    ) -> None:
-        """Record a stall and fail the worker over (hung ≠ dead, but
-        both leave the ring unserved)."""
-        error = self._record_stall(slot, waited, what)
         slot.error = slot.error or str(error)
         self._fail_worker(slot, str(error), allow_respawn=allow_respawn)
 
@@ -1262,11 +1203,11 @@ class ParallelIngestRuntime:
                 slot.snapshot_items,
             )
         # Injected faults are one-shot per process generation: the
-        # replacement runs fault-free (a crash_after would re-fire on
+        # replacement runs fault-free (a planned crash would re-fire on
         # restore and loop the respawn budget away for nothing).
         with self._pinned_pythonpath():
             process, conn, ring = self._launch(
-                slot.index, initial=initial, faults=None
+                slot.index, FaultPlan(), initial=initial
             )
         try:
             slot.conn.close()
@@ -1280,6 +1221,7 @@ class ParallelIngestRuntime:
         slot.metrics_last = {}
         slot.done = False
         slot.error = None
+        slot.shed_mark = None
         slot.heal_target = slot.sent_chunks
         for share in slot.retained:
             if not self._replay_into(slot, share):
@@ -1315,8 +1257,12 @@ class ParallelIngestRuntime:
         Progress on the ring (``consumed()`` advancing) resets the
         stall clock: a slow worker is waited on indefinitely, only a
         worker making *no* progress within ``stall_timeout`` is
-        declared stalled.
+        declared stalled.  A share for a worker that has made no
+        progress since its last shed sheds at once: the stall is
+        already established, and waiting it out again per share would
+        cost a full budget per chunk.
         """
+        shedding = sheddable and self.load_shed
         budget = (
             self.stall_timeout
             if self.stall_timeout is not None
@@ -1324,16 +1270,14 @@ class ParallelIngestRuntime:
         )
         last_progress = time.monotonic()
         progressed = slot.ring.consumed()
+        if shedding and progressed == slot.shed_mark:
+            return "ok" if put(0) else "shed"
         while True:
             if put(0.25):
                 return "ok"
             self._drain_all_messages()
             if not slot.process.is_alive():
-                self._fail_worker(
-                    slot,
-                    f"worker {slot.index} died "
-                    f"(exitcode {slot.process.exitcode})",
-                )
+                self._fail_dead(slot)
                 return "rerouted"
             now = time.monotonic()
             consumed = slot.ring.consumed()
@@ -1342,7 +1286,8 @@ class ParallelIngestRuntime:
                 last_progress = now
             waited = now - last_progress
             if waited > budget:
-                if sheddable and self.load_shed:
+                if shedding:
+                    slot.shed_mark = consumed
                     return "shed"
                 self._stall(slot, waited, "ring")
                 return "rerouted"
@@ -1412,6 +1357,14 @@ class ParallelIngestRuntime:
     ) -> EngineStats:
         """Ingest a chunk stream across the worker fleet and combine.
 
+        The chunks go through the
+        :class:`~repro.runtime.engine.StreamEngine` loop with the chunk
+        router as its sink, so a poison chunk raises
+        :class:`~repro.errors.PoisonChunkError` before any worker sees
+        it.  With a ``checkpoint_store``, the loop's checkpoint step
+        calls :meth:`checkpoint` every ``checkpoint_every`` chunks and
+        once at end of stream.
+
         Returns :class:`EngineStats` whose ``wall_seconds`` covers the
         whole pipeline — feeding, worker ingest, and the drain merge —
         which is the number real-vs-model speedups are measured on.
@@ -1425,16 +1378,7 @@ class ParallelIngestRuntime:
             raise ConfigurationError(
                 "checkpoint_every requires a checkpoint_store"
             )
-        self.stats = EngineStats()
-        self._slots = []
-        self.migrations = 0
-        self.shed_chunks = 0
-        self._exports_pending = {}
-        shards = self.group_params["shards"]
-        self._assignment = np.array(
-            [s % self.workers for s in range(shards)], dtype=np.int64
-        )
-        self._shard_items = np.zeros(shards, dtype=np.int64)
+        self._reset()
         self.supervisor = ShardSupervisor(
             standby_hashes=self.standby_hashes,
             standby_bytes=self.standby_bytes,
@@ -1451,74 +1395,59 @@ class ParallelIngestRuntime:
                 cooldown_windows=self.reshard_cooldown_windows,
             )
         self.reshard_controller = controller
-        registry = current_registry()
-        if registry is not None:
-            stamp_backend(registry)
+        engine = StreamEngine(_Router(self), batched=True)
+        if checkpoint_store is not None:
+            engine.checkpointing = Checkpointing(
+                checkpoint_every,
+                lambda position: self.checkpoint(checkpoint_store),
+            )
+        self.stats = engine.stats
         start = time.perf_counter()
-        chunks_since_checkpoint = 0
         try:
             # Inside the try so a mid-start failure still sweeps the
             # workers and rings already launched.
             self._start_workers()
-            router = self.supervisor.group
-            for chunk in chunks:
-                chunk = coerce_chunk(chunk, self.stats.chunks_ingested)
-                owners = router.owners_of(chunk)
-                if owners.size:
-                    self._shard_items += np.bincount(
-                        owners, minlength=shards
-                    )
-                if registry is not None:
-                    self._record_routing_metrics(registry, owners)
-                worker_of = self._assignment[owners]
-                for slot in self._slots:
-                    self._feed(slot, chunk[worker_of == slot.index])
-                self.stats.tuples_ingested += int(chunk.shape[0])
-                self.stats.chunks_ingested += 1
-                chunks_since_checkpoint += 1
-                self._check_liveness()
-                if controller is not None:
-                    controller.observe(self.stats.chunks_ingested)
-                if registry is not None:
-                    self._record_fleet_metrics(registry)
-                if (
-                    checkpoint_every is not None
-                    and chunks_since_checkpoint >= checkpoint_every
-                ):
-                    self.checkpoint(checkpoint_store)
-                    chunks_since_checkpoint = 0
+            engine.run(chunks)
             self._drain()
-            if checkpoint_store is not None and chunks_since_checkpoint > 0:
-                checkpoint_store.save(
-                    self.supervisor,
-                    chunk_index=self.stats.chunks_ingested,
-                    tuples_ingested=self.stats.tuples_ingested,
-                    extra=self._health_extra(),
-                )
         finally:
             self._shutdown()
         self.stats.wall_seconds = time.perf_counter() - start
+        registry = current_registry()
         if registry is not None:
             registry.gauge("engine_items_per_s").set(
                 1000.0 * self.stats.wall_throughput_items_per_ms
             )
         return self.stats
 
-    def _record_routing_metrics(
-        self, registry: MetricsRegistry, owners: np.ndarray
-    ) -> None:
-        if owners.size == 0:
-            return
+    def _route(self, chunk: np.ndarray) -> None:
+        """The sink of the fleet's ingest loop: split one validated
+        chunk by owning worker and feed every share to its worker."""
+        assert self.supervisor is not None
+        owners = self.supervisor.group.owners_of(chunk)
         shares = np.bincount(owners, minlength=self.group_params["shards"])
+        self._shard_items += shares
+        registry = current_registry()
+        if registry is not None and owners.size:
+            self._record_routing_metrics(registry, shares)
+        worker_of = self._assignment[owners]
+        for slot in self._slots:
+            self._feed(slot, chunk[worker_of == slot.index])
+        self._check_liveness()
+        if self.reshard_controller is not None:
+            self.reshard_controller.observe(self.stats.chunks_ingested + 1)
+        if registry is not None:
+            self._record_fleet_metrics(registry)
+
+    def _record_routing_metrics(
+        self, registry: MetricsRegistry, shares: np.ndarray
+    ) -> None:
         for index, share in enumerate(shares.tolist()):
             if share:
                 registry.counter(
                     "shard_items_total", shard=str(index)
                 ).inc(share)
-        balanced = owners.size / self.group_params["shards"]
+        balanced = int(shares.sum()) / len(shares)
         registry.gauge("shard_skew").set(float(shares.max()) / balanced)
-        registry.counter("engine_tuples_total").inc(int(owners.size))
-        registry.counter("engine_chunks_total").inc()
 
     def _record_fleet_metrics(self, registry: MetricsRegistry) -> None:
         alive = 0
@@ -1556,11 +1485,7 @@ class ParallelIngestRuntime:
                     slot.snapshot_chunks < target_of(slot)
                     and not slot.process.is_alive()
                 ):
-                    self._fail_worker(
-                        slot,
-                        f"worker {slot.index} died "
-                        f"(exitcode {slot.process.exitcode})",
-                    )
+                    self._fail_dead(slot)
                     failed_over = True
             if failed_over:
                 deadline = time.monotonic() + self.drain_timeout
@@ -1601,11 +1526,7 @@ class ParallelIngestRuntime:
                 pass
             self._drain_all_messages(exclude=slot)
             if not slot.process.is_alive():
-                self._fail_worker(
-                    slot,
-                    f"worker {slot.index} died "
-                    f"(exitcode {slot.process.exitcode})",
-                )
+                self._fail_dead(slot)
                 return None
             if time.monotonic() > deadline:
                 self._stall(slot, timeout, tag)
@@ -1645,22 +1566,27 @@ class ParallelIngestRuntime:
                 # still needs its EOF; an inlined/failed slot exits
                 # via feeding_ring.
         self._await_snapshots(lambda slot: slot.sent_chunks)
-        registry = current_registry()
         merge_start = time.perf_counter()
-        for slot in self._slots:
-            if slot.status == "ok" and slot.snapshot_state is not None:
-                self.supervisor.group.merge(
-                    ShardedASketch.from_state(slot.snapshot_state)
-                )
-            elif slot.status == "inlined":
-                assert slot.inline_group is not None
-                self.supervisor.group.merge(slot.inline_group)
-            # failed: frozen snapshot + standby were folded in at failure
-        merge_elapsed = time.perf_counter() - merge_start
+        self._merge_workers_into(self.supervisor.group)
+        registry = current_registry()
         if registry is not None:
             registry.histogram("parallel_merge_seconds").observe(
-                merge_elapsed
+                time.perf_counter() - merge_start
             )
+
+    def _merge_workers_into(self, group: ShardedASketch) -> None:
+        """Fold every worker's shards into ``group``: a ring worker's
+        last accepted snapshot, a copy of an inlined worker's group (a
+        failed worker was folded into the supervisor at failure)."""
+        for slot in self._slots:
+            if slot.status == "inlined":
+                assert slot.inline_group is not None
+                state = slot.inline_group.state()
+            elif slot.status == "ok" and slot.snapshot_state is not None:
+                state = slot.snapshot_state
+            else:
+                continue
+            group.merge(ShardedASketch.from_state(state))
 
     # -- elastic resharding -------------------------------------------------
 
@@ -1895,16 +1821,7 @@ class ParallelIngestRuntime:
         assert self.supervisor is not None
         self._quiesce()
         clone = ShardSupervisor.from_state(self.supervisor.state())
-        for slot in self._slots:
-            if slot.status == "ok" and slot.snapshot_state is not None:
-                clone.group.merge(
-                    ShardedASketch.from_state(slot.snapshot_state)
-                )
-            elif slot.status == "inlined":
-                assert slot.inline_group is not None
-                clone.group.merge(
-                    ShardedASketch.from_state(slot.inline_group.state())
-                )
+        self._merge_workers_into(clone.group)
         return store.save(
             clone,
             chunk_index=self.stats.chunks_ingested,

@@ -3,8 +3,9 @@
 The paper's application scenarios — continuous top-k boards, DDoS
 threshold alerts — only hold up in production if the synopsis survives
 process crashes and bad input without losing or corrupting counts.
-This module wraps :class:`~repro.runtime.engine.StreamEngine` with the
-reliability layer a long-running collector needs:
+This module puts the reliability layer a long-running collector needs
+around :class:`~repro.runtime.engine.StreamEngine`'s ingest loop — as
+source layers feeding it, its quarantine and its checkpoint step:
 
 * **Exact crash recovery** — :class:`ResilientEngine` checkpoints the
   synopsis every ``checkpoint_every`` chunks through the PR-2 state
@@ -19,7 +20,8 @@ reliability layer a long-running collector needs:
   crashes at chunk boundaries, transient source errors, poison chunks,
   checkpoint corruption, and shard failures, all seeded, so the
   recovery test suite can prove the guarantees above rather than hope
-  for them.
+  for them.  Each worker of the parallel fleet acts out its share of a
+  plan through the same layers.
 * **Resilient sources** — :class:`RetryingSource` retries transient
   source failures with exponential backoff + deterministic jitter under
   per-error-class :class:`RetryPolicy` budgets, raising
@@ -43,19 +45,21 @@ contract for side effects under checkpoint/replay recovery.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import multiprocessing as mp
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
 from repro.errors import (
     ConfigurationError,
-    PoisonChunkError,
     RecoveryError,
     RetryExhaustedError,
     ShardFailedError,
@@ -65,7 +69,7 @@ from repro.errors import (
 from repro.obs.registry import current_registry
 from repro.obs.trace import trace_span
 from repro.persistence import _fsync_directory, load_synopsis, save_synopsis
-from repro.runtime.engine import EngineStats, StreamEngine, coerce_chunk
+from repro.runtime.engine import Checkpointing, EngineStats, StreamEngine
 from repro.runtime.sharding import ShardedASketch
 from repro.sketches.count_min import CountMinSketch
 from repro.synopses.protocol import (
@@ -294,11 +298,13 @@ class FaultPlan:
     """A deterministic, seeded schedule of injected faults.
 
     All positions are 0-based source-chunk indices.  The plan is applied
-    in two places: :meth:`wrap` turns a chunk iterable into a
-    :class:`FaultySource` injecting *source-side* faults (transient
-    errors, poison payloads), while :class:`ResilientEngine` applies the
-    *engine-side* faults (crash at a chunk boundary, checkpoint
-    corruption, shard failure) at the recorded positions.
+    as two source layers around the ingest loop: :meth:`wrap` turns a
+    chunk iterable into a :class:`FaultySource` injecting *source-side*
+    faults (transient errors, poison payloads), and
+    :meth:`boundary_faults` acts out the faults planned at a chunk
+    boundary (shard failure, crash) as each chunk is handed over.  The
+    checkpoint step reports each write to :meth:`checkpoint_written`,
+    which corrupts the planned one.
 
     Attributes
     ----------
@@ -306,7 +312,7 @@ class FaultPlan:
         Drives every random choice (poison variant, corruption offset).
     crash_at_chunk:
         Raise :class:`SimulatedCrash` immediately before ingesting this
-        chunk — exactly ``crash_at_chunk`` chunks have been ingested.
+        chunk — exactly ``crash_at_chunk`` chunks have been handled.
     transient_errors:
         ``{chunk_index: failures}`` — the source raises
         :class:`~repro.errors.TransientSourceError` that many times
@@ -322,9 +328,10 @@ class FaultPlan:
         engine's :class:`ShardSupervisor` just before that chunk, so the
         shard's ingest raises and the supervisor must degrade.
 
-    Cross-process faults (acted out *inside* the worker processes of
-    :class:`~repro.runtime.parallel.ParallelIngestRuntime`; every
-    position counts that worker's locally processed chunks):
+    Cross-process faults, acted out *inside* the worker processes of
+    :class:`~repro.runtime.parallel.ParallelIngestRuntime` through the
+    per-worker plan :meth:`worker_faults_for` derives; every position
+    counts that worker's locally handled chunks:
 
     worker_crash:
         ``{worker_id: after_chunks}`` — the worker dies hard
@@ -340,17 +347,18 @@ class FaultPlan:
     worker_poison:
         ``{worker_id: chunk_position}`` — the worker's chunk at that
         position is replaced with a poison payload before validation,
-        exercising the in-worker dead-letter quarantine path.
+        exercising the in-worker quarantine path.
     worker_transient:
         ``{worker_id: {chunk_position: failures}}`` — the worker's ring
         source raises :class:`~repro.errors.TransientSourceError` that
         many times before surrendering the chunk, exercising the
         in-worker :class:`RetryingSource` path.
     corrupt_snapshot:
-        ``{worker_id: snapshot_number}`` — that worker's Nth snapshot
-        (1-based) is corrupted in flight; the parent must detect the
-        digest mismatch, reject the snapshot, and keep the retained
-        replay tail that the rejected snapshot would have pruned.
+        ``{worker_id: snapshot_number}`` — that worker's Nth checkpoint
+        snapshot (1-based) is corrupted in flight; the parent must
+        detect the digest mismatch, reject the snapshot, and keep the
+        retained replay tail that the rejected snapshot would have
+        pruned.
     """
 
     seed: int = 0
@@ -366,36 +374,85 @@ class FaultPlan:
     worker_transient: dict[int, dict[int, int]] = field(default_factory=dict)
     corrupt_snapshot: dict[int, int] = field(default_factory=dict)
 
-    def worker_faults_for(self, worker: int) -> dict[str, Any] | None:
-        """The picklable fault hooks one worker process must act out.
+    def worker_faults_for(self, worker: int) -> "FaultPlan":
+        """The plan one worker process acts out over its own ring.
 
-        Returns ``None`` when this plan holds no faults for ``worker``,
-        so fault-free workers pay no plumbing at all.
+        ``worker``'s entries become single-process faults:
+        ``transient_errors``, ``poison_chunks``,
+        ``corrupt_checkpoint_after`` (its Nth pipe snapshot) and
+        ``crash_at_chunk`` (its first planned kill, exit or hang; a tie
+        goes to the kill, then the exit).  An exit or hang keeps its
+        ``worker_exit``/``worker_hang`` entry for :meth:`act_out_crash`.
         """
-        hooks: dict[str, Any] = {}
-        if worker in self.worker_crash:
-            hooks["crash_after"] = int(self.worker_crash[worker])
-        if worker in self.worker_exit:
-            hooks["exit_after"] = int(self.worker_exit[worker])
-        if worker in self.worker_hang:
-            hooks["hang_after"] = int(self.worker_hang[worker])
-        if worker in self.worker_poison:
-            hooks["poison_at"] = int(self.worker_poison[worker])
-        if worker in self.worker_transient:
-            hooks["transient"] = {
-                int(k): int(v)
-                for k, v in self.worker_transient[worker].items()
-            }
-        if worker in self.corrupt_snapshot:
-            hooks["corrupt_snapshot_at"] = int(self.corrupt_snapshot[worker])
-        if not hooks:
-            return None
-        hooks["seed"] = int(self.seed)
-        return hooks
+        # (position, 0 kill / 1 exit / 2 hang): the earliest stop wins.
+        first = sorted(
+            (int(planned[worker]), kind)
+            for kind, planned in enumerate(
+                (self.worker_crash, self.worker_exit, self.worker_hang)
+            )
+            if worker in planned
+        )[:1]
+        poison = self.worker_poison
+        return FaultPlan(
+            seed=self.seed,
+            crash_at_chunk=first[0][0] if first else None,
+            transient_errors=dict(self.worker_transient.get(worker, {})),
+            poison_chunks=frozenset([poison[worker]] if worker in poison else []),
+            corrupt_checkpoint_after=self.corrupt_snapshot.get(worker),
+            worker_exit={worker: at for at, kind in first if kind == 1},
+            worker_hang={worker: at for at, kind in first if kind == 2},
+        )
 
     def wrap(self, chunks: Iterable[np.ndarray]) -> "FaultySource":
         """The source-side view of this plan over a chunk iterable."""
         return FaultySource(chunks, self)
+
+    def boundary_faults(
+        self, chunks: Iterable[Any], start: int = 0, synopsis: Any = None
+    ) -> Iterator[Any]:
+        """``chunks`` with ``fail_shard`` (on the :class:`ShardSupervisor`
+        ``synopsis``) and ``crash_at_chunk`` acted out just before the
+        chunk at that source position is handed over.  ``start`` is the
+        first chunk's position: a resumed run starts past its restored
+        prefix, whose boundaries were crossed before the crash.
+        """
+        for position, chunk in enumerate(chunks, start):
+            if self.fail_shard is not None and self.fail_shard[0] == position:
+                if not isinstance(synopsis, ShardSupervisor):
+                    raise ConfigurationError(
+                        "fail_shard fault injection requires a "
+                        f"ShardSupervisor synopsis, got "
+                        f"{type(synopsis).__name__}"
+                    )
+                synopsis.inject_failure(self.fail_shard[1])
+            if self.crash_at_chunk == position:
+                raise SimulatedCrash(
+                    f"injected crash at chunk boundary {position} "
+                    f"({position} chunks handled)"
+                )
+            yield chunk
+
+    def checkpoint_written(self, count: int, corrupt: Callable[[], None]) -> None:
+        """Act out ``corrupt_checkpoint_after``: ``corrupt()`` the
+        checkpoint just written when it is the planned ``count``-th."""
+        if count == self.corrupt_checkpoint_after:
+            corrupt()
+
+    def act_out_crash(self) -> NoReturn:
+        """End a worker process that caught its plan's
+        :class:`SimulatedCrash` the way the plan stops it: a hang stays
+        alive but stalled until the parent is gone, an exit runs cleanup
+        but sends no final snapshot, a kill (``os._exit``) runs nothing.
+        """
+        if self.worker_hang:
+            while True:  # alive but stalled: the slow/hung case
+                time.sleep(0.05)
+                parent = mp.parent_process()
+                if parent is None or not parent.is_alive():
+                    os._exit(0)
+        if self.worker_exit:
+            sys.exit(3)  # premature "clean" exit, no final snapshot
+        os._exit(17)  # injected mid-stream kill -9, no cleanup
 
     def poison_payload(self, chunk: np.ndarray, chunk_index: int) -> Any:
         """The poison replacing ``chunk``, chosen by ``(seed, index)``."""
@@ -490,6 +547,9 @@ class CheckpointStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep = int(keep)
+        #: The generation the next save writes; read from the journal
+        #: by the first save, then counted here.
+        self._next_generation: int | None = None
 
     @property
     def journal_path(self) -> Path:
@@ -523,11 +583,6 @@ class CheckpointStore:
                 records.append(record)
         return records
 
-    def last_record(self) -> dict | None:
-        """The newest journal record, or None for an empty store."""
-        records = self.journal_records()
-        return records[-1] if records else None
-
     def save(
         self,
         synopsis: Any,
@@ -545,8 +600,12 @@ class CheckpointStore:
         bytes and journal fsync; with a trace sink installed it is
         wrapped in a ``checkpoint`` span.
         """
-        records = self.journal_records()
-        generation = (records[-1]["generation"] + 1) if records else 0
+        generation = self._next_generation
+        if generation is None:
+            records = self.journal_records()
+            generation = (records[-1]["generation"] + 1) if records else 0
+            # Snapshots a crash left unpruned go once, here.
+            self._unlink(record["generation"] for record in records[: -self.keep])
         snapshot = self.snapshot_path(generation)
         start = time.perf_counter()
         with trace_span("checkpoint", generation=generation,
@@ -578,16 +637,17 @@ class CheckpointStore:
             registry.counter("checkpoint_bytes_total").inc(len(blob))
             registry.counter("journal_fsyncs_total").inc()
             registry.histogram("checkpoint_seconds").observe(elapsed)
-        self._prune(records + [record])
+        self._next_generation = generation + 1
+        # Generations run consecutively, so at most one snapshot falls
+        # out of the newest ``keep`` per save.
+        if generation >= self.keep:
+            self._unlink([generation - self.keep])
         return record
 
-    def _prune(self, records: list[dict]) -> None:
-        live = {record["generation"] for record in records[-self.keep :]}
-        for record in records[: -self.keep]:
-            if record["generation"] in live:
-                continue
+    def _unlink(self, generations: Iterable[int]) -> None:
+        for generation in generations:
             try:
-                self.snapshot_path(record["generation"]).unlink()
+                self.snapshot_path(generation).unlink()
             except OSError:
                 pass
 
@@ -894,31 +954,24 @@ class ShardSupervisor:
         standby (including the failing share itself — the forced raise
         happens before any counter moves, so nothing is half-applied).
         """
+        self._partition(keys, counts, scalar=False)
+
+    def process_stream(self, keys: np.ndarray) -> None:
+        """Scalar-path ingest with the same per-shard isolation."""
+        self._partition(keys, None, scalar=True)
+
+    def _partition(
+        self, keys: np.ndarray, counts: np.ndarray | None, scalar: bool
+    ) -> None:
         keys = np.asarray(keys, dtype=np.int64)
         if counts is not None:
             counts = np.asarray(counts, dtype=np.int64)
         owners = self.group.owners_of(keys)
         for index, shard in enumerate(self.group.shards):
             mask = owners == index
-            if not mask.any():
-                continue
-            self._ingest_share(
-                index,
-                shard,
-                keys[mask],
-                None if counts is None else counts[mask],
-                scalar=False,
-            )
-
-    def process_stream(self, keys: np.ndarray) -> None:
-        """Scalar-path ingest with the same per-shard isolation."""
-        keys = np.asarray(keys, dtype=np.int64)
-        owners = self.group.owners_of(keys)
-        for index, shard in enumerate(self.group.shards):
-            mask = owners == index
-            if not mask.any():
-                continue
-            self._ingest_share(index, shard, keys[mask], None, scalar=True)
+            if mask.any():
+                share_counts = None if counts is None else counts[mask]
+                self._ingest_share(index, shard, keys[mask], share_counts, scalar)
 
     def update(self, key: int, amount: int = 1) -> int:
         """Route one weighted update, failing over to the standby."""
@@ -1114,7 +1167,7 @@ class ShardSupervisor:
 
 
 class ResilientEngine:
-    """Crash-safe, fault-isolating wrapper around :class:`StreamEngine`.
+    """Crash-safe, fault-isolating driver of the :class:`StreamEngine` loop.
 
     Composes the pieces of this module into one ingestion runtime:
 
@@ -1176,9 +1229,7 @@ class ResilientEngine:
         self._engine: StreamEngine | None = None
         self._source: RetryingSource | None = None
         self._last_record: dict | None = None
-        self._chunks_since_checkpoint = 0
         self._checkpoints_written = 0
-        self._source_chunks_seen = 0
 
     @property
     def store(self) -> CheckpointStore | None:
@@ -1212,8 +1263,7 @@ class ResilientEngine:
     ) -> EngineStats:
         """Ingest a chunk source from the beginning (checkpointing as
         configured); ``fault_plan`` injects deterministic faults."""
-        return self._drive(chunks, start_chunk=0, restored=None,
-                           fault_plan=fault_plan)
+        return self._drive(chunks, restored=None, fault_plan=fault_plan)
 
     def resume(
         self,
@@ -1242,8 +1292,7 @@ class ResilientEngine:
                     f"nothing to resume: {self._store.directory} has no "
                     "checkpoints and no fresh synopsis was provided"
                 )
-            return self._drive(chunks, start_chunk=0, restored=None,
-                               fault_plan=fault_plan)
+            return self._drive(chunks, restored=None, fault_plan=fault_plan)
         synopsis, record = loaded
         self.synopsis = synopsis
         self._last_record = record
@@ -1252,125 +1301,76 @@ class ResilientEngine:
         if registry is not None:
             registry.counter("recoveries_total").inc()
             registry.gauge("recovery_restored_chunk_index").set(start_chunk)
-        stats = self._drive(
-            chunks,
-            start_chunk=start_chunk,
-            restored=record,
-            fault_plan=fault_plan,
-        )
+        stats = self._drive(chunks, restored=record, fault_plan=fault_plan)
         if registry is not None:
             # Replay length: source chunks re-ingested past the
             # restored checkpoint to catch back up.
             registry.gauge("recovery_replay_chunks").set(
-                self._source_chunks_seen - start_chunk
+                self._engine.position - start_chunk
             )
         return stats
 
     def _drive(
         self,
         chunks: Iterable[np.ndarray],
-        start_chunk: int,
         restored: dict | None,
         fault_plan: FaultPlan | None,
     ) -> EngineStats:
+        """Run the ingest loop behind the source layers: the fault plan,
+        then retries, then (past a restored prefix) the plan's
+        chunk-boundary faults; poison goes to :attr:`dead_letters`."""
         if self.synopsis is None:
             raise ConfigurationError("no synopsis to drive")
+        plan = fault_plan if fault_plan is not None else FaultPlan()
         engine = StreamEngine(self.synopsis, batched=self.batched)
-        self._engine = engine
+        start = 0
         if restored is not None:
+            start = int(restored["chunk_index"])
+            engine.position = start
             engine.stats.tuples_ingested = int(restored["tuples_ingested"])
             engine.stats.chunks_ingested = int(
-                restored.get("engine_chunks", restored["chunk_index"])
+                restored.get("engine_chunks", start)
             )
+        # Registered after the restore, so consumers skip the firings
+        # delivered before the checkpoint (taken after consumers fire).
         for period, callback, name in self._consumer_specs:
             engine.every(period, callback, name)
-        if restored is not None:
-            position = engine.stats.tuples_ingested
-            for consumer in engine._consumers:
-                # Fast-forward past firings already delivered before the
-                # checkpoint (checkpoints are taken after consumers fire).
-                consumer.next_due = (
-                    position // consumer.period + 1
-                ) * consumer.period
-
-        source: Iterator[Any] = iter(chunks)
-        if fault_plan is not None:
-            source = fault_plan.wrap(source)
-        retrying = RetryingSource(
-            source,
+        engine.quarantine = self.dead_letters.quarantine
+        if self._store is not None:
+            engine.checkpointing = Checkpointing(
+                self.checkpoint_every,
+                lambda position: self._checkpoint(position, engine, plan),
+            )
+        self._source = RetryingSource(
+            plan.wrap(chunks),
             policies=self._retry_policies,
             default_policy=self._default_retry_policy,
             seed=self._retry_seed,
             sleep=self._sleep,
         )
-        self._source = retrying
-        self._chunks_since_checkpoint = 0
-
-        index = 0
-        for chunk in retrying:
-            if index < start_chunk:  # replayed prefix already checkpointed
-                index += 1
-                self._source_chunks_seen = index
-                continue
-            if fault_plan is not None:
-                self._apply_engine_faults(fault_plan, index)
-            try:
-                array = coerce_chunk(chunk, index)
-            except PoisonChunkError as exc:
-                self.dead_letters.quarantine(index, chunk, exc.reason)
-                index += 1
-                self._source_chunks_seen = index
-                self._chunks_since_checkpoint += 1
-                continue
-            engine.run([array])
-            index += 1
-            self._source_chunks_seen = index
-            self._chunks_since_checkpoint += 1
-            if (
-                self._store is not None
-                and self._chunks_since_checkpoint >= self.checkpoint_every
-            ):
-                self._checkpoint(index, engine, fault_plan)
-        if self._store is not None and self._chunks_since_checkpoint > 0:
-            self._checkpoint(index, engine, fault_plan)
-        return engine.stats
-
-    def _apply_engine_faults(self, plan: FaultPlan, index: int) -> None:
-        if plan.fail_shard is not None and plan.fail_shard[0] == index:
-            if not isinstance(self.synopsis, ShardSupervisor):
-                raise ConfigurationError(
-                    "fail_shard fault injection requires a ShardSupervisor "
-                    f"synopsis, got {type(self.synopsis).__name__}"
-                )
-            self.synopsis.inject_failure(plan.fail_shard[1])
-        if plan.crash_at_chunk is not None and plan.crash_at_chunk == index:
-            raise SimulatedCrash(
-                f"injected crash at chunk boundary {index} "
-                f"({index} chunks ingested)"
-            )
+        self._engine = engine
+        suffix = itertools.islice(self._source, start, None)
+        return engine.run(plan.boundary_faults(suffix, start, self.synopsis))
 
     def _checkpoint(
-        self, chunk_index: int, engine: StreamEngine, plan: FaultPlan | None
+        self, position: int, engine: StreamEngine, plan: FaultPlan
     ) -> None:
-        assert self._store is not None
-        record = self._store.save(
+        store = self._store
+        assert store is not None
+        record = store.save(
             self.synopsis,
-            chunk_index=chunk_index,
+            chunk_index=position,
             tuples_ingested=engine.stats.tuples_ingested,
             engine_chunks=engine.stats.chunks_ingested,
         )
         self._last_record = record
-        self._chunks_since_checkpoint = 0
         self._checkpoints_written += 1
-        if (
-            plan is not None
-            and plan.corrupt_checkpoint_after is not None
-            and self._checkpoints_written == plan.corrupt_checkpoint_after
-        ):
-            corrupt_file(
-                self._store.snapshot_path(record["generation"]),
-                seed=plan.seed,
-            )
+        plan.checkpoint_written(
+            self._checkpoints_written,
+            lambda: corrupt_file(
+                store.snapshot_path(record["generation"]), seed=plan.seed
+            ),
+        )
 
     # -- observability -----------------------------------------------------
 
@@ -1386,6 +1386,7 @@ class ResilientEngine:
         supervised.
         """
         stats = self.stats
+        seen = self._engine.position if self._engine is not None else 0
         shards = (
             self.synopsis.shard_health()
             if isinstance(self.synopsis, ShardSupervisor)
@@ -1405,9 +1406,11 @@ class ResilientEngine:
             "status": "degraded" if degraded else "ok",
             "tuples_ingested": stats.tuples_ingested,
             "chunks_ingested": stats.chunks_ingested,
-            "source_chunks_seen": self._source_chunks_seen,
+            "source_chunks_seen": seen,
             "checkpoint": checkpoint,
-            "checkpoint_lag_chunks": self._chunks_since_checkpoint,
+            "checkpoint_lag_chunks": seen - (
+                self._last_record["chunk_index"] if self._last_record else 0
+            ),
             "retries": self._source.retries if self._source else 0,
             "backoff_seconds": (
                 self._source.backoff_seconds if self._source else 0.0

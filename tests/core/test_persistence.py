@@ -9,12 +9,7 @@ import pytest
 
 from repro.core.asketch import ASketch
 from repro.errors import StreamFormatError
-from repro.persistence import (
-    load_asketch,
-    load_count_min,
-    save_asketch,
-    save_count_min,
-)
+from repro.persistence import load_synopsis, save_synopsis
 from repro.sketches.count_min import CountMinSketch
 from repro.streams.zipf import zipf_stream
 
@@ -29,8 +24,8 @@ class TestCountMinRoundtrip:
         sketch = CountMinSketch(8, total_bytes=32 * 1024, seed=4)
         sketch.update_batch(stream.keys)
         path = tmp_path / "cms.npz"
-        save_count_min(sketch, path)
-        restored = load_count_min(path)
+        save_synopsis(sketch, path)
+        restored = load_synopsis(path, expect_kind="count-min")
         np.testing.assert_array_equal(restored.table, sketch.table)
         assert restored.num_hashes == sketch.num_hashes
         assert restored.row_width == sketch.row_width
@@ -40,8 +35,8 @@ class TestCountMinRoundtrip:
         sketch = CountMinSketch(4, row_width=512, seed=5)
         sketch.update_batch(stream.keys[:1000])
         path = tmp_path / "cms.npz"
-        save_count_min(sketch, path)
-        restored = load_count_min(path)
+        save_synopsis(sketch, path)
+        restored = load_synopsis(path, expect_kind="count-min")
         for key in stream.keys[1000:2000].tolist():
             sketch.update(key)
             restored.update(key)
@@ -52,8 +47,8 @@ class TestCountMinRoundtrip:
     def test_conservative_flag_survives(self, tmp_path):
         sketch = CountMinSketch(4, row_width=64, seed=1, conservative=True)
         path = tmp_path / "cms.npz"
-        save_count_min(sketch, path)
-        assert load_count_min(path).conservative
+        save_synopsis(sketch, path)
+        assert load_synopsis(path, expect_kind="count-min").conservative
 
 
 class TestASketchRoundtrip:
@@ -61,8 +56,8 @@ class TestASketchRoundtrip:
         asketch = ASketch(total_bytes=64 * 1024, filter_items=16, seed=6)
         asketch.process_stream(stream.keys)
         path = tmp_path / "asketch.npz"
-        save_asketch(asketch, path)
-        restored = load_asketch(path)
+        save_synopsis(asketch, path)
+        restored = load_synopsis(path, expect_kind="asketch")
         probe = stream.keys[:300]
         assert restored.query_batch(probe) == asketch.query_batch(probe)
         assert restored.top_k(16) == asketch.top_k(16)
@@ -71,8 +66,8 @@ class TestASketchRoundtrip:
         asketch = ASketch(total_bytes=64 * 1024, filter_items=16, seed=6)
         asketch.process_stream(stream.keys)
         path = tmp_path / "asketch.npz"
-        save_asketch(asketch, path)
-        restored = load_asketch(path)
+        save_synopsis(asketch, path)
+        restored = load_synopsis(path, expect_kind="asketch")
         assert restored.total_mass == asketch.total_mass
         assert restored.overflow_mass == asketch.overflow_mass
         assert restored.exchange_count == asketch.exchange_count
@@ -82,8 +77,8 @@ class TestASketchRoundtrip:
         asketch = ASketch(total_bytes=64 * 1024, filter_items=16, seed=7)
         asketch.process_stream(stream.keys[:15_000])
         path = tmp_path / "asketch.npz"
-        save_asketch(asketch, path)
-        restored = load_asketch(path)
+        save_synopsis(asketch, path)
+        restored = load_synopsis(path, expect_kind="asketch")
         asketch.process_stream(stream.keys[15_000:])
         restored.process_stream(stream.keys[15_000:])
         probe = stream.keys[:300]
@@ -99,8 +94,8 @@ class TestASketchRoundtrip:
         )
         asketch.process_stream(stream.keys[:5000])
         path = tmp_path / "asketch.npz"
-        save_asketch(asketch, path)
-        restored = load_asketch(path)
+        save_synopsis(asketch, path)
+        restored = load_synopsis(path, expect_kind="asketch")
         assert restored.filter_kind == kind
         assert {
             (e.key, e.new_count, e.old_count)
@@ -121,8 +116,8 @@ class TestASketchRoundtrip:
         )
         asketch.process_stream(stream.keys[:5000])
         path = tmp_path / "asketch.npz"
-        save_asketch(asketch, path)
-        restored = load_asketch(path)
+        save_synopsis(asketch, path)
+        restored = load_synopsis(path, expect_kind="asketch")
         assert type(restored.sketch) is type(asketch.sketch)
         probe = stream.keys[:200]
         assert restored.query_batch(probe) == asketch.query_batch(probe)
@@ -139,12 +134,11 @@ class TestASketchRoundtrip:
 
         asketch = ASketch(sketch=OpaqueSketch(), filter_items=8)
         with pytest.raises(StreamFormatError):
-            save_asketch(asketch, tmp_path / "x.npz")
+            save_synopsis(asketch, tmp_path / "x.npz")
 
 
 class TestHierarchicalRoundtrip:
     def test_state_and_queries_identical(self, stream, tmp_path):
-        from repro.persistence import load_hierarchical, save_hierarchical
         from repro.sketches.hierarchical import HierarchicalCountMin
 
         hierarchy = HierarchicalCountMin(
@@ -152,8 +146,8 @@ class TestHierarchicalRoundtrip:
         )
         hierarchy.update_batch(stream.keys % 8192)
         path = tmp_path / "hier.npz"
-        save_hierarchical(hierarchy, path)
-        restored = load_hierarchical(path)
+        save_synopsis(hierarchy, path)
+        restored = load_synopsis(path, expect_kind="hierarchical-count-min")
         assert restored.domain_bits == hierarchy.domain_bits
         assert restored.total == hierarchy.total
         for low, high in [(0, 8191), (100, 200), (4000, 8000)]:
@@ -163,7 +157,6 @@ class TestHierarchicalRoundtrip:
         assert restored.top_k(10) == hierarchy.top_k(10)
 
     def test_continues_identically(self, stream, tmp_path):
-        from repro.persistence import load_hierarchical, save_hierarchical
         from repro.sketches.hierarchical import HierarchicalCountMin
 
         hierarchy = HierarchicalCountMin(
@@ -172,8 +165,8 @@ class TestHierarchicalRoundtrip:
         keys = stream.keys % 1024
         hierarchy.update_batch(keys[:10_000])
         path = tmp_path / "hier.npz"
-        save_hierarchical(hierarchy, path)
-        restored = load_hierarchical(path)
+        save_synopsis(hierarchy, path)
+        restored = load_synopsis(path, expect_kind="hierarchical-count-min")
         hierarchy.update_batch(keys[10_000:20_000])
         restored.update_batch(keys[10_000:20_000])
         for key in range(0, 1024, 31):
@@ -190,41 +183,28 @@ class TestErrorHandling:
     def test_kind_mismatch(self, tmp_path):
         sketch = CountMinSketch(4, row_width=64)
         path = tmp_path / "cms.npz"
-        save_count_min(sketch, path)
+        save_synopsis(sketch, path)
         with pytest.raises(StreamFormatError):
-            load_asketch(path)
+            load_synopsis(path, expect_kind="asketch")
 
     def test_hierarchical_kind_mismatch(self, tmp_path):
-        from repro.persistence import load_hierarchical
-
         sketch = CountMinSketch(4, row_width=64)
         path = tmp_path / "cms.npz"
-        save_count_min(sketch, path)
+        save_synopsis(sketch, path)
         with pytest.raises(StreamFormatError):
-            load_hierarchical(path)
-
-    def test_save_wrapper_rejects_wrong_type(self, tmp_path):
-        sketch = CountMinSketch(4, row_width=64)
-        with pytest.raises(StreamFormatError, match="expected a asketch"):
-            save_asketch(sketch, tmp_path / "x.npz")
+            load_synopsis(path, expect_kind="hierarchical-count-min")
 
     def test_save_synopsis_rejects_non_synopsis(self, tmp_path):
-        from repro.persistence import save_synopsis
-
         with pytest.raises(StreamFormatError):
             save_synopsis(object(), tmp_path / "x.npz")
 
     def test_missing_metadata_entry(self, tmp_path):
-        from repro.persistence import load_synopsis
-
         path = tmp_path / "bare.npz"
         np.savez_compressed(path, table=np.zeros(4, dtype=np.int64))
         with pytest.raises(StreamFormatError, match="no metadata entry"):
             load_synopsis(path)
 
     def test_corrupt_metadata_blob(self, tmp_path):
-        from repro.persistence import load_synopsis
-
         path = tmp_path / "corrupt.npz"
         garbage = np.frombuffer(b"\xfe\xed{{{not json", dtype=np.uint8)
         np.savez_compressed(path, metadata=garbage)
@@ -233,8 +213,6 @@ class TestErrorHandling:
         assert excinfo.value.__cause__ is not None
 
     def test_metadata_not_an_object(self, tmp_path):
-        from repro.persistence import load_synopsis
-
         path = tmp_path / "list.npz"
         blob = np.frombuffer(b"[1, 2, 3]", dtype=np.uint8)
         np.savez_compressed(path, metadata=blob)
@@ -242,8 +220,6 @@ class TestErrorHandling:
             load_synopsis(path)
 
     def test_unsupported_version(self, tmp_path):
-        from repro.persistence import load_synopsis
-
         path = tmp_path / "future.npz"
         _write_archive(
             path, {"version": 99, "kind": "count-min", "params": {}}
@@ -252,8 +228,6 @@ class TestErrorHandling:
             load_synopsis(path)
 
     def test_unknown_kind(self, tmp_path):
-        from repro.persistence import load_synopsis
-
         path = tmp_path / "alien.npz"
         _write_archive(
             path,
@@ -263,8 +237,6 @@ class TestErrorHandling:
             load_synopsis(path)
 
     def test_non_string_kind(self, tmp_path):
-        from repro.persistence import load_synopsis
-
         path = tmp_path / "badkind.npz"
         _write_archive(path, {"version": 2, "kind": 7, "params": {}})
         with pytest.raises(StreamFormatError, match="kind is 7"):

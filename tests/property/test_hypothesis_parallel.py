@@ -99,7 +99,9 @@ class TestParallelBitIdentity:
             workers,
             shards=workers,
             sync_every=sync_every,
-            inject_crash={crash_worker % workers: crash_after},
+            fault_plan=FaultPlan(
+                worker_crash={crash_worker % workers: crash_after}
+            ),
             **GROUP_PARAMS,
         )
         assert stats.tuples_ingested == len(keys)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 import numpy as np
@@ -14,6 +16,8 @@ from repro.runtime.engine import (
     TopKBoard,
     coerce_chunk,
 )
+from repro.runtime.parallel import ParallelIngestRuntime
+from repro.runtime.reliability import ResilientEngine
 from repro.streams.zipf import zipf_stream
 
 @pytest.fixture()
@@ -252,3 +256,47 @@ class TestConsumerMetering:
         engine = StreamEngine(asketch)
         stats = engine.run(stream.chunks(10_000))
         assert stats.consumer_seconds == 0.0
+
+
+class TestOneIngestLoop:
+    """Every driver pushes each chunk through one validation, in order."""
+
+    @staticmethod
+    def validated_positions(drive) -> list[int]:
+        """Source positions of every :func:`coerce_chunk` call made in
+        this process while ``drive()`` runs, however it is reached."""
+        positions: list[int] = []
+        code = coerce_chunk.__code__
+        previous = sys.getprofile()
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code is code:
+                positions.append(frame.f_locals["chunk_index"])
+
+        sys.setprofile(profile)
+        try:
+            drive()
+        finally:
+            sys.setprofile(previous)
+        return positions
+
+    @pytest.mark.parametrize("driver", ["engine", "resilient", "fleet"])
+    def test_each_chunk_is_validated_exactly_once(
+        self, driver, stream, tmp_path
+    ):
+        chunks = list(stream.chunks(4_000))
+        if driver == "engine":
+            def drive():
+                StreamEngine(ASketch(total_bytes=16 * 1024)).run(chunks)
+        elif driver == "resilient":
+            def drive():
+                ResilientEngine(
+                    ASketch(total_bytes=16 * 1024),
+                    checkpoint_dir=tmp_path,
+                    checkpoint_every=3,
+                ).run(chunks)
+        else:
+            def drive():
+                ParallelIngestRuntime(2, total_bytes=16 * 1024).run(chunks)
+
+        assert self.validated_positions(drive) == list(range(len(chunks)))

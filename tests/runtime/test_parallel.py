@@ -9,6 +9,7 @@ when exercised across actual process boundaries.
 from __future__ import annotations
 
 import glob
+import time
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ class TestInlineFailover:
             3,
             shards=4,
             sync_every=2,
-            inject_crash={1: 3},
+            fault_plan=FaultPlan(worker_crash={1: 3}),
             **GROUP_PARAMS,
         )
         assert stats.tuples_ingested == len(stream)
@@ -200,14 +201,18 @@ class TestInlineFailover:
             2,
             shards=2,
             sync_every=100,
-            inject_crash={0: 1},
+            fault_plan=FaultPlan(worker_crash={0: 1}),
             **GROUP_PARAMS,
         )
         assert supervisor.group.state().equals(sequential.state())
 
     def test_health_reflects_inlined_worker(self, stream):
         runtime = ParallelIngestRuntime(
-            2, shards=2, sync_every=2, inject_crash={1: 2}, **GROUP_PARAMS
+            2,
+            shards=2,
+            sync_every=2,
+            fault_plan=FaultPlan(worker_crash={1: 2}),
+            **GROUP_PARAMS,
         )
         runtime.run(chunks_of(stream))
         health = {entry["worker"]: entry for entry in runtime.worker_health()}
@@ -226,7 +231,7 @@ class TestStandbyFailover:
             shards=4,
             sync_every=2,
             failover="standby",
-            inject_crash={1: 3},
+            fault_plan=FaultPlan(worker_crash={1: 3}),
             **GROUP_PARAMS,
         )
         stats = runtime.run(chunks_of(stream))
@@ -247,7 +252,7 @@ class TestStandbyFailover:
             shards=4,
             sync_every=2,
             failover="standby",
-            inject_crash={1: 3},
+            fault_plan=FaultPlan(worker_crash={1: 3}),
             **GROUP_PARAMS,
         )
         for key, count in stream.exact.top_k(50):
@@ -288,7 +293,7 @@ class TestObservability:
                 2,
                 shards=2,
                 sync_every=2,
-                inject_crash={1: 2},
+                fault_plan=FaultPlan(worker_crash={1: 2}),
                 **GROUP_PARAMS,
             )
             assert (
@@ -344,7 +349,11 @@ class TestResourceHygiene:
 
         before = set(leaked_segments())
         runtime = ParallelIngestRuntime(
-            2, shards=2, sync_every=2, inject_crash={0: 2}, **GROUP_PARAMS
+            2,
+            shards=2,
+            sync_every=2,
+            fault_plan=FaultPlan(worker_crash={0: 2}),
+            **GROUP_PARAMS,
         )
         runtime.run(chunks_of(stream))
         assert set(leaked_segments()) <= before
@@ -560,6 +569,25 @@ class TestLoadShedding:
         # during feeding); at drain the hung worker cannot take its
         # EOF, so it is failed over then to let the run terminate.
         assert health[1]["status"] == "inlined"
+
+    def test_hung_worker_sheds_without_waiting_per_share(self, stream):
+        # Once a worker's stall is established, later shares for it shed
+        # at once instead of each waiting out the full stall budget.
+        runtime = ParallelIngestRuntime(
+            2,
+            shards=2,
+            sync_every=2,
+            stall_timeout=1.0,
+            slots=2,
+            load_shed=True,
+            fault_plan=FaultPlan(worker_hang={1: 2}),
+            **GROUP_PARAMS,
+        )
+        start = time.monotonic()
+        runtime.run(chunks_of(stream, 1_000))
+        assert time.monotonic() - start < 10.0
+        assert runtime.shed_chunks >= 30
+        assert runtime.stall_count == 1  # only the drain's EOF stalls
 
     def test_replaying_dead_letters_restores_one_sidedness(self, stream):
         runtime = ParallelIngestRuntime(

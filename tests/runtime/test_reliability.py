@@ -10,6 +10,7 @@ quarantine, and graceful shard degradation.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +237,30 @@ class TestDeadLetterQueue:
                 coerce_chunk(payload, index)
 
 
+class TestWorkerFaultPlan:
+    def test_worker_plan_carries_that_workers_faults(self):
+        plan = FaultPlan(
+            seed=4,
+            worker_crash={0: 5},
+            worker_exit={1: 3},
+            worker_hang={0: 2, 1: 3},
+            worker_poison={1: 6},
+            worker_transient={1: {2: 1}},
+            corrupt_snapshot={1: 2},
+        )
+        hang = plan.worker_faults_for(0)
+        assert (hang.crash_at_chunk, hang.worker_hang) == (2, {0: 2})
+        assert hang.worker_exit == {} and hang.poison_chunks == frozenset()
+        exits = plan.worker_faults_for(1)  # the exit wins the tie at 3
+        assert (exits.crash_at_chunk, exits.worker_exit) == (3, {1: 3})
+        assert exits.worker_hang == {}
+        assert exits.poison_chunks == frozenset({6})
+        assert exits.transient_errors == {2: 1}
+        assert exits.corrupt_checkpoint_after == 2
+        assert exits.seed == 4
+        assert plan.worker_faults_for(2) == FaultPlan(seed=4)
+
+
 # -- checkpoint store --------------------------------------------------------
 
 
@@ -266,6 +291,40 @@ class TestCheckpointStore:
         assert [r["generation"] for r in store.journal_records()] == list(
             range(5)
         )
+
+    def test_save_cost_does_not_grow_with_the_journal(
+        self, tmp_path, monkeypatch
+    ):
+        # Each save unlinks only the one snapshot that falls out of the
+        # newest ``keep``, never every generation pruned so far.
+        store = CheckpointStore(tmp_path, keep=2)
+        synopsis = make_asketch()
+        unlinked: list[str] = []
+        original = Path.unlink
+
+        def counting_unlink(path, *args, **kwargs):
+            unlinked.append(path.name)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", counting_unlink)
+        for position in range(50):
+            store.save(synopsis, chunk_index=position, tuples_ingested=0)
+        assert len(unlinked) == 48
+        snapshots = sorted(p.name for p in tmp_path.glob("gen-*.npz"))
+        assert snapshots == ["gen-00000048.npz", "gen-00000049.npz"]
+
+    def test_new_store_continues_generations_and_prunes_leftovers(
+        self, tmp_path
+    ):
+        synopsis = make_asketch()
+        first = CheckpointStore(tmp_path, keep=5)
+        for position in range(5):
+            first.save(synopsis, chunk_index=position, tuples_ingested=0)
+        second = CheckpointStore(tmp_path, keep=2)
+        record = second.save(synopsis, chunk_index=5, tuples_ingested=0)
+        assert record["generation"] == 5
+        snapshots = sorted(p.name for p in tmp_path.glob("gen-*.npz"))
+        assert snapshots == ["gen-00000004.npz", "gen-00000005.npz"]
 
     def test_corrupt_latest_falls_back_one_generation(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=2)
