@@ -187,7 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "with --workers: respawn dead/hung workers from their last "
             "snapshot and replay the retained tail (exact recovery; "
-            "falls back to standby after the retry budget)"
+            "past the retry budget the parent takes the worker's "
+            "shards over, still exact)"
         ),
     )
     run_parser.add_argument(

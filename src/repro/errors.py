@@ -110,8 +110,9 @@ class WorkerStalledError(ReproError):
     worker process is still alive but has made no ring progress within
     its stall budget — the "slow/hung worker" case, which liveness
     polling alone cannot distinguish from a merely busy worker.  The
-    runtime catches it internally and fails the worker over (respawn,
-    inline, or standby per configuration); it escapes to callers only
+    runtime catches it internally and fails the worker over (respawn
+    when enabled and budgeted, else inline: the parent takes over the
+    worker's shards in the result group); it escapes to callers only
     when no recovery tier is available.  Attributes: ``worker``
     (worker index), ``waited_seconds`` (how long the parent waited
     without observing progress).

@@ -270,11 +270,11 @@ class ReshardController:
     share, it proposes moving that worker's best-fitting shard to the
     least-loaded worker via
     :meth:`~repro.runtime.parallel.ParallelIngestRuntime.reshard` —
-    whose quiesce/transfer/commit protocol keeps the move exact and
+    whose quiesce/install/commit protocol keeps the move exact and
     crash-consistent.
 
     Duck-typed against the runtime (``shard_item_counts``,
-    ``shards_of``, ``worker_health``, ``workers``, ``reshard``) so this
+    ``shards_of``, ``workers``, ``reshard``) so this
     module never imports :mod:`repro.runtime.parallel`.
 
     Parameters
@@ -377,25 +377,21 @@ class ReshardController:
         Load is the window's routed items summed per worker under the
         *current* assignment; the proposal moves the hottest worker's
         shard whose transfer lands that worker closest to the balanced
-        share, onto the least-loaded live worker.  Workers in terminal
-        ``failed`` state neither give (their exact shard state is gone)
-        nor receive.
+        share, onto the least-loaded worker.  Every worker can give and
+        receive: an inlined worker's shards are exact in the parent.
         """
         runtime = self.runtime
-        statuses = {
-            row["worker"]: row["status"] for row in runtime.worker_health()
-        }
-        live = [w for w in range(runtime.workers) if statuses.get(w) != "failed"]
-        if len(live) < 2:
+        workers = range(runtime.workers)
+        if len(workers) < 2:
             return {}, 0.0
-        owned = {w: runtime.shards_of(w) for w in live}
+        owned = {w: runtime.shards_of(w) for w in workers}
         load = {
-            w: int(sum(window[s] for s in owned[w])) for w in live
+            w: int(sum(window[s] for s in owned[w])) for w in workers
         }
         total = sum(load.values())
         if total <= 0:
             return {}, 0.0
-        balanced = total / len(live)
+        balanced = total / len(workers)
         plan: dict[int, int] = {}
         skew = max(load.values()) / balanced if balanced else 0.0
         for _ in range(self.max_moves):

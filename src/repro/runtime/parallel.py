@@ -26,7 +26,7 @@ dead worker, but both are failed over).  Workers snapshot their group
 over a pipe every ``sync_every`` chunks (each snapshot carries a
 content digest, so a corrupted snapshot is *rejected* and the retained
 replay tail kept), and the parent retains the un-snapshotted chunk
-tail per worker, giving three recovery tiers:
+tail per worker, giving two recovery tiers, both exact:
 
 * ``respawn=True`` (first tier): spawn a replacement process, restore
   it from the last accepted snapshot, replay the retained tail into
@@ -36,25 +36,22 @@ tail per worker, giving three recovery tiers:
   :meth:`~repro.runtime.reliability.ShardSupervisor.health`.  Respawns
   are bounded per worker by a
   :class:`~repro.runtime.reliability.RetryPolicy`; past the budget the
-  failure falls through to the configured ``failover`` tier.
-* ``failover="inline"`` (default): rebuild the dead worker's group from
-  its last snapshot, replay the retained tail in-parent through the
-  identical ``process_batch`` path, and keep serving that worker's
-  traffic in-parent — bit-identical, minus the parallelism.
-* ``failover="standby"``: merge the frozen snapshot into the combined
-  group, mark the worker's shards failed via
-  :meth:`~repro.runtime.reliability.ShardSupervisor.fail_shard`, and
-  route the retained tail plus all future traffic through the
-  supervisor's standby Count-Min sketches — the PR-3 degradation
-  semantics, now spanning process boundaries (estimates stay one-sided,
-  ``shard_health()`` reflects the dead process).
+  failure falls through to inline failover.
+* inline failover (without ``respawn``, or once its budget is spent):
+  merge the dead worker's last snapshot into the result group, replay
+  the retained tail there through the identical ``process_batch``
+  path, and ingest that worker's later shares there too — the parent
+  now owns its shards; bit-identical, minus the parallelism.
+
+Either way each shard is non-pristine in exactly one place: the result
+group, or one ring worker's accepted snapshot.
 
 **Elastic resharding.**  :meth:`ParallelIngestRuntime.reshard` moves
-shard ownership between live workers online with a
-quiesce → export → install → commit protocol that is crash-consistent
-at every step: a worker dying mid-migration neither loses nor
-double-counts a shard (the parent strips pending exports from the dead
-worker's snapshot before any fallback merge, and the receiving side
+shard ownership between workers online with a
+quiesce → install → commit protocol that is crash-consistent at every
+step: a worker dying mid-migration neither loses nor double-counts a
+shard (the parent strips pending exports from the dead worker's
+snapshot before any failover merge, and the receiving side
 acknowledges adoption with a full fresh snapshot).  With
 ``auto_reshard=True`` a skew-watching controller
 (:class:`~repro.runtime.adaptive.ReshardController`) proposes moves
@@ -133,7 +130,7 @@ from repro.runtime.reliability import (
     ShardSupervisor,
     SimulatedCrash,
 )
-from repro.runtime.sharding import ShardedASketch
+from repro.runtime.sharding import ShardedASketch, record_routing
 from repro.synopses.protocol import SynopsisState
 
 __all__ = ["ChunkRing", "ParallelIngestRuntime", "parallel_ingest"]
@@ -155,6 +152,19 @@ _EOF = -1
 #: ``ChunkRing.get`` return marker for "nothing arrived within timeout"
 #: (distinct from ``None`` = end of stream).
 RING_TIMEOUT = object()
+
+
+def _reserve_pages(shm: shared_memory.SharedMemory, nbytes: int) -> None:
+    """Back every page of a fresh segment now, where the OS allows it.
+
+    Creation only ``ftruncate``s the segment, so on a full ``/dev/shm``
+    the first write to an unbacked page would kill the process with
+    SIGBUS; reserving up front turns that into an ``OSError`` here.
+    """
+    fallocate = getattr(os, "posix_fallocate", None)
+    fd = getattr(shm, "_fd", -1)
+    if fallocate is not None and fd >= 0:
+        fallocate(fd, 0, nbytes)
 
 
 @dataclass
@@ -212,6 +222,16 @@ class ChunkRing:
             ctx = mp.get_context("spawn")
             nbytes = 8 * (_HDR_WORDS + slots + slots * slot_capacity)
             self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
+            try:
+                _reserve_pages(self._shm, nbytes)
+            except OSError as error:
+                self._shm.close()
+                self._shm.unlink()
+                raise ConfigurationError(
+                    f"cannot reserve {nbytes} bytes of shared memory for a "
+                    f"ring of slots={slots}, slot_capacity={slot_capacity}: "
+                    f"{error}; free /dev/shm or shrink the ring"
+                ) from error
             self.slots = int(slots)
             self.slot_capacity = int(slot_capacity)
             self._sem_free = ctx.Semaphore(self.slots)
@@ -378,7 +398,7 @@ class ChunkRing:
 def _state_digest(state: SynopsisState) -> str:
     """Content hash of a synopsis state (params + arrays + extra).
 
-    Travels alongside every snapshot/migration payload so the receiver
+    Travels alongside every snapshot so the receiver
     can detect in-flight corruption; a mismatch means *reject and keep
     the replay tail*, never adopt.
     """
@@ -394,15 +414,6 @@ def _state_digest(state: SynopsisState) -> str:
         h.update(str(array.dtype).encode())
         h.update(repr(array.shape).encode())
         h.update(array.tobytes())
-    return h.hexdigest()
-
-
-def _states_digest(states: Mapping[int, SynopsisState]) -> str:
-    """Combined digest over a shard-indexed batch of states."""
-    h = hashlib.sha256()
-    for index in sorted(states):
-        h.update(str(int(index)).encode())
-        h.update(_state_digest(states[index]).encode())
     return h.hexdigest()
 
 
@@ -506,23 +517,17 @@ def _worker_main(
     checkpoints = 0
     sync_target: int | None = None
 
-    def send_state(tag: str, state: SynopsisState, digest: str) -> None:
-        conn.send((tag, engine.position, engine.stats.tuples_ingested,
-                   state, digest, _export_metrics(registry)))
-
-    def send_snapshot(tag: str) -> None:
-        state = group.state()
-        send_state(tag, state, _state_digest(state))
-
-    def checkpoint(position: int | None = None) -> None:
+    def send_snapshot(tag: str = "snapshot") -> None:
         nonlocal checkpoints
-        checkpoints += 1
         state = group.state()
         digest = _state_digest(state)
-        faults.checkpoint_written(
-            checkpoints, lambda: _corrupt_in_flight(state)
-        )
-        send_state("snapshot", state, digest)
+        if tag == "snapshot":  # a checkpoint, not a reshard ack
+            checkpoints += 1
+            faults.checkpoint_written(
+                checkpoints, lambda: _corrupt_in_flight(state)
+            )
+        conn.send((tag, engine.position, engine.stats.tuples_ingested,
+                   state, digest, _export_metrics(registry)))
 
     def quarantine(position: int, payload: Any, reason: str) -> None:
         # The parent's dead-letter queue keeps the pristine payload from
@@ -537,24 +542,6 @@ def _worker_main(
             tag = message[0]
             if tag == "sync":
                 sync_target = int(message[1])
-            elif tag == "migrate_out":
-                # Phase one of the handoff: read-only export.  The
-                # local copies are NOT reset until the parent confirms
-                # the new owner adopted them (migrate_commit), so a
-                # crash anywhere in between leaves this worker's
-                # snapshot still carrying the shards.
-                shard_list = [int(s) for s in message[1]]
-                states = {
-                    s: group.shards[s].state() for s in shard_list
-                }
-                conn.send(
-                    (
-                        "migrated",
-                        engine.position,
-                        states,
-                        _states_digest(states),
-                    )
-                )
             elif tag == "migrate_in":
                 for shard, shard_state in message[1].items():
                     group.install_shard(int(shard), shard_state)
@@ -564,11 +551,14 @@ def _worker_main(
                 # other data — no special mid-migration state survives.
                 send_snapshot("adopted")
             elif tag == "migrate_commit":
+                # The parent exported these shards from this worker's
+                # quiesced snapshot and a new owner has adopted them:
+                # only now do the local copies reset.
                 for shard in message[1]:
                     group.export_shard(int(shard))  # discard: reset
                 send_snapshot("migrate_committed")
         if sync_target is not None and engine.position >= sync_target:
-            checkpoint()
+            send_snapshot()
             sync_target = None
 
     retrying = RetryingSource(
@@ -580,7 +570,9 @@ def _worker_main(
         seed=faults.seed * 131 + worker_id,
     )
     engine.quarantine = quarantine
-    engine.checkpointing = Checkpointing(sync_every, checkpoint)
+    engine.checkpointing = Checkpointing(
+        sync_every, lambda position: send_snapshot()
+    )
     try:
         engine.run(faults.boundary_faults(retrying, engine.position))
         conn.send(("done", engine.position, engine.stats.tuples_ingested))
@@ -616,8 +608,9 @@ class _WorkerSlot:
     snapshot_state: SynopsisState | None = None
     snapshot_chunks: int = 0
     snapshot_items: int = 0
+    #: ``"ok"`` (fed over its ring) or ``"inlined"`` (failed over: the
+    #: parent owns its shards in the result group).
     status: str = "ok"
-    inline_group: ShardedASketch | None = None
     metrics_last: dict = field(default_factory=dict)
     done: bool = False
     error: str | None = None
@@ -671,19 +664,14 @@ class ParallelIngestRuntime:
         Ring geometry per worker (``slot_capacity`` must cover the
         largest per-worker chunk share).
     sync_every:
-        Worker snapshot cadence in chunks; bounds both the retained
-        replay tail in the parent and the data a standby failover loses
-        to its one-sided fallback.
-    failover:
-        ``"inline"`` (exact in-parent recovery, bit-identity preserved)
-        or ``"standby"`` (PR-3 degradation: frozen snapshot + standby
-        Count-Min via :meth:`ShardSupervisor.fail_shard`).  This is the
-        *terminal* tier; with ``respawn=True`` it is reached only after
-        the respawn budget is spent.
+        Worker snapshot cadence in chunks; bounds the retained replay
+        tail in the parent.
     respawn:
         Enable the first recovery tier: dead/hung workers are replaced
         by fresh processes restored from snapshot + retained-tail
-        replay (exact, transient ``healing`` state).
+        replay (exact, transient ``healing`` state).  Without it, or
+        past its budget, a failed worker is inlined: the parent takes
+        over its shards in the result group (exact too).
     respawn_policy:
         :class:`~repro.runtime.reliability.RetryPolicy` bounding
         respawns per worker (``max_retries``) and pacing the backoff
@@ -708,8 +696,6 @@ class ParallelIngestRuntime:
         Seconds without any ring progress before a worker counts as
         stalled (default: ``put_timeout``).  Progress resets the clock:
         slow workers are waited on, hung workers are not.
-    standby_hashes, standby_bytes:
-        Standby sizing, forwarded to :class:`ShardSupervisor`.
     fault_plan:
         A :class:`~repro.runtime.reliability.FaultPlan` whose
         cross-process faults (``worker_crash``/``worker_exit``/
@@ -719,8 +705,6 @@ class ParallelIngestRuntime:
         Seconds the parent waits on a stuck ring slot / on drain
         messages before declaring the worker hung and failing it over.
     """
-
-    FAILOVER_MODES = ("inline", "standby")
 
     def __init__(
         self,
@@ -735,7 +719,6 @@ class ParallelIngestRuntime:
         slots: int = 8,
         slot_capacity: int = 1 << 16,
         sync_every: int = 8,
-        failover: str = "inline",
         respawn: bool = False,
         respawn_policy: RetryPolicy | None = None,
         auto_reshard: bool = False,
@@ -745,8 +728,6 @@ class ParallelIngestRuntime:
         load_shed: bool = False,
         dead_letter_capacity: int = 64,
         stall_timeout: float | None = None,
-        standby_hashes: int = 4,
-        standby_bytes: int | None = None,
         fault_plan: FaultPlan | None = None,
         put_timeout: float = 60.0,
         drain_timeout: float = 60.0,
@@ -762,11 +743,6 @@ class ParallelIngestRuntime:
         if sync_every < 1:
             raise ConfigurationError(
                 f"sync_every must be >= 1, got {sync_every}"
-            )
-        if failover not in self.FAILOVER_MODES:
-            raise ConfigurationError(
-                f"failover must be one of {self.FAILOVER_MODES}, "
-                f"got {failover!r}"
             )
         if reshard_skew_threshold <= 1.0:
             raise ConfigurationError(
@@ -785,7 +761,6 @@ class ParallelIngestRuntime:
         self.slots = int(slots)
         self.slot_capacity = int(slot_capacity)
         self.sync_every = int(sync_every)
-        self.failover = failover
         self.respawn = bool(respawn)
         self.respawn_policy = respawn_policy or RetryPolicy(
             max_retries=3, base_delay=0.05, multiplier=2.0,
@@ -797,8 +772,6 @@ class ParallelIngestRuntime:
         self.reshard_cooldown_windows = int(reshard_cooldown_windows)
         self.load_shed = bool(load_shed)
         self.stall_timeout = stall_timeout
-        self.standby_hashes = int(standby_hashes)
-        self.standby_bytes = standby_bytes
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.put_timeout = float(put_timeout)
         self.drain_timeout = float(drain_timeout)
@@ -1035,7 +1008,7 @@ class ParallelIngestRuntime:
         keep draining all pipes or two blocked sides deadlock (worker
         stuck in send, parent stuck waiting for that worker's ring).
         ``exclude`` protects a pipe another loop is reading selectively
-        (see :meth:`_await_message`).
+        (see :meth:`_request`).
         """
         for slot in self._slots:
             if slot.feeding_ring and slot is not exclude:
@@ -1073,8 +1046,6 @@ class ParallelIngestRuntime:
         slot: _WorkerSlot,
         waited: float,
         what: str,
-        *,
-        allow_respawn: bool = True,
     ) -> None:
         """Record a typed stall and fail the worker over (hung ≠ dead,
         but both leave the ring unserved)."""
@@ -1095,72 +1066,52 @@ class ParallelIngestRuntime:
             waited_seconds=waited,
         )
         slot.error = slot.error or str(error)
-        self._fail_worker(slot, str(error), allow_respawn=allow_respawn)
+        self._fail_worker(slot, str(error))
 
-    def _fail_worker(
-        self, slot: _WorkerSlot, reason: str, *, allow_respawn: bool = True
-    ) -> None:
+    def _stop(self, slot: _WorkerSlot) -> None:
+        """End a failed worker's process, salvaging any final snapshot
+        in flight before and after it goes."""
+        self._drain_messages(slot)
+        if slot.process.is_alive():
+            slot.process.terminate()
+        slot.process.join(timeout=10.0)
+        self._drain_messages(slot)
+
+    def _fail_worker(self, slot: _WorkerSlot, reason: str) -> None:
         """Recover a dead/hung worker's traffic, walking the tiers:
-        respawn (if enabled and budgeted), then inline/standby."""
+        respawn (if enabled and budgeted), then inline."""
         registry = current_registry()
         if registry is not None:
             registry.counter(
                 "parallel_worker_failures_total", worker=str(slot.index)
             ).inc()
-        self._drain_messages(slot)  # salvage any final snapshot in flight
-        if slot.process.is_alive():
-            slot.process.terminate()
-        slot.process.join(timeout=10.0)
-        if (
-            self.respawn
-            and allow_respawn
-            and slot.status == "ok"
-            and not slot.done
-        ):
+        self._stop(slot)
+        if self.respawn and slot.status == "ok" and not slot.done:
             if self._respawn_worker(slot, reason):
                 return
             # The replacement is unusable too: salvage whatever
             # snapshot it managed (accepted snapshots already pruned
             # the retained tail consistently), then fall through.
-            self._drain_messages(slot)
-            if slot.process.is_alive():
-                slot.process.terminate()
-            slot.process.join(timeout=10.0)
-            self._drain_messages(slot)
-        pending = list(slot.retained)
-        slot.retained.clear()
+            self._stop(slot)
         assert self.supervisor is not None
-        owned = self.shards_of(slot.index)
-        # Shards exported to a new owner but not yet commit-acked by
-        # this worker still sit in its snapshot — discard them before
-        # any merge/replay, or the handoff double-counts.
-        stripped = self._exports_pending.get(slot.index, set())
-        if self.failover == "inline":
-            if slot.snapshot_state is not None:
-                group = ShardedASketch.from_state(slot.snapshot_state)
-            else:
-                group = ShardedASketch(**self.group_params)
-            for shard in stripped:
-                group.export_shard(shard)
-            for share in pending:
-                group.process_batch(share)
-            slot.inline_group = group
-            slot.status = "inlined"
-            # Inline recovery is exact: any healing shards are whole.
-            for shard in owned:
-                self.supervisor.heal_shard(shard)
-        else:
-            if slot.snapshot_state is not None:
-                group = ShardedASketch.from_state(slot.snapshot_state)
-                for shard in stripped:
-                    group.export_shard(shard)
-                self.supervisor.group.merge(group)
-            for shard_index in owned:
-                self.supervisor.fail_shard(shard_index, reason)
-            for share in pending:
-                if share.size:
-                    self.supervisor.process_batch(share)
-            slot.status = "failed"
+        # The parent takes over: the worker's shards are pristine in the
+        # result group, so merging its snapshot adopts them bit-exactly.
+        if slot.snapshot_state is not None:
+            recovered = ShardedASketch.from_state(slot.snapshot_state)
+            # Shards exported to a new owner but not yet commit-acked by
+            # this worker still sit in its snapshot — discard them, or
+            # the handoff double-counts.
+            for shard in self._exports_pending.get(slot.index, ()):
+                recovered.export_shard(shard)
+            self.supervisor.group.merge(recovered)
+        slot.snapshot_state = None
+        for share in slot.retained:
+            self._ingest_in_parent(share)
+        slot.retained.clear()
+        slot.status = "inlined"
+        # Inline recovery is exact: any healing shards are whole.
+        for shard in self.shards_of(slot.index):
+            self.supervisor.heal_shard(shard)
         slot.heal_target = None
         slot.error = slot.error or reason
         slot.ring.close()
@@ -1171,7 +1122,7 @@ class ParallelIngestRuntime:
 
         Returns False when the respawn budget is spent or the
         replacement itself fails during replay — the caller then falls
-        through to the terminal failover tier, which remains correct
+        through to inline failover, which remains correct
         because accepted replacement snapshots prune the retained tail
         consistently with the state they carry.
         """
@@ -1253,7 +1204,7 @@ class ParallelIngestRuntime:
         ``put(timeout)`` is retried while draining pipes.  Outcomes:
         ``"ok"`` (published), ``"shed"`` (stalled and load-shedding is
         on), ``"rerouted"`` (the worker was failed over — the slot is
-        now respawned/inlined/failed and the caller must re-dispatch).
+        now respawned or inlined and the caller must re-dispatch).
         Progress on the ring (``consumed()`` advancing) resets the
         stall clock: a slow worker is waited on indefinitely, only a
         worker making *no* progress within ``stall_timeout`` is
@@ -1316,16 +1267,20 @@ class ParallelIngestRuntime:
             "load_shed", worker=slot.index, items=int(share.shape[0])
         )
 
+    def _ingest_in_parent(self, share: np.ndarray) -> None:
+        """Ingest an inlined worker's share into the result group.
+
+        :meth:`_route` already recorded the chunk's routing metrics, so
+        this bypasses the group's own ``process_batch`` recording.
+        """
+        group = self.supervisor.group
+        group.ingest_routed(share, group.owners_of(share))
+
     def _feed(self, slot: _WorkerSlot, share: np.ndarray) -> None:
-        """Route one chunk share to a worker (or its failover path)."""
+        """Route one chunk share to a worker (or into the result group
+        once the worker is inlined)."""
         if slot.status == "inlined":
-            assert slot.inline_group is not None
-            slot.inline_group.process_batch(share)
-            return
-        if slot.status == "failed":
-            if share.size:
-                assert self.supervisor is not None
-                self.supervisor.process_batch(share)
+            self._ingest_in_parent(share)
             return
         outcome = self._put_with_failover(
             slot,
@@ -1379,11 +1334,7 @@ class ParallelIngestRuntime:
                 "checkpoint_every requires a checkpoint_store"
             )
         self._reset()
-        self.supervisor = ShardSupervisor(
-            standby_hashes=self.standby_hashes,
-            standby_bytes=self.standby_bytes,
-            **self.group_params,
-        )
+        self.supervisor = ShardSupervisor(**self.group_params)
         controller = None
         if self.auto_reshard and self.workers > 1:
             from repro.runtime.adaptive import ReshardController
@@ -1428,7 +1379,7 @@ class ParallelIngestRuntime:
         self._shard_items += shares
         registry = current_registry()
         if registry is not None and owners.size:
-            self._record_routing_metrics(registry, shares)
+            record_routing(registry, shares)
         worker_of = self._assignment[owners]
         for slot in self._slots:
             self._feed(slot, chunk[worker_of == slot.index])
@@ -1437,17 +1388,6 @@ class ParallelIngestRuntime:
             self.reshard_controller.observe(self.stats.chunks_ingested + 1)
         if registry is not None:
             self._record_fleet_metrics(registry)
-
-    def _record_routing_metrics(
-        self, registry: MetricsRegistry, shares: np.ndarray
-    ) -> None:
-        for index, share in enumerate(shares.tolist()):
-            if share:
-                registry.counter(
-                    "shard_items_total", shard=str(index)
-                ).inc(share)
-        balanced = int(shares.sum()) / len(shares)
-        registry.gauge("shard_skew").set(float(shares.max()) / balanced)
 
     def _record_fleet_metrics(self, registry: MetricsRegistry) -> None:
         alive = 0
@@ -1459,12 +1399,12 @@ class ParallelIngestRuntime:
                 ).set(slot.ring.depth())
         registry.gauge("parallel_workers_alive").set(alive)
 
-    def _await_snapshots(self, target_of) -> None:
-        """Block until every ring-fed worker's snapshot covers its target.
+    def _await_snapshots(self) -> None:
+        """Block until every ring-fed worker's snapshot covers the
+        chunks sent to it.
 
-        ``target_of(slot)`` gives the chunk count the snapshot must
-        reach.  Workers that die while we wait are failed over on the
-        spot; a failover resets the deadline (a respawned replacement
+        Workers that die while we wait are failed over on the spot; a
+        failover resets the deadline (a respawned replacement
         legitimately needs time to catch back up).  Workers making no
         progress past ``drain_timeout`` raise the typed stall path.
         """
@@ -1473,8 +1413,7 @@ class ParallelIngestRuntime:
             waiting = [
                 slot
                 for slot in self._slots
-                if slot.feeding_ring
-                and slot.snapshot_chunks < target_of(slot)
+                if slot.feeding_ring and slot.snapshot_chunks < slot.sent_chunks
             ]
             if not waiting:
                 return
@@ -1482,7 +1421,7 @@ class ParallelIngestRuntime:
             failed_over = False
             for slot in waiting:
                 if (
-                    slot.snapshot_chunks < target_of(slot)
+                    slot.snapshot_chunks < slot.sent_chunks
                     and not slot.process.is_alive()
                 ):
                     self._fail_dead(slot)
@@ -1498,39 +1437,45 @@ class ParallelIngestRuntime:
                 continue
             time.sleep(0.005)
 
-    def _await_message(
-        self, slot: _WorkerSlot, tag: str, timeout: float
-    ):
-        """Wait for one specific control reply from one worker.
+    def _request(
+        self, slot: _WorkerSlot, message: tuple, reply_tag: str
+    ) -> bool:
+        """Send a ring worker one control message and accept its
+        snapshot reply.
 
-        Other messages from the same worker are handled inline; other
-        workers' pipes are kept drained (deadlock avoidance).  Returns
-        the matching message, or ``None`` after failing the worker over
-        (death or stall) — the caller re-examines ``slot.status`` and
-        adapts.
+        Other messages from the same worker are handled on the way;
+        other workers' pipes are kept drained (deadlock avoidance).  A
+        worker that dies, or sends no reply within ``drain_timeout``, is
+        failed over; a respawned replacement restores a snapshot taken
+        before the request and gets the request again.  Returns False
+        once the worker is inlined instead (each failover spends respawn
+        budget or inlines, so this ends): the parent owns its shards
+        from then on.
         """
-        deadline = time.monotonic() + timeout
-        while True:
+        while slot.feeding_ring:
             try:
-                if slot.conn.poll(0.02):
-                    message = slot.conn.recv()
-                    if (
-                        isinstance(message, tuple)
-                        and message
-                        and message[0] == tag
-                    ):
-                        return message
-                    self._handle_message(slot, message)
-                    continue
-            except (EOFError, OSError):
-                pass
-            self._drain_all_messages(exclude=slot)
-            if not slot.process.is_alive():
-                self._fail_dead(slot)
-                return None
-            if time.monotonic() > deadline:
-                self._stall(slot, timeout, tag)
-                return None
+                slot.conn.send(message)
+            except OSError:
+                pass  # liveness handling below
+            deadline = time.monotonic() + self.drain_timeout
+            while True:
+                try:
+                    if slot.conn.poll(0.02):
+                        reply = slot.conn.recv()
+                        self._handle_message(slot, reply)
+                        if reply[0] == reply_tag:
+                            return True
+                        continue
+                except (EOFError, OSError):
+                    pass
+                self._drain_all_messages(exclude=slot)
+                if not slot.process.is_alive():
+                    self._fail_dead(slot)
+                    break
+                if time.monotonic() > deadline:
+                    self._stall(slot, self.drain_timeout, reply_tag)
+                    break
+        return False
 
     def _quiesce(self) -> None:
         """Sync every ring-fed worker to its sent position.
@@ -1546,7 +1491,7 @@ class ParallelIngestRuntime:
                     slot.conn.send(("sync", slot.sent_chunks))
                 except (OSError, BrokenPipeError):
                     pass  # liveness handling in _await_snapshots
-        self._await_snapshots(lambda slot: slot.sent_chunks)
+        self._await_snapshots()
 
     def _drain(self) -> None:
         """End of stream: EOF every ring, collect finals, merge."""
@@ -1563,9 +1508,9 @@ class ParallelIngestRuntime:
                 if outcome == "ok":
                     break
                 # rerouted: a respawned slot has a fresh ring that
-                # still needs its EOF; an inlined/failed slot exits
-                # via feeding_ring.
-        self._await_snapshots(lambda slot: slot.sent_chunks)
+                # still needs its EOF; an inlined slot exits via
+                # feeding_ring.
+        self._await_snapshots()
         merge_start = time.perf_counter()
         self._merge_workers_into(self.supervisor.group)
         registry = current_registry()
@@ -1575,18 +1520,12 @@ class ParallelIngestRuntime:
             )
 
     def _merge_workers_into(self, group: ShardedASketch) -> None:
-        """Fold every worker's shards into ``group``: a ring worker's
-        last accepted snapshot, a copy of an inlined worker's group (a
-        failed worker was folded into the supervisor at failure)."""
+        """Fold every ring worker's last accepted snapshot into
+        ``group`` (inlined workers' shards already live in the result
+        group)."""
         for slot in self._slots:
-            if slot.status == "inlined":
-                assert slot.inline_group is not None
-                state = slot.inline_group.state()
-            elif slot.status == "ok" and slot.snapshot_state is not None:
-                state = slot.snapshot_state
-            else:
-                continue
-            group.merge(ShardedASketch.from_state(state))
+            if slot.feeding_ring and slot.snapshot_state is not None:
+                group.merge(ShardedASketch.from_state(slot.snapshot_state))
 
     # -- elastic resharding -------------------------------------------------
 
@@ -1594,25 +1533,25 @@ class ParallelIngestRuntime:
         """Move shard ownership between workers online.
 
         ``plan`` maps shard index → destination worker.  The protocol
-        per move is quiesce → export (read-only) → install (acked with
-        a full fresh snapshot) → commit (source resets its copy, acked
-        with a full fresh snapshot), and is crash-consistent at every
-        step:
+        is quiesce → install → commit, crash-consistent at every step:
 
-        * source dies before export: nothing moved, ownership unchanged;
-        * source dies after export, before its commit ack: the parent
-          strips the exported shards from the source's snapshot before
-          any fallback merge (``_exports_pending``), so the destination
-          copy is the only one counted;
-        * destination dies before adopting: its replacement restores a
-          pre-install snapshot and the install is retried;
-        * destination dies after adopting: the adoption ack *was* a
-          fresh snapshot, so failover recovers the migrated shard like
-          any other data.
+        * **quiesce** syncs every ring worker to its sent position, so a
+          ring source's accepted snapshot holds its shards' exact state
+          (an inlined source's shards are in the result group);
+        * **install** hands each moving shard's state to its new owner:
+          a ring worker adopts it and acks with a full fresh snapshot,
+          an inlined one takes it into the result group;
+        * **commit** has a ring source reset its copies, acked with a
+          full fresh snapshot.
 
-        Shards currently on a ``failed`` worker cannot move (their
-        exact state is gone); moves targeting a failed worker are
-        rejected.  Returns the number of shards actually moved.
+        Until that commit ack, ``_exports_pending`` strips the moved
+        shards from the source's snapshot should it fail over, so the
+        destination copy is the only one counted.  A destination that
+        dies before adopting restores a pre-install snapshot and the
+        install retries; one that dies after adopting recovers the shard
+        from its adoption snapshot like any other data.  A move between
+        two inlined workers only edits the assignment.  Returns the
+        number of shards moved.
         """
         if self.supervisor is None or not self._slots:
             raise ConfigurationError(
@@ -1620,7 +1559,7 @@ class ParallelIngestRuntime:
                 "e.g. from the chunk generator or the reshard controller)"
             )
         shards = self.group_params["shards"]
-        moves: dict[int, tuple[int, int]] = {}
+        moves: dict[int, int] = {}
         for shard, destination in plan.items():
             shard = int(shard)
             destination = int(destination)
@@ -1633,39 +1572,37 @@ class ParallelIngestRuntime:
                     f"worker {destination} out of range for "
                     f"{self.workers} workers"
                 )
-            source = int(self._assignment[shard])
-            if source == destination:
-                continue
-            if self._slots[destination].status == "failed":
-                raise ConfigurationError(
-                    f"cannot move shard {shard} to failed worker "
-                    f"{destination}"
-                )
-            moves[shard] = (source, destination)
+            if int(self._assignment[shard]) != destination:
+                moves[shard] = destination
         if not moves:
             return 0
         self._quiesce()
         by_source: dict[int, list[int]] = {}
-        for shard, (source, _) in moves.items():
-            by_source.setdefault(source, []).append(shard)
-        moved = 0
+        for shard in sorted(moves):
+            by_source.setdefault(int(self._assignment[shard]), []).append(
+                shard
+            )
         registry = current_registry()
         for source, shard_list in sorted(by_source.items()):
             source_slot = self._slots[source]
-            states = self._export_shards(source_slot, shard_list)
-            if states is None:
-                continue  # source unusable; ownership unchanged
-            self._exports_pending[source] = set(states)
+            states = self._export_shards(source_slot, shard_list, moves)
+            self._exports_pending[source] = set(shard_list)
             try:
-                installed: list[int] = []
-                for shard in sorted(states):
-                    destination = moves[shard][1]
-                    self._install_shard(
-                        self._slots[destination], shard, states[shard]
-                    )
+                for shard in shard_list:
+                    destination = moves[shard]
+                    # Install: an inlined owner (before or mid-install)
+                    # takes the state into the result group, whose copy
+                    # is pristine — the shard was on a ring source, or
+                    # its export reset it.
+                    if shard in states and not self._request(
+                        self._slots[destination],
+                        ("migrate_in", {shard: states[shard]}),
+                        "adopted",
+                    ):
+                        self.supervisor.group.install_shard(
+                            shard, states[shard]
+                        )
                     self._assignment[shard] = destination
-                    installed.append(shard)
-                    moved += 1
                     self.migrations += 1
                     if registry is not None:
                         registry.counter(
@@ -1677,132 +1614,45 @@ class ParallelIngestRuntime:
                         source=source,
                         destination=destination,
                     )
-                self._commit_export(source_slot, installed)
+                # Commit: a ring source resets its copies (an inlined
+                # one has none left: export or failover took them).
+                self._request(
+                    source_slot,
+                    ("migrate_commit", shard_list),
+                    "migrate_committed",
+                )
             finally:
                 self._exports_pending.pop(source, None)
-        return moved
+        return len(moves)
 
     def _export_shards(
-        self, slot: _WorkerSlot, shard_list: list[int]
-    ) -> dict[int, SynopsisState] | None:
-        """Phase one: read the moving shards' states off their owner.
+        self,
+        slot: _WorkerSlot,
+        shard_list: list[int],
+        moves: Mapping[int, int],
+    ) -> dict[int, SynopsisState]:
+        """The moving shards' states, read without asking the source.
 
-        Read-only — the owner's copies are reset only at commit.
-        Returns ``None`` when the owner is terminally failed (its exact
-        shard state is gone; the move is skipped).
+        A ring source's come out of its quiesced snapshot (its live
+        copies reset only at commit; no snapshot yet means it has
+        ingested nothing, so there is nothing to carry).  An inlined
+        source's come out of the result group, which resets them —
+        except for moves to another inlined worker, where the group
+        keeps them as they are.
         """
-        def from_inline() -> dict[int, SynopsisState]:
-            assert slot.inline_group is not None
-            inline_shards = slot.inline_group.shards
-            return {s: inline_shards[s].state() for s in shard_list}
-
-        for _ in range(3):
-            if slot.status == "inlined":
-                return from_inline()
-            if slot.status == "failed":
-                return None
-            try:
-                slot.conn.send(("migrate_out", list(shard_list)))
-            except (OSError, BrokenPipeError):
-                pass
-            reply = self._await_message(slot, "migrated", self.drain_timeout)
-            if reply is None:
-                continue  # slot changed tier or respawned; adapt
-            _, _, states, digest = reply
-            states = {int(s): state for s, state in states.items()}
-            if _states_digest(states) != digest:
-                continue  # corrupted in flight; ask again
-            return states
-        # Retries exhausted: force the worker off the ring tier so the
-        # export can come from its recovered state instead.
-        self._stall(slot, self.drain_timeout, "migrate_out",
-                    allow_respawn=False)
-        if slot.status == "inlined":
-            return from_inline()
-        return None
-
-    def _install_shard(
-        self, slot: _WorkerSlot, shard: int, state: SynopsisState
-    ) -> None:
-        """Phase two: hand one shard's state to its new owner.
-
-        Adapts to whatever tier the destination is on (or falls to
-        mid-install): a ring worker adopts via ``migrate_in`` and acks
-        with a fresh snapshot; an inlined worker installs in-parent; a
-        worker that failed mid-install has the state merged into the
-        combined group and the shard marked failed — the data is never
-        dropped.
-        """
-        assert self.supervisor is not None
-        while True:
-            if slot.status == "inlined":
-                assert slot.inline_group is not None
-                slot.inline_group.install_shard(shard, state)
-                return
-            if slot.status == "failed":
-                carrier = ShardedASketch(**self.group_params)
-                carrier.install_shard(shard, state)
-                self.supervisor.group.merge(carrier)
-                self.supervisor.fail_shard(
-                    shard,
-                    f"migrated to worker {slot.index} after its failure",
-                )
-                return
-            try:
-                slot.conn.send(("migrate_in", {int(shard): state}))
-            except (OSError, BrokenPipeError):
-                pass
-            reply = self._await_message(slot, "adopted", self.drain_timeout)
-            if reply is None:
-                # Destination died or stalled mid-install.  If it never
-                # adopted, its replacement restores a pre-install
-                # snapshot and the retry installs cleanly; if it had
-                # adopted but the ack was lost, the replacement's
-                # restored snapshot predates the install too (the ack
-                # IS the post-install snapshot), so the retry cannot
-                # double-install.
-                continue
-            self._handle_message(slot, reply)
-            return
-
-    def _commit_export(
-        self, slot: _WorkerSlot, shard_list: list[int]
-    ) -> None:
-        """Phase three: the old owner resets its copies of moved shards.
-
-        Until the commit ack (a fresh post-reset snapshot) is accepted,
-        ``_exports_pending`` keeps the moved shards stripped from any
-        failover use of the old owner's state.
-        """
-        if not shard_list:
-            return
-        for _ in range(3):
-            if slot.status == "failed":
-                return  # snapshot was stripped at failover
-            if slot.status == "inlined":
-                assert slot.inline_group is not None
-                for shard in shard_list:
-                    slot.inline_group.export_shard(shard)
-                return
-            try:
-                slot.conn.send(("migrate_commit", list(shard_list)))
-            except (OSError, BrokenPipeError):
-                pass
-            reply = self._await_message(
-                slot, "migrate_committed", self.drain_timeout
-            )
-            if reply is None:
-                continue  # tier change or respawn (pre-commit state): retry
-            self._handle_message(slot, reply)
-            return
-        # The worker still owns live copies of handed-off shards: force
-        # it off the ring tier (the failover strips the pending exports).
-        self._stall(slot, self.drain_timeout, "migrate_commit",
-                    allow_respawn=False)
-        if slot.status == "inlined":
-            assert slot.inline_group is not None
-            for shard in shard_list:
-                slot.inline_group.export_shard(shard)
+        if slot.feeding_ring:
+            if slot.snapshot_state is None:
+                return {}
+            return {
+                s: ShardedASketch.shard_state(slot.snapshot_state, s)
+                for s in shard_list
+            }
+        group = self.supervisor.group
+        return {
+            s: group.export_shard(s)
+            for s in shard_list
+            if self._slots[moves[s]].feeding_ring
+        }
 
     # -- checkpointing ------------------------------------------------------
 
@@ -1812,8 +1662,9 @@ class ParallelIngestRuntime:
         The parent has stopped feeding when this runs (it is called
         between chunks), so each worker drains its ring to exactly
         ``sent_chunks`` and answers the sync request with a snapshot at
-        that position; the merged clone saved to ``store`` therefore
-        covers every chunk ingested so far — the same exactly-once
+        that position.  The clone of the result group (holding the
+        inlined workers' shards) with those snapshots merged in
+        therefore covers every chunk ingested so far — the same exactly-once
         replay point semantics as :class:`CheckpointStore` sequential
         checkpoints.  The journal record's ``extra`` carries the
         self-healing counters for ``cli health``.
@@ -1841,9 +1692,6 @@ class ParallelIngestRuntime:
             "quarantined_chunks": self.quarantined_count,
             "snapshot_rejects": sum(
                 slot.snapshot_rejects for slot in self._slots
-            ),
-            "failed_shards": (
-                self.supervisor.failed_shards if self.supervisor else []
             ),
             "healing_shards": (
                 self.supervisor.healing_shards if self.supervisor else []
@@ -1907,9 +1755,8 @@ class ParallelIngestRuntime:
     def shard_health(self) -> list[dict]:
         """Per-shard status from the combined supervisor.
 
-        After a ``standby`` failover the dead worker's shards read
-        ``failed`` here; during a respawn they read ``healing`` —
-        process liveness surfaced through the same
+        During a respawn the worker's shards read ``healing`` — process
+        liveness surfaced through the same
         :meth:`ShardSupervisor.shard_health` view sequential
         deployments use.
         """

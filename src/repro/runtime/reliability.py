@@ -779,28 +779,16 @@ class ShardSupervisor:
         self._check_index(index)
         self._forced.add(index)
 
-    def fail_shard(self, index: int, reason: str) -> None:
-        """Mark a shard failed from outside the ingest path.
-
-        The cross-process hook: when a shard lives in a *worker process*
-        (see :mod:`repro.runtime.parallel`) the failure signal is the
-        worker's death, observed by the parent — there is no in-band
-        exception for :meth:`process_batch` to catch.  The shard is
-        marked exactly as an ingest-path failure would mark it; all
-        subsequent traffic for its key range goes to the standby.
-        """
-        self._check_index(index)
-        self._mark_failed(index, ShardFailedError(reason))
-
     def begin_healing(self, index: int, reason: str) -> None:
         """Mark a shard as transiently degraded with recovery in flight.
 
         The respawn hook: the shard's worker died but a replacement is
-        being restored from snapshot + replay.  Unlike :meth:`fail_shard`
-        the shard's data is *not* lost — it lives in the parent's
-        retained tail — so the shard keeps its regular (non-standby)
-        ingest/query routing and only the health view degrades.  A
-        shard already ``failed`` stays failed (healing never un-fails).
+        being restored from snapshot + replay.  Unlike an ingest-path
+        failure the shard's data is *not* lost — it lives in the
+        parent's retained tail — so the shard keeps its regular
+        (non-standby) ingest/query routing and only the health view
+        degrades.  A shard already ``failed`` stays failed (healing
+        never un-fails).
         """
         self._check_index(index)
         if self._status[index] == self.STATUS_FAILED:

@@ -27,6 +27,22 @@ from repro.synopses.protocol import (
 )
 
 
+def record_routing(registry: MetricsRegistry, shares: np.ndarray) -> None:
+    """Record one chunk's per-shard routing into the registry.
+
+    ``shares[s]`` is the number of the chunk's keys owned by shard ``s``
+    (non-empty chunk).  Emits per-shard item counters plus a
+    ``shard_skew`` gauge — the chunk's largest share over the balanced
+    share (1.0 = perfectly even routing), the live signal for partition
+    hot spots.
+    """
+    for index, share in enumerate(shares.tolist()):
+        if share:
+            registry.counter("shard_items_total", shard=str(index)).inc(share)
+    balanced = int(shares.sum()) / len(shares)
+    registry.gauge("shard_skew").set(float(shares.max()) / balanced)
+
+
 class ShardedASketch:
     """Route keys to ASketch shards by a dedicated partition hash.
 
@@ -106,25 +122,12 @@ class ShardedASketch:
 
     # -- ingestion --------------------------------------------------------
 
-    def _record_shard_metrics(
-        self, registry: MetricsRegistry, owners: np.ndarray
-    ) -> None:
-        """Record one chunk's per-shard routing into the registry.
-
-        Emits per-shard item counters plus a ``shard_skew`` gauge — the
-        chunk's largest share over the balanced share (1.0 = perfectly
-        even routing), the live signal for partition hot spots.
-        """
-        if owners.size == 0:
-            return
-        shares = np.bincount(owners, minlength=len(self._shards))
-        for index, share in enumerate(shares.tolist()):
-            if share:
-                registry.counter(
-                    "shard_items_total", shard=str(index)
-                ).inc(share)
-        balanced = owners.size / len(self._shards)
-        registry.gauge("shard_skew").set(float(shares.max()) / balanced)
+    def _record_routing(self, owners: np.ndarray) -> None:
+        registry = current_registry()
+        if registry is not None and owners.size:
+            record_routing(
+                registry, np.bincount(owners, minlength=len(self._shards))
+            )
 
     def process_stream(self, keys: np.ndarray) -> None:
         """Partition a chunk by owner and feed each shard its share.
@@ -134,9 +137,7 @@ class ShardedASketch:
         """
         keys = np.asarray(keys, dtype=np.int64)
         owners = self._router.hash_array(encode_key_array(keys))
-        registry = current_registry()
-        if registry is not None:
-            self._record_shard_metrics(registry, owners)
+        self._record_routing(owners)
         for index, shard in enumerate(self._shards):
             share = keys[owners == index]
             if share.size:
@@ -152,12 +153,22 @@ class ShardedASketch:
         semantics of :meth:`repro.core.asketch.ASketch.process_batch`.
         """
         keys = np.asarray(keys, dtype=np.int64)
+        owners = self._router.hash_array(encode_key_array(keys))
+        self._record_routing(owners)
+        self.ingest_routed(keys, owners, counts)
+
+    def ingest_routed(
+        self,
+        keys: np.ndarray,
+        owners: np.ndarray,
+        counts: np.ndarray | None = None,
+    ) -> None:
+        """:meth:`process_batch` for a chunk already routed by
+        :meth:`owners_of`, recording no routing metrics — for a caller
+        that recorded them when it routed the chunk."""
+        keys = np.asarray(keys, dtype=np.int64)
         if counts is not None:
             counts = np.asarray(counts, dtype=np.int64)
-        owners = self._router.hash_array(encode_key_array(keys))
-        registry = current_registry()
-        if registry is not None:
-            self._record_shard_metrics(registry, owners)
         for index, shard in enumerate(self._shards):
             mask = owners == index
             if mask.any():
@@ -343,13 +354,19 @@ class ShardedASketch:
             extra={"shards": shard_metadata},
         )
 
+    @staticmethod
+    def shard_state(state: SynopsisState, index: int) -> SynopsisState:
+        """One shard's state out of a group's, without rebuilding the
+        group."""
+        return unpack_nested(
+            state.extra["shards"][index], state.arrays, f"shard{index}"
+        )
+
     @classmethod
     def from_state(cls, state: SynopsisState) -> "ShardedASketch":
         group = cls(**state.params)
         group._shards = [
-            ASketch.from_state(
-                unpack_nested(metadata, state.arrays, f"shard{index}")
-            )
-            for index, metadata in enumerate(state.extra["shards"])
+            ASketch.from_state(cls.shard_state(state, index))
+            for index in range(len(state.extra["shards"]))
         ]
         return group

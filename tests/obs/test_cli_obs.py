@@ -143,6 +143,36 @@ class TestHealth:
         )
 
 
+    def test_healing_fleet_exits_three(self, capsys, tmp_path):
+        import numpy as np
+
+        from repro.runtime.reliability import (
+            CheckpointStore,
+            ShardSupervisor,
+        )
+
+        supervisor = ShardSupervisor(
+            shards=2, total_bytes=8 * 1024, seed=3
+        )
+        supervisor.process_batch(
+            np.arange(1_000, dtype=np.int64) % 50
+        )
+        store = CheckpointStore(tmp_path / "ckpts")
+        store.save(
+            supervisor,
+            chunk_index=1,
+            tuples_ingested=1_000,
+            extra={"healing_shards": [1]},
+        )
+        code = main(
+            ["health", "--checkpoint-dir", str(tmp_path / "ckpts")]
+        )
+        report = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert report["status"] == "healing"
+        assert report["fleet"]["healing_shards"] == [1]
+
+
 class TestServeMetrics:
     def test_serves_during_ingest_and_exits_clean(self, capsys):
         code = main(

@@ -162,17 +162,14 @@ class TestExactRecoverySchedules:
         assert runtime.migrations >= 2
         assert runtime.supervisor.group.state().equals(expected)
 
-
-class TestDegradedSchedules:
-    """Schedules that legitimately lose exactness keep one-sidedness
-    (modulo the documented dead-letter carve-outs) and report it."""
-
-    def test_standby_after_budget_exhaustion_is_one_sided(self, stream):
+    def test_inline_after_budget_exhaustion_is_exact(self, stream):
+        # A spent respawn budget falls through to inline failover: the
+        # parent takes the worker's shards over, still exactly.
+        expected = sequential_state(stream, shards=6)
         runtime = ParallelIngestRuntime(
             3,
             shards=6,
             sync_every=3,
-            failover="standby",
             respawn=True,
             respawn_policy=RetryPolicy(max_retries=0),
             fault_plan=FaultPlan(worker_crash={1: 5}),
@@ -180,9 +177,15 @@ class TestDegradedSchedules:
         )
         runtime.run(chunks_of(stream))
         health = {h["worker"]: h for h in runtime.worker_health()}
-        assert health[1]["status"] == "failed"
-        assert runtime.health()["status"] == "degraded"
+        assert health[1]["status"] == "inlined"
+        assert runtime.health()["status"] == "ok"
+        assert runtime.supervisor.group.state().equals(expected)
         assert_one_sided(runtime, stream)
+
+
+class TestDegradedSchedules:
+    """Schedules that legitimately lose exactness keep one-sidedness
+    (modulo the documented dead-letter carve-outs) and report it."""
 
     def test_poison_plus_kill_quarantines_and_heals(self, stream):
         runtime = ParallelIngestRuntime(

@@ -8,7 +8,9 @@ when exercised across actual process boundaries.
 
 from __future__ import annotations
 
+import errno
 import glob
+import os
 import time
 
 import numpy as np
@@ -116,6 +118,21 @@ class TestChunkRing:
         with pytest.raises(ConfigurationError):
             ChunkRing(slot_capacity=0)
 
+    def test_full_shm_is_a_typed_error_not_sigbus(self, monkeypatch):
+        # A full /dev/shm fails the page reservation at creation; the
+        # segment must not outlive the error.
+        def no_space(fd, offset, length):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "posix_fallocate", no_space, raising=False)
+        before = set(leaked_segments())
+        with pytest.raises(ConfigurationError) as raised:
+            ChunkRing(slots=3, slot_capacity=100)
+        message = str(raised.value)
+        assert str(8 * (4 + 3 + 3 * 100)) in message
+        assert "slots=3" in message and "slot_capacity=100" in message
+        assert set(leaked_segments()) <= before
+
 
 class TestConfigValidation:
     def test_workers_positive(self):
@@ -125,10 +142,6 @@ class TestConfigValidation:
     def test_at_least_one_shard_per_worker(self):
         with pytest.raises(ConfigurationError):
             ParallelIngestRuntime(4, shards=2)
-
-    def test_failover_mode_checked(self):
-        with pytest.raises(ConfigurationError):
-            ParallelIngestRuntime(2, failover="restart")
 
     def test_sync_every_positive(self):
         with pytest.raises(ConfigurationError):
@@ -224,41 +237,6 @@ class TestInlineFailover:
         assert statuses == ["ok", "ok"]
 
 
-class TestStandbyFailover:
-    def test_dead_workers_shards_degrade(self, stream):
-        runtime = ParallelIngestRuntime(
-            3,
-            shards=4,
-            sync_every=2,
-            failover="standby",
-            fault_plan=FaultPlan(worker_crash={1: 3}),
-            **GROUP_PARAMS,
-        )
-        stats = runtime.run(chunks_of(stream))
-        assert stats.tuples_ingested == len(stream)
-        # Worker 1 owns exactly shard 1 (s % 3 == 1 for s in 0..3).
-        statuses = {
-            entry["shard"]: entry["status"]
-            for entry in runtime.shard_health()
-        }
-        assert statuses == {0: "ok", 1: "failed", 2: "ok", 3: "ok"}
-        health = {entry["worker"]: entry for entry in runtime.worker_health()}
-        assert health[1]["status"] == "failed"
-
-    def test_estimates_stay_one_sided(self, stream):
-        supervisor, _ = parallel_ingest(
-            iter(chunks_of(stream)),
-            3,
-            shards=4,
-            sync_every=2,
-            failover="standby",
-            fault_plan=FaultPlan(worker_crash={1: 3}),
-            **GROUP_PARAMS,
-        )
-        for key, count in stream.exact.top_k(50):
-            assert supervisor.query(int(key)) >= count
-
-
 class TestObservability:
     def test_parent_and_worker_metrics(self, stream):
         registry = install_registry()
@@ -282,6 +260,32 @@ class TestObservability:
                 and dict(instrument.labels).get("worker") is not None
             ]
             assert worker_rows, "no forwarded worker metrics"
+        finally:
+            uninstall_registry()
+
+    def test_inline_ingest_counts_routed_items_once(self):
+        # The parent records shard_items_total once per chunk when it
+        # routes; ingesting an inlined worker's shares into the result
+        # group must not record them again.
+        keys = zipf_stream(20_000, 5_000, 1.5, seed=7).keys
+        routed = np.bincount(
+            ShardedASketch(2, **GROUP_PARAMS).owners_of(keys), minlength=2
+        )
+        registry = install_registry()
+        try:
+            runtime = ParallelIngestRuntime(
+                2,
+                shards=2,
+                sync_every=2,
+                fault_plan=FaultPlan(worker_crash={1: 2}),
+                **GROUP_PARAMS,
+            )
+            runtime.run([keys[i : i + 1_000] for i in range(0, 20_000, 1_000)])
+            assert runtime.worker_health()[1]["status"] == "inlined"
+            for shard in (0, 1):
+                assert registry.value(
+                    "shard_items_total", shard=str(shard)
+                ) == routed[shard]
         finally:
             uninstall_registry()
 
@@ -341,6 +345,53 @@ class TestCheckpointing:
                 all_chunks[: record["chunk_index"]]
             )
             assert restored.group.state().equals(prefix.state())
+
+
+    def test_checkpoints_racing_reshard_and_failover_cover_prefixes(
+        self, stream, tmp_path
+    ):
+        # Checkpoints after every chunk, two inlined workers, and moves
+        # in every direction (inlined → inlined, ring → inlined,
+        # inlined → ring): no journaled snapshot may count a
+        # parent-owned shard twice or drop one.
+        from repro.persistence import load_synopsis
+
+        store = CheckpointStore(tmp_path, keep=64)
+        runtime = ParallelIngestRuntime(
+            3,
+            shards=6,
+            sync_every=2,
+            fault_plan=FaultPlan(worker_crash={0: 2, 2: 3}),
+            **GROUP_PARAMS,
+        )
+        all_chunks = chunks_of(stream, 2_000)
+        moved = []
+
+        def driven():
+            for index, chunk in enumerate(all_chunks):
+                if index == 6:
+                    moved.append(runtime.reshard({0: 2, 1: 0}))
+                if index == 12:
+                    moved.append(runtime.reshard({3: 1}))
+                yield chunk
+
+        runtime.run(driven(), checkpoint_store=store, checkpoint_every=1)
+        assert moved == [2, 1]
+        statuses = [h["status"] for h in runtime.worker_health()]
+        assert statuses == ["inlined", "ok", "inlined"]
+        records = store.journal_records()
+        assert len(records) >= len(all_chunks)
+        for record in records:
+            restored = load_synopsis(
+                store.snapshot_path(record["generation"])
+            )
+            prefix = ShardedASketch(6, **GROUP_PARAMS)
+            StreamEngine(prefix, batched=True).run(
+                all_chunks[: record["chunk_index"]]
+            )
+            assert restored.group.state().equals(prefix.state())
+        final = sequential_group(stream, shards=6, chunk_size=2_000)
+        assert runtime.supervisor.group.state().equals(final.state())
 
 
 class TestResourceHygiene:
