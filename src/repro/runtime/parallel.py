@@ -59,7 +59,12 @@ from the live ``shard_skew`` signal, with cooldown and bounds like the
 filter's :class:`~repro.runtime.adaptive.AdaptiveController`.
 
 **Backpressure & load-shedding.**  Ring occupancy is bounded, so a
-slow consumer exerts natural backpressure on the parent.  The parent
+slow consumer exerts natural backpressure on the parent.  A snapshot
+can exceed the socket buffer, so the worker the parent is waiting on
+may itself be blocked sending one, unable to free a ring slot until
+the parent reads: every parent-side wait therefore runs in slices of
+a few milliseconds and drains every worker's pipe between them
+(:meth:`ParallelIngestRuntime._wait`).  The parent
 distinguishes *no progress* (stall → typed
 :class:`~repro.errors.WorkerStalledError`, failover) from *slow
 progress* (keep waiting).  With ``load_shed=True`` a stalled ring
@@ -103,9 +108,9 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
+from multiprocessing import connection, shared_memory
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -593,6 +598,13 @@ def _worker_main(
 # -- the parent-side runtime -------------------------------------------------
 
 
+#: The longest the fleet parent blocks in one wait on its workers before
+#: it reads their pipes again.  A worker whose snapshot overflows the
+#: socket buffer sits blocked in ``send`` until the parent reads, so this
+#: bounds how long such a worker idles.
+_WAIT_SLICE = 0.001
+
+
 @dataclass
 class _WorkerSlot:
     """Parent-side bookkeeping for one worker process."""
@@ -1003,16 +1015,55 @@ class ParallelIngestRuntime:
     ) -> None:
         """Drain every live worker's pipe.
 
-        A snapshot can exceed the pipe buffer, so a worker may *block in
-        send* until the parent reads — any parent-side wait loop must
-        keep draining all pipes or two blocked sides deadlock (worker
-        stuck in send, parent stuck waiting for that worker's ring).
-        ``exclude`` protects a pipe another loop is reading selectively
-        (see :meth:`_request`).
+        A snapshot can exceed the socket buffer, so a worker may *block
+        in send* until the parent reads — typically the very worker
+        whose full ring the parent is waiting on, which cannot consume
+        while it is stuck in send.  :meth:`_wait` therefore calls this
+        between slices, so such a worker is read within one
+        :data:`_WAIT_SLICE`.  ``exclude`` protects a pipe another loop
+        is reading selectively (see :meth:`_request`).
         """
         for slot in self._slots:
             if slot.feeding_ring and slot is not exclude:
                 self._drain_messages(slot)
+
+    def _wait(
+        self,
+        attempt: Callable[[float], bool],
+        watch: Callable[[], Iterable[_WorkerSlot]],
+        budget: float,
+        *,
+        progress: Callable[[], int] | None = None,
+        exclude: _WorkerSlot | None = None,
+    ) -> str:
+        """The parent's one wait on its workers: slice and drain.
+
+        Tries ``attempt(timeout)`` (a ring publish, a pipe read) first
+        without blocking, then in slices of :data:`_WAIT_SLICE`, until
+        it returns True; a freed ring slot or an arriving message ends
+        a slice early.  Between tries every ring worker's pipe is
+        drained (bar ``exclude``, whose pipe ``attempt`` reads itself).
+
+        Returns ``"ready"``; ``"dead"`` once a slot of ``watch()`` has
+        lost its process; or ``"stalled"`` once ``progress()`` has not
+        moved for ``budget`` seconds (without ``progress`` the budget
+        runs from the first try).
+        """
+        if attempt(0.0):
+            return "ready"
+        mark = progress() if progress is not None else None
+        since = time.monotonic()
+        while True:
+            self._drain_all_messages(exclude=exclude)
+            if any(not slot.process.is_alive() for slot in watch()):
+                return "dead"
+            now = time.monotonic()
+            if progress is not None and (current := progress()) != mark:
+                mark, since = current, now
+            if now - since > budget:
+                return "stalled"
+            if attempt(_WAIT_SLICE):
+                return "ready"
 
     def _check_liveness(self) -> None:
         for slot in self._slots:
@@ -1174,7 +1225,10 @@ class ParallelIngestRuntime:
         slot.error = None
         slot.shed_mark = None
         slot.heal_target = slot.sent_chunks
-        for share in slot.retained:
+        # Iterate a copy: the replay's waits drain this pipe too, and a
+        # snapshot the replacement takes mid-replay pops the prefix of
+        # the tail it already covers.
+        for share in list(slot.retained):
             if not self._replay_into(slot, share):
                 return False
         try:
@@ -1187,21 +1241,19 @@ class ParallelIngestRuntime:
 
     def _replay_into(self, slot: _WorkerSlot, share: np.ndarray) -> bool:
         """Feed one retained share to a replacement's fresh ring."""
-        deadline = time.monotonic() + self.put_timeout
-        while not slot.ring.put(share, timeout=0.25):
-            self._drain_all_messages()
-            if not slot.process.is_alive():
-                return False
-            if time.monotonic() > deadline:
-                return False
-        return True
+        outcome = self._wait(
+            lambda timeout: slot.ring.put(share, timeout=timeout),
+            lambda: (slot,),
+            self.put_timeout,
+        )
+        return outcome == "ready"
 
     # -- backpressure / feeding --------------------------------------------
 
     def _put_with_failover(self, slot: _WorkerSlot, put, *, sheddable):
         """Drive one ring publish under backpressure.
 
-        ``put(timeout)`` is retried while draining pipes.  Outcomes:
+        ``put(timeout)`` is retried under :meth:`_wait`.  Outcomes:
         ``"ok"`` (published), ``"shed"`` (stalled and load-shedding is
         on), ``"rerouted"`` (the worker was failed over — the slot is
         now respawned or inlined and the caller must re-dispatch).
@@ -1219,29 +1271,21 @@ class ParallelIngestRuntime:
             if self.stall_timeout is not None
             else self.put_timeout
         )
-        last_progress = time.monotonic()
-        progressed = slot.ring.consumed()
-        if shedding and progressed == slot.shed_mark:
+        if shedding and slot.ring.consumed() == slot.shed_mark:
             return "ok" if put(0) else "shed"
-        while True:
-            if put(0.25):
-                return "ok"
-            self._drain_all_messages()
-            if not slot.process.is_alive():
-                self._fail_dead(slot)
-                return "rerouted"
-            now = time.monotonic()
-            consumed = slot.ring.consumed()
-            if consumed > progressed:
-                progressed = consumed
-                last_progress = now
-            waited = now - last_progress
-            if waited > budget:
-                if shedding:
-                    slot.shed_mark = consumed
-                    return "shed"
-                self._stall(slot, waited, "ring")
-                return "rerouted"
+        outcome = self._wait(
+            put, lambda: (slot,), budget, progress=slot.ring.consumed
+        )
+        if outcome == "ready":
+            return "ok"
+        if outcome == "dead":
+            self._fail_dead(slot)
+        elif shedding:
+            slot.shed_mark = slot.ring.consumed()
+            return "shed"
+        else:
+            self._stall(slot, budget, "ring")
+        return "rerouted"
 
     def _shed(self, slot: _WorkerSlot, share: np.ndarray) -> None:
         """Quarantine an overflowing share instead of blocking/failing.
@@ -1399,6 +1443,14 @@ class ParallelIngestRuntime:
                 ).set(slot.ring.depth())
         registry.gauge("parallel_workers_alive").set(alive)
 
+    def _behind(self) -> list[_WorkerSlot]:
+        """Ring-fed workers whose snapshot lags the chunks sent to them."""
+        return [
+            slot
+            for slot in self._slots
+            if slot.feeding_ring and slot.snapshot_chunks < slot.sent_chunks
+        ]
+
     def _await_snapshots(self) -> None:
         """Block until every ring-fed worker's snapshot covers the
         chunks sent to it.
@@ -1408,34 +1460,22 @@ class ParallelIngestRuntime:
         legitimately needs time to catch back up).  Workers making no
         progress past ``drain_timeout`` raise the typed stall path.
         """
-        deadline = time.monotonic() + self.drain_timeout
+
+        def caught_up(timeout: float) -> bool:
+            behind = self._behind()
+            if behind and timeout:
+                connection.wait([slot.conn for slot in behind], timeout)
+            return not behind
+
         while True:
-            waiting = [
-                slot
-                for slot in self._slots
-                if slot.feeding_ring and slot.snapshot_chunks < slot.sent_chunks
-            ]
-            if not waiting:
+            outcome = self._wait(caught_up, self._behind, self.drain_timeout)
+            if outcome == "ready":
                 return
-            self._drain_all_messages()
-            failed_over = False
-            for slot in waiting:
-                if (
-                    slot.snapshot_chunks < slot.sent_chunks
-                    and not slot.process.is_alive()
-                ):
+            for slot in self._behind():
+                if outcome == "stalled":
+                    self._stall(slot, self.drain_timeout, "snapshot")
+                elif not slot.process.is_alive():
                     self._fail_dead(slot)
-                    failed_over = True
-            if failed_over:
-                deadline = time.monotonic() + self.drain_timeout
-                continue
-            if time.monotonic() > deadline:
-                for slot in waiting:
-                    if slot.feeding_ring:
-                        self._stall(slot, self.drain_timeout, "snapshot")
-                deadline = time.monotonic() + self.drain_timeout
-                continue
-            time.sleep(0.005)
 
     def _request(
         self, slot: _WorkerSlot, message: tuple, reply_tag: str
@@ -1444,37 +1484,42 @@ class ParallelIngestRuntime:
         snapshot reply.
 
         Other messages from the same worker are handled on the way;
-        other workers' pipes are kept drained (deadlock avoidance).  A
-        worker that dies, or sends no reply within ``drain_timeout``, is
+        :meth:`_wait` keeps the other workers' pipes drained.  A worker
+        that dies, or sends no reply within ``drain_timeout``, is
         failed over; a respawned replacement restores a snapshot taken
         before the request and gets the request again.  Returns False
         once the worker is inlined instead (each failover spends respawn
         budget or inlines, so this ends): the parent owns its shards
         from then on.
         """
+
+        def replied(timeout: float) -> bool:
+            # Read everything buffered before _wait checks liveness: a
+            # reply sent just before the worker died still counts.
+            try:
+                while slot.conn.poll(timeout):
+                    reply = slot.conn.recv()
+                    self._handle_message(slot, reply)
+                    if reply[0] == reply_tag:
+                        return True
+            except (EOFError, OSError):
+                pass  # liveness handling in _wait
+            return False
+
         while slot.feeding_ring:
             try:
                 slot.conn.send(message)
             except OSError:
-                pass  # liveness handling below
-            deadline = time.monotonic() + self.drain_timeout
-            while True:
-                try:
-                    if slot.conn.poll(0.02):
-                        reply = slot.conn.recv()
-                        self._handle_message(slot, reply)
-                        if reply[0] == reply_tag:
-                            return True
-                        continue
-                except (EOFError, OSError):
-                    pass
-                self._drain_all_messages(exclude=slot)
-                if not slot.process.is_alive():
-                    self._fail_dead(slot)
-                    break
-                if time.monotonic() > deadline:
-                    self._stall(slot, self.drain_timeout, reply_tag)
-                    break
+                pass  # liveness handling in _wait
+            outcome = self._wait(
+                replied, lambda: (slot,), self.drain_timeout, exclude=slot
+            )
+            if outcome == "ready":
+                return True
+            if outcome == "dead":
+                self._fail_dead(slot)
+            else:
+                self._stall(slot, self.drain_timeout, reply_tag)
         return False
 
     def _quiesce(self) -> None:

@@ -450,6 +450,100 @@ class TestResourceHygiene:
         assert mp.active_children() == []
 
 
+class TestParentWaits:
+    """The parent never sits out a worker blocked sending a snapshot.
+
+    A 4-shard snapshot of this layout is larger than a Unix socket's
+    default send buffer, so each worker blocks in ``send`` at every
+    snapshot (every chunk with ``sync_every=1``) until the parent reads
+    its pipe, and meanwhile cannot free ring slots.  Every parent-side
+    wait must read the pipes within a few milliseconds, so no single
+    ring publish may block anywhere near a long timeout.
+    """
+
+    LAYOUT = {"shards": 4, "total_bytes": 32 * 1024, "seed": 7}
+    LONG_PUT_S = 0.2
+
+    @pytest.fixture
+    def keys(self):
+        return zipf_stream(300_000, 100_000, 1.1, seed=23).keys
+
+    @staticmethod
+    def ten_k_chunks(keys):
+        return [keys[i : i + 10_000] for i in range(0, keys.shape[0], 10_000)]
+
+    def sequential(self, keys):
+        group = ShardedASketch(**self.LAYOUT)
+        StreamEngine(group, batched=True).run(self.ten_k_chunks(keys))
+        return group
+
+    @pytest.fixture
+    def put_seconds(self, monkeypatch):
+        """Blocked time of every ``ChunkRing.put`` call in this process."""
+        seconds: list[float] = []
+        original = ChunkRing.put
+
+        def timed_put(ring, chunk, timeout=None):
+            start = time.perf_counter()
+            try:
+                return original(ring, chunk, timeout)
+            finally:
+                seconds.append(time.perf_counter() - start)
+
+        monkeypatch.setattr(ChunkRing, "put", timed_put)
+        return seconds
+
+    def test_snapshot_larger_than_socket_buffer(self, keys, put_seconds):
+        runtime = ParallelIngestRuntime(2, sync_every=1, **self.LAYOUT)
+        stats = runtime.run(self.ten_k_chunks(keys))
+        assert stats.tuples_ingested == keys.shape[0]
+        assert len(put_seconds) >= 2 * 30
+        assert max(put_seconds) < self.LONG_PUT_S
+        assert runtime.supervisor.group.state().equals(
+            self.sequential(keys).state()
+        )
+
+    def test_respawn_replay_drains_pipes(self, keys, put_seconds, monkeypatch):
+        # Blocked time of the puts each replayed share took.
+        replays: list[list[float]] = []
+        original = ParallelIngestRuntime._replay_into
+
+        def timed_replay(runtime, slot, share):
+            first = len(put_seconds)
+            try:
+                return original(runtime, slot, share)
+            finally:
+                replays.append(put_seconds[first:])
+
+        monkeypatch.setattr(
+            ParallelIngestRuntime, "_replay_into", timed_replay
+        )
+        # Worker 1 snapshots at chunks 3 and 6, the second arrives
+        # corrupt and is rejected, and it dies holding chunk 8: at least
+        # six chunks past its accepted snapshot replay into a two-slot
+        # ring.  The replacement snapshots at chunk 6 while the replay
+        # still waits for a slot, and accepting that snapshot prunes the
+        # tail being replayed.
+        runtime = ParallelIngestRuntime(
+            2,
+            sync_every=3,
+            slots=2,
+            respawn=True,
+            fault_plan=FaultPlan(
+                worker_crash={1: 8}, corrupt_snapshot={1: 2}
+            ),
+            **self.LAYOUT,
+        )
+        runtime.run(self.ten_k_chunks(keys))
+        assert runtime.respawn_count == 1
+        assert len(replays) >= 6
+        assert any(len(tries) > 1 for tries in replays)
+        assert max(put_seconds) < self.LONG_PUT_S
+        assert runtime.supervisor.group.state().equals(
+            self.sequential(keys).state()
+        )
+
+
 class TestRespawn:
     def test_killed_worker_respawns_bit_identical(self, stream):
         sequential = sequential_group(stream, shards=4)
