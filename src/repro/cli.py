@@ -40,16 +40,15 @@ also embedded into ``run-manifest.json`` for checkpointed ingests) and
 through the default ASketch.  ``serve-metrics`` runs an ingest with a
 stdlib HTTP scrape endpoint at ``/metrics`` (Prometheus text) and
 ``/metrics.json``; ``health --checkpoint-dir DIR`` inspects the newest
-checkpoint and exits ``0`` (healthy), ``1`` (degraded or unreadable),
-``2`` (usage error / no checkpoints), ``3`` (healing: a worker respawn
-is rebuilding state, data intact).  Parallel runs journal their
-self-healing lifecycle counters (``worker_respawns``,
-``reshard_migrations``, ``load_shed_chunks``, stalls, quarantines) into
-every checkpoint, and ``health`` surfaces them under ``fleet``;
-``run --workers N`` itself exits non-zero when the fleet finishes
-degraded.  ``run --respawn`` enables exact worker recovery,
-``--reshard`` online skew-driven shard rebalancing, ``--load-shed``
-stall quarantining.
+checkpoint and exits ``0`` (healthy), ``1`` (degraded — chunks sit in
+a dead-letter queue — or unreadable), ``2`` (usage error / no
+checkpoints), ``3`` (healing: a worker respawn is rebuilding state,
+data intact).  Parallel runs journal their self-healing lifecycle
+counters (``worker_respawns``, ``reshard_migrations``, stalls,
+quarantines) into every checkpoint, and ``health`` surfaces them under
+``fleet``; ``run --workers N`` itself exits non-zero when the fleet
+finishes degraded.  ``run --respawn`` enables exact worker recovery,
+``--reshard`` online skew-driven shard rebalancing.
 """
 
 from __future__ import annotations
@@ -198,15 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "with --workers: watch routing skew and move shards "
             "between workers online (requires --shards > --workers to "
             "have anything to move)"
-        ),
-    )
-    run_parser.add_argument(
-        "--load-shed",
-        action="store_true",
-        help=(
-            "with --workers: quarantine chunks for a stalled worker to "
-            "the dead-letter queue instead of failing it over (trades "
-            "accuracy for liveness; health reports degraded)"
         ),
     )
     run_parser.add_argument(
@@ -611,7 +601,6 @@ def _run_parallel(args: argparse.Namespace) -> int:
         slot_capacity=max(1 << 16, args.chunk_size),
         respawn=args.respawn,
         auto_reshard=args.reshard,
-        load_shed=args.load_shed,
     )
     store = None
     if args.checkpoint_dir is not None:
@@ -637,8 +626,7 @@ def _run_parallel(args: argparse.Namespace) -> int:
             f"{workers_ok}/{args.workers} workers healthy; "
             f"fleet {fleet['status']} "
             f"(respawns {fleet['worker_respawns']}, "
-            f"migrations {fleet['reshard_migrations']}, "
-            f"shed {fleet['load_shed_chunks']})"
+            f"migrations {fleet['reshard_migrations']})"
         )
         if args.metrics_json is not None:
             from repro.obs import write_metrics_json
@@ -738,19 +726,15 @@ def _run_health(args: argparse.Namespace) -> int:
         "synopsis_kind": type(synopsis).SYNOPSIS_KIND,
     }
     if isinstance(synopsis, ShardSupervisor):
-        shards = synopsis.shard_health()
-        report["shards"] = shards
-        statuses = {s["status"] for s in shards}
-        if ShardSupervisor.STATUS_FAILED in statuses:
-            report["status"] = "degraded"
-        elif ShardSupervisor.STATUS_HEALING in statuses:
+        report["shards"] = synopsis.shard_health()
+        if synopsis.healing_shards:
             report["status"] = "healing"
     extra = record.get("extra") or {}
     if extra:
         # Self-healing lifecycle counters journaled by the parallel
-        # runtime's checkpoints (respawns, migrations, shed chunks...).
+        # runtime's checkpoints (respawns, migrations, quarantines...).
         report["fleet"] = extra
-        if extra.get("load_shed_chunks") or extra.get("quarantined_chunks"):
+        if extra.get("quarantined_chunks"):
             # Data is sitting in a dead-letter queue, not the synopsis.
             report["status"] = "degraded"
         elif report["status"] == "ok" and extra.get("healing_shards"):

@@ -125,12 +125,3 @@ class WorkerStalledError(ReproError):
         self.worker = worker
         self.waited_seconds = waited_seconds
 
-
-class ShardFailedError(ReproError):
-    """A shard of a partitioned synopsis group failed during ingestion.
-
-    Raised inside the per-shard ingest path (or injected by the fault
-    harness); :class:`~repro.runtime.reliability.ShardSupervisor`
-    catches it, isolates the shard, and degrades to a standby sketch
-    rather than letting the whole group fail.
-    """

@@ -20,9 +20,9 @@ provides that operational shell:
   checkpoints + exact crash recovery), :class:`~repro.runtime.
   reliability.RetryingSource` (backoff retries, dead-letter
   quarantine), :class:`~repro.runtime.reliability.ShardSupervisor`
-  (graceful shard degradation), and the deterministic
-  :class:`~repro.runtime.reliability.FaultPlan` injection harness the
-  recovery tests are built on;
+  (a shard group plus its ``ok``/``healing`` health view), and the
+  deterministic :class:`~repro.runtime.reliability.FaultPlan`
+  injection harness the recovery tests are built on;
 * :class:`~repro.runtime.adaptive.AdaptiveController` — closes the
   observability loop: watches windowed filter hit-rate / exchange rate
   / shard skew and re-tunes the staged filter online through
@@ -31,8 +31,8 @@ provides that operational shell:
   :class:`~repro.runtime.parallel.ParallelIngestRuntime` runs N worker
   processes over shared-memory chunk rings, each ingesting its shards'
   keys, recombined through the synopsis ``merge()`` protocol into a
-  result bit-identical to a single-process run (with cross-process
-  failover reusing the supervisor semantics).
+  result bit-identical to a single-process run (a failed worker is
+  respawned or inlined, both exact).
 """
 
 from repro.runtime.adaptive import AdaptiveController

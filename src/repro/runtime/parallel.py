@@ -58,7 +58,7 @@ acknowledges adoption with a full fresh snapshot).  With
 from the live ``shard_skew`` signal, with cooldown and bounds like the
 filter's :class:`~repro.runtime.adaptive.AdaptiveController`.
 
-**Backpressure & load-shedding.**  Ring occupancy is bounded, so a
+**Backpressure.**  Ring occupancy is bounded, so a
 slow consumer exerts natural backpressure on the parent.  A snapshot
 can exceed the socket buffer, so the worker the parent is waiting on
 may itself be blocked sending one, unable to free a ring slot until
@@ -67,12 +67,7 @@ a few milliseconds and drains every worker's pipe between them
 (:meth:`ParallelIngestRuntime._wait`).  The parent
 distinguishes *no progress* (stall → typed
 :class:`~repro.errors.WorkerStalledError`, failover) from *slow
-progress* (keep waiting).  With ``load_shed=True`` a stalled ring
-sheds the overflowing share to the parent's
-:class:`~repro.runtime.reliability.DeadLetterQueue` instead of failing
-the worker — **this trades away both bit-identity and the one-sided
-guarantee for the shed keys** until the dead letters are replayed;
-:meth:`health` reports the run degraded whenever shed chunks exist.
+progress* (keep waiting).
 
 **One ingest loop.**  The parent drives
 :class:`~repro.runtime.engine.StreamEngine` with the chunk router as its
@@ -86,11 +81,10 @@ parent instead of dying, and its checkpoint step is the pipe snapshot.
 parent records routing skew, per-worker item counters, ring depth,
 liveness, failures, respawns (``worker_respawns_total``), stalls
 (``parallel_worker_stalls_total``), migrations
-(``reshard_migrations_total``), shed chunks
-(``load_shed_chunks_total``), snapshot rejects
+(``reshard_migrations_total``), snapshot rejects
 (``parallel_snapshot_rejects_total``) and merge latency; trace points
 (``worker_respawn``, ``worker_healed``, ``worker_stalled``,
-``reshard_migration``, ``load_shed``, ``snapshot_reject``) mark every
+``reshard_migration``, ``snapshot_reject``) mark every
 lifecycle transition.  Each worker runs its own registry and forwards
 counter/gauge values over its pipe, which the parent re-labels with
 ``worker=<id>`` and folds into the installed registry.
@@ -633,9 +627,6 @@ class _WorkerSlot:
     #: While healing: the chunk count a replacement's snapshot must
     #: reach before the worker's shards flip back to healthy.
     heal_target: int | None = None
-    #: The ring's ``consumed()`` when a share was last shed for a
-    #: stall: while it has not moved, later shares shed at once.
-    shed_mark: int | None = None
 
     @property
     def feeding_ring(self) -> bool:
@@ -696,14 +687,9 @@ class ParallelIngestRuntime:
         Controller bounds: minimum observed-window skew that triggers a
         move, minimum items per observation window, and windows to hold
         off after a migration.
-    load_shed:
-        Instead of failing over a stalled worker, quarantine the
-        overflowing share to :attr:`dead_letters` and keep going.
-        Sacrifices bit-identity *and* the one-sided guarantee for the
-        shed keys until the dead letters are replayed.
     dead_letter_capacity:
-        Parent-side dead-letter queue capacity (shed shares and
-        worker-quarantined payloads).
+        Parent-side dead-letter queue capacity (worker-quarantined
+        payloads).
     stall_timeout:
         Seconds without any ring progress before a worker counts as
         stalled (default: ``put_timeout``).  Progress resets the clock:
@@ -737,7 +723,6 @@ class ParallelIngestRuntime:
         reshard_skew_threshold: float = 1.5,
         reshard_min_window_items: int = 2048,
         reshard_cooldown_windows: int = 2,
-        load_shed: bool = False,
         dead_letter_capacity: int = 64,
         stall_timeout: float | None = None,
         fault_plan: FaultPlan | None = None,
@@ -782,7 +767,6 @@ class ParallelIngestRuntime:
         self.reshard_skew_threshold = float(reshard_skew_threshold)
         self.reshard_min_window_items = int(reshard_min_window_items)
         self.reshard_cooldown_windows = int(reshard_cooldown_windows)
-        self.load_shed = bool(load_shed)
         self.stall_timeout = stall_timeout
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.put_timeout = float(put_timeout)
@@ -790,9 +774,9 @@ class ParallelIngestRuntime:
         #: The combined result (populated by :meth:`run`).
         self.supervisor: ShardSupervisor | None = None
         self.stats = EngineStats()
-        #: Parent-side quarantine: load-shed shares plus payloads of
-        #: chunks workers quarantined (recovered from the retained tail
-        #: when still available).
+        #: Parent-side quarantine: payloads of chunks workers
+        #: quarantined (recovered from the retained tail when still
+        #: available).
         self.dead_letters = DeadLetterQueue(capacity=dead_letter_capacity)
         self._respawn_rng = random.Random(int(seed) * 31337 + 7)
         self._reset()
@@ -801,8 +785,6 @@ class ParallelIngestRuntime:
         """Per-run fleet state, fresh for every :meth:`run`."""
         #: Completed shard migrations (reshard moves applied).
         self.migrations = 0
-        #: Chunk shares shed to the dead-letter queue under load.
-        self.shed_chunks = 0
         self._slots: list[_WorkerSlot] = []
         shards = self.group_params["shards"]
         self._assignment = np.array(
@@ -1223,7 +1205,6 @@ class ParallelIngestRuntime:
         slot.metrics_last = {}
         slot.done = False
         slot.error = None
-        slot.shed_mark = None
         slot.heal_target = slot.sent_chunks
         # Iterate a copy: the replay's waits drain this pipe too, and a
         # snapshot the replacement takes mid-replay pops the prefix of
@@ -1250,66 +1231,32 @@ class ParallelIngestRuntime:
 
     # -- backpressure / feeding --------------------------------------------
 
-    def _put_with_failover(self, slot: _WorkerSlot, put, *, sheddable):
+    def _put_with_failover(self, slot: _WorkerSlot, put) -> bool:
         """Drive one ring publish under backpressure.
 
-        ``put(timeout)`` is retried under :meth:`_wait`.  Outcomes:
-        ``"ok"`` (published), ``"shed"`` (stalled and load-shedding is
-        on), ``"rerouted"`` (the worker was failed over — the slot is
-        now respawned or inlined and the caller must re-dispatch).
-        Progress on the ring (``consumed()`` advancing) resets the
-        stall clock: a slow worker is waited on indefinitely, only a
-        worker making *no* progress within ``stall_timeout`` is
-        declared stalled.  A share for a worker that has made no
-        progress since its last shed sheds at once: the stall is
-        already established, and waiting it out again per share would
-        cost a full budget per chunk.
+        ``put(timeout)`` is retried under :meth:`_wait`.  Returns True
+        once published, False when the worker was failed over instead
+        (the slot is now respawned or inlined and the caller must
+        re-dispatch).  Progress on the ring (``consumed()`` advancing)
+        resets the stall clock: a slow worker is waited on
+        indefinitely, only a worker making *no* progress within
+        ``stall_timeout`` is declared stalled.
         """
-        shedding = sheddable and self.load_shed
         budget = (
             self.stall_timeout
             if self.stall_timeout is not None
             else self.put_timeout
         )
-        if shedding and slot.ring.consumed() == slot.shed_mark:
-            return "ok" if put(0) else "shed"
         outcome = self._wait(
             put, lambda: (slot,), budget, progress=slot.ring.consumed
         )
         if outcome == "ready":
-            return "ok"
+            return True
         if outcome == "dead":
             self._fail_dead(slot)
-        elif shedding:
-            slot.shed_mark = slot.ring.consumed()
-            return "shed"
         else:
             self._stall(slot, budget, "ring")
-        return "rerouted"
-
-    def _shed(self, slot: _WorkerSlot, share: np.ndarray) -> None:
-        """Quarantine an overflowing share instead of blocking/failing.
-
-        The share is neither sent nor retained, so the final synopsis
-        under-counts its keys until the dead letters are replayed —
-        :meth:`health` reports the run degraded while any shed chunks
-        exist.
-        """
-        self.shed_chunks += 1
-        if share.size:
-            self.dead_letters.quarantine(
-                slot.sent_chunks,
-                share,
-                f"load-shed: worker {slot.index} ring made no progress",
-            )
-        registry = current_registry()
-        if registry is not None:
-            registry.counter(
-                "load_shed_chunks_total", worker=str(slot.index)
-            ).inc()
-        trace_point(
-            "load_shed", worker=slot.index, items=int(share.shape[0])
-        )
+        return False
 
     def _ingest_in_parent(self, share: np.ndarray) -> None:
         """Ingest an inlined worker's share into the result group.
@@ -1326,12 +1273,9 @@ class ParallelIngestRuntime:
         if slot.status == "inlined":
             self._ingest_in_parent(share)
             return
-        outcome = self._put_with_failover(
-            slot,
-            lambda timeout: slot.ring.put(share, timeout=timeout),
-            sheddable=True,
-        )
-        if outcome == "ok":
+        if self._put_with_failover(
+            slot, lambda timeout: slot.ring.put(share, timeout=timeout)
+        ):
             slot.sent_chunks += 1
             slot.sent_items += int(share.shape[0])
             slot.retained.append(share)
@@ -1340,9 +1284,7 @@ class ParallelIngestRuntime:
                 registry.counter(
                     "parallel_worker_items_total", worker=str(slot.index)
                 ).inc(int(share.shape[0]))
-        elif outcome == "shed":
-            self._shed(slot, share)
-        else:  # rerouted: the slot changed tier (or was respawned)
+        else:  # failed over: the slot changed tier (or was respawned)
             self._feed(slot, share)
 
     # -- driving -----------------------------------------------------------
@@ -1543,16 +1485,14 @@ class ParallelIngestRuntime:
         assert self.supervisor is not None
         for slot in self._slots:
             while slot.feeding_ring:
-                outcome = self._put_with_failover(
+                if self._put_with_failover(
                     slot,
                     lambda timeout, slot=slot: slot.ring.close_producer(
                         timeout=timeout
                     ),
-                    sheddable=False,
-                )
-                if outcome == "ok":
+                ):
                     break
-                # rerouted: a respawned slot has a fresh ring that
+                # failed over: a respawned slot has a fresh ring that
                 # still needs its EOF; an inlined slot exits via
                 # feeding_ring.
         self._await_snapshots()
@@ -1732,7 +1672,6 @@ class ParallelIngestRuntime:
         return {
             "worker_respawns": self.respawn_count,
             "reshard_migrations": self.migrations,
-            "load_shed_chunks": self.shed_chunks,
             "worker_stalls": self.stall_count,
             "quarantined_chunks": self.quarantined_count,
             "snapshot_rejects": sum(
@@ -1747,24 +1686,17 @@ class ParallelIngestRuntime:
         """Whole-fleet lifecycle snapshot (JSON-safe).
 
         Extends :meth:`ShardSupervisor.health` with the per-worker view
-        and the self-healing counters; shed or quarantined chunks
-        escalate an otherwise-``ok`` fleet to ``degraded`` (data is
-        sitting in a dead-letter queue, not in the synopsis).
+        and the self-healing counters; quarantined chunks escalate an
+        otherwise-``ok`` fleet to ``degraded`` (data is sitting in a
+        dead-letter queue, not in the synopsis).
         """
         if self.supervisor is not None:
             base = self.supervisor.health()
         else:
-            base = {
-                "status": "ok",
-                "failed_shards": [],
-                "healing_shards": [],
-                "shards": [],
-            }
+            base = {"status": "ok", "healing_shards": [], "shards": []}
         status = base["status"]
         if status == "ok" and (
-            self.shed_chunks
-            or self.quarantined_count
-            or self.dead_letters.quarantined
+            self.quarantined_count or self.dead_letters.quarantined
         ):
             status = "degraded"
         return {

@@ -1,4 +1,4 @@
-"""Fault-tolerant ingestion: crash recovery, retries, shard degradation.
+"""Fault-tolerant ingestion: crash recovery, retries, shard health.
 
 The paper's application scenarios — continuous top-k boards, DDoS
 threshold alerts — only hold up in production if the synopsis survives
@@ -17,8 +17,8 @@ source layers feeding it, its quarantine and its checkpoint step:
   replays exactly the un-checkpointed suffix, so the recovered synopsis
   is *bit-identical* — equal :meth:`state` — to an uninterrupted run.
 * **Deterministic fault injection** — :class:`FaultPlan` describes
-  crashes at chunk boundaries, transient source errors, poison chunks,
-  checkpoint corruption, and shard failures, all seeded, so the
+  crashes at chunk boundaries, transient source errors, poison chunks
+  and checkpoint corruption, all seeded, so the
   recovery test suite can prove the guarantees above rather than hope
   for them.  Each worker of the parallel fleet acts out its share of a
   plan through the same layers.
@@ -29,12 +29,12 @@ source layers feeding it, its quarantine and its checkpoint step:
   Chunks that fail validation (float/NaN keys, object dtypes, negative
   counts) are quarantined in a :class:`DeadLetterQueue` instead of
   being silently coerced into the synopsis.
-* **Graceful shard degradation** — :class:`ShardSupervisor` isolates a
-  faulting shard of a :class:`~repro.runtime.sharding.ShardedASketch`,
-  routes its keys to a standby Count-Min fallback (estimates stay
-  one-sided, flagged ``degraded``), and surfaces a ``health()``
-  snapshot (per-shard status, checkpoint lag, retry and quarantine
-  counters) through the engine.
+* **Shard health** — :class:`ShardSupervisor` is a
+  :class:`~repro.runtime.sharding.ShardedASketch` plus the per-shard
+  ``ok``/``healing`` view a worker fleet drives while it rebuilds a
+  shard exactly; :meth:`ResilientEngine.health` surfaces checkpoint
+  lag, retry and quarantine counters.  Every recovery path restores
+  state exactly or raises a typed error.
 
 Replay semantics: synopsis **state** is exactly-once (the journal pins
 the replay point), while consumer callbacks between the last checkpoint
@@ -62,7 +62,6 @@ from repro.errors import (
     ConfigurationError,
     RecoveryError,
     RetryExhaustedError,
-    ShardFailedError,
     StreamFormatError,
     TransientSourceError,
 )
@@ -71,7 +70,6 @@ from repro.obs.trace import trace_span
 from repro.persistence import _fsync_directory, load_synopsis, save_synopsis
 from repro.runtime.engine import Checkpointing, EngineStats, StreamEngine
 from repro.runtime.sharding import ShardedASketch
-from repro.sketches.count_min import CountMinSketch
 from repro.synopses.protocol import (
     SynopsisState,
     pack_nested,
@@ -301,8 +299,8 @@ class FaultPlan:
     as two source layers around the ingest loop: :meth:`wrap` turns a
     chunk iterable into a :class:`FaultySource` injecting *source-side*
     faults (transient errors, poison payloads), and
-    :meth:`boundary_faults` acts out the faults planned at a chunk
-    boundary (shard failure, crash) as each chunk is handed over.  The
+    :meth:`boundary_faults` acts out a crash planned at a chunk
+    boundary as each chunk is handed over.  The
     checkpoint step reports each write to :meth:`checkpoint_written`,
     which corrupts the planned one.
 
@@ -323,10 +321,6 @@ class FaultPlan:
     corrupt_checkpoint_after:
         After this many checkpoint writes (1-based), corrupt the newest
         snapshot file — exercising the fall-back-one-generation path.
-    fail_shard:
-        ``(chunk_index, shard_index)`` — inject a shard failure into the
-        engine's :class:`ShardSupervisor` just before that chunk, so the
-        shard's ingest raises and the supervisor must degrade.
 
     Cross-process faults, acted out *inside* the worker processes of
     :class:`~repro.runtime.parallel.ParallelIngestRuntime` through the
@@ -366,7 +360,6 @@ class FaultPlan:
     transient_errors: dict[int, int] = field(default_factory=dict)
     poison_chunks: frozenset[int] | set[int] = field(default_factory=frozenset)
     corrupt_checkpoint_after: int | None = None
-    fail_shard: tuple[int, int] | None = None
     worker_crash: dict[int, int] = field(default_factory=dict)
     worker_exit: dict[int, int] = field(default_factory=dict)
     worker_hang: dict[int, int] = field(default_factory=dict)
@@ -408,23 +401,14 @@ class FaultPlan:
         return FaultySource(chunks, self)
 
     def boundary_faults(
-        self, chunks: Iterable[Any], start: int = 0, synopsis: Any = None
+        self, chunks: Iterable[Any], start: int = 0
     ) -> Iterator[Any]:
-        """``chunks`` with ``fail_shard`` (on the :class:`ShardSupervisor`
-        ``synopsis``) and ``crash_at_chunk`` acted out just before the
+        """``chunks`` with ``crash_at_chunk`` acted out just before the
         chunk at that source position is handed over.  ``start`` is the
         first chunk's position: a resumed run starts past its restored
         prefix, whose boundaries were crossed before the crash.
         """
         for position, chunk in enumerate(chunks, start):
-            if self.fail_shard is not None and self.fail_shard[0] == position:
-                if not isinstance(synopsis, ShardSupervisor):
-                    raise ConfigurationError(
-                        "fail_shard fault injection requires a "
-                        f"ShardSupervisor synopsis, got "
-                        f"{type(synopsis).__name__}"
-                    )
-                synopsis.inject_failure(self.fail_shard[1])
             if self.crash_at_chunk == position:
                 raise SimulatedCrash(
                     f"injected crash at chunk boundary {position} "
@@ -695,21 +679,15 @@ class CheckpointStore:
 
 
 class ShardSupervisor:
-    """Degrade a :class:`ShardedASketch` gracefully under shard failure.
+    """A :class:`ShardedASketch` plus its per-shard ``ok``/``healing`` view.
 
-    Wraps a shard group with per-shard fault isolation: an exception
-    escaping one shard's ingest marks that shard ``failed``, freezes its
-    pre-failure counters (still queryable), and routes all subsequent
-    traffic for its key range to a standby Count-Min sketch.  Point
-    estimates for a degraded shard are ``frozen + standby`` — both
-    one-sided over their respective sub-streams, so the sum stays a
-    one-sided over-estimate of the true count; the group keeps
-    answering queries and **no shard failure ever escapes ingest**.
-
-    Degradation trade-off: the failed shard's *filter* stops adapting,
-    so :meth:`top_k` / :meth:`heavy_hitters` reflect only counts
-    absorbed before the failure for that partition (point queries stay
-    fully covered via the standby).
+    Ingest, queries, state and merge are exact delegations to
+    :attr:`group`.  What the supervisor adds is the shard lifecycle a
+    worker fleet drives while it rebuilds a shard: ``ok → healing → ok``
+    while a replacement worker is restored from snapshot + replay.  A
+    healing shard's data is not lost — it lives in the fleet's retained
+    tail — so its routing never changes, only the health view does.
+    An exception inside one shard's ingest propagates to the caller.
 
     Constructible three ways: wrap an existing group
     (``ShardSupervisor(group)``), build the group in place
@@ -721,19 +699,11 @@ class ShardSupervisor:
     SYNOPSIS_KIND = "shard-supervisor"
 
     #: Shard lifecycle states surfaced through :meth:`shard_health`.
-    #: ``ok → healing → ok`` is the transient-recovery loop (a worker
-    #: respawn in flight); ``failed`` is the terminal standby tier.
     STATUS_OK = "ok"
     STATUS_HEALING = "healing"
-    STATUS_FAILED = "failed"
 
     def __init__(
-        self,
-        group: ShardedASketch | None = None,
-        *,
-        standby_hashes: int = 4,
-        standby_bytes: int | None = None,
-        **group_params: Any,
+        self, group: ShardedASketch | None = None, **group_params: Any
     ) -> None:
         if group is None:
             if not group_params:
@@ -747,63 +717,23 @@ class ShardSupervisor:
                 "not both"
             )
         self.group = group
-        if standby_hashes < 1:
-            raise ConfigurationError(
-                f"standby_hashes must be >= 1, got {standby_hashes}"
-            )
-        self.standby_hashes = int(standby_hashes)
-        self.standby_bytes = int(
-            group.total_bytes if standby_bytes is None else standby_bytes
-        )
         self._status = [self.STATUS_OK] * len(group)
         self._errors: dict[int, str] = {}
-        self._forced: set[int] = set()
-        self._standbys: dict[int, CountMinSketch] = {}
-        self._standby_tuples: dict[int, int] = {}
 
-    # -- failure bookkeeping ----------------------------------------------
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < len(self.group):
-            raise ConfigurationError(
-                f"shard index {index} out of range for {len(self.group)} shards"
-            )
-
-    def inject_failure(self, index: int) -> None:
-        """Arm a fault: the shard's next ingest raises ``ShardFailedError``.
-
-        The failure flows through the regular isolation path (catch,
-        mark, reroute), so fault-injection tests exercise exactly the
-        code real faults would.
-        """
-        self._check_index(index)
-        self._forced.add(index)
+    # -- health view -------------------------------------------------------
 
     def begin_healing(self, index: int, reason: str) -> None:
-        """Mark a shard as transiently degraded with recovery in flight.
-
-        The respawn hook: the shard's worker died but a replacement is
-        being restored from snapshot + replay.  Unlike an ingest-path
-        failure the shard's data is *not* lost — it lives in the
-        parent's retained tail — so the shard keeps its regular
-        (non-standby) ingest/query routing and only the health view
-        degrades.  A shard already ``failed`` stays failed (healing
-        never un-fails).
-        """
-        self._check_index(index)
-        if self._status[index] == self.STATUS_FAILED:
-            return
+        """Mark a shard as healing: its worker is being rebuilt from
+        snapshot + replay, and its data is intact meanwhile."""
+        self.group._check_shard_index(index)
         self._status[index] = self.STATUS_HEALING
         self._errors[index] = reason
         self._record_transition(index, self.STATUS_HEALING)
 
     def heal_shard(self, index: int) -> None:
-        """Complete a healing cycle: the shard is healthy again.
-
-        Only meaningful from ``healing`` (a ``failed`` shard cannot be
-        healed — its exact state is gone; it stays on the standby tier).
-        """
-        self._check_index(index)
+        """Complete a healing cycle: the shard is healthy again (no-op
+        unless it is healing)."""
+        self.group._check_shard_index(index)
         if self._status[index] != self.STATUS_HEALING:
             return
         self._status[index] = self.STATUS_OK
@@ -818,34 +748,7 @@ class ShardSupervisor:
                 shard=str(index),
                 to=to_status,
             ).inc()
-            registry.gauge("shards_failed").set(len(self.failed_shards))
             registry.gauge("shards_healing").set(len(self.healing_shards))
-
-    def _mark_failed(self, index: int, error: Exception) -> None:
-        self._status[index] = self.STATUS_FAILED
-        self._errors[index] = f"{type(error).__name__}: {error}"
-        registry = current_registry()
-        if registry is not None:
-            registry.counter(
-                "shard_failures_total",
-                shard=str(index),
-                reason=type(error).__name__,
-            ).inc()
-        self._record_transition(index, self.STATUS_FAILED)
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any shard is off its healthy state (incl. healing)."""
-        return any(status != self.STATUS_OK for status in self._status)
-
-    @property
-    def failed_shards(self) -> list[int]:
-        """Indices of shards terminally running on their standby."""
-        return [
-            index
-            for index, status in enumerate(self._status)
-            if status == self.STATUS_FAILED
-        ]
 
     @property
     def healing_shards(self) -> list[int]:
@@ -856,195 +759,68 @@ class ShardSupervisor:
             if status == self.STATUS_HEALING
         ]
 
-    def _standby_for(self, index: int) -> CountMinSketch:
-        standby = self._standbys.get(index)
-        if standby is None:
-            standby = CountMinSketch(
-                self.standby_hashes,
-                total_bytes=self.standby_bytes,
-                seed=self.group.seed * 7919 + index,
-            )
-            self._standbys[index] = standby
-            self._standby_tuples.setdefault(index, 0)
-        return standby
-
     def shard_health(self) -> list[dict]:
         """Per-shard status snapshot (JSON-safe)."""
         return [
-            {
-                "shard": index,
-                "status": status,
-                "error": self._errors.get(index),
-                "standby_tuples": self._standby_tuples.get(index, 0),
-            }
+            {"shard": index, "status": status, "error": self._errors.get(index)}
             for index, status in enumerate(self._status)
         ]
 
     def health(self) -> dict:
-        """Whole-group lifecycle snapshot (JSON-safe).
-
-        ``status`` walks the degradation ladder: ``"ok"`` (every shard
-        healthy), ``"healing"`` (recoveries in flight, none terminal —
-        exact state will be restored), ``"degraded"`` (at least one
-        shard is on its one-sided standby tier for good).
-        """
-        if self.failed_shards:
-            status = "degraded"
-        elif self.healing_shards:
-            status = "healing"
-        else:
-            status = "ok"
+        """Whole-group snapshot (JSON-safe): ``status`` is ``"healing"``
+        while any shard is being rebuilt, else ``"ok"``."""
+        healing = self.healing_shards
         return {
-            "status": status,
-            "failed_shards": self.failed_shards,
-            "healing_shards": self.healing_shards,
+            "status": self.STATUS_HEALING if healing else self.STATUS_OK,
+            "healing_shards": healing,
             "shards": self.shard_health(),
         }
 
-    # -- ingestion ---------------------------------------------------------
-
-    def _ingest_share(
-        self,
-        index: int,
-        shard: Any,
-        share: np.ndarray,
-        share_counts: np.ndarray | None,
-        scalar: bool,
-    ) -> None:
-        if self._status[index] != self.STATUS_FAILED:
-            try:
-                if index in self._forced:
-                    raise ShardFailedError(
-                        f"injected failure on shard {index}"
-                    )
-                if scalar and share_counts is None:
-                    shard.process_stream(share)
-                else:
-                    shard.process_batch(share, share_counts)
-                return
-            except Exception as error:  # isolate: degrade, never propagate
-                self._mark_failed(index, error)
-        standby = self._standby_for(index)
-        if share_counts is None:
-            standby.update_batch(share)
-            self._standby_tuples[index] += int(share.shape[0])
-        else:
-            standby.update_batch_weighted(share, share_counts)
-            self._standby_tuples[index] += int(share_counts.sum())
+    # -- the group ---------------------------------------------------------
 
     def process_batch(
         self, keys: np.ndarray, counts: np.ndarray | None = None
     ) -> None:
-        """Partition a chunk by owner and batch-ingest with isolation.
-
-        Healthy shards get their shares through the group's vectorised
-        path; a share whose shard raises is rerouted to that shard's
-        standby (including the failing share itself — the forced raise
-        happens before any counter moves, so nothing is half-applied).
-        """
-        self._partition(keys, counts, scalar=False)
+        """Batch-ingest a chunk into the group."""
+        self.group.process_batch(keys, counts)
 
     def process_stream(self, keys: np.ndarray) -> None:
-        """Scalar-path ingest with the same per-shard isolation."""
-        self._partition(keys, None, scalar=True)
-
-    def _partition(
-        self, keys: np.ndarray, counts: np.ndarray | None, scalar: bool
-    ) -> None:
-        keys = np.asarray(keys, dtype=np.int64)
-        if counts is not None:
-            counts = np.asarray(counts, dtype=np.int64)
-        owners = self.group.owners_of(keys)
-        for index, shard in enumerate(self.group.shards):
-            mask = owners == index
-            if mask.any():
-                share_counts = None if counts is None else counts[mask]
-                self._ingest_share(index, shard, keys[mask], share_counts, scalar)
+        """Scalar-path ingest of a chunk into the group."""
+        self.group.process_stream(keys)
 
     def update(self, key: int, amount: int = 1) -> int:
-        """Route one weighted update, failing over to the standby."""
-        index = self.group.shard_of(key)
-        shard = self.group.shards[index]
-        if self._status[index] != self.STATUS_FAILED:
-            try:
-                if index in self._forced:
-                    raise ShardFailedError(f"injected failure on shard {index}")
-                return int(shard.update(key, amount))
-            except Exception as error:
-                self._mark_failed(index, error)
-        self._standby_for(index).update(key, amount)
-        self._standby_tuples[index] += int(amount)
-        return self.query(key)
-
-    # -- queries -----------------------------------------------------------
+        """Route one weighted update to its owner shard."""
+        return self.group.update(key, amount)
 
     def query(self, key: int) -> int:
-        """One-sided point estimate; failed shards answer frozen+standby."""
-        index = self.group.shard_of(key)
-        if self._status[index] != self.STATUS_FAILED:
-            return self.group.query(key)
-        try:
-            frozen = int(self.group.shards[index].query(key))
-        except Exception:  # shard too corrupt even to read: standby only
-            frozen = 0
-        standby = self._standbys.get(index)
-        return frozen + (int(standby.estimate(key)) if standby else 0)
+        """One-sided point estimate from the owner shard."""
+        return self.group.query(key)
 
     estimate = query
 
     def query_batch(self, keys: Iterable[int]) -> list[int]:
-        """Vectorised owner-partitioned point queries with degradation."""
-        if not isinstance(keys, np.ndarray):
-            keys = list(keys)
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return []
-        if not self.failed_shards:
-            return self.group.query_batch(keys)
-        owners = self.group.owners_of(keys)
-        answers = np.zeros(keys.shape[0], dtype=np.int64)
-        for index, shard in enumerate(self.group.shards):
-            mask = owners == index
-            if not mask.any():
-                continue
-            share = keys[mask]
-            try:
-                answers[mask] = shard.query_batch(share)
-            except Exception:
-                answers[mask] = 0
-            if self._status[index] == self.STATUS_FAILED:
-                standby = self._standbys.get(index)
-                if standby is not None:
-                    answers[mask] += np.asarray(
-                        standby.estimate_batch(share), dtype=np.int64
-                    )
-        return [int(v) for v in answers]
+        """Owner-partitioned point queries for many keys."""
+        return self.group.query_batch(keys)
 
     estimate_batch = query_batch
 
     def top_k(self, k: int) -> list[tuple[int, int]]:
-        """Global top-k via the shard filters (see degradation note above)."""
+        """Global top-k via the shard filters."""
         return self.group.top_k(k)
 
     def heavy_hitters(self, threshold: int) -> list[tuple[int, int]]:
         """Global threshold query via the shard filters."""
         return self.group.heavy_hitters(threshold)
 
-    # -- stats -------------------------------------------------------------
-
     @property
     def total_mass(self) -> int:
-        """Aggregate stream mass: group plus all standby traffic."""
-        return int(self.group.total_mass) + sum(
-            standby.total_count() for standby in self._standbys.values()
-        )
+        """Aggregate stream mass across all shards."""
+        return int(self.group.total_mass)
 
     @property
     def size_bytes(self) -> int:
-        """Logical bytes: the group plus any instantiated standbys."""
-        return int(self.group.size_bytes) + sum(
-            standby.size_bytes for standby in self._standbys.values()
-        )
+        """Total logical bytes across all shards."""
+        return int(self.group.size_bytes)
 
     def __len__(self) -> int:
         """Number of shards supervised."""
@@ -1053,102 +829,66 @@ class ShardSupervisor:
     # -- synopsis protocol -------------------------------------------------
 
     def state(self) -> SynopsisState:
-        """Supervisor parameters, group state, standbys, and statuses."""
-        arrays: dict[str, np.ndarray] = {}
+        """The group's state plus the per-shard statuses."""
         group_state = self.group.state()
-        arrays.update(prefix_arrays("group", group_state.arrays))
-        standbys_meta: dict[str, Any] = {}
-        for index, standby in sorted(self._standbys.items()):
-            standby_state = standby.state()
-            arrays.update(
-                prefix_arrays(f"standby{index}", standby_state.arrays)
-            )
-            standbys_meta[str(index)] = pack_nested(standby_state)
         return SynopsisState(
             kind=self.SYNOPSIS_KIND,
-            params={
-                "standby_hashes": self.standby_hashes,
-                "standby_bytes": self.standby_bytes,
-            },
-            arrays=arrays,
+            params={},
+            arrays=prefix_arrays("group", group_state.arrays),
             extra={
                 "group": pack_nested(group_state),
-                "standbys": standbys_meta,
                 "status": list(self._status),
                 "errors": {str(i): msg for i, msg in self._errors.items()},
-                "forced": sorted(self._forced),
-                "standby_tuples": {
-                    str(i): n for i, n in self._standby_tuples.items()
-                },
             },
         )
 
     @classmethod
     def from_state(cls, state: SynopsisState) -> "ShardSupervisor":
-        """Rebuild a supervisor (group, standbys, statuses) from state."""
+        """Rebuild a supervisor (group and statuses) from state.
+
+        A state whose shards are all ``ok``/``healing`` loads exactly,
+        including one saved by builds that also kept standby sizing in
+        ``params``.  A state with a ``"failed"`` shard or any standby
+        Count-Min (the removed degraded tier) holds counts no exact
+        state can restore, so it raises
+        :class:`~repro.errors.StreamFormatError` and
+        :meth:`CheckpointStore.load_latest` falls back a generation.
+        """
+        status = list(state.extra["status"])
+        allowed = (cls.STATUS_OK, cls.STATUS_HEALING)
+        if state.extra.get("standbys") or any(s not in allowed for s in status):
+            raise StreamFormatError(
+                "shard-supervisor state holds standby-tier counts "
+                f"(statuses {status}); they cannot be restored exactly"
+            )
         group = ShardedASketch.from_state(
             unpack_nested(state.extra["group"], state.arrays, "group")
         )
-        supervisor = cls(
-            group,
-            standby_hashes=int(state.params["standby_hashes"]),
-            standby_bytes=int(state.params["standby_bytes"]),
-        )
-        supervisor._status = list(state.extra.get("status", supervisor._status))
+        supervisor = cls(group)
+        supervisor._status = status
         supervisor._errors = {
-            int(i): msg for i, msg in state.extra.get("errors", {}).items()
+            int(i): msg for i, msg in state.extra["errors"].items()
         }
-        supervisor._forced = {int(i) for i in state.extra.get("forced", [])}
-        supervisor._standby_tuples = {
-            int(i): int(n)
-            for i, n in state.extra.get("standby_tuples", {}).items()
-        }
-        for index_str, metadata in state.extra.get("standbys", {}).items():
-            supervisor._standbys[int(index_str)] = CountMinSketch.from_state(
-                unpack_nested(metadata, state.arrays, f"standby{index_str}")
-            )
         return supervisor
 
     def merge(self, other: "ShardSupervisor") -> None:
         """Shard-wise merge of two supervised groups with equal layout.
 
-        Groups merge through :meth:`ShardedASketch.merge`; standbys
-        merge cell-wise where both sides have one, are adopted where
-        only ``other`` does.  A shard failed on either side is failed in
-        the result.  ``other`` is consumed.
+        Groups merge through :meth:`ShardedASketch.merge`; a shard
+        healing on either side is healing in the result.  ``other`` is
+        consumed.
         """
         if not isinstance(other, ShardSupervisor):
             raise ConfigurationError(
                 f"cannot merge ShardSupervisor with {type(other).__name__}"
             )
-        if (
-            self.standby_hashes != other.standby_hashes
-            or self.standby_bytes != other.standby_bytes
-        ):
-            raise ConfigurationError(
-                "supervisors must share standby sizing to merge"
-            )
         self.group.merge(other.group)
-        for index, theirs in other._standbys.items():
-            mine = self._standbys.get(index)
-            if mine is None:
-                self._standbys[index] = theirs
-            else:
-                mine.merge(theirs)
-            self._standby_tuples[index] = self._standby_tuples.get(
-                index, 0
-            ) + other._standby_tuples.get(index, 0)
-        for index, status in enumerate(other._status):
-            if status == self.STATUS_FAILED or (
-                status == self.STATUS_HEALING
-                and self._status[index] == self.STATUS_OK
-            ):
-                # failed wins over everything; healing only over ok.
-                self._status[index] = status
-                self._errors.setdefault(
-                    index, other._errors.get(index, "failed in merged peer")
+        for index in other.healing_shards:
+            if self._status[index] == self.STATUS_OK:
+                self._status[index] = self.STATUS_HEALING
+                self._errors[index] = other._errors.get(
+                    index, "healing in merged peer"
                 )
-        self._forced |= other._forced
 
 
 # -- the resilient engine ----------------------------------------------------
@@ -1168,8 +908,7 @@ class ResilientEngine:
       :meth:`resume` restores the newest valid generation and replays
       exactly the un-checkpointed source suffix — the recovered synopsis
       state is identical to an uninterrupted run's;
-    * a :class:`ShardSupervisor` synopsis degrades per shard instead of
-      failing, and :meth:`health` surfaces the whole picture.
+    * :meth:`health` surfaces the whole picture.
 
     Consumers registered via :meth:`every` fire at absolute stream
     positions, so a consumer due at position ``p`` fires in the resumed
@@ -1338,7 +1077,7 @@ class ResilientEngine:
         )
         self._engine = engine
         suffix = itertools.islice(self._source, start, None)
-        return engine.run(plan.boundary_faults(suffix, start, self.synopsis))
+        return engine.run(plan.boundary_faults(suffix, start))
 
     def _checkpoint(
         self, position: int, engine: StreamEngine, plan: FaultPlan
@@ -1365,25 +1104,14 @@ class ResilientEngine:
     def health(self) -> dict:
         """A JSON-safe snapshot of the runtime's condition.
 
-        Keys: ``status`` (``"ok"``/``"degraded"`` — degraded when any
-        shard failed over or chunks were quarantined), ingestion
-        counters, the last checkpoint record (or None),
-        ``checkpoint_lag_chunks`` (chunks handled since that
-        checkpoint), retry/backoff counters from the source wrapper,
-        quarantine counters, and per-shard statuses when the synopsis is
-        supervised.
+        Keys: ``status`` (``"ok"``/``"degraded"`` — degraded when chunks
+        were quarantined), ingestion counters, the last checkpoint
+        record (or None), ``checkpoint_lag_chunks`` (chunks handled
+        since that checkpoint), retry/backoff counters from the source
+        wrapper, and quarantine counters.
         """
         stats = self.stats
         seen = self._engine.position if self._engine is not None else 0
-        shards = (
-            self.synopsis.shard_health()
-            if isinstance(self.synopsis, ShardSupervisor)
-            else None
-        )
-        degraded = bool(
-            (shards and any(s["status"] != "ok" for s in shards))
-            or self.dead_letters.quarantined
-        )
         checkpoint = None
         if self._last_record is not None:
             checkpoint = {
@@ -1391,7 +1119,7 @@ class ResilientEngine:
                 for key in ("generation", "chunk_index", "tuples_ingested")
             }
         return {
-            "status": "degraded" if degraded else "ok",
+            "status": "degraded" if self.dead_letters.quarantined else "ok",
             "tuples_ingested": stats.tuples_ingested,
             "chunks_ingested": stats.chunks_ingested,
             "source_chunks_seen": seen,
@@ -1405,5 +1133,4 @@ class ResilientEngine:
             ),
             "quarantined": self.dead_letters.quarantined,
             "quarantine_dropped": self.dead_letters.dropped,
-            "shards": shards,
         }

@@ -113,9 +113,9 @@ class ShardedASketch:
         """Vectorised :meth:`shard_of`: the owner index for each key.
 
         This is the routing decision the ingest/query paths use; it is
-        public so wrappers (e.g. the reliability layer's
-        :class:`~repro.runtime.reliability.ShardSupervisor`) can
-        partition chunks identically without re-deriving the router.
+        public so callers (e.g. the worker fleet's chunk router in
+        :mod:`repro.runtime.parallel`) can partition chunks identically
+        without re-deriving the router.
         """
         keys = np.asarray(keys, dtype=np.int64)
         return self._router.hash_array(encode_key_array(keys))

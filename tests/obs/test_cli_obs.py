@@ -129,18 +129,23 @@ class TestHealth:
         supervisor.process_batch(
             np.arange(1_000, dtype=np.int64) % 50
         )
-        supervisor._mark_failed(0, RuntimeError("injected"))
         store = CheckpointStore(tmp_path / "ckpts")
-        store.save(supervisor, chunk_index=1, tuples_ingested=1_000)
+        store.save(
+            supervisor,
+            chunk_index=1,
+            tuples_ingested=1_000,
+            extra={"quarantined_chunks": 1},
+        )
         code = main(
             ["health", "--checkpoint-dir", str(tmp_path / "ckpts")]
         )
         report = json.loads(capsys.readouterr().out)
+        # Degraded means dead letters: every shard is exact, but a
+        # quarantined chunk is missing from the synopsis until replayed.
         assert code == 1
         assert report["status"] == "degraded"
-        assert any(
-            shard["status"] != "ok" for shard in report["shards"]
-        )
+        assert report["fleet"]["quarantined_chunks"] == 1
+        assert all(shard["status"] == "ok" for shard in report["shards"])
 
 
     def test_healing_fleet_exits_three(self, capsys, tmp_path):

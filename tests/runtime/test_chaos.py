@@ -10,7 +10,7 @@ two invariants the runtime promises under *every* schedule:
    replayed from the dead-letter queue);
 2. **exact once healed** — when every injected fault is of a kind the
    recovery tiers repair exactly (crash/exit/hang/corruption, no
-   shedding or poison), the merged state is bit-identical to an
+   poison), the merged state is bit-identical to an
    uninterrupted single-process ingest.
 
 Every scenario also checks resource hygiene: no leaked worker
@@ -209,23 +209,6 @@ class TestDegradedSchedules:
         for key, count in stream.exact.top_k(64):
             assert runtime.supervisor.query(int(key)) >= count
 
-    def test_hang_with_load_shedding_stays_live(self, stream):
-        runtime = ParallelIngestRuntime(
-            3,
-            shards=6,
-            sync_every=3,
-            stall_timeout=1.0,
-            slots=2,
-            load_shed=True,
-            fault_plan=FaultPlan(worker_hang={1: 2}),
-            **GROUP_PARAMS,
-        )
-        stats = runtime.run(chunks_of(stream))
-        assert stats.chunks_ingested == len(chunks_of(stream))
-        assert runtime.shed_chunks >= 1
-        assert runtime.health()["status"] == "degraded"
-        assert_one_sided(runtime, stream)
-
 
 class TestEverythingAtOnce:
     def test_full_chaos_schedule(self, stream):
@@ -257,5 +240,5 @@ class TestEverythingAtOnce:
             runtime.supervisor.group.process_batch(letter.payload)
         for key, count in stream.exact.top_k(64):
             assert runtime.supervisor.query(int(key)) >= count
-        # Every recoverable fault healed: no failed shards remain.
-        assert runtime.supervisor.failed_shards == []
+        # Every recoverable fault healed: no shard is still healing.
+        assert runtime.supervisor.healing_shards == []

@@ -689,90 +689,6 @@ class TestStallDetection:
             uninstall_registry()
 
 
-class TestLoadShedding:
-    def test_shed_instead_of_failover(self, stream):
-        runtime = ParallelIngestRuntime(
-            2,
-            shards=2,
-            sync_every=2,
-            stall_timeout=1.0,
-            slots=2,
-            load_shed=True,
-            fault_plan=FaultPlan(worker_hang={1: 2}),
-            **GROUP_PARAMS,
-        )
-        stats = runtime.run(chunks_of(stream, 1_000))
-        assert stats.chunks_ingested == len(chunks_of(stream, 1_000))
-        assert runtime.shed_chunks >= 1
-        # Shed shares sit in the parent dead-letter queue with their
-        # pristine payloads, and the fleet reads degraded (data is
-        # missing from the synopsis until the letters are replayed).
-        assert len(runtime.dead_letters) >= 1
-        assert runtime.health()["status"] == "degraded"
-        health = {h["worker"]: h for h in runtime.worker_health()}
-        # Shedding kept ingest live through the stream (no failover
-        # during feeding); at drain the hung worker cannot take its
-        # EOF, so it is failed over then to let the run terminate.
-        assert health[1]["status"] == "inlined"
-
-    def test_hung_worker_sheds_without_waiting_per_share(self, stream):
-        # Once a worker's stall is established, later shares for it shed
-        # at once instead of each waiting out the full stall budget.
-        runtime = ParallelIngestRuntime(
-            2,
-            shards=2,
-            sync_every=2,
-            stall_timeout=1.0,
-            slots=2,
-            load_shed=True,
-            fault_plan=FaultPlan(worker_hang={1: 2}),
-            **GROUP_PARAMS,
-        )
-        start = time.monotonic()
-        runtime.run(chunks_of(stream, 1_000))
-        assert time.monotonic() - start < 10.0
-        assert runtime.shed_chunks >= 30
-        assert runtime.stall_count == 1  # only the drain's EOF stalls
-
-    def test_replaying_dead_letters_restores_one_sidedness(self, stream):
-        runtime = ParallelIngestRuntime(
-            2,
-            shards=2,
-            sync_every=2,
-            stall_timeout=1.0,
-            slots=2,
-            load_shed=True,
-            fault_plan=FaultPlan(worker_hang={1: 2}),
-            **GROUP_PARAMS,
-        )
-        runtime.run(chunks_of(stream, 1_000))
-        assert runtime.shed_chunks >= 1
-        for letter in runtime.dead_letters.letters:
-            runtime.supervisor.group.process_batch(letter.payload)
-        for key, count in stream.exact.top_k(50):
-            assert runtime.supervisor.query(int(key)) >= count
-
-    def test_shed_counter_recorded(self, stream):
-        registry = install_registry()
-        try:
-            runtime = ParallelIngestRuntime(
-                2,
-                shards=2,
-                sync_every=2,
-                stall_timeout=1.0,
-                slots=2,
-                load_shed=True,
-                fault_plan=FaultPlan(worker_hang={1: 2}),
-                **GROUP_PARAMS,
-            )
-            runtime.run(chunks_of(stream, 1_000))
-            assert (
-                registry.value("load_shed_chunks_total", worker="1") >= 1
-            )
-        finally:
-            uninstall_registry()
-
-
 class TestWorkerQuarantine:
     def test_poison_chunk_quarantines_instead_of_killing(self, stream):
         # The fault swaps worker 1's share of its 3rd local chunk to a
@@ -1110,7 +1026,6 @@ class TestFleetHealth:
         extra = record["extra"]
         assert extra["worker_respawns"] == 1
         assert extra["reshard_migrations"] == 0
-        assert extra["load_shed_chunks"] == 0
 
     def test_health_report_shape(self, stream):
         runtime = ParallelIngestRuntime(2, shards=2, **GROUP_PARAMS)

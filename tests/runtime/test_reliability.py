@@ -4,13 +4,14 @@ Every guarantee the module documents is proven here against the
 deterministic :class:`~repro.runtime.reliability.FaultPlan` harness:
 exact crash recovery (kill at any chunk boundary, resume, states
 bit-identical), corrupt-checkpoint fallback, retry budgets, poison
-quarantine, and graceful shard degradation.
+quarantine, and the shard supervisor's exact health view.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.errors import (
     PoisonChunkError,
     RecoveryError,
     RetryExhaustedError,
+    StreamFormatError,
     TransientSourceError,
 )
 from repro.persistence import load_synopsis, save_synopsis
@@ -35,7 +37,9 @@ from repro.runtime.reliability import (
     SimulatedCrash,
     corrupt_file,
 )
+from repro.sketches.count_min import CountMinSketch
 from repro.streams.zipf import zipf_stream
+from repro.synopses.protocol import SynopsisState, pack_nested, prefix_arrays
 
 CHUNK = 1_000
 
@@ -495,7 +499,7 @@ class TestCrashRecovery:
         assert firings == [15_000, 20_000, 25_000, 30_000]
 
 
-# -- shard degradation -------------------------------------------------------
+# -- shard supervision -------------------------------------------------------
 
 
 class TestShardSupervisor:
@@ -504,26 +508,23 @@ class TestShardSupervisor:
             shards=4, total_bytes=8 * 1024, filter_items=8, seed=3
         )
 
-    def test_forced_shard_failure_never_escapes_run(self, stream):
+    def run_healing(self, stream, shard: int, at_chunk: int) -> ShardSupervisor:
+        """Ingest the stream with ``shard`` healing from ``at_chunk`` on."""
         supervisor = self.make_supervisor()
-        engine = ResilientEngine(supervisor)
-        stats = engine.run(
-            stream.chunks(CHUNK), fault_plan=FaultPlan(fail_shard=(10, 2))
-        )
-        assert stats.tuples_ingested == len(stream)  # nothing lost
-        assert supervisor.failed_shards == [2]
-        health = engine.health()
-        assert health["status"] == "degraded"
-        statuses = [entry["status"] for entry in health["shards"]]
-        assert statuses == ["ok", "ok", "failed", "ok"]
-        assert health["shards"][2]["standby_tuples"] > 0
-        assert "injected failure" in health["shards"][2]["error"]
+        for position, chunk in enumerate(stream.chunks(CHUNK)):
+            if position == at_chunk:
+                supervisor.begin_healing(shard, "worker respawning")
+            supervisor.process_batch(chunk)
+        return supervisor
 
     def test_degraded_estimates_stay_one_sided(self, stream):
-        supervisor = self.make_supervisor()
-        ResilientEngine(supervisor).run(
-            stream.chunks(CHUNK), fault_plan=FaultPlan(fail_shard=(7, 1))
-        )
+        supervisor = self.run_healing(stream, shard=1, at_chunk=7)
+        assert supervisor.healing_shards == [1]
+        # Healing never reroutes: the group is exactly a plain ingest.
+        plain = self.make_supervisor().group
+        for chunk in stream.chunks(CHUNK):
+            plain.process_batch(chunk)
+        assert supervisor.group.state().equals(plain.state())
         probes = np.unique(stream.keys[:4_000])
         estimates = supervisor.query_batch(probes)
         exact = stream.exact
@@ -532,60 +533,62 @@ class TestShardSupervisor:
         assert supervisor.total_mass == len(stream)
 
     def test_query_batch_matches_scalar_queries_when_degraded(self, stream):
-        supervisor = self.make_supervisor()
-        ResilientEngine(supervisor).run(
-            stream.chunks(CHUNK), fault_plan=FaultPlan(fail_shard=(3, 0))
-        )
+        supervisor = self.run_healing(stream, shard=0, at_chunk=3)
         probes = stream.keys[:500].tolist()
         assert supervisor.query_batch(probes) == [
             supervisor.query(key) for key in probes
         ]
 
-    def test_real_exception_inside_shard_degrades(self, stream):
+    def test_real_exception_inside_shard_propagates(self, stream):
         supervisor = self.make_supervisor()
 
         def explode(*_args, **_kwargs):
             raise RuntimeError("simulated backend fault")
 
         supervisor.group.shards[3].process_batch = explode  # type: ignore
-        supervisor.process_batch(stream.keys[:5_000])
-        if 3 in {int(i) for i in supervisor.failed_shards}:
-            assert "RuntimeError" in supervisor.shard_health()[3]["error"]
-        # Whether shard 3 saw traffic or not, ingest never raised and the
-        # group still answers queries.
-        assert supervisor.query(int(stream.keys[0])) >= 0
+        with pytest.raises(RuntimeError, match="simulated backend fault"):
+            supervisor.process_batch(stream.keys[:5_000])
 
     def test_top_k_still_answers_when_degraded(self, stream):
-        supervisor = self.make_supervisor()
-        engine = ResilientEngine(supervisor)
-        engine.run(
-            stream.chunks(CHUNK), fault_plan=FaultPlan(fail_shard=(20, 2))
-        )
+        supervisor = self.run_healing(stream, shard=2, at_chunk=20)
         top = supervisor.top_k(5)
         assert len(top) == 5
         heaviest_true = max(stream.exact.items(), key=lambda kv: kv[1])[0]
         assert heaviest_true in {key for key, _ in top}
 
-    def test_state_roundtrip_preserves_degradation(self, stream):
+    def test_healing_cycle(self):
         supervisor = self.make_supervisor()
-        ResilientEngine(supervisor).run(
-            stream.chunks(CHUNK), fault_plan=FaultPlan(fail_shard=(5, 1))
-        )
+        supervisor.heal_shard(2)  # not healing: no-op
+        assert supervisor.health()["status"] == "ok"
+        supervisor.begin_healing(2, "worker 0 respawning: died")
+        health = supervisor.health()
+        assert health["status"] == "healing"
+        assert health["healing_shards"] == [2]
+        assert health["shards"][2]["error"] == "worker 0 respawning: died"
+        supervisor.heal_shard(2)
+        assert supervisor.health() == {
+            "status": "ok",
+            "healing_shards": [],
+            "shards": supervisor.shard_health(),
+        }
+        assert supervisor.shard_health()[2] == {
+            "shard": 2, "status": "ok", "error": None,
+        }
+
+    def test_state_roundtrip_preserves_degradation(self, stream):
+        supervisor = self.run_healing(stream, shard=1, at_chunk=5)
         restored = ShardSupervisor.from_state(supervisor.state())
-        assert restored.failed_shards == [1]
+        assert restored.healing_shards == [1]
         assert restored.state().equals(supervisor.state())
         probes = stream.keys[:200].tolist()
         assert restored.query_batch(probes) == supervisor.query_batch(probes)
 
     def test_checkpoint_roundtrip_through_persistence(self, tmp_path, stream):
-        supervisor = self.make_supervisor()
-        ResilientEngine(supervisor).run(
-            stream.chunks(CHUNK), fault_plan=FaultPlan(fail_shard=(5, 1))
-        )
+        supervisor = self.run_healing(stream, shard=1, at_chunk=5)
         save_synopsis(supervisor, tmp_path / "supervised.npz")
         restored = load_synopsis(tmp_path / "supervised.npz")
         assert isinstance(restored, ShardSupervisor)
-        assert restored.failed_shards == [1]
+        assert restored.healing_shards == [1]
         assert restored.state().equals(supervisor.state())
 
     def test_crash_recovery_of_supervised_group(self, tmp_path, stream):
@@ -617,29 +620,19 @@ class TestShardSupervisor:
         assert isinstance(supervisor, ShardSupervisor)
         assert len(supervisor) == 2
 
-    def test_merge_unions_failures_and_standbys(self, stream):
+    def test_merge_unions_healing_shards(self, stream):
         left = self.make_supervisor()
         right = self.make_supervisor()
         half = len(stream) // 2
-        ResilientEngine(left).run(
-            [stream.keys[:half]], fault_plan=FaultPlan(fail_shard=(0, 1))
-        )
-        ResilientEngine(right).run([stream.keys[half:]])
+        left.begin_healing(1, "worker 1 respawning")
+        left.process_batch(stream.keys[:half])
+        right.process_batch(stream.keys[half:])
         left.merge(right)
-        assert left.failed_shards == [1]
+        assert left.healing_shards == [1]
         assert left.total_mass == len(stream)
         exact = stream.exact
         for key in np.unique(stream.keys[:1_000]).tolist():
             assert left.query(key) >= exact.count_of(key)
-
-    def test_update_fails_over_to_standby(self):
-        supervisor = self.make_supervisor()
-        supervisor.update(123, 4)
-        owner = supervisor.group.shard_of(123)
-        supervisor.inject_failure(owner)
-        supervisor.update(123, 6)
-        assert supervisor.failed_shards == [owner]
-        assert supervisor.query(123) >= 10  # frozen(4) + standby(6)
 
     def test_bad_construction_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -648,9 +641,105 @@ class TestShardSupervisor:
         with pytest.raises(ConfigurationError):
             ShardSupervisor(group, shards=2, total_bytes=4096)
         with pytest.raises(ConfigurationError):
-            ShardSupervisor(group, standby_hashes=0)
-        with pytest.raises(ConfigurationError):
-            ShardSupervisor(group).inject_failure(99)
+            ShardSupervisor(group).begin_healing(99, "no such shard")
+
+
+def legacy_supervisor_state(
+    supervisor: ShardSupervisor,
+    status: list[str],
+    standbys: dict[int, CountMinSketch] | None = None,
+) -> SynopsisState:
+    """A ``shard-supervisor`` state in the layout builds with a standby
+    Count-Min tier saved: standby sizing in ``params``, each standby's
+    counters under ``standby<i>.`` arrays, and its metadata, the forced
+    failures and the standby traffic in ``extra``."""
+    group_state = supervisor.group.state()
+    arrays = prefix_arrays("group", group_state.arrays)
+    standbys_meta = {}
+    for index, standby in (standbys or {}).items():
+        standby_state = standby.state()
+        arrays.update(prefix_arrays(f"standby{index}", standby_state.arrays))
+        standbys_meta[str(index)] = pack_nested(standby_state)
+    return SynopsisState(
+        kind="shard-supervisor",
+        params={
+            "standby_hashes": 4,
+            "standby_bytes": supervisor.group.total_bytes,
+        },
+        arrays=arrays,
+        extra={
+            "group": pack_nested(group_state),
+            "standbys": standbys_meta,
+            "status": status,
+            "errors": {
+                str(i): f"{s} on shard {i}"
+                for i, s in enumerate(status)
+                if s != "ok"
+            },
+            "forced": [],
+            "standby_tuples": {
+                str(i): int(sb.total_count())
+                for i, sb in (standbys or {}).items()
+            },
+        },
+    )
+
+
+class TestLegacySupervisorState:
+    def make_group(self, stream) -> ShardSupervisor:
+        supervisor = ShardSupervisor(
+            shards=4, total_bytes=8 * 1024, filter_items=8, seed=3
+        )
+        supervisor.process_batch(stream.keys)
+        return supervisor
+
+    def make_standby(self, stream) -> CountMinSketch:
+        standby = CountMinSketch(4, total_bytes=8 * 1024, seed=3 * 7919 + 1)
+        standby.update_batch(stream.keys[:1_000])
+        return standby
+
+    def test_ok_and_healing_state_loads_exactly(self, tmp_path, stream):
+        supervisor = self.make_group(stream)
+        legacy = legacy_supervisor_state(
+            supervisor, ["ok", "healing", "ok", "ok"]
+        )
+        save_synopsis(SimpleNamespace(state=lambda: legacy),
+                      tmp_path / "legacy.npz")
+        restored = load_synopsis(tmp_path / "legacy.npz")
+        assert isinstance(restored, ShardSupervisor)
+        assert restored.healing_shards == [1]
+        assert restored.group.state().equals(supervisor.group.state())
+        probes = stream.keys[:500].tolist()
+        assert restored.query_batch(probes) == supervisor.query_batch(probes)
+
+    def test_failed_shard_state_is_rejected(self, tmp_path, stream):
+        supervisor = self.make_group(stream)
+        failed = legacy_supervisor_state(
+            supervisor,
+            ["ok", "failed", "ok", "ok"],
+            standbys={1: self.make_standby(stream)},
+        )
+        with pytest.raises(StreamFormatError, match="cannot be restored"):
+            ShardSupervisor.from_state(failed)
+        # A checkpoint store treats it like any corrupt snapshot and
+        # falls back one generation.
+        store = CheckpointStore(tmp_path)
+        healthy = legacy_supervisor_state(supervisor, ["ok"] * 4)
+        store.save(SimpleNamespace(state=lambda: healthy),
+                   chunk_index=1, tuples_ingested=len(stream))
+        store.save(SimpleNamespace(state=lambda: failed),
+                   chunk_index=2, tuples_ingested=len(stream))
+        restored, record = store.load_latest()
+        assert record["generation"] == 0
+        assert restored.group.state().equals(supervisor.group.state())
+
+    def test_standby_counts_are_rejected(self, stream):
+        supervisor = self.make_group(stream)
+        state = legacy_supervisor_state(
+            supervisor, ["ok"] * 4, standbys={1: self.make_standby(stream)}
+        )
+        with pytest.raises(StreamFormatError, match="cannot be restored"):
+            ShardSupervisor.from_state(state)
 
 
 # -- engine health & retry integration ---------------------------------------
@@ -691,13 +780,6 @@ class TestEngineHealthAndRetries:
             ResilientEngine(make_asketch(), checkpoint_every=0)
         with pytest.raises(ConfigurationError):
             ResilientEngine(make_asketch()).every(0, lambda _: None)
-
-    def test_fail_shard_requires_supervisor(self, stream):
-        engine = ResilientEngine(make_asketch())
-        with pytest.raises(ConfigurationError, match="ShardSupervisor"):
-            engine.run(
-                stream.chunks(CHUNK), fault_plan=FaultPlan(fail_shard=(0, 0))
-            )
 
 
 # -- journal format sanity ---------------------------------------------------
