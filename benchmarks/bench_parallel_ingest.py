@@ -4,7 +4,7 @@ Figures 12 and 13 of the paper are *predictions*: the pipeline
 simulator prices a measured operation split onto two cores, and the
 SPMD model scales a single-kernel mix across contended cores.  This
 bench runs the actual :class:`~repro.runtime.parallel.
-ParallelIngestRuntime` — spawned worker processes over shared-memory
+ParallelIngestRuntime` — forked worker processes over shared-memory
 chunk rings — on the same 1M-item Zipf(1.5) workload and reports the
 *real* speedup next to both model predictions, so the gap between
 "what the cost model promises" and "what the shared-memory runtime
@@ -20,8 +20,8 @@ Two invariants are asserted unconditionally:
 
 The real-speedup floor (4 workers >= 2.5x single-process batched) is
 asserted only when the machine actually has >= 4 usable cores —
-on a 1-2 core CI shard the number is still *recorded* but a spawn-bound
-slowdown is not a failure of the runtime.
+on a 1-2 core CI shard the number is still *recorded* but an
+oversubscribed slowdown is not a failure of the runtime.
 
 Set ``REPRO_BENCH_TINY=1`` to shrink the stream for smoke runs.
 """
@@ -154,7 +154,7 @@ def test_real_speedup_vs_spmd_model(workers, persist_text):
         ],
     )
     if _cpu_count() >= workers and not TINY:
-        # Real speedup may trail the model (spawn + ring overhead) but
+        # Real speedup may trail the model (start-up + ring overhead) but
         # must capture at least half of the predicted scaling.
         assert real_speedup >= 0.5 * model_speedup
 

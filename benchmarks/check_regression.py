@@ -21,7 +21,7 @@ Rules of engagement:
   runner hardware.  They are also skipped when either run was
   oversubscribed — flagged explicitly via ``oversubscribed: true`` in
   the row, or inferred from ``workers > cpu_count`` for older
-  documents — such a number is dominated by process-spawn overhead and
+  documents — such a number is dominated by process start-up overhead and
   swings wildly run to run.
 * The tolerance is a fraction of baseline throughput (default 0.25:
   fail when current < 75% of baseline).  ``REPRO_PERF_GATE_TOLERANCE``

@@ -88,7 +88,7 @@ def _stamp(row: dict, workers: int, optional: bool = False) -> dict:
     on differently sized machines.  ``backend`` records which kernel
     compute backend (:mod:`repro.kernels`) produced the number;
     ``oversubscribed`` marks runs with more workers than CPUs, whose
-    throughput is spawn-overhead-dominated and excluded from both the
+    throughput is start-up-overhead-dominated and excluded from both the
     perf gate and any speedup claim.  ``optional`` marks benches that
     only run in some environments (e.g. the numba leg) so the gate
     treats their absence as a skip, not a drop.
@@ -151,7 +151,7 @@ def _parallel_bench(keys, chunk_size: int, workers: int) -> dict:
 
     Same 4-shard layout and seed as ``sharded_ingest``, so the pair
     reads as "one process vs N processes over the identical synopsis";
-    ``wall_seconds`` covers spawn + feed + ingest + drain merge (the
+    ``wall_seconds`` covers worker start + feed + ingest + drain merge (the
     honest end-to-end number a deployment would see).
     """
     runtime = ParallelIngestRuntime(

@@ -20,10 +20,10 @@ Three backends register here (see :mod:`repro.kernels._backends`):
 Selection, in precedence order: :func:`set_backend` (the CLI's
 ``--backend`` flag calls this), the ``REPRO_BACKEND`` environment
 variable, else the default.  Selection is process-global;
-:class:`~repro.runtime.parallel.ParallelIngestRuntime` forwards the
-parent's active backend name to its spawn workers so the whole fleet
-computes identically.  All backends produce bit-identical states and
-estimates — enforced by ``tests/kernels`` and the hypothesis
+:class:`~repro.runtime.parallel.ParallelIngestRuntime` forks its
+workers, so each inherits the parent's active backend and the whole
+fleet computes identically.  All backends produce bit-identical states
+and estimates — enforced by ``tests/kernels`` and the hypothesis
 equivalence suite.
 """
 

@@ -6,8 +6,27 @@ own a mutable set of shards of one
 :class:`~repro.runtime.sharding.ShardedASketch` layout (initially
 ``s % workers == w``) and ingest their shares through the ordinary
 ``process_batch`` path, fed over shared-memory ring buffers
-(``multiprocessing.shared_memory``, spawn-safe — no fork-dependent
-state).
+(``multiprocessing.shared_memory``).
+
+**Forked workers.**  Every worker is started with ``fork``, the one
+start method: it is running within milliseconds and inherits what it
+needs — its :class:`ChunkRing` object, the group layout, the active
+kernel backend, its fault plan and any restore state — so nothing is
+pickled and no interpreter boots or re-imports ``repro``.  Fork is safe
+here because the workers are single-threaded and no library code runs
+a Python thread beside a fleet (the metrics server's thread serves only
+``serve-metrics``, which ingests in-process); OpenBLAS, the one native
+thread pool numpy brings, re-arms its pool in the child through
+``pthread_atfork``.  CPython >= 3.12 emits a ``DeprecationWarning``
+when a process with more than one OS thread forks, and OpenBLAS's pool
+is such a thread; the warning is left audible.  As its first act a
+worker sheds what a fresh interpreter would never have had: every
+parent-side pipe end it inherited (its own peer end and every other
+worker's — a worker holding the peer end of its own socket never sees
+``EPIPE``, so after a parent ``kill -9`` it would block in ``send``
+forever) and the parent's installed tracer (whose unsynchronised
+writes would interleave with the parent's).  No process outlives
+:meth:`ParallelIngestRuntime.run`.
 
 **Bit-identity.**  The parent routes every chunk with the group's own
 ``owners_of`` and sends worker ``w`` exactly the sub-array its shards
@@ -28,7 +47,7 @@ content digest, so a corrupted snapshot is *rejected* and the retained
 replay tail kept), and the parent retains the un-snapshotted chunk
 tail per worker, giving two recovery tiers, both exact:
 
-* ``respawn=True`` (first tier): spawn a replacement process, restore
+* ``respawn=True`` (first tier): fork a replacement process, restore
   it from the last accepted snapshot, replay the retained tail into
   its fresh ring, and resume exact ingest — **still bit-identical**,
   and transient: the worker's shards walk a
@@ -92,7 +111,6 @@ counter/gauge values over its pipe, which the parent re-labels with
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import multiprocessing as mp
@@ -103,13 +121,11 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection, shared_memory
-from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.errors import ConfigurationError, WorkerStalledError
-from repro.kernels import active_backend, set_backend
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -118,7 +134,7 @@ from repro.obs.registry import (
     install_registry,
     uninstall_registry,
 )
-from repro.obs.trace import trace_point
+from repro.obs.trace import trace_point, uninstall_tracer
 from repro.runtime.engine import Checkpointing, EngineStats, StreamEngine
 from repro.runtime.reliability import (
     CheckpointStore,
@@ -166,22 +182,6 @@ def _reserve_pages(shm: shared_memory.SharedMemory, nbytes: int) -> None:
         fallocate(fd, 0, nbytes)
 
 
-@dataclass
-class RingHandle:
-    """Everything a spawn child needs to attach to an existing ring.
-
-    Semaphores travel through ``Process`` args (the only channel
-    multiprocessing primitives can cross a spawn boundary on); the
-    shared-memory segment is re-attached by name.
-    """
-
-    name: str
-    slots: int
-    slot_capacity: int
-    sem_free: Any
-    sem_filled: Any
-
-
 class ChunkRing:
     """A single-producer single-consumer ring of int64 chunks in shm.
 
@@ -198,67 +198,35 @@ class ChunkRing:
     immediately, maximising producer/consumer overlap.
 
     The parent creates rings (``ChunkRing(slots, slot_capacity)``) and
-    owns the segment lifecycle (:meth:`unlink`); workers attach via
-    :meth:`from_handle`, which also unregisters the segment from the
-    child's ``resource_tracker`` — before Python 3.13 an attaching
-    process would otherwise unlink the segment when it exits.
+    owns the segment lifecycle (:meth:`unlink`).  A forked worker uses
+    the parent's ring object itself: it inherits the mapping and the
+    semaphores, and only ever calls :meth:`close`.
     """
 
-    def __init__(
-        self,
-        slots: int = 8,
-        slot_capacity: int = 1 << 16,
-        *,
-        _handle: RingHandle | None = None,
-    ) -> None:
-        if _handle is None:
-            if slots < 1:
-                raise ConfigurationError(f"slots must be >= 1, got {slots}")
-            if slot_capacity < 1:
-                raise ConfigurationError(
-                    f"slot_capacity must be >= 1, got {slot_capacity}"
-                )
-            ctx = mp.get_context("spawn")
-            nbytes = 8 * (_HDR_WORDS + slots + slots * slot_capacity)
-            self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            try:
-                _reserve_pages(self._shm, nbytes)
-            except OSError as error:
-                self._shm.close()
-                self._shm.unlink()
-                raise ConfigurationError(
-                    f"cannot reserve {nbytes} bytes of shared memory for a "
-                    f"ring of slots={slots}, slot_capacity={slot_capacity}: "
-                    f"{error}; free /dev/shm or shrink the ring"
-                ) from error
-            self.slots = int(slots)
-            self.slot_capacity = int(slot_capacity)
-            self._sem_free = ctx.Semaphore(self.slots)
-            self._sem_filled = ctx.Semaphore(0)
-            self._owner = True
-        else:
-            # Attach without registering with the resource tracker: the
-            # creator already registered the segment, the tracker is
-            # shared across spawn children, and a second registration
-            # would end in a double-unregister (pre-3.13 there is no
-            # ``track=False`` to say this properly).
-            from multiprocessing import resource_tracker
-
-            original_register = resource_tracker.register
-            try:
-                resource_tracker.register = (  # type: ignore[assignment]
-                    lambda name, rtype: None
-                    if rtype == "shared_memory"
-                    else original_register(name, rtype)
-                )
-                self._shm = shared_memory.SharedMemory(name=_handle.name)
-            finally:
-                resource_tracker.register = original_register
-            self.slots = int(_handle.slots)
-            self.slot_capacity = int(_handle.slot_capacity)
-            self._sem_free = _handle.sem_free
-            self._sem_filled = _handle.sem_filled
-            self._owner = False
+    def __init__(self, slots: int = 8, slot_capacity: int = 1 << 16) -> None:
+        if slots < 1:
+            raise ConfigurationError(f"slots must be >= 1, got {slots}")
+        if slot_capacity < 1:
+            raise ConfigurationError(
+                f"slot_capacity must be >= 1, got {slot_capacity}"
+            )
+        ctx = mp.get_context("fork")
+        nbytes = 8 * (_HDR_WORDS + slots + slots * slot_capacity)
+        self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
+        try:
+            _reserve_pages(self._shm, nbytes)
+        except OSError as error:
+            self._shm.close()
+            self._shm.unlink()
+            raise ConfigurationError(
+                f"cannot reserve {nbytes} bytes of shared memory for a "
+                f"ring of slots={slots}, slot_capacity={slot_capacity}: "
+                f"{error}; free /dev/shm or shrink the ring"
+            ) from error
+        self.slots = int(slots)
+        self.slot_capacity = int(slot_capacity)
+        self._sem_free = ctx.Semaphore(self.slots)
+        self._sem_filled = ctx.Semaphore(0)
         buf = self._shm.buf
         self._header = np.ndarray((_HDR_WORDS,), dtype=np.int64, buffer=buf)
         self._lengths = np.ndarray(
@@ -270,9 +238,8 @@ class ChunkRing:
             buffer=buf,
             offset=8 * (_HDR_WORDS + self.slots),
         )
-        if self._owner:
-            self._header[:] = 0
-            self._lengths[:] = 0
+        self._header[:] = 0
+        self._lengths[:] = 0
         self._put_cursor = 0
         self._get_cursor = 0
 
@@ -280,21 +247,6 @@ class ChunkRing:
     def name(self) -> str:
         """OS name of the shared-memory segment."""
         return self._shm.name
-
-    def handle(self) -> RingHandle:
-        """The picklable attachment record for a spawn child."""
-        return RingHandle(
-            name=self._shm.name,
-            slots=self.slots,
-            slot_capacity=self.slot_capacity,
-            sem_free=self._sem_free,
-            sem_filled=self._sem_filled,
-        )
-
-    @classmethod
-    def from_handle(cls, handle: RingHandle) -> "ChunkRing":
-        """Attach to an existing ring inside a worker process."""
-        return cls(_handle=handle)
 
     # -- producer side -----------------------------------------------------
 
@@ -382,9 +334,7 @@ class ChunkRing:
             pass
 
     def unlink(self) -> None:
-        """Destroy the segment (creator only; idempotent)."""
-        if not self._owner:
-            return
+        """Destroy the segment (the parent's job; idempotent)."""
         try:
             self._shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already unlinked
@@ -470,23 +420,24 @@ def _ring_chunks(ring: ChunkRing, control) -> Iterator[np.ndarray]:
 
 def _worker_main(
     worker_id: int,
-    handle: RingHandle,
+    ring: ChunkRing,
     group_params: dict,
     conn,
+    parent_ends: list,
     sync_every: int,
-    backend_name: str,
     faults: FaultPlan,
     initial: tuple | None = None,
 ) -> None:
     """Worker body: the ingest loop from the ring into a shard group.
 
-    Spawn-safe top-level function.  The group has the *full* shard
-    layout; the parent only ever sends keys owned by this worker's
-    shards, so every other shard stays pristine (the precondition for
-    the drain merge's identity fast path).  ``backend_name`` is the
-    parent's active kernel backend — spawn children re-import from
-    scratch, so the selection must travel explicitly for the whole
-    fleet to compute on the same backend.
+    Runs in a forked child, on the parent's own objects: the ring, the
+    group layout and the active kernel backend are inherited, not sent.
+    It first closes ``parent_ends`` — every parent-side pipe end the
+    fork handed it, its own peer end included — and drops the parent's
+    tracer.  The group has the *full* shard layout; the parent only
+    ever sends keys owned by this worker's shards, so every other shard
+    stays pristine (the precondition for the drain merge's identity
+    fast path).
 
     The ring feeds :class:`~repro.runtime.engine.StreamEngine` through
     the source layers of
@@ -501,8 +452,9 @@ def _worker_main(
     snapshot and chunk counting resumes from there, so the retained
     tail the parent replays lands at exactly the right positions.
     """
-    set_backend(backend_name)
-    ring = ChunkRing.from_handle(handle)
+    for end in parent_ends:
+        end.close()
+    uninstall_tracer()
     registry = install_registry(MetricsRegistry())
     if initial is not None:
         state, chunks_done, items_done = initial
@@ -825,39 +777,14 @@ class ParallelIngestRuntime:
 
     # -- lifecycle ---------------------------------------------------------
 
-    @contextlib.contextmanager
-    def _pinned_pythonpath(self):
-        """Pin the package root into PYTHONPATH around spawn starts.
-
-        Spawn re-imports modules in a fresh interpreter: sys.path edits
-        made in-process (benchmark scripts, test harnesses) are not
-        inherited, so the package root must travel via the environment.
-        """
-        import repro
-
-        package_root = str(Path(repro.__file__).resolve().parents[1])
-        previous = os.environ.get("PYTHONPATH")
-        entries = (previous or "").split(os.pathsep) if previous else []
-        if package_root not in entries:
-            os.environ["PYTHONPATH"] = os.pathsep.join(
-                [package_root, *entries]
-            )
-        try:
-            yield
-        finally:
-            if previous is None:
-                os.environ.pop("PYTHONPATH", None)
-            else:
-                os.environ["PYTHONPATH"] = previous
-
     def _launch(
         self,
         index: int,
         faults: FaultPlan,
         initial: tuple | None = None,
     ) -> tuple[Any, Any, ChunkRing]:
-        """Start one worker process with a fresh ring and pipe."""
-        ctx = mp.get_context("spawn")
+        """Fork one worker process with a fresh ring and pipe."""
+        ctx = mp.get_context("fork")
         ring = ChunkRing(self.slots, self.slot_capacity)
         try:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -865,11 +792,11 @@ class ParallelIngestRuntime:
                 target=_worker_main,
                 args=(
                     index,
-                    ring.handle(),
+                    ring,
                     self.group_params,
                     child_conn,
+                    [parent_conn, *(slot.conn for slot in self._slots)],
                     self.sync_every,
-                    active_backend().name,
                     faults,
                     initial,
                 ),
@@ -888,16 +815,13 @@ class ParallelIngestRuntime:
         return process, parent_conn, ring
 
     def _start_workers(self) -> None:
-        with self._pinned_pythonpath():
-            for index in range(self.workers):
-                process, conn, ring = self._launch(
-                    index, self.fault_plan.worker_faults_for(index)
-                )
-                self._slots.append(
-                    _WorkerSlot(
-                        index=index, process=process, ring=ring, conn=conn,
-                    )
-                )
+        for index in range(self.workers):
+            process, conn, ring = self._launch(
+                index, self.fault_plan.worker_faults_for(index)
+            )
+            self._slots.append(
+                _WorkerSlot(index=index, process=process, ring=ring, conn=conn)
+            )
 
     def _shutdown(self) -> None:
         for slot in self._slots:
@@ -1189,10 +1113,9 @@ class ParallelIngestRuntime:
         # Injected faults are one-shot per process generation: the
         # replacement runs fault-free (a planned crash would re-fire on
         # restore and loop the respawn budget away for nothing).
-        with self._pinned_pythonpath():
-            process, conn, ring = self._launch(
-                slot.index, FaultPlan(), initial=initial
-            )
+        process, conn, ring = self._launch(
+            slot.index, FaultPlan(), initial=initial
+        )
         try:
             slot.conn.close()
         except OSError:

@@ -5,7 +5,7 @@ chunking, ANY snapshot cadence — and even a worker killed mid-stream
 under inline failover — the merged parallel result is bit-identical to
 a single-process sharded ingest of the same chunks.
 
-Each example spawns real worker processes, so the example budget is
+Each example forks real worker processes, so the example budget is
 deliberately small and the deadline disabled (process startup is
 milliseconds-to-seconds, not microseconds).
 """

@@ -2,7 +2,7 @@
 
 Each scenario composes several :class:`FaultPlan` cross-process faults
 (kill -9, premature exit, hangs, snapshot corruption, in-worker poison,
-transient ring errors) against a real spawned fleet, then asserts the
+transient ring errors) against a real forked fleet, then asserts the
 two invariants the runtime promises under *every* schedule:
 
 1. **one-sided always** — estimates never under-count any key that
@@ -15,18 +15,28 @@ two invariants the runtime promises under *every* schedule:
 
 Every scenario also checks resource hygiene: no leaked worker
 processes and no leaked ``/dev/shm`` segments, even when workers died
-by ``os._exit`` mid-handoff.
+by ``os._exit`` mid-handoff — or when the parent itself is killed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import glob
+import json
 import multiprocessing as mp
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.runtime.engine import StreamEngine
 from repro.runtime.parallel import ParallelIngestRuntime
 from repro.runtime.reliability import FaultPlan, RetryPolicy
@@ -242,3 +252,100 @@ class TestEverythingAtOnce:
             assert runtime.supervisor.query(int(key)) >= count
         # Every recoverable fault healed: no shard is still healing.
         assert runtime.supervisor.healing_shards == []
+
+
+#: A fleet parent that never finishes: a 2-worker fleet over an endless
+#: chunk stream.  After 20 chunks it prints its workers' pids and ring
+#: names.  Every snapshot of this 4-shard layout overflows the socket
+#: buffer, so its workers keep blocking in ``send`` until it reads.
+ENDLESS_FLEET = """
+import itertools
+import json
+
+from repro.runtime.parallel import ParallelIngestRuntime
+from repro.streams.zipf import zipf_stream
+
+
+def main():
+    keys = zipf_stream(100_000, 100_000, 1.1, seed=3).keys
+    runtime = ParallelIngestRuntime(
+        2, shards=4, total_bytes=32 * 1024, seed=7, sync_every=1
+    )
+
+    def endless():
+        for n in itertools.count():
+            if n == 20:
+                print(json.dumps({
+                    "pids": [slot.process.pid for slot in runtime._slots],
+                    "rings": [slot.ring.name for slot in runtime._slots],
+                }), flush=True)
+            start = (n % 10) * 10_000
+            yield keys[start : start + 10_000]
+
+    runtime.run(endless())
+
+
+if __name__ == "__main__":
+    main()
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc and /dev/shm"
+)
+class TestParentDeath:
+    def test_workers_and_rings_go_with_a_killed_parent(self, tmp_path):
+        script = tmp_path / "endless_fleet.py"
+        script.write_text(ENDLESS_FLEET)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([src, path] if path else [src]),
+        }
+        parent = subprocess.Popen(
+            [sys.executable, str(script)],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        pids: list[int] = []
+        rings: list[str] = []
+        try:
+            ready, _, _ = select.select([parent.stdout], [], [], 60.0)
+            assert ready, "the fleet never reported its workers"
+            fleet = json.loads(parent.stdout.readline())
+            pids, rings = fleet["pids"], fleet["rings"]
+            assert len(pids) == len(rings) == 2
+            parent.kill()
+            parent.wait(timeout=10.0)
+            deadline = time.monotonic() + 10.0
+            while True:
+                running = [pid for pid in pids if _running(pid)]
+                segments = [r for r in rings if os.path.exists(f"/dev/shm/{r}")]
+                if not (running or segments) or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+            assert running == [], "workers outlived their killed parent"
+            assert segments == [], "rings outlived their killed fleet"
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait()
+            parent.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
+            for ring in rings:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(f"/dev/shm/{ring}")

@@ -1,6 +1,6 @@
 """Tests for the shared-memory multiprocess ingest runtime.
 
-Everything here runs real spawned worker processes (no mocks, no
+Everything here runs real forked worker processes (no mocks, no
 threads-pretending-to-be-processes): the bit-identity, failover and
 cleanup claims in :mod:`repro.runtime.parallel` are only worth anything
 when exercised across actual process boundaries.
@@ -10,14 +10,22 @@ from __future__ import annotations
 
 import errno
 import glob
+import json
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import install_registry, uninstall_registry
+from repro.obs import (
+    JsonlTraceWriter,
+    install_registry,
+    install_tracer,
+    uninstall_registry,
+    uninstall_tracer,
+)
 from repro.runtime.engine import StreamEngine
 from repro.runtime.parallel import (
     RING_TIMEOUT,
@@ -289,6 +297,26 @@ class TestObservability:
         finally:
             uninstall_registry()
 
+    def test_workers_leave_the_parents_tracer_alone(self, tmp_path):
+        # Only the parent writes the installed trace: the enter and exit
+        # events of one ingest span per chunk it routes, and no worker's
+        # ingest spans or exchange points.
+        keys = zipf_stream(200_000, 100_000, 1.1, seed=5).keys
+        path = tmp_path / "trace.jsonl"
+        with JsonlTraceWriter(path) as writer:
+            install_tracer(writer)
+            try:
+                ParallelIngestRuntime(
+                    2, shards=4, total_bytes=32 * 1024, seed=7
+                ).run([keys[i : i + 10_000] for i in range(0, 200_000, 10_000)])
+            finally:
+                uninstall_tracer()
+        names = Counter(
+            json.loads(line)["name"] for line in path.read_text().splitlines()
+        )
+        assert names["ingest"] == 40
+        assert names["exchange"] == 0
+
     def test_failure_counter_increments(self, stream):
         registry = install_registry()
         try:
@@ -417,7 +445,7 @@ class TestResourceHygiene:
         import multiprocessing as mp
         import multiprocessing.context as mp_context
 
-        original = mp_context.SpawnProcess.start
+        original = mp_context.ForkProcess.start
         calls = {"n": 0}
 
         def flaky_start(self):
@@ -426,7 +454,7 @@ class TestResourceHygiene:
                 raise OSError("injected spawn failure")
             return original(self)
 
-        monkeypatch.setattr(mp_context.SpawnProcess, "start", flaky_start)
+        monkeypatch.setattr(mp_context.ForkProcess, "start", flaky_start)
         before = set(leaked_segments())
         runtime = ParallelIngestRuntime(2, shards=2, **GROUP_PARAMS)
         with pytest.raises(OSError, match="injected spawn failure"):
