@@ -375,10 +375,11 @@ class StagedSynopsis:
            identical to the scalar path, which inserts a key's first
            occurrence and aggregates the rest as hits;
         3. every remaining missed key's total goes to the sketch in a
-           single weighted batch update;
+           single weighted batch update, which returns each key's
+           post-chunk sketch estimate;
         4. the exchange check runs once per distinct missed key, in
-           first-appearance order, against the key's post-chunk sketch
-           estimate (the scalar loop shared by both paths).
+           first-appearance order, against that estimate (the scalar
+           loop shared by both paths).
 
         With single-tuple chunks this is *exactly* the scalar path.  For
         larger chunks the only deviation is exchange timing: a key the
@@ -482,20 +483,21 @@ class StagedSynopsis:
         if sketch_positions.shape[0] == 0:
             return
 
-        # (3) all missed mass enters the sketch in one weighted batch.
+        # (3) all missed mass enters the sketch in one weighted batch,
+        # which returns every key's post-chunk estimate (the batch twin
+        # of the scalar update's return value).
         sketch_keys = uniq[sketch_positions]
         sketch_totals = totals[sketch_positions]
         self.overflow_mass += int(sketch_totals.sum())
-        self._sketch.update_batch_weighted(sketch_keys, sketch_totals)
+        estimates = self._sketch.update_batch_weighted(
+            sketch_keys, sketch_totals
+        )
 
         # (4) the policy picks the exchange candidates (one check per
         # distinct missed key, in first-appearance order — order-stable
-        # at chunk granularity), driven by post-chunk estimates; the
-        # elided per-key min reads are charged in bulk to keep the
-        # operation record identical to the scalar loop.
-        estimates = np.asarray(
-            self._sketch.estimate_batch(sketch_keys), dtype=np.int64
-        )
+        # at chunk granularity), driven by those estimates; the elided
+        # per-key min reads are charged in bulk to keep the operation
+        # record identical to the scalar loop.
         threshold = filter_.peek_min_new_count()
         candidates = self.exchange_policy.batch_candidates(
             self, estimates, threshold
@@ -560,7 +562,7 @@ class StagedSynopsis:
             answers[miss_mask] = np.asarray(
                 self._sketch.estimate_batch(keys[miss_mask]), dtype=np.int64
             )
-        return [int(v) for v in answers]
+        return answers.tolist()
 
     estimate_batch = query_batch
 

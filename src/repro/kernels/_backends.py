@@ -40,8 +40,10 @@ class KernelBackend:
 
     Subclasses supply the four raw operations; results are bit-identical
     across backends (enforced by ``tests/kernels`` and the hypothesis
-    equivalence suite).  ``accelerated`` distinguishes genuinely
-    compiled backends from interpreted ones for metrics/bench stamping.
+    equivalence suite), and the estimates ``cm_update_weighted`` returns
+    equal ``cm_estimate`` on the table it leaves.  ``accelerated``
+    distinguishes genuinely compiled backends from interpreted ones for
+    metrics/bench stamping.
     """
 
     #: Registry name (``"python"`` / ``"numpy"`` / ``"numba"``).
@@ -63,8 +65,13 @@ class KernelBackend:
         b_mod: np.ndarray,
         encoded: np.ndarray,
         amounts: np.ndarray,
-    ) -> None:
-        """Fused hash + scatter-add of (encoded key, amount) pairs."""
+    ) -> np.ndarray:
+        """Fused hash + scatter-add of (encoded key, amount) pairs.
+
+        Returns each key's row-minimum *after the whole batch* — exactly
+        what :meth:`cm_estimate` would answer on the updated table —
+        gathered from the columns the scatter already hashed.
+        """
         raise NotImplementedError
 
     def cm_estimate(
@@ -114,11 +121,16 @@ class _LoopBackend(KernelBackend):
 
     def cm_update_weighted(
         self, table, a_hi, a_lo, b_mod, encoded, amounts
-    ) -> None:
+    ) -> np.ndarray:
         """Loop-kernel fused update (see ``_impl.cm_update_weighted``)."""
+        encoded = _as_int64(encoded)
+        columns = np.empty(encoded.shape[0], dtype=np.int64)
+        out = np.empty(encoded.shape[0], dtype=np.int64)
         self._cm_update_weighted(
-            table, a_hi, a_lo, b_mod, _as_int64(encoded), _as_int64(amounts)
+            table, a_hi, a_lo, b_mod, encoded, _as_int64(amounts),
+            columns, out,
         )
+        return out
 
     def cm_estimate(self, table, a_hi, a_lo, b_mod, encoded) -> np.ndarray:
         """Loop-kernel fused estimate (see ``_impl.cm_estimate``)."""
@@ -177,17 +189,22 @@ class NumpyBackend(KernelBackend):
 
     def cm_update_weighted(
         self, table, a_hi, a_lo, b_mod, encoded, amounts
-    ) -> None:
-        """Per-row ``cw_fold_columns`` + ``np.add.at`` scatter."""
+    ) -> np.ndarray:
+        """Per-row ``cw_fold_columns`` + ``np.add.at`` scatter, then a
+        ``np.minimum`` gather over the same columns (rows are
+        independent, so the gather already sees the post-batch row)."""
         encoded = _as_int64(encoded)
         amounts = _as_int64(amounts)
         width = table.shape[1]
+        out = np.full(encoded.shape[0], _INT64_MAX, dtype=np.int64)
         for row in range(table.shape[0]):
             columns = cw_fold_columns(
                 int(a_hi[row]), int(a_lo[row]), int(b_mod[row]),
                 encoded, width,
             )
             np.add.at(table[row], columns, amounts)
+            np.minimum(out, table[row, columns], out=out)
+        return out
 
     def cm_estimate(self, table, a_hi, a_lo, b_mod, encoded) -> np.ndarray:
         """Per-row ``cw_fold_columns`` gather folded with ``np.minimum``."""

@@ -58,16 +58,23 @@ def cm_update_weighted(
     b_mod: np.ndarray,
     encoded: np.ndarray,
     amounts: np.ndarray,
+    columns: np.ndarray,
+    out: np.ndarray,
 ) -> None:
-    """Fused Carter-Wegman hash + scatter-add over a Count-Min table.
+    """Fused Carter-Wegman hash + scatter-add + post-batch row-minimum.
 
-    One pass per row: each key's column is computed in-register and its
-    amount added immediately — no intermediate ``(rows, n)`` index array
-    ever exists, which is the point of compiling this loop.
+    One pass per row: each key's column is computed in-register, kept in
+    the ``columns`` scratch row and its amount added immediately; once
+    the row's scatter is done, a gather over the same columns folds the
+    row into ``out``.  Rows are independent, so ``out`` ends equal to
+    :func:`cm_estimate` on the updated table while every key is hashed
+    once per row, not twice.
     """
     rows = table.shape[0]
     width = table.shape[1]
     n = encoded.shape[0]
+    for i in range(n):
+        out[i] = _INT64_MAX
     for r in range(rows):
         hi_a = a_hi[r]
         lo_a = a_lo[r]
@@ -78,7 +85,12 @@ def cm_update_weighted(
             hi = (hi_a * k) % _P
             hi_term = ((hi >> 30) + ((hi & _MASK_30) << 31)) % _P
             col = ((lo + hi_term + b) % _P) % width
+            columns[i] = col
             table[r, col] += amounts[i]
+        for i in range(n):
+            cell = table[r, columns[i]]
+            if cell < out[i]:
+                out[i] = cell
 
 
 def cm_estimate(

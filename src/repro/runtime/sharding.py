@@ -209,7 +209,7 @@ class ShardedASketch:
             mask = owners == index
             if mask.any():
                 answers[mask] = shard.query_batch(keys[mask])
-        return [int(v) for v in answers]
+        return answers.tolist()
 
     estimate_batch = query_batch
 

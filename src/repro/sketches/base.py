@@ -44,8 +44,9 @@ class FrequencySketch(ABC):
 
     Updates are *point* operations returning the post-update estimate (the
     ASketch exchange test needs it without a second probe, mirroring the
-    paper's Algorithm 1 line 9).  Batch forms exist for workloads that do
-    not interleave updates with state-dependent decisions.
+    paper's Algorithm 1 line 9).  :meth:`update_batch_weighted` is their
+    batch twin: it returns every key's estimate after the whole batch.
+    :meth:`update_batch` serves workloads that need no estimates at all.
     """
 
     #: Operation record for the hardware cost model.
@@ -75,24 +76,27 @@ class FrequencySketch(ABC):
         The default implementation loops; array-backed sketches override
         with a vectorised version.
         """
-        for key in keys.tolist():
+        for key in np.asarray(keys).tolist():
             self.update(int(key), amount)
 
     def update_batch_weighted(
         self, keys: np.ndarray, amounts: np.ndarray
-    ) -> None:
-        """Apply per-key weighted updates (no estimates returned).
+    ) -> np.ndarray:
+        """Apply per-key weighted updates; return post-batch estimates.
 
         ``keys[i]`` receives ``amounts[i]``.  This is the miss path of
         the ASketch batched ingest: a chunk is pre-aggregated to one
-        (key, total) pair per distinct key before it reaches the sketch.
-        The default loops; array-backed sketches override with one
-        vectorised scatter-add per row.
+        (key, total) pair per distinct key before it reaches the sketch,
+        and the returned int64 array (``estimate_batch(keys)`` read
+        after the whole batch) drives the exchange check.  The default
+        loops :meth:`update` and then reads the estimates; Count-Min
+        overrides with one fused scatter-and-gather per row.
         """
         keys = np.asarray(keys)
         amounts = np.asarray(amounts)
         for key, amount in zip(keys.tolist(), amounts.tolist()):
             self.update(int(key), int(amount))
+        return np.asarray(self.estimate_batch(keys), dtype=np.int64)
 
     def estimate_batch(self, keys: Iterable[int]) -> list[int]:
         """Point-query every key; default loops over :meth:`estimate`."""

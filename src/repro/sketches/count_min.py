@@ -30,6 +30,7 @@ from repro.synopses.protocol import SynopsisState
 #: Encoded keys must stay below this for the fused int64 hash kernels
 #: (see :func:`repro.hashing.families.cw_fold_columns`).
 _KERNEL_KEY_LIMIT = 1 << 31
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class CountMinSketch(FrequencySketch):
@@ -194,34 +195,43 @@ class CountMinSketch(FrequencySketch):
 
     def update_batch_weighted(
         self, keys: np.ndarray, amounts: np.ndarray
-    ) -> None:
-        """Vectorised per-key weighted updates (one scatter-add per row).
+    ) -> np.ndarray:
+        """Vectorised per-key weighted updates; returns post-batch estimates.
 
+        One fused pass per row hashes each key once, scatter-adds the
+        amounts and gathers the same columns into the running
+        row-minimum.  Rows are independent, so the result equals
+        :meth:`estimate_batch` read after the whole batch.  The operation
+        record is charged as for that update plus that read.
         Conservative mode falls back to the per-item loop for the same
         reason :meth:`update_batch` does.
         """
         keys = np.asarray(keys)
         amounts = np.asarray(amounts, dtype=np.int64)
         if self.conservative:
-            super().update_batch_weighted(keys, amounts)
-            return
+            return super().update_batch_weighted(keys, amounts)
         encoded = encode_key_array(keys)
-        self.ops.hash_evals += self.num_hashes * len(keys)
-        self.ops.sketch_cell_writes += self.num_hashes * len(keys)
+        cells = self.num_hashes * len(keys)
+        self.ops.hash_evals += 2 * cells
+        self.ops.sketch_cell_writes += cells
+        self.ops.sketch_cell_reads += cells
         if self._kernel_ready(encoded):
             assert self._cw_params is not None
             a_hi, a_lo, b_mod = self._cw_params
-            active_backend().cm_update_weighted(
+            estimates = active_backend().cm_update_weighted(
                 self._table, a_hi, a_lo, b_mod, encoded, amounts
             )
         else:
+            estimates = np.full(len(keys), _INT64_MAX, dtype=np.int64)
             for row, family in enumerate(self._hashes):
                 columns = family.hash_array(encoded)
                 np.add.at(self._table[row], columns, amounts)
+                np.minimum(estimates, self._table[row, columns], out=estimates)
         if amounts.size and int(amounts.min()) < 0 and (self._table < 0).any():
             raise NegativeCountError(
                 "batch negative update drove a Count-Min cell below zero"
             )
+        return estimates
 
     # -- queries ----------------------------------------------------------
 
@@ -236,7 +246,8 @@ class CountMinSketch(FrequencySketch):
 
     def estimate_batch(self, keys) -> list[int]:
         """Vectorised point queries."""
-        keys = np.asarray(list(keys))
+        if not isinstance(keys, np.ndarray):
+            keys = np.asarray(list(keys))
         if keys.size == 0:
             return []
         encoded = encode_key_array(keys)
@@ -248,12 +259,12 @@ class CountMinSketch(FrequencySketch):
             estimates = active_backend().cm_estimate(
                 self._table, a_hi, a_lo, b_mod, encoded
             )
-            return [int(v) for v in estimates]
-        estimates = np.full(len(keys), np.iinfo(np.int64).max, dtype=np.int64)
+            return estimates.tolist()
+        estimates = np.full(len(keys), _INT64_MAX, dtype=np.int64)
         for row, family in enumerate(self._hashes):
             columns = family.hash_array(encoded)
             np.minimum(estimates, self._table[row, columns], out=estimates)
-        return [int(v) for v in estimates]
+        return estimates.tolist()
 
     def _kernel_ready(self, encoded: np.ndarray) -> bool:
         """Whether the fused hash kernels can serve this encoded batch.

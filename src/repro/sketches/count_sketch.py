@@ -95,8 +95,9 @@ class CountSketch(FrequencySketch):
 
     def update_batch_weighted(
         self, keys: np.ndarray, amounts: np.ndarray
-    ) -> None:
-        """Vectorised per-key weighted updates (signed scatter-add)."""
+    ) -> np.ndarray:
+        """Vectorised per-key weighted updates (signed scatter-add);
+        returns the post-batch :meth:`estimate_batch`."""
         keys = np.asarray(keys)
         amounts = np.asarray(amounts, dtype=np.int64)
         encoded = encode_key_array(keys)
@@ -106,6 +107,7 @@ class CountSketch(FrequencySketch):
             columns = self._hashes[row].hash_array(encoded)
             signs = self._signs[row].hash_array(encoded)
             np.add.at(self._table[row], columns, signs * amounts)
+        return np.asarray(self.estimate_batch(keys), dtype=np.int64)
 
     def estimate(self, key: int) -> int:
         """Median of signed cells; can under- as well as over-estimate."""
@@ -119,7 +121,8 @@ class CountSketch(FrequencySketch):
 
     def estimate_batch(self, keys) -> list[int]:
         """Vectorised point queries (row-wise signed reads, median)."""
-        keys = np.asarray(list(keys))
+        if not isinstance(keys, np.ndarray):
+            keys = np.asarray(list(keys))
         if keys.size == 0:
             return []
         encoded = encode_key_array(keys)
@@ -130,7 +133,7 @@ class CountSketch(FrequencySketch):
             columns = self._hashes[row].hash_array(encoded)
             signs = self._signs[row].hash_array(encoded)
             signed[row] = signs * self._table[row, columns]
-        return [int(v) for v in np.median(signed, axis=0)]
+        return np.median(signed, axis=0).astype(np.int64).tolist()
 
     def total_count(self) -> int:
         """Signed row-0 sum — equals ``N`` only in expectation, kept for

@@ -209,20 +209,9 @@ class SalsaCountMin(FrequencySketch):
         assert estimate is not None
         return estimate
 
-    def update_batch_weighted(
-        self, keys: np.ndarray, amounts: np.ndarray
-    ) -> None:
-        """Per-key loop: merges are state-dependent, so updates cannot
-        be scatter-added like a fixed-layout Count-Min's."""
-        keys = np.asarray(keys)
-        amounts = np.asarray(amounts, dtype=np.int64)
-        for key, amount in zip(keys.tolist(), amounts.tolist()):
-            self.update(int(key), int(amount))
-
-    def update_batch(self, keys: np.ndarray, amount: int = 1) -> None:
-        keys = np.asarray(keys)
-        for key in keys.tolist():
-            self.update(int(key), amount)
+    # Batch updates keep the inherited per-key loop: merges are
+    # state-dependent, so they cannot be scatter-added like a
+    # fixed-layout Count-Min's.
 
     # -- queries ----------------------------------------------------------
 
@@ -239,7 +228,8 @@ class SalsaCountMin(FrequencySketch):
 
     def estimate_batch(self, keys) -> list[int]:
         """Vectorised point queries (per-row hash + gather + min)."""
-        keys = np.asarray(list(keys))
+        if not isinstance(keys, np.ndarray):
+            keys = np.asarray(list(keys))
         if keys.size == 0:
             return []
         encoded = encode_key_array(keys)
@@ -249,7 +239,7 @@ class SalsaCountMin(FrequencySketch):
         for row, family in enumerate(self._hashes):
             columns = family.hash_array(encoded)
             np.minimum(estimates, self._values[row, columns], out=estimates)
-        return [int(v) for v in estimates]
+        return estimates.tolist()
 
     def total_count(self) -> int:
         """Aggregate count ``N`` absorbed so far (row 0 segment sum)."""

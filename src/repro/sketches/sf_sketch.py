@@ -36,8 +36,6 @@ experiment harness and checkpoint/restore.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigurationError, NegativeCountError
 from repro.sketches.base import FrequencySketch
 from repro.sketches.count_min import CountMinSketch
@@ -169,21 +167,10 @@ class SFSketch(FrequencySketch):
         assert estimate is not None
         return estimate
 
-    def update_batch_weighted(
-        self, keys: np.ndarray, amounts: np.ndarray
-    ) -> None:
-        """Per-key loop: every slim raise depends on the cells the
-        previous update left behind (like conservative Count-Min, the
-        conditional update cannot be scatter-added)."""
-        keys = np.asarray(keys)
-        amounts = np.asarray(amounts, dtype=np.int64)
-        for key, amount in zip(keys.tolist(), amounts.tolist()):
-            self.update(int(key), int(amount))
-
-    def update_batch(self, keys: np.ndarray, amount: int = 1) -> None:
-        keys = np.asarray(keys)
-        for key in keys.tolist():
-            self.update(int(key), amount)
+    # Batch updates keep the inherited per-key loop: every slim raise
+    # depends on the cells the previous update left behind (like
+    # conservative Count-Min, the conditional update cannot be
+    # scatter-added).
 
     # -- queries -----------------------------------------------------------
 

@@ -97,12 +97,21 @@ class TestCountMinKernels:
         amounts = rng.integers(1, 9, size=300).astype(np.int64)
 
         table = np.zeros((rows, width), dtype=np.int64)
-        backend.cm_update_weighted(table, a_hi, a_lo, b_mod, encoded, amounts)
+        estimates = backend.cm_update_weighted(
+            table, a_hi, a_lo, b_mod, encoded, amounts
+        )
 
         expected = np.zeros((rows, width), dtype=np.int64)
         for row, family in enumerate(hashes):
             np.add.at(expected[row], family.hash_array(encoded), amounts)
         assert np.array_equal(table, expected)
+        # The return is the post-batch estimate of every key, repeated
+        # keys included (their later amounts land after the row's first
+        # hit, so a per-key running minimum would read too low).
+        assert estimates.dtype == np.int64
+        assert np.array_equal(
+            estimates, backend.cm_estimate(table, a_hi, a_lo, b_mod, encoded)
+        )
 
     def test_estimate_matches_hash_array_gather(self, backend):
         rng = np.random.default_rng(4)
@@ -118,6 +127,22 @@ class TestCountMinKernels:
             columns = family.hash_array(encoded)
             np.minimum(expected, table[row, columns], out=expected)
         assert np.array_equal(estimates, expected)
+
+    def test_update_of_empty_batch(self, backend):
+        _, (a_hi, a_lo, b_mod) = _cw_params(3, 17, seed=2)
+        table = np.arange(51, dtype=np.int64).reshape(3, 17)
+        empty = np.empty(0, dtype=np.int64)
+        estimates = backend.cm_update_weighted(
+            table, a_hi, a_lo, b_mod, empty, empty
+        )
+        assert estimates.shape == (0,)
+        assert estimates.dtype == np.int64
+        assert np.array_equal(
+            table, np.arange(51, dtype=np.int64).reshape(3, 17)
+        )
+        assert np.array_equal(
+            estimates, backend.cm_estimate(table, a_hi, a_lo, b_mod, empty)
+        )
 
     def test_fold_matches_scalar_hash(self):
         # The shared folding equals the scalar ((a*x + b) % p) % h for
