@@ -124,6 +124,45 @@ def test_asketch_batched_speedup():
     assert speedup >= 5.0
 
 
+def test_asketch_batched_query_speedup():
+    """Acceptance check: ``query_batch`` is at least 5x faster than a
+    per-key ``query`` loop over the same keys, on a synopsis that
+    ingested a Zipf(1.5) stream (full size unless ``REPRO_BENCH_TINY``
+    shrinks it for the CI smoke job).  The queries are the stream's own
+    keys, so most of them hit the filter.  Each side's time is its best
+    of three runs."""
+    stream = zipf_stream(SPEEDUP_ITEMS, SPEEDUP_DOMAIN, 1.5, seed=61)
+    keys = stream.keys
+    asketch = build_synopsis(ASKETCH_SPEC.with_params(seed=64))
+    for offset in range(0, keys.shape[0], 100_000):
+        asketch.process_batch(keys[offset : offset + 100_000])
+    queries = keys[: min(keys.shape[0], 200_000)]
+
+    def best_of_three(query):
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            answers = query()
+            seconds.append(time.perf_counter() - start)
+        return answers, min(seconds)
+
+    looped, loop_seconds = best_of_three(
+        lambda: [asketch.query(key) for key in queries.tolist()]
+    )
+    batched, batched_seconds = best_of_three(
+        lambda: asketch.query_batch(queries)
+    )
+
+    assert batched == looped
+    speedup = loop_seconds / batched_seconds
+    print(
+        f"\nbatched query: per-key loop {loop_seconds:.3f}s, "
+        f"query_batch {batched_seconds:.4f}s, speedup {speedup:.1f}x "
+        f"({queries.shape[0]} keys)"
+    )
+    assert speedup >= 5.0
+
+
 def test_asketch_query_path(benchmark):
     asketch = build_synopsis(ASKETCH_SPEC.with_params(seed=65))
     asketch.process_stream(STREAM.keys)

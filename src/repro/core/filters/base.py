@@ -209,11 +209,13 @@ class Filter(ABC):
     # Filters that expose an id array (:meth:`probe_ids_array`) get their
     # membership test from the active compute backend
     # (:mod:`repro.kernels`) — one compiled/vectorised probe over the
-    # whole key batch — and apply the few hits through the ordinary
-    # scalar operations, so per-implementation bookkeeping (heap sifts,
-    # cached minima) and op charges are untouched.  Filters without an id
-    # array fall back to looping the scalar operations.  Either way the
-    # semantics and the operation record match the scalar loop exactly.
+    # whole key batch.  Writes apply the few hits through the ordinary
+    # scalar operations (or a filter's own bulk override), so
+    # per-implementation bookkeeping (heap sifts, cached minima) is
+    # untouched; reads gather the hits' counts at the probed slots.
+    # Filters without an id array fall back to looping the scalar
+    # operations.  Either way the semantics and the operation record
+    # match the scalar loop exactly.
 
     def probe_ids_array(self) -> np.ndarray | None:
         """Id array for the bulk membership kernel, or None.
@@ -221,7 +223,9 @@ class Filter(ABC):
         The array filters store slot value ``key + 1`` with ``0``
         marking an empty slot (the layout Algorithm 3's SIMD scan
         probes); returning it here routes :meth:`add_many_if_present`
-        and :meth:`lookup_many` through the active kernel backend.
+        and :meth:`lookup_many` through the active kernel backend, and
+        obliges the filter to implement :meth:`slot_new_counts`, which
+        :meth:`lookup_many` gathers the hits' answers from.
         Implementations returning an array must keep it consistent with
         the scalar operations at every call boundary.
         """
@@ -282,33 +286,40 @@ class Filter(ABC):
         """Bulk :meth:`get_new_count`: ``(hit_mask, new_counts)``.
 
         ``new_counts[i]`` is only meaningful where ``hit_mask[i]`` is
-        True; misses are left as 0.  Keys need not be distinct.  Like
-        :meth:`add_many_if_present`, filters with an id array answer
-        membership with one backend kernel probe and read only the hits
-        through the scalar path.
+        True; misses are left as 0.  Keys need not be distinct.  Filters
+        with an id array answer every key with one backend kernel probe
+        and one gather of :meth:`slot_new_counts` at the slots that probe
+        returns (a miss reads 0); the ``n`` lookups are charged in bulk,
+        exactly as ``n`` scalar :meth:`get_new_count` calls charge them.
+        Filters without an id array loop :meth:`get_new_count`.
         """
         keys = np.asarray(keys, dtype=np.int64)
         n = keys.shape[0]
-        mask = np.zeros(n, dtype=bool)
-        counts = np.zeros(n, dtype=np.int64)
         ids = self.probe_ids_array()
-        if ids is None or n == 0:
+        if ids is None:
+            mask = np.zeros(n, dtype=bool)
+            counts = np.zeros(n, dtype=np.int64)
             for position, key in enumerate(keys.tolist()):
                 new_count = self.get_new_count(key)
                 if new_count is not None:
                     mask[position] = True
                     counts[position] = new_count
             return mask, counts
+        self.ops.filter_probes += n
+        self.ops.filter_probe_blocks += n * self._probe_blocks
         slots = active_backend().membership_probe(ids, keys)
-        np.greater_equal(slots, 0, out=mask)
-        misses = n - int(np.count_nonzero(mask))
-        self.ops.filter_probes += misses
-        self.ops.filter_probe_blocks += misses * self._probe_blocks
-        for position in np.flatnonzero(mask).tolist():
-            new_count = self.get_new_count(int(keys[position]))
-            assert new_count is not None
-            counts[position] = new_count
-        return mask, counts
+        # A miss's slot, -1, reads the 0 appended past the last slot.
+        counts = np.append(self.slot_new_counts(), 0)[slots]
+        return slots >= 0, counts
+
+    def slot_new_counts(self) -> np.ndarray:
+        """``new_count`` of every slot of :meth:`probe_ids_array`, as int64.
+
+        Slot-aligned with the id array, so the slots the membership
+        kernel returns index it directly.  Only filters that return an
+        id array implement it.
+        """
+        raise NotImplementedError
 
     def top_k(self, k: int) -> list[tuple[int, int]]:
         """The k highest (key, new_count) pairs, descending new_count."""

@@ -47,8 +47,13 @@ class _HeapFilterBase(Filter):
         return self._size
 
     def probe_ids_array(self) -> np.ndarray:
-        """Heap-slot id array; hits re-enter the scalar path (slots sift)."""
+        """Heap-slot id array.  Bulk adds re-enter the scalar hit path
+        (slots sift as hits land); bulk lookups gather at the probed
+        slots, which hold still while nothing is written."""
         return self._ids
+
+    def slot_new_counts(self) -> np.ndarray:
+        return np.array(self._new, dtype=np.int64)
 
     # -- lookup -------------------------------------------------------------
 
@@ -65,46 +70,66 @@ class _HeapFilterBase(Filter):
 
     # -- heap plumbing -----------------------------------------------------
 
-    def _swap(self, a: int, b: int) -> None:
-        ids, new, old = self._ids, self._new, self._old
-        key_a, key_b = int(ids[a]) - 1, int(ids[b]) - 1
-        ids[a], ids[b] = ids[b].item(), ids[a].item()
-        new[a], new[b] = new[b], new[a]
-        old[a], old[b] = old[b], old[a]
-        self._index[key_a] = b
-        self._index[key_b] = a
-
     def _sift_down(self, position: int) -> None:
-        """Move a (possibly increased) entry down to a valid spot."""
-        new = self._new
+        """Move a (possibly increased) entry down to a valid spot.
+
+        The moving entry is held aside while each smaller child moves
+        up into the hole above it, then written once where it stops:
+        the same slots, index and level count a swap per level gives.
+        """
+        ids, new, old, index = self._ids, self._new, self._old, self._index
         size = self._size
+        moving_id = ids[position]
+        moving_new = new[position]
+        moving_old = old[position]
         levels = 0
         while True:
-            left = 2 * position + 1
-            right = left + 1
-            smallest = position
-            if left < size and new[left] < new[smallest]:
-                smallest = left
-            if right < size and new[right] < new[smallest]:
-                smallest = right
-            if smallest == position:
+            child = 2 * position + 1
+            if child >= size:
                 break
-            self._swap(position, smallest)
-            position = smallest
+            right = child + 1
+            if right < size and new[right] < new[child]:
+                child = right
+            if new[child] >= moving_new:
+                break
+            child_id = ids[child]
+            ids[position] = child_id
+            new[position] = new[child]
+            old[position] = old[child]
+            index[int(child_id) - 1] = position
+            position = child
             levels += 1
+        if levels:
+            ids[position] = moving_id
+            new[position] = moving_new
+            old[position] = moving_old
+            index[int(moving_id) - 1] = position
         self.ops.heap_fixup_levels += max(levels, 1)
 
     def _sift_up(self, position: int) -> None:
-        """Move a (possibly decreased / new) entry up to a valid spot."""
-        new = self._new
+        """Move a (possibly decreased / new) entry up to a valid spot,
+        holding it aside like :meth:`_sift_down` does."""
+        ids, new, old, index = self._ids, self._new, self._old, self._index
+        moving_id = ids[position]
+        moving_new = new[position]
+        moving_old = old[position]
         levels = 0
         while position > 0:
             parent = (position - 1) // 2
-            if new[parent] <= new[position]:
+            if new[parent] <= moving_new:
                 break
-            self._swap(position, parent)
+            parent_id = ids[parent]
+            ids[position] = parent_id
+            new[position] = new[parent]
+            old[position] = old[parent]
+            index[int(parent_id) - 1] = position
             position = parent
             levels += 1
+        if levels:
+            ids[position] = moving_id
+            new[position] = moving_new
+            old[position] = moving_old
+            index[int(moving_id) - 1] = position
         self.ops.heap_fixup_levels += max(levels, 1)
 
     # -- structural operations ----------------------------------------------

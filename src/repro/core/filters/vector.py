@@ -74,6 +74,9 @@ class VectorFilter(Filter):
         """The slot id array — membership runs on the kernel backend."""
         return self._ids
 
+    def slot_new_counts(self) -> np.ndarray:
+        return np.array(self._new, dtype=np.int64)
+
     def add_many_if_present(
         self, keys: np.ndarray, amounts: np.ndarray
     ) -> np.ndarray:
@@ -109,23 +112,6 @@ class VectorFilter(Filter):
             if touched_min:
                 self._rescan_min()
         return mask
-
-    def lookup_many(
-        self, keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        keys = np.asarray(keys, dtype=np.int64)
-        n = keys.shape[0]
-        self.ops.filter_probes += n
-        self.ops.filter_probe_blocks += n * self._probe_blocks
-        counts = np.zeros(n, dtype=np.int64)
-        if n == 0 or not self._index:
-            return np.zeros(n, dtype=bool), counts
-        slots = active_backend().membership_probe(self._ids, keys)
-        mask = slots >= 0
-        if mask.any():
-            new_counts = np.asarray(self._new, dtype=np.int64)
-            counts[mask] = new_counts[slots[mask]]
-        return mask, counts
 
     # -- structural operations ----------------------------------------------
 

@@ -188,6 +188,11 @@ class StagedSynopsis:
         *,
         filter_kind: str | None = None,
     ) -> None:
+        if not isinstance(back, FrequencySketch):
+            raise ConfigurationError(
+                "the back stage must be a FrequencySketch, got "
+                f"{type(back).__name__}"
+            )
         self.ops = OpCounters()
         self._filter: Filter = front
         self.filter_kind = (
@@ -368,7 +373,7 @@ class StagedSynopsis:
         Semantically a chunk-granularity reordering of the scalar path:
 
         1. the chunk is pre-aggregated to one (key, total) pair per
-           distinct key (first-appearance order);
+           distinct key (first-appearance order) by one sort;
         2. the filter absorbs every monitored key's chunk total in one
            bulk probe (:meth:`Filter.add_many_if_present`), and free
            slots are filled with new keys in first-appearance order —
@@ -394,8 +399,10 @@ class StagedSynopsis:
         the scalar path's by the mass a chunk reorders, bounded by the
         chunk size.
 
-        ``counts`` defaults to all-ones (a unit-count stream chunk);
-        negative counts must go through :meth:`remove`.
+        ``keys`` must be one-dimensional; ``counts`` defaults to
+        all-ones (a unit-count stream chunk); negative counts must go
+        through :meth:`remove`.  Invalid input raises before any state
+        changes.
 
         With a metrics registry installed (:mod:`repro.obs`), each
         chunk records its filter hit/miss/exchange deltas and one
@@ -419,11 +426,9 @@ class StagedSynopsis:
         self, keys: np.ndarray, counts: np.ndarray | None
     ) -> None:
         """The uninstrumented :meth:`process_batch` body."""
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = _key_vector(keys)
         n_items = keys.shape[0]
-        if counts is None:
-            counts = np.ones(n_items, dtype=np.int64)
-        else:
+        if counts is not None:
             counts = np.asarray(counts, dtype=np.int64)
             if counts.shape != keys.shape:
                 raise ConfigurationError(
@@ -437,16 +442,27 @@ class StagedSynopsis:
         if n_items == 0:
             return
         self.ops.items += n_items
-        self.total_mass += int(counts.sum())
 
         # (1) pre-aggregate: one (key, chunk total) pair per distinct key.
-        uniq, first_pos, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        totals = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(totals, inverse, counts)
-        order = np.argsort(first_pos)  # first-appearance order
-        uniq = uniq[order]
+        # One sort groups equal keys into runs; the smallest chunk
+        # position in a run is the key's first appearance, and a run's
+        # length is its occurrence count (and its total, for unit
+        # counts).
+        perm = np.argsort(keys)
+        sorted_keys = keys[perm]
+        run_start = np.empty(n_items, dtype=bool)
+        run_start[0] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=run_start[1:])
+        starts = np.flatnonzero(run_start)
+        occurrences = np.diff(starts, append=n_items)
+        if counts is None:
+            self.total_mass += n_items
+            totals = occurrences
+        else:
+            self.total_mass += int(counts.sum())
+            totals = np.add.reduceat(counts[perm], starts)
+        order = np.argsort(np.minimum.reduceat(perm, starts))
+        uniq = sorted_keys[starts[order]]
         totals = totals[order]
 
         # (2) one bulk probe; monitored keys aggregate in place.
@@ -471,14 +487,15 @@ class StagedSynopsis:
             filled += 1
         sketch_positions = miss_positions[filled:]
 
-        # Per-tuple overflow bookkeeping (True = the tuple's key
-        # overflowed to the sketch), indexed like the sorted uniques so
-        # ``inverse`` scatters it back to chunk order.
-        overflowed = np.zeros(uniq.shape[0], dtype=bool)
-        overflowed[order[sketch_positions]] = True
-        per_tuple_miss = overflowed[inverse]
-        self.miss_events += int(np.count_nonzero(per_tuple_miss))
+        # Every occurrence of an overflowing key is a miss event.
+        self.miss_events += int(occurrences[order[sketch_positions]].sum())
         if self._miss_log is not None:
+            # Per-tuple trace: flag the overflowing runs, then send each
+            # tuple its run's flag through the sort permutation.
+            overflowed = np.zeros(starts.shape[0], dtype=bool)
+            overflowed[order[sketch_positions]] = True
+            per_tuple_miss = np.empty(n_items, dtype=bool)
+            per_tuple_miss[perm] = np.repeat(overflowed, occurrences)
             self._miss_log.extend(per_tuple_miss.tolist())
         if sketch_positions.shape[0] == 0:
             return
@@ -542,29 +559,38 @@ class StagedSynopsis:
     def query_batch(self, keys) -> list[int]:
         """Point-query every key in order (vectorised Algorithm 2).
 
-        One bulk filter probe answers the monitored keys; the misses go
-        to the sketch in a single :meth:`FrequencySketch.estimate_batch`
-        call.  Answers are identical to per-key :meth:`query`, and the
+        One bulk filter probe answers the monitored keys, gathering
+        their ``new_count``s at the probed slots; the misses go to the
+        sketch in a single :meth:`FrequencySketch.estimate_array` call.
+        Answers are identical to per-key :meth:`query`, and the
         operation record is charged once for the whole batch (``n``
         items, ``n`` filter probes, one batched sketch read per miss)
-        instead of re-entering :meth:`query` per key.
+        instead of re-entering :meth:`query` per key.  ``keys`` must be
+        one-dimensional.
+        """
+        return self.query_array(keys).tolist()
+
+    estimate_batch = query_batch
+
+    def query_array(self, keys) -> np.ndarray:
+        """:meth:`query_batch`'s answers as an int64 array.
+
+        The form answers travel in between layers (a sharded group
+        scatters each shard's array into its own); only the public
+        :meth:`query_batch` converts to a list.
         """
         if not isinstance(keys, np.ndarray):
             keys = list(keys)
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = _key_vector(keys)
         n_items = keys.shape[0]
         if n_items == 0:
-            return []
+            return np.zeros(0, dtype=np.int64)
         self.ops.items += n_items
         hit_mask, answers = self._filter.lookup_many(keys)
         miss_mask = ~hit_mask
         if miss_mask.any():
-            answers[miss_mask] = np.asarray(
-                self._sketch.estimate_batch(keys[miss_mask]), dtype=np.int64
-            )
-        return answers.tolist()
-
-    estimate_batch = query_batch
+            answers[miss_mask] = self._sketch.estimate_array(keys[miss_mask])
+        return answers
 
     # -- top-k (§7.2.2) --------------------------------------------------
 
@@ -902,6 +928,16 @@ class StagedSynopsis:
             f"(filter={self.filter_kind}x{self._filter.capacity}, "
             f"sketch={self._sketch!r}, bytes={self.size_bytes})"
         )
+
+
+def _key_vector(keys) -> np.ndarray:
+    """``keys`` as a one-dimensional int64 array, else a typed error."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.ndim != 1:
+        raise ConfigurationError(
+            f"keys must be one-dimensional, got shape {keys.shape}"
+        )
+    return keys
 
 
 def _kind_of(front: Filter) -> str:

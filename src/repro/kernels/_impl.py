@@ -35,16 +35,17 @@ def membership_probe(
     ``ids`` uses the array filters' encoding: slot value ``key + 1``,
     ``0`` marks an empty slot.  The inner scan is the branch-free
     membership loop of Algorithm 3 — a compiler auto-vectorises it into
-    exactly the SIMD probe the paper describes.  Non-positive targets
-    (keys below 0) can never be stored under this encoding and report a
-    miss without consulting the array.
+    exactly the SIMD probe the paper describes.  Target ``0`` (key
+    ``-1``) is the empty-slot marker and reports a miss without
+    consulting the array; every other key, negative ones included, is
+    stored and found as ``key + 1``, as the NumPy backend finds it.
     """
     m = ids.shape[0]
     n = keys.shape[0]
     for i in range(n):
         target = keys[i] + 1
         slot = -1
-        if target > 0:
+        if target != 0:
             for j in range(m):
                 if ids[j] == target:
                     slot = j

@@ -196,7 +196,8 @@ class ShardedASketch:
         """Owner-shard point queries for many keys.
 
         Partitions the batch by owner and runs each shard's vectorised
-        ``query_batch`` once, scattering answers back into input order.
+        ``query_array`` once, scattering its int64 answers back into
+        input order; the list is built once, here.
         """
         if not isinstance(keys, np.ndarray):
             keys = list(keys)
@@ -208,7 +209,7 @@ class ShardedASketch:
         for index, shard in enumerate(self._shards):
             mask = owners == index
             if mask.any():
-                answers[mask] = shard.query_batch(keys[mask])
+                answers[mask] = shard.query_array(keys[mask])
         return answers.tolist()
 
     estimate_batch = query_batch

@@ -87,7 +87,7 @@ class FrequencySketch(ABC):
         ``keys[i]`` receives ``amounts[i]``.  This is the miss path of
         the ASketch batched ingest: a chunk is pre-aggregated to one
         (key, total) pair per distinct key before it reaches the sketch,
-        and the returned int64 array (``estimate_batch(keys)`` read
+        and the returned int64 array (``estimate_array(keys)`` read
         after the whole batch) drives the exchange check.  The default
         loops :meth:`update` and then reads the estimates; Count-Min
         overrides with one fused scatter-and-gather per row.
@@ -96,11 +96,22 @@ class FrequencySketch(ABC):
         amounts = np.asarray(amounts)
         for key, amount in zip(keys.tolist(), amounts.tolist()):
             self.update(int(key), int(amount))
-        return np.asarray(self.estimate_batch(keys), dtype=np.int64)
+        return self.estimate_array(keys)
 
     def estimate_batch(self, keys: Iterable[int]) -> list[int]:
         """Point-query every key; default loops over :meth:`estimate`."""
         return [self.estimate(int(key)) for key in keys]
+
+    def estimate_array(self, keys: Iterable[int]) -> np.ndarray:
+        """:meth:`estimate_batch` as an int64 array.
+
+        The form estimates travel in between layers: the staged query
+        path reads its back stage's misses through it and converts to a
+        list only at its own public boundary.  The default converts
+        :meth:`estimate_batch`; array-backed sketches compute the array
+        here and derive :meth:`estimate_batch` from it.
+        """
+        return np.asarray(self.estimate_batch(keys), dtype=np.int64)
 
     def process_stream(self, keys: np.ndarray) -> None:
         """Ingest a unit-count key array as a stream (driver entry point).

@@ -246,25 +246,28 @@ class CountMinSketch(FrequencySketch):
 
     def estimate_batch(self, keys) -> list[int]:
         """Vectorised point queries."""
+        return self.estimate_array(keys).tolist()
+
+    def estimate_array(self, keys) -> np.ndarray:
+        """Vectorised point queries as the kernel's int64 array."""
         if not isinstance(keys, np.ndarray):
             keys = np.asarray(list(keys))
         if keys.size == 0:
-            return []
+            return np.zeros(0, dtype=np.int64)
         encoded = encode_key_array(keys)
         self.ops.hash_evals += self.num_hashes * len(keys)
         self.ops.sketch_cell_reads += self.num_hashes * len(keys)
         if self._kernel_ready(encoded):
             assert self._cw_params is not None
             a_hi, a_lo, b_mod = self._cw_params
-            estimates = active_backend().cm_estimate(
+            return active_backend().cm_estimate(
                 self._table, a_hi, a_lo, b_mod, encoded
             )
-            return estimates.tolist()
         estimates = np.full(len(keys), _INT64_MAX, dtype=np.int64)
         for row, family in enumerate(self._hashes):
             columns = family.hash_array(encoded)
             np.minimum(estimates, self._table[row, columns], out=estimates)
-        return estimates.tolist()
+        return estimates
 
     def _kernel_ready(self, encoded: np.ndarray) -> bool:
         """Whether the fused hash kernels can serve this encoded batch.

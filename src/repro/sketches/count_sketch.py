@@ -97,7 +97,7 @@ class CountSketch(FrequencySketch):
         self, keys: np.ndarray, amounts: np.ndarray
     ) -> np.ndarray:
         """Vectorised per-key weighted updates (signed scatter-add);
-        returns the post-batch :meth:`estimate_batch`."""
+        returns the post-batch :meth:`estimate_array`."""
         keys = np.asarray(keys)
         amounts = np.asarray(amounts, dtype=np.int64)
         encoded = encode_key_array(keys)
@@ -107,7 +107,7 @@ class CountSketch(FrequencySketch):
             columns = self._hashes[row].hash_array(encoded)
             signs = self._signs[row].hash_array(encoded)
             np.add.at(self._table[row], columns, signs * amounts)
-        return np.asarray(self.estimate_batch(keys), dtype=np.int64)
+        return self.estimate_array(keys)
 
     def estimate(self, key: int) -> int:
         """Median of signed cells; can under- as well as over-estimate."""
@@ -121,10 +121,14 @@ class CountSketch(FrequencySketch):
 
     def estimate_batch(self, keys) -> list[int]:
         """Vectorised point queries (row-wise signed reads, median)."""
+        return self.estimate_array(keys).tolist()
+
+    def estimate_array(self, keys) -> np.ndarray:
+        """:meth:`estimate_batch` as an int64 array."""
         if not isinstance(keys, np.ndarray):
             keys = np.asarray(list(keys))
         if keys.size == 0:
-            return []
+            return np.zeros(0, dtype=np.int64)
         encoded = encode_key_array(keys)
         self.ops.hash_evals += 2 * self.num_hashes * len(keys)
         self.ops.sketch_cell_reads += self.num_hashes * len(keys)
@@ -133,7 +137,7 @@ class CountSketch(FrequencySketch):
             columns = self._hashes[row].hash_array(encoded)
             signs = self._signs[row].hash_array(encoded)
             signed[row] = signs * self._table[row, columns]
-        return np.median(signed, axis=0).astype(np.int64).tolist()
+        return np.median(signed, axis=0).astype(np.int64)
 
     def total_count(self) -> int:
         """Signed row-0 sum — equals ``N`` only in expectation, kept for

@@ -228,10 +228,14 @@ class SalsaCountMin(FrequencySketch):
 
     def estimate_batch(self, keys) -> list[int]:
         """Vectorised point queries (per-row hash + gather + min)."""
+        return self.estimate_array(keys).tolist()
+
+    def estimate_array(self, keys) -> np.ndarray:
+        """:meth:`estimate_batch` as an int64 array."""
         if not isinstance(keys, np.ndarray):
             keys = np.asarray(list(keys))
         if keys.size == 0:
-            return []
+            return np.zeros(0, dtype=np.int64)
         encoded = encode_key_array(keys)
         self.ops.hash_evals += self.num_hashes * len(keys)
         self.ops.sketch_cell_reads += self.num_hashes * len(keys)
@@ -239,7 +243,7 @@ class SalsaCountMin(FrequencySketch):
         for row, family in enumerate(self._hashes):
             columns = family.hash_array(encoded)
             np.minimum(estimates, self._values[row, columns], out=estimates)
-        return estimates.tolist()
+        return estimates
 
     def total_count(self) -> int:
         """Aggregate count ``N`` absorbed so far (row 0 segment sum)."""

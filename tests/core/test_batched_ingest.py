@@ -224,6 +224,32 @@ class TestBatchValidation:
         assert asketch.total_mass == 0
         assert asketch.ops.items == 0
 
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_non_vector_keys_rejected_before_any_state_change(self, kind):
+        asketch, _ = build_pair(kind)
+        asketch.process_batch(np.arange(12, dtype=np.int64))
+        before = (
+            filter_state(asketch),
+            asketch.sketch.table.tolist(),
+            asketch.total_mass,
+            asketch.overflow_mass,
+            asketch.miss_events,
+            asketch.combined_ops(),
+        )
+        for keys in (np.arange(20).reshape(4, 5), np.array(3)):
+            with pytest.raises(ConfigurationError):
+                asketch.process_batch(keys)
+            with pytest.raises(ConfigurationError):
+                asketch.query_batch(keys)
+        assert before == (
+            filter_state(asketch),
+            asketch.sketch.table.tolist(),
+            asketch.total_mass,
+            asketch.overflow_mass,
+            asketch.miss_events,
+            asketch.combined_ops(),
+        )
+
 
 class TestBatchedQueries:
     @pytest.mark.parametrize("kind", FILTER_KINDS)
@@ -291,6 +317,56 @@ class TestFilterBulkApi:
         mask, counts = filter_.lookup_many(keys)
         assert mask.tolist() == [True, False, True, True, True]
         assert counts[mask].tolist() == [5, 3, 1, 5]
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    @pytest.mark.parametrize("residents", [0, 3, 6])
+    def test_lookup_many_matches_get_new_count_loop(self, kind, residents):
+        """Answers and op record equal a per-key ``get_new_count`` loop
+        on empty, partly filled and full filters, repeated keys
+        included."""
+        bulk = make_filter(kind, 6)
+        loop = make_filter(kind, 6)
+        for key in range(residents):
+            for filter_ in (bulk, loop):
+                filter_.insert(key * 7, 10 + key, key)
+        bulk.add_many_if_present(
+            np.array([0, 14], dtype=np.int64), np.array([5, 2], dtype=np.int64)
+        )
+        for key, amount in ((0, 5), (14, 2)):
+            loop.add_if_present(key, amount)
+        keys = np.array([14, 3, 0, 14, -9, 35, 0, 0, 7], dtype=np.int64)
+        mask, counts = bulk.lookup_many(keys)
+        expected = [loop.get_new_count(key) for key in keys.tolist()]
+        assert mask.tolist() == [answer is not None for answer in expected]
+        assert counts.tolist() == [answer or 0 for answer in expected]
+        assert counts.dtype == np.int64
+        assert bulk.ops == loop.ops
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_lookup_many_of_no_keys(self, kind):
+        filter_ = make_filter(kind, 4)
+        filter_.insert(1, 2, 0)
+        mask, counts = filter_.lookup_many(np.empty(0, dtype=np.int64))
+        assert mask.shape == counts.shape == (0,)
+        assert filter_.ops.filter_probes == 0
+
+    def test_lookup_many_answers_hits_without_scalar_lookups(self):
+        """10K hits on a full relaxed heap are answered by the one
+        gather: the scalar lookup chain is never entered."""
+        filter_ = make_filter("relaxed-heap", 32)
+        for key in range(32):
+            filter_.insert(key, 100 + key, 0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar lookup on the bulk path")
+
+        filter_._find = refuse
+        filter_.get_counts = refuse
+        keys = np.arange(10_000, dtype=np.int64) % 32
+        mask, counts = filter_.lookup_many(keys)
+        assert mask.all()
+        assert counts.tolist() == (keys + 100).tolist()
+        assert filter_.ops.filter_probes == 10_000
 
     def test_vector_bulk_on_empty_filter(self):
         filter_ = make_filter("vector", 4)

@@ -8,6 +8,7 @@ import pytest
 from repro.core.asketch import ASketch
 from repro.counters.exact import ExactCounter
 from repro.errors import ConfigurationError
+from repro.sketches.base import FrequencySketch
 from repro.sketches.count_min import CountMinSketch
 from repro.sketches.count_sketch import CountSketch
 from repro.streams.zipf import zipf_stream
@@ -123,7 +124,7 @@ class TestASketchMerge:
         assert left.total_mass == len(first) + len(second)
 
     def test_merge_less_backend_rejected(self):
-        class OpaqueSketch:
+        class OpaqueSketch(FrequencySketch):
             size_bytes = 0
 
             def update(self, key, amount=1):

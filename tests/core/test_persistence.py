@@ -10,6 +10,7 @@ import pytest
 from repro.core.asketch import ASketch
 from repro.errors import StreamFormatError
 from repro.persistence import load_synopsis, save_synopsis
+from repro.sketches.base import FrequencySketch
 from repro.sketches.count_min import CountMinSketch
 from repro.streams.zipf import zipf_stream
 
@@ -123,7 +124,7 @@ class TestASketchRoundtrip:
         assert restored.query_batch(probe) == asketch.query_batch(probe)
 
     def test_backend_without_state_protocol_rejected(self, tmp_path):
-        class OpaqueSketch:
+        class OpaqueSketch(FrequencySketch):
             size_bytes = 0
 
             def update(self, key, amount=1):

@@ -48,6 +48,15 @@ class TestMembershipProbe:
         )
         assert slots.tolist() == [-1, 1, -1]
 
+    def test_negative_resident_key_found(self, backend):
+        # Keys below -1 are stored as key + 1 < 0 and must be found,
+        # as the scalar filter operations find them.
+        ids = np.array([0, -4, 3, -9], dtype=np.int64)
+        slots = backend.membership_probe(
+            ids, np.array([-5, -10, 2, -2], dtype=np.int64)
+        )
+        assert slots.tolist() == [1, 3, 2, -1]
+
     def test_all_empty_filter(self, backend):
         ids = np.zeros(8, dtype=np.int64)
         slots = backend.membership_probe(

@@ -67,6 +67,23 @@ class TestComposition:
         with pytest.raises(ConfigurationError):
             ClassicExchange(0)
 
+    def test_back_stage_must_be_a_frequency_sketch(self):
+        """A back stage without the FrequencySketch contract (here the
+        hierarchical sketch, whose update returns nothing) is refused at
+        construction, not at its first overflow."""
+        from repro.sketches.hierarchical import HierarchicalCountMin
+
+        with pytest.raises(ConfigurationError, match="FrequencySketch"):
+            StagedSynopsis(
+                make_filter("relaxed-heap", 4),
+                HierarchicalCountMin(10, total_bytes=16 * 1024),
+            )
+        with pytest.raises(ConfigurationError, match="FrequencySketch"):
+            ASketch(
+                sketch=HierarchicalCountMin(10, total_bytes=16 * 1024),
+                filter_items=4,
+            )
+
     def test_asketch_is_a_staged_synopsis(self):
         assert issubclass(ASketch, StagedSynopsis)
 
