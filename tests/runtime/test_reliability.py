@@ -9,6 +9,7 @@ quarantine, and the shard supervisor's exact health view.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -75,13 +76,13 @@ class TestAtomicSave:
         save_synopsis(first, path)
         golden = path.read_bytes()
 
-        import numpy as np_module
+        import repro.persistence as persistence_module
 
-        def exploding_savez(handle, **arrays):
+        def exploding_write(handle, arrays):
             handle.write(b"partial garbage")
             raise OSError("disk full mid-write")
 
-        monkeypatch.setattr(np_module, "savez_compressed", exploding_savez)
+        monkeypatch.setattr(persistence_module, "_write_npz", exploding_write)
         second = make_asketch()
         with pytest.raises(OSError, match="disk full"):
             save_synopsis(second, path)
@@ -97,6 +98,63 @@ class TestAtomicSave:
         save_synopsis(make_asketch(), tmp_path / "ckpt")
         assert (tmp_path / "ckpt.npz").is_file()
         assert load_synopsis(tmp_path / "ckpt.npz") is not None
+
+
+def _savez_compressed_archive(synopsis, path: Path) -> None:
+    """An archive as ``save_synopsis`` wrote it with ``np.savez_compressed``
+    (numpy's default deflate level 6), before the level-1 writer."""
+    state = synopsis.state()
+    metadata = {
+        "version": 2,
+        "kind": state.kind,
+        "params": state.params,
+        "extra": state.extra,
+    }
+    arrays = {f"array.{name}": array for name, array in state.arrays.items()}
+    with open(path, "wb") as handle:
+        np.savez_compressed(
+            handle,
+            metadata=np.frombuffer(
+                json.dumps(metadata).encode("utf-8"), dtype=np.uint8
+            ),
+            **arrays,
+        )
+
+
+class TestArchiveCompatibility:
+    @pytest.fixture
+    def ingested(self, stream):
+        synopsis = make_asketch()
+        ResilientEngine(synopsis).run(stream.chunks(CHUNK))
+        return synopsis
+
+    def test_savez_compressed_checkpoint_restores_exactly(
+        self, tmp_path, ingested
+    ):
+        store = CheckpointStore(tmp_path / "ckpt")
+        record = store.save(ingested, chunk_index=30, tuples_ingested=30_000)
+        snapshot = store.directory / record["snapshot"]
+        _savez_compressed_archive(ingested, snapshot)
+        assert load_synopsis(snapshot).state().equals(ingested.state())
+        record["sha256"] = hashlib.sha256(snapshot.read_bytes()).hexdigest()
+        store.journal_path.write_text(
+            json.dumps(record, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        restored, loaded_record = CheckpointStore(
+            tmp_path / "ckpt"
+        ).load_latest()
+        assert loaded_record == record
+        assert restored.state().equals(ingested.state())
+
+    def test_archive_is_a_plain_npz(self, tmp_path, ingested):
+        ours, legacy = tmp_path / "ours.npz", tmp_path / "legacy.npz"
+        save_synopsis(ingested, ours)
+        _savez_compressed_archive(ingested, legacy)
+        with np.load(ours) as new, np.load(legacy) as old:
+            assert new.files == old.files
+            for name in old.files:
+                assert new[name].dtype == old[name].dtype
+                np.testing.assert_array_equal(new[name], old[name])
 
 
 # -- retrying sources --------------------------------------------------------

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import install_registry, uninstall_registry
 from repro.runtime.sharding import ShardedASketch
 from repro.streams.zipf import zipf_stream
 
@@ -85,3 +87,43 @@ class TestQueries:
         assert sharded.size_bytes == sum(
             shard.size_bytes for shard in sharded.shards
         )
+
+
+class TestKeyValidation:
+    """Keys that are not a 1-D vector fail before any routing or state."""
+
+    BAD_KEYS = [np.arange(20).reshape(4, 5), np.array(7)]
+
+    @pytest.mark.parametrize("keys", BAD_KEYS, ids=["2-D", "0-d"])
+    def test_ingest_rejects_and_changes_nothing(self, sharded, stream, keys):
+        sharded.process_batch(stream.keys[:5_000])
+        before = sharded.state()
+        registry = install_registry()
+        try:
+            with pytest.raises(ConfigurationError, match="one-dimensional"):
+                sharded.process_batch(keys)
+            with pytest.raises(ConfigurationError, match="one-dimensional"):
+                sharded.process_stream(keys)
+            assert list(registry.instruments()) == []
+        finally:
+            uninstall_registry()
+        assert sharded.total_mass == 5_000
+        assert sharded.state().equals(before)
+
+    @pytest.mark.parametrize("keys", BAD_KEYS, ids=["2-D", "0-d"])
+    def test_query_and_routing_reject(self, sharded, stream, keys):
+        sharded.process_batch(stream.keys[:5_000])
+        before = sharded.state()
+        with pytest.raises(ConfigurationError, match="one-dimensional"):
+            sharded.query_batch(keys)
+        with pytest.raises(ConfigurationError, match="one-dimensional"):
+            sharded.owners_of(keys)
+        assert sharded.state().equals(before)
+
+    def test_vectors_still_route(self, sharded):
+        keys = [3, 1, 4, 1, 5]
+        owners = sharded.owners_of(keys)
+        assert owners.tolist() == [sharded.shard_of(k) for k in keys]
+        sharded.process_batch(keys)
+        assert sharded.query_batch(keys) == [sharded.query(k) for k in keys]
+        assert sharded.query_batch([]) == []
