@@ -427,29 +427,18 @@ class StagedSynopsis:
     ) -> None:
         """The uninstrumented :meth:`process_batch` body."""
         keys = _key_vector(keys)
+        counts = _count_vector(keys, counts)
         n_items = keys.shape[0]
-        if counts is not None:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != keys.shape:
-                raise ConfigurationError(
-                    "keys and counts must have matching shapes, got "
-                    f"{keys.shape} and {counts.shape}"
-                )
-            if n_items and int(counts.min()) < 0:
-                raise NegativeCountError(
-                    "use remove() for deletions (negative updates)"
-                )
         if n_items == 0:
             return
         self.ops.items += n_items
 
         # (1) pre-aggregate: one (key, chunk total) pair per distinct key.
-        # One sort groups equal keys into runs; the smallest chunk
-        # position in a run is the key's first appearance, and a run's
-        # length is its occurrence count (and its total, for unit
-        # counts).
-        perm = np.argsort(keys)
-        sorted_keys = keys[perm]
+        # One sort groups equal keys into runs with chunk positions
+        # ascending inside each run, so a run's first position is the
+        # key's first appearance, and a run's length is its occurrence
+        # count (and its total, for unit counts).
+        perm, sorted_keys = _sort_with_positions(keys)
         run_start = np.empty(n_items, dtype=bool)
         run_start[0] = True
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=run_start[1:])
@@ -461,7 +450,7 @@ class StagedSynopsis:
         else:
             self.total_mass += int(counts.sum())
             totals = np.add.reduceat(counts[perm], starts)
-        order = np.argsort(np.minimum.reduceat(perm, starts))
+        order = np.argsort(perm[starts])
         uniq = sorted_keys[starts[order]]
         totals = totals[order]
 
@@ -938,6 +927,53 @@ def _key_vector(keys) -> np.ndarray:
             f"keys must be one-dimensional, got shape {keys.shape}"
         )
     return keys
+
+
+def _count_vector(keys: np.ndarray, counts) -> np.ndarray | None:
+    """``counts`` for the key vector ``keys`` as an int64 array (None
+    stays None, meaning all-ones), else a typed error: a shape that is
+    not ``keys``' raises :class:`ConfigurationError`, a negative count
+    :class:`NegativeCountError` (deletions go through ``remove()``)."""
+    if counts is None:
+        return None
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape != keys.shape:
+        raise ConfigurationError(
+            "keys and counts must have matching shapes, got "
+            f"{keys.shape} and {counts.shape}"
+        )
+    if counts.size and int(counts.min()) < 0:
+        raise NegativeCountError(
+            "use remove() for deletions (negative updates)"
+        )
+    return counts
+
+
+def _sort_with_positions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable sort of a non-empty key vector: ``(perm, keys[perm])``.
+
+    Equal keys keep their chunk positions ascending.  When the key span
+    leaves room, each key is packed with its position into one int64
+    word, ``((key - low) << bits) | position``, and the words are
+    sorted by value, which is several times faster than an argsort.
+    ``bits`` holds every position below ``n``; the packed word stays
+    below ``2**63`` exactly when ``max - low < 2**(63 - bits)``.  Chunks
+    spanning more fall back to a stable argsort.
+    """
+    n_items = keys.shape[0]
+    bits = max(1, (n_items - 1).bit_length())
+    low = int(keys.min())
+    if int(keys.max()) - low < 1 << (63 - bits):
+        words = np.subtract(keys, low)
+        np.left_shift(words, bits, out=words)
+        np.bitwise_or(words, np.arange(n_items, dtype=np.int64), out=words)
+        words.sort()
+        perm = np.bitwise_and(words, (1 << bits) - 1)
+        np.right_shift(words, bits, out=words)
+        np.add(words, low, out=words)
+        return perm, words
+    perm = np.argsort(keys, kind="stable")
+    return perm, keys[perm]
 
 
 def _kind_of(front: Filter) -> str:

@@ -51,9 +51,9 @@ def encode_key_array(keys: np.ndarray) -> np.ndarray:
 
 
 def cw_fold_columns(
-    a_hi: int,
-    a_lo: int,
-    b_mod: int,
+    a_hi: int | np.ndarray,
+    a_lo: int | np.ndarray,
+    b_mod: int | np.ndarray,
     encoded: np.ndarray,
     width: int,
 ) -> np.ndarray:
@@ -76,8 +76,10 @@ def cw_fold_columns(
       and one conditional ``- p`` finishes the reduction.
 
     The only division left is the final ``% width``.  The arithmetic runs
-    in place on two int64 arrays of ``encoded``'s length; a caller with
-    several rows folds them one row at a time.  The compiled kernels
+    in place on two int64 arrays of the broadcast shape: scalar
+    parameters against a key vector fold one row, and ``(rows, 1)``
+    parameter columns against ``(1, n)`` keys fold a ``(rows, n)``
+    group of rows in one call.  The compiled kernels
     (:mod:`repro.kernels`) compute the same columns with ``%``, and the
     kernel parity suites hold the two forms equal.
     """

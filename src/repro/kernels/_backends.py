@@ -24,10 +24,15 @@ from typing import Callable
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.hashing.families import cw_fold_columns
 from repro.kernels import _impl
 
 _INT64_MAX = (1 << 63) - 1
+#: Cells (rows x keys) the numpy Count-Min kernels fold per pass: small
+#: batches take several rows at once, and no temporary exceeds
+#: ``max(_CELLS, n)`` cells.
+_CELLS = 1 << 14
 
 
 def _as_int64(array: np.ndarray) -> np.ndarray:
@@ -190,40 +195,70 @@ class NumpyBackend(KernelBackend):
     def cm_update_weighted(
         self, table, a_hi, a_lo, b_mod, encoded, amounts
     ) -> np.ndarray:
-        """Per-row ``cw_fold_columns`` + ``np.add.at`` scatter, then a
-        ``np.minimum`` gather over the same columns (rows are
-        independent, so the gather already sees the post-batch row)."""
-        encoded = _as_int64(encoded)
-        amounts = _as_int64(amounts)
-        width = table.shape[1]
-        out = np.full(encoded.shape[0], _INT64_MAX, dtype=np.int64)
-        for row in range(table.shape[0]):
-            columns = cw_fold_columns(
-                int(a_hi[row]), int(a_lo[row]), int(b_mod[row]),
-                encoded, width,
-            )
-            np.add.at(table[row], columns, amounts)
-            np.minimum(out, table[row, columns], out=out)
-        return out
+        """Row-group ``cw_fold_columns`` + one flat ``np.add.at`` scatter
+        per group, then a gather of the same cells folded into the
+        row-minimum (rows are independent, so the gather already sees
+        the post-batch rows).  ``table`` must be C-contiguous."""
+        return _fold_row_groups(
+            table, a_hi, a_lo, b_mod, encoded, _as_int64(amounts)
+        )
 
     def cm_estimate(self, table, a_hi, a_lo, b_mod, encoded) -> np.ndarray:
-        """Per-row ``cw_fold_columns`` gather folded with ``np.minimum``."""
-        encoded = _as_int64(encoded)
-        width = table.shape[1]
-        out = np.full(encoded.shape[0], _INT64_MAX, dtype=np.int64)
-        for row in range(table.shape[0]):
-            columns = cw_fold_columns(
-                int(a_hi[row]), int(a_lo[row]), int(b_mod[row]),
-                encoded, width,
-            )
-            np.minimum(out, table[row, columns], out=out)
-        return out
+        """Row-group ``cw_fold_columns`` gather folded with ``np.minimum``."""
+        return _fold_row_groups(table, a_hi, a_lo, b_mod, encoded, None)
 
     def exchange_candidates(
         self, estimates: np.ndarray, threshold: int
     ) -> np.ndarray:
         """``np.flatnonzero`` over the threshold comparison."""
         return np.flatnonzero(_as_int64(estimates) > int(threshold))
+
+
+def _fold_row_groups(
+    table: np.ndarray,
+    a_hi: np.ndarray,
+    a_lo: np.ndarray,
+    b_mod: np.ndarray,
+    encoded: np.ndarray,
+    amounts: np.ndarray | None,
+) -> np.ndarray:
+    """The numpy Count-Min kernels' shared body: hash, optionally
+    scatter-add ``amounts``, and gather each key's row-minimum.
+
+    Rows are folded ``max(1, _CELLS // n)`` at a time: one broadcast
+    ``cw_fold_columns`` call hashes the group's rows, ``row * width``
+    offsets turn its columns into flat cells, and one 1-D ``np.add.at``
+    into ``table.reshape(-1)`` with contiguous tiled values stays on
+    ``ufunc.at``'s fast path.  Batches of ``_CELLS`` keys or more fold
+    one row at a time.
+    """
+    encoded = _as_int64(encoded)
+    n = encoded.shape[0]
+    rows, width = table.shape
+    out = np.full(n, _INT64_MAX, dtype=np.int64)
+    if amounts is not None and not table.flags.c_contiguous:
+        # reshape(-1) would copy, and the scatter would land in the copy.
+        raise ConfigurationError(
+            "the Count-Min table must be C-contiguous for a batch update"
+        )
+    if n == 0:
+        return out
+    flat = table.reshape(-1)
+    step = max(1, _CELLS // n)
+    keys = encoded[np.newaxis, :]
+    offsets = np.arange(0, rows * width, width, dtype=np.int64)[:, np.newaxis]
+    for first in range(0, rows, step):
+        group = slice(first, min(first + step, rows))
+        cells = cw_fold_columns(
+            a_hi[group, np.newaxis], a_lo[group, np.newaxis],
+            b_mod[group, np.newaxis], keys, width,
+        )
+        np.add(cells, offsets[group], out=cells)
+        cells = cells.reshape(-1)
+        if amounts is not None:
+            np.add.at(flat, cells, np.tile(amounts, cells.shape[0] // n))
+        np.minimum(out, flat[cells].reshape(-1, n).min(axis=0), out=out)
+    return out
 
 
 class NumbaBackend(_LoopBackend):

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.asketch import ASketch
-from repro.core.staged import _key_vector
+from repro.core.staged import _count_vector, _key_vector
 from repro.errors import ConfigurationError
 from repro.hashing import make_hash_family
 from repro.obs.registry import MetricsRegistry, current_registry
@@ -153,10 +153,13 @@ class ShardedASketch:
         Stable partitioning preserves first-appearance order within a
         shard, so each shard sees exactly the chunk-granularity exchange
         semantics of :meth:`repro.core.asketch.ASketch.process_batch`.
-        Keys that are not one-dimensional raise
-        :class:`ConfigurationError` before any shard or metric changes.
+        Keys that are not one-dimensional, and counts whose shape is not
+        the keys' or that hold a negative count, raise a typed error
+        (:class:`ConfigurationError`, :class:`NegativeCountError`)
+        before any shard or metric changes.
         """
         keys = _key_vector(keys)
+        counts = _count_vector(keys, counts)
         owners = self._router.hash_array(encode_key_array(keys))
         self._record_routing(owners)
         self.ingest_routed(keys, owners, counts)
@@ -169,10 +172,10 @@ class ShardedASketch:
     ) -> None:
         """:meth:`process_batch` for a chunk already routed by
         :meth:`owners_of`, recording no routing metrics — for a caller
-        that recorded them when it routed the chunk."""
+        that recorded them when it routed the chunk.  Invalid counts
+        raise as in :meth:`process_batch`, before any shard changes."""
         keys = np.asarray(keys, dtype=np.int64)
-        if counts is not None:
-            counts = np.asarray(counts, dtype=np.int64)
+        counts = _count_vector(keys, counts)
         for index, shard in enumerate(self._shards):
             mask = owners == index
             if mask.any():

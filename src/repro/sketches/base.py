@@ -90,7 +90,7 @@ class FrequencySketch(ABC):
         and the returned int64 array (``estimate_array(keys)`` read
         after the whole batch) drives the exchange check.  The default
         loops :meth:`update` and then reads the estimates; Count-Min
-        overrides with one fused scatter-and-gather per row.
+        overrides with one fused scatter-and-gather per group of rows.
         """
         keys = np.asarray(keys)
         amounts = np.asarray(amounts)

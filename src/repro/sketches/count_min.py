@@ -198,13 +198,15 @@ class CountMinSketch(FrequencySketch):
     ) -> np.ndarray:
         """Vectorised per-key weighted updates; returns post-batch estimates.
 
-        One fused pass per row hashes each key once, scatter-adds the
-        amounts and gathers the same columns into the running
-        row-minimum.  Rows are independent, so the result equals
-        :meth:`estimate_batch` read after the whole batch.  The operation
-        record is charged as for that update plus that read.
-        Conservative mode falls back to the per-item loop for the same
-        reason :meth:`update_batch` does.
+        One fused pass per group of rows hashes each key once per row,
+        scatter-adds the amounts and gathers the same cells into the
+        running row-minimum; the numpy kernel sizes the groups so small
+        batches fold every row at once while no temporary outgrows a
+        fixed cell budget or the batch itself.  Rows are independent, so
+        the result equals :meth:`estimate_batch` read after the whole
+        batch.  The operation record is charged as for that update plus
+        that read.  Conservative mode falls back to the per-item loop for
+        the same reason :meth:`update_batch` does.
         """
         keys = np.asarray(keys)
         amounts = np.asarray(amounts, dtype=np.int64)

@@ -10,8 +10,10 @@ from repro.hashing.families import (
     cw_fold_columns,
     encode_key_array,
 )
+from repro.errors import ConfigurationError
 from repro.kernels import available_backends
-from repro.kernels._backends import NumpyBackend, PythonBackend
+from repro.kernels._backends import _CELLS, NumpyBackend, PythonBackend
+from repro.sketches.count_min import CountMinSketch
 
 BACKENDS = [PythonBackend(), NumpyBackend()]
 if "numba" in available_backends():
@@ -164,6 +166,88 @@ class TestCountMinKernels:
         )
         folded = cw_fold_columns(a_hi, a_lo, b_mod, keys, 101)
         assert folded.tolist() == [family(int(k)) for k in keys.tolist()]
+
+
+#: Depth of the row-group tests: the paper's eight rows.
+DEPTH = 8
+#: Batch sizes around the numpy kernels' row grouping: empty, one key,
+#: one group holding every row, two groups, and one row per group.
+GROUP_SIZES = [0, 1, _CELLS // DEPTH - 1, _CELLS // DEPTH + 1, _CELLS + 1]
+
+
+class TestCountMinRowGroups:
+    """The numpy kernels fold rows in groups of ``_CELLS // n``; every
+    backend must agree with the ``python`` loops and the ``hash_array``
+    reference on both sides of each group boundary."""
+
+    @pytest.mark.parametrize("n", GROUP_SIZES)
+    @pytest.mark.parametrize("distinct", [True, False],
+                             ids=["distinct", "duplicates"])
+    def test_update_and_estimate_match_references(self, backend, n,
+                                                  distinct):
+        rng = np.random.default_rng(n)
+        width = 211
+        hashes, (a_hi, a_lo, b_mod) = _cw_params(DEPTH, width, seed=7)
+        pool = 1 << 30 if distinct else max(1, n // 8)
+        encoded = encode_key_array(rng.integers(0, pool, size=n))
+        amounts = rng.integers(0, 9, size=n).astype(np.int64)
+        start = rng.integers(0, 50, size=(DEPTH, width)).astype(np.int64)
+
+        table = start.copy()
+        estimates = backend.cm_update_weighted(
+            table, a_hi, a_lo, b_mod, encoded, amounts
+        )
+        loop_table = start.copy()
+        loop_estimates = PythonBackend().cm_update_weighted(
+            loop_table, a_hi, a_lo, b_mod, encoded, amounts
+        )
+        expected = start.copy()
+        for row, family in enumerate(hashes):
+            np.add.at(expected[row], family.hash_array(encoded), amounts)
+        assert np.array_equal(table, expected)
+        assert np.array_equal(loop_table, expected)
+        assert np.array_equal(estimates, loop_estimates)
+        assert np.array_equal(
+            estimates, backend.cm_estimate(table, a_hi, a_lo, b_mod, encoded)
+        )
+        gathered = np.full(n, np.iinfo(np.int64).max)
+        for row, family in enumerate(hashes):
+            np.minimum(
+                gathered, table[row, family.hash_array(encoded)],
+                out=gathered,
+            )
+        assert np.array_equal(estimates, gathered)
+
+    @pytest.mark.parametrize("n", [1, _CELLS // DEPTH + 1])
+    def test_restored_sketch_matches_original(self, n):
+        """A sketch rebuilt through ``from_state`` updates and answers
+        exactly as the one it was taken from."""
+        rng = np.random.default_rng(5)
+        original = CountMinSketch(num_hashes=DEPTH, row_width=307, seed=4)
+        original.update_batch_weighted(
+            rng.integers(0, 5_000, size=3_000),
+            rng.integers(1, 5, size=3_000),
+        )
+        restored = CountMinSketch.from_state(original.state())
+        keys = rng.integers(0, 5_000, size=n)
+        amounts = rng.integers(0, 9, size=n)
+        answers = [
+            sketch.update_batch_weighted(keys, amounts)
+            for sketch in (original, restored)
+        ]
+        assert np.array_equal(restored.table, original.table)
+        assert np.array_equal(answers[1], answers[0])
+        assert np.array_equal(answers[1], restored.estimate_array(keys))
+
+    def test_numpy_update_rejects_non_contiguous_table(self):
+        _, (a_hi, a_lo, b_mod) = _cw_params(3, 17, seed=2)
+        table = np.zeros((17, 3), dtype=np.int64).T
+        encoded = np.array([1, 2, 3], dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="C-contiguous"):
+            NumpyBackend().cm_update_weighted(
+                table, a_hi, a_lo, b_mod, encoded, np.ones(3, np.int64)
+            )
+        assert not table.any()
 
 
 class TestExchangeCandidates:

@@ -4,7 +4,8 @@ Two rewrites must leave state and the operation record bit-identical to
 the code they replaced, which lives on here as test-local oracles:
 
 * ``StagedSynopsis._process_batch`` pre-aggregates a chunk with one
-  argsort and ``reduceat``; the oracle is the ``np.unique``
+  sort (a packed value sort when the key span allows, else a stable
+  argsort) and ``reduceat``; the oracle is the ``np.unique``
   (``return_index``/``return_inverse``) + ``np.add.at`` body it replaced.
 * ``_HeapFilterBase._sift_down``/``_sift_up`` hold the moving entry
   aside instead of swapping per level; the oracle is the ``_swap``-based
@@ -14,7 +15,7 @@ the code they replaced, which lives on here as test-local oracles:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.asketch import ASketch
@@ -130,6 +131,67 @@ chunks = st.tuples(
 )
 
 
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
+#: The array filters store ``key + 1``, so they take keys in
+#: ``[0, 2**62]`` here; stream-summary takes the whole int64 range.
+KEY_RANGES = {
+    kind: (0, 1 << 62) for kind in ("vector", "strict-heap", "relaxed-heap")
+}
+KEY_RANGES["stream-summary"] = (INT64_MIN, INT64_MAX)
+
+
+@st.composite
+def bound_chunks(draw, lowest: int, highest: int):
+    """A chunk whose key span sits just below, at or just above the
+    packing bound ``2**(63 - bits)`` of its length, or is zero (one key,
+    or all keys equal).  Both span ends are present; the other keys
+    repeat the ends, a few values in between and, where they fall in
+    the span, ``INT64_MIN``, -1 and ``INT64_MAX``."""
+    n_items = draw(st.integers(min_value=1, max_value=40))
+    bits = max(1, (n_items - 1).bit_length())
+    offset = draw(st.sampled_from([-1, 0, 1, None]))
+    span = 0 if n_items == 1 or offset is None else (1 << (63 - bits)) + offset
+    assume(span <= highest - lowest)
+    low = draw(
+        st.sampled_from([lowest, highest - span])
+        | st.integers(min_value=lowest, max_value=highest - span)
+    )
+    high = low + span
+    values = [low, high] + [
+        key for key in (INT64_MIN, -1, INT64_MAX) if low <= key <= high
+    ]
+    values += draw(
+        st.lists(st.integers(min_value=low, max_value=high), max_size=3)
+    )
+    rest = draw(
+        st.lists(
+            st.sampled_from(values),
+            min_size=n_items - 2 if span else n_items - 1,
+            max_size=n_items - 2 if span else n_items - 1,
+        )
+    )
+    keys = draw(st.permutations(([low, high] if span else [low]) + rest))
+    counts = draw(
+        st.none()
+        | st.lists(
+            st.integers(min_value=0, max_value=6),
+            min_size=n_items,
+            max_size=n_items,
+        )
+    )
+    return keys, counts
+
+
+@st.composite
+def bound_streams(draw):
+    kind = draw(st.sampled_from(FILTER_KINDS))
+    lowest, highest = KEY_RANGES[kind]
+    stream = draw(st.lists(bound_chunks(lowest, highest), min_size=1,
+                           max_size=6))
+    return kind, stream
+
+
 class TestPreAggregationOracle:
     @given(
         kind=st.sampled_from(FILTER_KINDS),
@@ -167,6 +229,28 @@ class TestPreAggregationOracle:
             current.process_batch(chunk)
             unique_process_batch(oracle, chunk)
         assert full_state(current) == full_state(oracle)
+
+
+    @given(
+        case=bound_streams(),
+        seed=st.integers(min_value=0, max_value=20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_both_sort_branches_match_unique(self, case, seed):
+        """Chunks whose key span straddles the packing bound take the
+        packed value sort just below it and the stable argsort at and
+        above it; both agree with the oracle, as do one-key and
+        all-equal chunks."""
+        kind, stream = case
+        current = build(kind, seed)
+        oracle = build(kind, seed)
+        for keys, counts in stream:
+            keys = np.array(keys, dtype=np.int64)
+            if counts is not None:
+                counts = np.array(counts, dtype=np.int64)
+            current.process_batch(keys, counts)
+            unique_process_batch(oracle, keys, counts)
+            assert full_state(current) == full_state(oracle)
 
 
 class _SwapSifting:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NegativeCountError
 from repro.obs import install_registry, uninstall_registry
 from repro.runtime.sharding import ShardedASketch
 from repro.streams.zipf import zipf_stream
@@ -127,3 +127,44 @@ class TestKeyValidation:
         sharded.process_batch(keys)
         assert sharded.query_batch(keys) == [sharded.query(k) for k in keys]
         assert sharded.query_batch([]) == []
+
+
+class TestCountValidation:
+    """Counts that do not fit the keys fail before routing, metrics or
+    any shard's ingest."""
+
+    def _rejects_and_changes_nothing(self, sharded, stream, keys, counts,
+                                     error):
+        sharded.process_batch(stream.keys[:5_000])
+        before = [shard.state() for shard in sharded.shards]
+        registry = install_registry()
+        try:
+            with pytest.raises(error):
+                sharded.process_batch(keys, counts)
+            with pytest.raises(error):
+                sharded.ingest_routed(keys, sharded.owners_of(keys), counts)
+            assert list(registry.instruments()) == []
+        finally:
+            uninstall_registry()
+        assert sharded.total_mass == 5_000
+        for shard, state in zip(sharded.shards, before):
+            assert shard.state().equals(state)
+
+    def test_count_shape_mismatch(self, sharded, stream):
+        keys = np.arange(10, dtype=np.int64)
+        counts = np.ones(7, dtype=np.int64)
+        self._rejects_and_changes_nothing(
+            sharded, stream, keys, counts, ConfigurationError
+        )
+
+    def test_negative_count_in_a_later_shard(self, sharded, stream):
+        keys = np.arange(40, dtype=np.int64)
+        owners = sharded.owners_of(keys)
+        # Shard 0 owns some of the chunk, and the bad count sits in
+        # shard 1's share, which routing reaches after shard 0's.
+        assert (owners == 0).any()
+        counts = np.ones(40, dtype=np.int64)
+        counts[np.flatnonzero(owners == 1)[0]] = -1
+        self._rejects_and_changes_nothing(
+            sharded, stream, keys, counts, NegativeCountError
+        )
