@@ -19,6 +19,14 @@ filter (a dict index at Python speed, SIMD-priced in the op record).
 Deletions (Appendix A) can decrease counts, which breaks the
 grow-only reasoning; ``set_counts`` therefore re-heapifies fully — an
 acceptable cost for the rare deletion path.
+
+Both variants know when a rebuild would change nothing: a flag records
+that the arrays form a valid heap.  A rebuild sets it; every count
+write that may break the heap clears it (a relaxed-heap hit,
+``set_counts``, ``restore_entries``); inserts, replacements and strict
+sifts keep a valid heap valid.  While it is set, ``_heapify`` skips its
+sift-downs and charges the one level per interior slot they would have
+charged, so slots, index and op record stay bit-identical.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ class _HeapFilterBase(Filter):
         self._old = [0] * self.capacity
         self._size = 0
         self._index: dict[int, int] = {}
+        #: The arrays form a valid min-heap (an empty one does).
+        self._valid = True
 
     def __len__(self) -> int:
         return self._size
@@ -175,12 +185,21 @@ class _HeapFilterBase(Filter):
         slot = self._index[key]
         self._new[slot] = new_count
         self._old[slot] = old_count
+        self._valid = False
         self._heapify()
 
     def _heapify(self) -> None:
-        """Full bottom-up heapify (deletion path only)."""
+        """Full bottom-up heapify.
+
+        On a valid heap every sift-down stops at once and charges one
+        level, so the rebuild is skipped and those levels are charged.
+        """
+        if self._valid:
+            self.ops.heap_fixup_levels += self._size // 2
+            return
         for position in range(self._size // 2 - 1, -1, -1):
             self._sift_down(position)
+        self._valid = True
 
     def entries(self) -> list[FilterEntry]:
         return [
@@ -213,6 +232,7 @@ class _HeapFilterBase(Filter):
             self._old[slot] = int(old_count)
             self._index[int(key)] = slot
         self._size = len(self._index)
+        self._valid = False
 
     @property
     def id_array(self) -> np.ndarray:
@@ -270,6 +290,7 @@ class RelaxedHeapFilter(_HeapFilterBase):
             return False
         self.ops.filter_hits += 1
         self._new[slot] += amount
+        self._valid = False
         if slot == 0:
             self._heapify()
         return True
@@ -280,5 +301,7 @@ class RelaxedHeapFilter(_HeapFilterBase):
         evicted = super().replace_min(key, new_count, old_count)
         # The sift-down performed by the base implementation consulted
         # possibly-stale interior values; rebuild to restore exact-min.
+        # On a heap with no interior violations that sift-down already
+        # left a valid heap, and the rebuild is skipped.
         self._heapify()
         return evicted

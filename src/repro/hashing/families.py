@@ -45,9 +45,18 @@ def key_to_int(key: object) -> int:
 
 
 def encode_key_array(keys: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`key_to_int` for int64 key arrays."""
+    """Vectorised :func:`key_to_int` for int64 key arrays, as uint64.
+
+    ``(v << 1) ^ (v >> 63)`` is the ZigZag code modulo ``2**64``; every
+    code of an int64 key is below ``2**64``, so the uint64 view holds it
+    exactly (``INT64_MAX`` encodes to ``2**64 - 2``, ``INT64_MIN`` to
+    ``2**64 - 1``), where a signed view would wrap keys at or above
+    ``2**62`` and ``INT64_MIN`` to negative codes.
+    """
     keys = np.asarray(keys, dtype=np.int64)
-    return np.where(keys >= 0, keys << 1, (-keys << 1) - 1)
+    codes = np.left_shift(keys, 1)
+    np.bitwise_xor(codes, np.right_shift(keys, 63), out=codes)
+    return codes.view(_UINT64)
 
 
 def cw_fold_columns(
@@ -75,8 +84,13 @@ def cw_fold_columns(
     * One fold leaves a value in ``[0, p + 3]`` congruent to the sum,
       and one conditional ``- p`` finishes the reduction.
 
-    The only division left is the final ``% width``.  The arithmetic runs
-    in place on two int64 arrays of the broadcast shape: scalar
+    The final ``% width`` is taken as ``y - (y // width) * width`` on
+    the uint64 view of the reduced value: ``y`` lies in ``[0, p)``, so
+    the unsigned quotient is the floor quotient and the result is the
+    non-negative remainder int64 ``%`` gives, while NumPy divides
+    unsigned integers by a scalar with a precomputed multiply and shift
+    (signed ``%`` runs a hardware divide per element).  The arithmetic
+    runs in place on two int64 arrays of the broadcast shape: scalar
     parameters against a key vector fold one row, and ``(rows, 1)``
     parameter columns against ``(1, n)`` keys fold a ``(rows, n)``
     group of rows in one call.  The compiled kernels
@@ -97,7 +111,12 @@ def cw_fold_columns(
     np.subtract(
         total, MERSENNE_PRIME_61, out=total, where=total >= MERSENNE_PRIME_61
     )
-    return np.remainder(total, width, out=total)
+    value = total.view(_UINT64)
+    divisor = _UINT64(width)
+    quotient = np.floor_divide(value, divisor, out=lo.view(_UINT64))
+    np.multiply(quotient, divisor, out=quotient)
+    np.subtract(value, quotient, out=value)
+    return total
 
 
 class HashFamily(ABC):
@@ -160,15 +179,17 @@ class CarterWegmanHash(HashFamily):
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
         # NumPy has no native 128-bit ints; use Python object math only
         # for the rare huge-key case and the int64-safe Mersenne folding
-        # (cw_fold_columns) otherwise.
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size and int(keys.max(initial=0)) < (1 << 31):
+        # (cw_fold_columns) otherwise.  Keys are read as unsigned, so
+        # codes at or above 2**63 take the exact path too, and small
+        # ones reach the fold as an int64 view of the same memory.
+        codes = np.asarray(keys, dtype=_UINT64)
+        if codes.size and int(codes.max()) < (1 << 31):
             a_hi, a_lo, b_mod = self.kernel_params
             return cw_fold_columns(
-                a_hi, a_lo, b_mod, keys, self.output_range
+                a_hi, a_lo, b_mod, codes.view(np.int64), self.output_range
             )
-        out = np.empty(keys.shape, dtype=np.int64)
-        flat_in = keys.reshape(-1)
+        out = np.empty(codes.shape, dtype=np.int64)
+        flat_in = codes.reshape(-1)
         flat_out = out.reshape(-1)
         for i, key in enumerate(flat_in.tolist()):
             flat_out[i] = self(key)

@@ -33,11 +33,24 @@ _INT64_MAX = (1 << 63) - 1
 #: batches take several rows at once, and no temporary exceeds
 #: ``max(_CELLS, n)`` cells.
 _CELLS = 1 << 14
+#: Odd multiplier of the probe prefilter's hash: ``2**64`` over the
+#: golden ratio (Fibonacci hashing).
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _as_int64(array: np.ndarray) -> np.ndarray:
     """Contiguous int64 view/copy of ``array`` for kernel consumption."""
     return np.ascontiguousarray(array, dtype=np.int64)
+
+
+def _codes_as_int64(encoded: np.ndarray) -> np.ndarray:
+    """Encoded keys as contiguous int64: uint64 ZigZag codes (below
+    ``2**31`` wherever a Count-Min kernel is called) are viewed, not
+    copied."""
+    encoded = np.ascontiguousarray(encoded)
+    if encoded.dtype == np.uint64:
+        return encoded.view(np.int64)
+    return _as_int64(encoded)
 
 
 class KernelBackend:
@@ -128,7 +141,7 @@ class _LoopBackend(KernelBackend):
         self, table, a_hi, a_lo, b_mod, encoded, amounts
     ) -> np.ndarray:
         """Loop-kernel fused update (see ``_impl.cm_update_weighted``)."""
-        encoded = _as_int64(encoded)
+        encoded = _codes_as_int64(encoded)
         columns = np.empty(encoded.shape[0], dtype=np.int64)
         out = np.empty(encoded.shape[0], dtype=np.int64)
         self._cm_update_weighted(
@@ -139,7 +152,7 @@ class _LoopBackend(KernelBackend):
 
     def cm_estimate(self, table, a_hi, a_lo, b_mod, encoded) -> np.ndarray:
         """Loop-kernel fused estimate (see ``_impl.cm_estimate``)."""
-        encoded = _as_int64(encoded)
+        encoded = _codes_as_int64(encoded)
         out = np.empty(encoded.shape[0], dtype=np.int64)
         self._cm_estimate(table, a_hi, a_lo, b_mod, encoded, out)
         return out
@@ -173,23 +186,38 @@ class NumpyBackend(KernelBackend):
     def membership_probe(
         self, ids: np.ndarray, keys: np.ndarray
     ) -> np.ndarray:
-        """Sorted-view ``searchsorted`` membership over occupied slots."""
+        """Bit-table prefilter, then sorted-view ``searchsorted``
+        membership over occupied slots for the keys that pass it.
+
+        Each stored key sets one bit of a table of ``2**bits >= 32 m``
+        bits (``m`` occupied slots, one byte per bit), chosen by the
+        multiplicative hash ``(key * _GOLDEN) >> (64 - bits)`` on the
+        uint64 view.  A key whose bit is clear is not stored, so only
+        the hits and about one miss in 32 reach the binary search; the
+        answers are the search's own.
+        """
         keys = _as_int64(keys)
         out = np.full(keys.shape[0], -1, dtype=np.int64)
         if keys.shape[0] == 0:
             return out
-        ids = np.asarray(ids)
+        ids = _as_int64(ids)
         occupied = np.flatnonzero(ids)
         if occupied.shape[0] == 0:
             return out
         stored = ids[occupied] - 1
+        shift = _prefilter_shift(stored.shape[0])
+        table = np.zeros(1 << (64 - int(shift)), dtype=bool)
+        table[_golden_hash(stored, shift)] = True
+        candidates = np.flatnonzero(table[_golden_hash(keys, shift)])
+        if candidates.shape[0] == 0:
+            return out
+        probed = keys[candidates]
         order = np.argsort(stored)
         sorted_keys = stored[order]
-        slots = occupied[order]
-        positions = np.searchsorted(sorted_keys, keys)
+        positions = np.searchsorted(sorted_keys, probed)
         positions = np.minimum(positions, sorted_keys.shape[0] - 1)
-        mask = sorted_keys[positions] == keys
-        out[mask] = slots[positions[mask]]
+        mask = sorted_keys[positions] == probed
+        out[candidates[mask]] = occupied[order[positions[mask]]]
         return out
 
     def cm_update_weighted(
@@ -214,6 +242,20 @@ class NumpyBackend(KernelBackend):
         return np.flatnonzero(_as_int64(estimates) > int(threshold))
 
 
+def _prefilter_shift(occupied: int) -> np.uint64:
+    """``64 - bits`` for the smallest ``2**bits >= 32 * occupied``
+    (at least 32 bits), the probe prefilter's table size."""
+    return np.uint64(64 - max(5, (32 * occupied - 1).bit_length()))
+
+
+def _golden_hash(keys: np.ndarray, shift: np.uint64) -> np.ndarray:
+    """Top ``64 - shift`` bits of ``key * _GOLDEN`` (mod ``2**64``), as
+    table indices: the multiply carries every key bit into the top
+    bits, so keys that share low bits spread across the table."""
+    hashed = np.multiply(keys.view(np.uint64), _GOLDEN)
+    return np.right_shift(hashed, shift, out=hashed).view(np.int64)
+
+
 def _fold_row_groups(
     table: np.ndarray,
     a_hi: np.ndarray,
@@ -232,7 +274,7 @@ def _fold_row_groups(
     ``ufunc.at``'s fast path.  Batches of ``_CELLS`` keys or more fold
     one row at a time.
     """
-    encoded = _as_int64(encoded)
+    encoded = _codes_as_int64(encoded)
     n = encoded.shape[0]
     rows, width = table.shape
     out = np.full(n, _INT64_MAX, dtype=np.int64)

@@ -276,7 +276,9 @@ class CountMinSketch(FrequencySketch):
 
         Requires Carter-Wegman rows (pre-split parameters exist) and
         every encoded key below ``2**31`` — the overflow bound of the
-        int64 Mersenne folding.  Anything else takes the per-row
+        int64 Mersenne folding; the uint64 codes of
+        :func:`encode_key_array` compare unsigned, so no huge code
+        passes as a negative one.  Anything else takes the per-row
         ``hash_array`` path, which handles huge keys exactly.
         """
         return (

@@ -62,6 +62,31 @@ class TestRelaxedHeap:
             true_min = min(e.new_count for e in filter_.entries())
             assert filter_.min_new_count() == true_min
 
+    def test_rebuild_skipped_only_on_a_valid_heap(self, monkeypatch):
+        """An exchange into a heap with no interior violations sifts the
+        new root down once; after a non-root hit the rebuild runs."""
+        filter_ = RelaxedHeapFilter(15)
+        for key in range(15):
+            filter_.insert(key, 10 + key, 0)
+        sifts = []
+        original = RelaxedHeapFilter._sift_down
+
+        def counting(self, position):
+            sifts.append(position)
+            original(self, position)
+
+        monkeypatch.setattr(RelaxedHeapFilter, "_sift_down", counting)
+        levels = filter_.ops.heap_fixup_levels
+        filter_.replace_min(100, 11, 11)
+        assert sifts == [0]
+        # The skipped rebuild charges the level each of its 7 interior
+        # sift-downs would have charged.
+        assert filter_.ops.heap_fixup_levels - levels == 1 + 7
+        sifts.clear()
+        assert filter_.add_if_present(3, 50)
+        filter_.replace_min(101, 12, 12)
+        assert sifts == [0, 6, 5, 4, 3, 2, 1, 0]
+
     def test_cheaper_maintenance_than_strict(self, rng):
         """Relaxed performs strictly fewer heap fix-up levels (Fig. 14)."""
         hits = [int(rng.integers(0, 16)) for _ in range(5000)]

@@ -226,3 +226,58 @@ class TestFoldReduction:
         )
         folded = cw_fold_columns(a_hi, a_lo, b_mod, keys, width)
         assert folded.tolist() == _scalar_fold(a, b_mod, keys.tolist(), width)
+
+
+class TestFoldFinalReduction:
+    """The final ``% width`` (an unsigned quotient) at the edges of
+    ``[0, p)``: parameters are picked so ``a*x + b`` equals ``p - 1``,
+    ``p`` or ``p + 3`` exactly, which reduce to ``p - 1``, 0 and 3."""
+
+    WIDTHS = [1, 2, 3, 4084, (1 << 31) - 1, 1 << 20]
+    KEYS = [1, 2, 3, 12_345, (1 << 30) + 1, _KEY_MAX]
+
+    @staticmethod
+    def _parameters(target: int, key: int) -> tuple[int, int]:
+        """``(a, b)`` with ``a*key + b == target``, ``1 <= a < p`` and
+        ``0 <= b < p``."""
+        a = min(MERSENNE_PRIME_61 - 1, target // key)
+        return a, target - a * key
+
+    @staticmethod
+    def _split(a: int) -> tuple[int, int]:
+        return a >> 31, a & _KEY_MAX
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("offset", [-1, 0, 3])
+    def test_scalar_parameters(self, width, offset):
+        target = MERSENNE_PRIME_61 + offset
+        for key in self.KEYS:
+            a, b = self._parameters(target, key)
+            assert (a * key + b) % MERSENNE_PRIME_61 == target % (
+                MERSENNE_PRIME_61
+            )
+            keys = np.array(_EDGE_KEYS + [key], dtype=np.int64)
+            folded = cw_fold_columns(*self._split(a), b, keys, width)
+            assert folded.tolist() == _scalar_fold(a, b, keys.tolist(), width)
+            assert folded[-1] == (target % MERSENNE_PRIME_61) % width
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_broadcast_rows(self, width):
+        # One row per (target, key) pair; every row folds every key, so
+        # row i lands on its target at key i and elsewhere on others.
+        rows = []
+        keys = []
+        for offset in (-1, 0, 3):
+            for key in self.KEYS:
+                rows.append(self._parameters(MERSENNE_PRIME_61 + offset, key))
+                keys.append(key)
+        a_hi, a_lo = zip(*(self._split(a) for a, _ in rows))
+        b_mod = [b for _, b in rows]
+        folded = cw_fold_columns(
+            *(np.array(column, dtype=np.int64)[:, None]
+              for column in (a_hi, a_lo, b_mod)),
+            np.array(keys, dtype=np.int64)[None, :], width,
+        )
+        assert folded.shape == (len(rows), len(keys))
+        for row, (a, b) in enumerate(rows):
+            assert folded[row].tolist() == _scalar_fold(a, b, keys, width)

@@ -89,6 +89,76 @@ class TestMembershipProbe:
             )
 
 
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
+
+def _ids_of(stored, capacity: int) -> np.ndarray:
+    """A filter id array holding ``stored`` (``key + 1``; 0 = empty)."""
+    ids = np.zeros(capacity, dtype=np.int64)
+    ids[: len(stored)] = np.asarray(stored, dtype=np.int64) + 1
+    return ids
+
+
+class TestProbePrefilter:
+    """The numpy probe's bit-table prefilter never changes an answer:
+    every case is checked against the python loop backend."""
+
+    @staticmethod
+    def _assert_parity(ids, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        with np.errstate(over="ignore"):
+            expected = PythonBackend().membership_probe(ids, keys)
+        np.testing.assert_array_equal(
+            NumpyBackend().membership_probe(ids, keys), expected
+        )
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 31, 32, 33, 1000, 4096])
+    def test_empty_partial_and_full_filters(self, capacity):
+        rng = np.random.default_rng(capacity)
+        stored = rng.choice(1 << 40, size=capacity, replace=False)
+        probes = max(8, 200_000 // capacity)
+        for occupancy in (0, capacity // 2, capacity):
+            ids = _ids_of(stored[:occupancy], capacity)
+            rng.shuffle(ids)
+            keys = np.concatenate([
+                rng.choice(stored, size=probes // 2),  # hits and duplicates
+                rng.integers(0, 1 << 40, size=probes // 2),
+            ])
+            self._assert_parity(ids, keys)
+
+    def test_stored_keys_sharing_low_bits(self):
+        stored = [7 + (i << 40) for i in range(64)]
+        keys = [7 + (i << 39) for i in range(256)] + [7, 7 + (1 << 62)]
+        self._assert_parity(_ids_of(stored, 64), keys)
+
+    def test_probe_keys_sharing_a_bucket_with_stored_keys(self):
+        from repro.kernels._backends import _golden_hash, _prefilter_shift
+
+        stored = np.array([3, 1_000, 77_777, -40], dtype=np.int64)
+        ids = _ids_of(stored, 8)
+        shift = _prefilter_shift(stored.shape[0])
+        occupied = set(_golden_hash(stored, shift).tolist())
+        pool = np.arange(-200_000, 200_000, dtype=np.int64)
+        colliding = pool[np.isin(_golden_hash(pool, shift), list(occupied))]
+        colliding = colliding[~np.isin(colliding, stored)]
+        assert colliding.shape[0] > 1_000
+        self._assert_parity(ids, np.concatenate([colliding, stored]))
+
+    def test_negative_and_extreme_keys(self):
+        stored = [-2, -3, -1_000_000, _INT64_MIN, 0, _INT64_MAX - 1]
+        keys = [-1, -2, -3, -4, -1_000_000, _INT64_MIN, _INT64_MIN + 1,
+                _INT64_MAX, _INT64_MAX - 1, 0, 1, -1, -2]
+        for capacity in (6, 9):
+            self._assert_parity(_ids_of(stored, capacity), keys)
+
+    def test_minus_one_misses_on_any_table(self):
+        # key -1 would be stored as 0, the empty-slot marker.
+        for capacity in (1, 5, 64):
+            ids = _ids_of(np.arange(capacity // 2), capacity)
+            self._assert_parity(ids, [-1] * 10 + [0, 1])
+
+
 def _cw_params(num_rows: int, width: int, seed: int):
     hashes = [CarterWegmanHash(width, seed * 1_000_003 + r) for r in range(num_rows)]
     params = [h.kernel_params for h in hashes]

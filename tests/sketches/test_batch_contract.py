@@ -133,3 +133,47 @@ class TestQueryAnswersArePlainInts:
             assert _plain_ints(answers)
             assert answers == synopsis.query_batch(probes.tolist())
             assert answers == [synopsis.query(int(k)) for k in probes]
+
+
+#: Keys whose ZigZag code needs all 64 bits, and the largest whose code
+#: fits 63: a signed code wraps for the first three.
+EXTREME_KEYS = [1 << 62, (1 << 63) - 1, -(1 << 63), (1 << 62) - 1]
+
+
+class TestExtremeKeys:
+    """Scalar and batch paths hash every int64 key alike, so each path
+    reads what the other wrote (one key alone answers its exact count)."""
+
+    @pytest.mark.parametrize("kind", ["count-min", "count-sketch", "salsa-cm"])
+    @pytest.mark.parametrize("key", EXTREME_KEYS)
+    def test_scalar_update_batch_read(self, kind, key):
+        sketch = SKETCH_KINDS[kind]()
+        sketch.update(key, 5)
+        assert sketch.estimate_array(np.array([key])).tolist() == [5]
+        assert sketch.estimate_batch([key, key]) == [5, 5]
+
+    @pytest.mark.parametrize("kind", ["count-min", "count-sketch", "salsa-cm"])
+    @pytest.mark.parametrize("key", EXTREME_KEYS)
+    def test_batch_update_scalar_read(self, kind, key):
+        sketch = SKETCH_KINDS[kind]()
+        returned = sketch.update_batch_weighted(
+            np.array([key], dtype=np.int64), np.array([5], dtype=np.int64)
+        )
+        assert returned.tolist() == [5]
+        assert sketch.estimate(key) == 5
+
+    def test_codes_are_exact_uint64(self):
+        codes = encode_key_array(np.array(EXTREME_KEYS, dtype=np.int64))
+        assert codes.dtype == np.uint64
+        assert codes.tolist() == [1 << 63, (1 << 64) - 2, (1 << 64) - 1,
+                                  (1 << 63) - 2]
+
+    def test_shard_of_agrees_with_owners_of(self):
+        group = ShardedASketch(5, total_bytes=8 * 1024, filter_items=4, seed=9)
+        rng = np.random.default_rng(4)
+        keys = np.concatenate([
+            np.array(EXTREME_KEYS + [-1, 0, 1, -(1 << 62)], dtype=np.int64),
+            rng.integers(-(1 << 63), (1 << 63) - 1, size=200, dtype=np.int64),
+        ])
+        owners = group.owners_of(keys)
+        assert owners.tolist() == [group.shard_of(int(k)) for k in keys]
