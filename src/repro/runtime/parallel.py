@@ -33,22 +33,26 @@ writes would interleave with the parent's).  No process outlives
 would have received in a sequential run, in chunk order.  Stable
 partitioning inside ``process_batch`` then reproduces the exact same
 per-shard sub-batches, so each worker's shard states equal the
-sequential run's — and the drain merge recombines them through the
-pristine-merge identity fast path of :meth:`repro.core.asketch.ASketch.
-merge` (each shard is non-pristine on exactly one side).  The merged
-result's :meth:`state` **equals** a single-process ingest's, enforced
-by the parallel test suite.
+sequential run's.  A worker's snapshot is ``{shard: state}`` for its
+non-pristine shards only — the shards it owns that have seen keys —
+and the drain *installs* each of them into the result group with
+:meth:`~repro.runtime.sharding.ShardedASketch.install_shard`, whose
+pristine check rejects a shard that is already non-pristine there.
+The combined result's :meth:`state` **equals** a single-process
+ingest's, enforced by the parallel test suite.
 
 **Self-healing.**  Worker death is detected by the parent (process
 liveness plus ring-progress stall detection — a hung worker is not a
-dead worker, but both are failed over).  Workers snapshot their group
-over a pipe every ``sync_every`` chunks (each snapshot carries a
-content digest, so a corrupted snapshot is *rejected* and the retained
-replay tail kept), and the parent retains the un-snapshotted chunk
-tail per worker, giving two recovery tiers, both exact:
+dead worker, but both are failed over).  Workers snapshot their
+non-pristine shards over a pipe every ``sync_every`` chunks (each
+snapshot carries a digest of exactly what is sent, so a corrupted
+snapshot is *rejected* and the retained replay tail kept), and the
+parent retains the un-snapshotted chunk tail per worker, giving two
+recovery tiers, both exact.  Either tier takes from the last accepted
+snapshot only the shards the worker *currently owns*:
 
-* ``respawn=True`` (first tier): fork a replacement process, restore
-  it from the last accepted snapshot, replay the retained tail into
+* ``respawn=True`` (first tier): fork a replacement process, install
+  those shards into its fresh group, replay the retained tail into
   its fresh ring, and resume exact ingest — **still bit-identical**,
   and transient: the worker's shards walk a
   ``ok → healing → ok`` lifecycle in
@@ -57,32 +61,35 @@ tail per worker, giving two recovery tiers, both exact:
   :class:`~repro.runtime.reliability.RetryPolicy`; past the budget the
   failure falls through to inline failover.
 * inline failover (without ``respawn``, or once its budget is spent):
-  merge the dead worker's last snapshot into the result group, replay
+  install those shards into the result group, replay
   the retained tail there through the identical ``process_batch``
   path, and ingest that worker's later shares there too — the parent
   now owns its shards; bit-identical, minus the parallelism.
 
 Either way each shard is non-pristine in exactly one place: the result
-group, or one ring worker's accepted snapshot.
+group, or the accepted snapshot of the ring worker that owns it.
 
 **Elastic resharding.**  :meth:`ParallelIngestRuntime.reshard` moves
 shard ownership between workers online with a
 quiesce → install → commit protocol that is crash-consistent at every
 step: a worker dying mid-migration neither loses nor double-counts a
-shard (the parent strips pending exports from the dead worker's
-snapshot before any failover merge, and the receiving side
-acknowledges adoption with a full fresh snapshot).  With
+shard (ownership moves to the destination once it acknowledges
+adoption with a fresh snapshot, and failover takes only owned shards,
+so an exported shard still in the source's snapshot is never adopted
+twice).  With
 ``auto_reshard=True`` a skew-watching controller
 (:class:`~repro.runtime.adaptive.ReshardController`) proposes moves
 from the live ``shard_skew`` signal, with cooldown and bounds like the
 filter's :class:`~repro.runtime.adaptive.AdaptiveController`.
 
 **Backpressure.**  Ring occupancy is bounded, so a
-slow consumer exerts natural backpressure on the parent.  A snapshot
-can exceed the socket buffer, so the worker the parent is waiting on
-may itself be blocked sending one, unable to free a ring slot until
-the parent reads: every parent-side wait therefore runs in slices of
-a few milliseconds and drains every worker's pipe between them
+slow consumer exerts natural backpressure on the parent.  Owned-shard
+snapshots keep the default layouts under a Unix socket's send buffer
+(212,992 B on Linux), but a worker owning larger shards can exceed it,
+so the worker the parent is waiting on may itself be blocked sending
+one, unable to free a ring slot until the parent reads: every
+parent-side wait therefore runs in slices of a few milliseconds and
+drains every worker's pipe between them
 (:meth:`ParallelIngestRuntime._wait`).  The parent
 distinguishes *no progress* (stall → typed
 :class:`~repro.errors.WorkerStalledError`, failover) from *slow
@@ -101,12 +108,15 @@ parent records routing skew, per-worker item counters, ring depth,
 liveness, failures, respawns (``worker_respawns_total``), stalls
 (``parallel_worker_stalls_total``), migrations
 (``reshard_migrations_total``), snapshot rejects
-(``parallel_snapshot_rejects_total``) and merge latency; trace points
+(``parallel_snapshot_rejects_total``) and drain latency
+(``parallel_merge_seconds``, the drain's installs); trace points
 (``worker_respawn``, ``worker_healed``, ``worker_stalled``,
 ``reshard_migration``, ``snapshot_reject``) mark every
-lifecycle transition.  Each worker runs its own registry and forwards
-counter/gauge values over its pipe, which the parent re-labels with
-``worker=<id>`` and folds into the installed registry.
+lifecycle transition.  A worker forked while the parent has a registry
+installed runs its own and forwards counter/gauge values over its
+pipe, which the parent re-labels with ``worker=<id>`` and folds into
+the installed registry; without one, a worker records and sends no
+metrics at all.
 """
 
 from __future__ import annotations
@@ -344,34 +354,40 @@ class ChunkRing:
 # -- snapshot integrity ------------------------------------------------------
 
 
-def _state_digest(state: SynopsisState) -> str:
-    """Content hash of a synopsis state (params + arrays + extra).
+def _snapshot_digest(snapshot: Mapping[int, SynopsisState]) -> str:
+    """Content hash of a worker snapshot: every shard index and its
+    state (kind, params, arrays, extra).
 
     Travels alongside every snapshot so the receiver
     can detect in-flight corruption; a mismatch means *reject and keep
     the replay tail*, never adopt.
     """
     h = hashlib.sha256()
-    h.update(state.kind.encode())
-    h.update(repr(sorted(state.params.items())).encode())
-    h.update(
-        json.dumps(state.extra, sort_keys=True, default=str).encode()
-    )
-    for name in sorted(state.arrays):
-        array = np.ascontiguousarray(state.arrays[name])
-        h.update(name.encode())
-        h.update(str(array.dtype).encode())
-        h.update(repr(array.shape).encode())
-        h.update(array.tobytes())
+    for shard in sorted(snapshot):
+        state = snapshot[shard]
+        h.update(f"shard{shard}:{state.kind}".encode())
+        h.update(repr(sorted(state.params.items())).encode())
+        h.update(
+            json.dumps(state.extra, sort_keys=True, default=str).encode()
+        )
+        for name in sorted(state.arrays):
+            array = np.ascontiguousarray(state.arrays[name])
+            h.update(name.encode())
+            h.update(str(array.dtype).encode())
+            h.update(repr(array.shape).encode())
+            h.update(array.tobytes())
     return h.hexdigest()
 
 
 # -- the worker process ------------------------------------------------------
 
 
-def _export_metrics(registry: MetricsRegistry) -> list[tuple]:
-    """Counter/gauge values as picklable rows (histograms stay local)."""
+def _export_metrics(registry: MetricsRegistry | None) -> list[tuple]:
+    """Counter/gauge values as picklable rows (histograms stay local);
+    none without a registry."""
     rows: list[tuple] = []
+    if registry is None:
+        return rows
     for instrument in registry.instruments():
         if isinstance(instrument, Counter):
             rows.append(
@@ -386,16 +402,17 @@ def _export_metrics(registry: MetricsRegistry) -> list[tuple]:
     return rows
 
 
-def _corrupt_in_flight(state: SynopsisState) -> None:
-    """Flip one payload value of a state whose digest is already taken:
-    the receiver must detect the mismatch and reject it."""
-    for name in sorted(state.arrays):
-        array = state.arrays[name]
-        if array.size:
-            corrupted = array.copy()
-            corrupted.reshape(-1)[0] += 1
-            state.arrays[name] = corrupted
-            return
+def _corrupt_in_flight(snapshot: Mapping[int, SynopsisState]) -> None:
+    """Flip one payload value of a snapshot whose digest is already
+    taken: the receiver must detect the mismatch and reject it."""
+    for shard in sorted(snapshot):
+        arrays = snapshot[shard].arrays
+        for name in sorted(arrays):
+            if arrays[name].size:
+                corrupted = arrays[name].copy()
+                corrupted.reshape(-1)[0] += 1
+                arrays[name] = corrupted
+                return
 
 
 def _ring_chunks(ring: ChunkRing, control) -> Iterator[np.ndarray]:
@@ -426,7 +443,7 @@ def _worker_main(
     parent_ends: list,
     sync_every: int,
     faults: FaultPlan,
-    initial: tuple | None = None,
+    initial: tuple = ({}, 0, 0),
 ) -> None:
     """Worker body: the ingest loop from the ring into a shard group.
 
@@ -436,8 +453,11 @@ def _worker_main(
     fork handed it, its own peer end included — and drops the parent's
     tracer.  The group has the *full* shard layout; the parent only
     ever sends keys owned by this worker's shards, so every other shard
-    stays pristine (the precondition for the drain merge's identity
-    fast path).
+    stays pristine, and a snapshot
+    (:meth:`~repro.runtime.sharding.ShardedASketch.nonpristine_states`)
+    carries the owned shards that have seen keys and nothing else.
+    The worker runs its own metrics registry only when the parent had
+    one installed when it forked.
 
     The ring feeds :class:`~repro.runtime.engine.StreamEngine` through
     the source layers of
@@ -447,21 +467,22 @@ def _worker_main(
     then retries, then validate-or-quarantine.  The checkpoint step is
     the pipe snapshot every ``sync_every`` chunks and at end of stream.
 
-    ``initial`` is ``(state, chunks_done, items_done)`` for a respawned
-    replacement: the group restores from the parent's last accepted
-    snapshot and chunk counting resumes from there, so the retained
-    tail the parent replays lands at exactly the right positions.
+    ``initial`` is ``(snapshot, chunks_done, items_done)``; a respawned
+    replacement gets the owned shards of the parent's last accepted
+    snapshot, installs them into a fresh group, and resumes chunk
+    counting from there, so the retained tail the parent replays lands
+    at exactly the right positions.
     """
     for end in parent_ends:
         end.close()
     uninstall_tracer()
-    registry = install_registry(MetricsRegistry())
-    if initial is not None:
-        state, chunks_done, items_done = initial
-        group = ShardedASketch.from_state(state)
-    else:
-        group = ShardedASketch(**group_params)
-        chunks_done = items_done = 0
+    registry: MetricsRegistry | None = None
+    if current_registry() is not None:
+        registry = install_registry(MetricsRegistry())
+    snapshot, chunks_done, items_done = initial
+    group = ShardedASketch(**group_params)
+    for shard, shard_state in snapshot.items():
+        group.install_shard(shard, shard_state)
     engine = StreamEngine(group, batched=True)
     engine.position = int(chunks_done)
     engine.stats.tuples_ingested = int(items_done)
@@ -470,15 +491,15 @@ def _worker_main(
 
     def send_snapshot(tag: str = "snapshot") -> None:
         nonlocal checkpoints
-        state = group.state()
-        digest = _state_digest(state)
+        shard_states = group.nonpristine_states()
+        digest = _snapshot_digest(shard_states)
         if tag == "snapshot":  # a checkpoint, not a reshard ack
             checkpoints += 1
             faults.checkpoint_written(
-                checkpoints, lambda: _corrupt_in_flight(state)
+                checkpoints, lambda: _corrupt_in_flight(shard_states)
             )
         conn.send((tag, engine.position, engine.stats.tuples_ingested,
-                   state, digest, _export_metrics(registry)))
+                   shard_states, digest, _export_metrics(registry)))
 
     def quarantine(position: int, payload: Any, reason: str) -> None:
         # The parent's dead-letter queue keeps the pristine payload from
@@ -496,15 +517,16 @@ def _worker_main(
             elif tag == "migrate_in":
                 for shard, shard_state in message[1].items():
                     group.install_shard(int(shard), shard_state)
-                # The adoption ack IS a full fresh snapshot: once the
-                # parent accepts it, a later death of this worker
-                # recovers the migrated shard from snapshot like any
-                # other data — no special mid-migration state survives.
+                # The adoption ack IS a fresh snapshot: once the parent
+                # accepts it, a later death of this worker recovers the
+                # migrated shard from snapshot like any other data — no
+                # special mid-migration state survives.
                 send_snapshot("adopted")
             elif tag == "migrate_commit":
                 # The parent exported these shards from this worker's
                 # quiesced snapshot and a new owner has adopted them:
-                # only now do the local copies reset.
+                # only now do the local copies reset and leave the
+                # snapshots.
                 for shard in message[1]:
                     group.export_shard(int(shard))  # discard: reset
                 send_snapshot("migrate_committed")
@@ -563,7 +585,9 @@ class _WorkerSlot:
     sent_items: int = 0
     acked_chunks: int = 0
     retained: deque = field(default_factory=deque)
-    snapshot_state: SynopsisState | None = None
+    #: The last accepted snapshot: ``{shard: state}`` of the worker's
+    #: non-pristine shards (empty before the first).
+    snapshot: dict = field(default_factory=dict)
     snapshot_chunks: int = 0
     snapshot_items: int = 0
     #: ``"ok"`` (fed over its ring) or ``"inlined"`` (failed over: the
@@ -743,10 +767,6 @@ class ParallelIngestRuntime:
             [s % self.workers for s in range(shards)], dtype=np.int64
         )
         self._shard_items = np.zeros(shards, dtype=np.int64)
-        #: shards exported from a worker but not yet commit-acked there
-        #: — stripped from that worker's snapshot on failover so a
-        #: mid-migration death cannot double-count them.
-        self._exports_pending: dict[int, set[int]] = {}
 
     def shards_of(self, worker: int) -> list[int]:
         """Shard indices currently owned by one worker."""
@@ -781,7 +801,7 @@ class ParallelIngestRuntime:
         self,
         index: int,
         faults: FaultPlan,
-        initial: tuple | None = None,
+        initial: tuple = ({}, 0, 0),
     ) -> tuple[Any, Any, ChunkRing]:
         """Fork one worker process with a fresh ring and pipe."""
         ctx = mp.get_context("fork")
@@ -855,14 +875,16 @@ class ParallelIngestRuntime:
             else:
                 registry.gauge(name, **labelled).set(value)
 
-    #: Message tags carrying a full group snapshot (handled alike).
+    #: Message tags carrying a worker snapshot (handled alike).
     _SNAPSHOT_TAGS = ("snapshot", "adopted", "migrate_committed")
 
     def _handle_message(self, slot: _WorkerSlot, message: tuple) -> None:
         tag = message[0]
         if tag in self._SNAPSHOT_TAGS:
-            _, chunks_done, items_done, state, digest, metric_rows = message
-            if _state_digest(state) != digest:
+            _, chunks_done, items_done, snapshot, digest, metric_rows = (
+                message
+            )
+            if _snapshot_digest(snapshot) != digest:
                 # Corrupted in flight: reject, keep the previous
                 # snapshot AND the retained tail it still covers.
                 slot.snapshot_rejects += 1
@@ -879,7 +901,7 @@ class ParallelIngestRuntime:
                 )
                 self._apply_worker_metrics(slot, metric_rows)
                 return
-            slot.snapshot_state = state
+            slot.snapshot = snapshot
             slot.snapshot_chunks = int(chunks_done)
             slot.snapshot_items = int(items_done)
             # The snapshot covers the first chunks_done FIFO chunks this
@@ -921,8 +943,9 @@ class ParallelIngestRuntime:
     ) -> None:
         """Drain every live worker's pipe.
 
-        A snapshot can exceed the socket buffer, so a worker may *block
-        in send* until the parent reads — typically the very worker
+        A snapshot of large shards can exceed the socket buffer, so a
+        worker may *block in send* until the parent reads — typically
+        the very worker
         whose full ring the parent is waiting on, which cannot consume
         while it is stuck in send.  :meth:`_wait` therefore calls this
         between slices, so such a worker is read within one
@@ -981,6 +1004,20 @@ class ParallelIngestRuntime:
             self._fail_dead(slot)
 
     # -- failover ----------------------------------------------------------
+
+    def _owned_snapshot(self, slot: _WorkerSlot) -> dict[int, SynopsisState]:
+        """The shards of a worker's last accepted snapshot it still owns.
+
+        A reshard source's snapshot keeps the shards it exported until
+        its commit ack replaces it, but those shards belong to their
+        new owner from adoption on: a failover must not adopt them
+        twice.
+        """
+        return {
+            shard: state
+            for shard, state in slot.snapshot.items()
+            if self._assignment[shard] == slot.index
+        }
 
     def _fail_dead(self, slot: _WorkerSlot) -> None:
         """Fail over a worker whose process is gone."""
@@ -1052,16 +1089,11 @@ class ParallelIngestRuntime:
             self._stop(slot)
         assert self.supervisor is not None
         # The parent takes over: the worker's shards are pristine in the
-        # result group, so merging its snapshot adopts them bit-exactly.
-        if slot.snapshot_state is not None:
-            recovered = ShardedASketch.from_state(slot.snapshot_state)
-            # Shards exported to a new owner but not yet commit-acked by
-            # this worker still sit in its snapshot — discard them, or
-            # the handoff double-counts.
-            for shard in self._exports_pending.get(slot.index, ()):
-                recovered.export_shard(shard)
-            self.supervisor.group.merge(recovered)
-        slot.snapshot_state = None
+        # result group, which adopts them from its snapshot bit-exactly.
+        group = self.supervisor.group
+        for shard, state in self._owned_snapshot(slot).items():
+            group.install_shard(shard, state)
+        slot.snapshot = {}
         for share in slot.retained:
             self._ingest_in_parent(share)
         slot.retained.clear()
@@ -1103,13 +1135,11 @@ class ParallelIngestRuntime:
                     shard, f"worker {slot.index} respawning: {reason}"
                 )
         time.sleep(min(policy.delay_for(attempt, self._respawn_rng), 1.0))
-        initial = None
-        if slot.snapshot_state is not None:
-            initial = (
-                slot.snapshot_state,
-                slot.snapshot_chunks,
-                slot.snapshot_items,
-            )
+        initial = (
+            self._owned_snapshot(slot),
+            slot.snapshot_chunks,
+            slot.snapshot_items,
+        )
         # Injected faults are one-shot per process generation: the
         # replacement runs fault-free (a planned crash would re-fire on
         # restore and loop the respawn budget away for nothing).
@@ -1230,7 +1260,7 @@ class ParallelIngestRuntime:
         once at end of stream.
 
         Returns :class:`EngineStats` whose ``wall_seconds`` covers the
-        whole pipeline — feeding, worker ingest, and the drain merge —
+        whole pipeline — feeding, worker ingest, and the drain —
         which is the number real-vs-model speedups are measured on.
         The combined result is :attr:`supervisor`.
         """
@@ -1404,7 +1434,7 @@ class ParallelIngestRuntime:
         self._await_snapshots()
 
     def _drain(self) -> None:
-        """End of stream: EOF every ring, collect finals, merge."""
+        """End of stream: EOF every ring, collect finals, install them."""
         assert self.supervisor is not None
         for slot in self._slots:
             while slot.feeding_ring:
@@ -1419,21 +1449,22 @@ class ParallelIngestRuntime:
                 # still needs its EOF; an inlined slot exits via
                 # feeding_ring.
         self._await_snapshots()
-        merge_start = time.perf_counter()
-        self._merge_workers_into(self.supervisor.group)
+        install_start = time.perf_counter()
+        self._install_snapshots_into(self.supervisor.group)
         registry = current_registry()
         if registry is not None:
             registry.histogram("parallel_merge_seconds").observe(
-                time.perf_counter() - merge_start
+                time.perf_counter() - install_start
             )
 
-    def _merge_workers_into(self, group: ShardedASketch) -> None:
-        """Fold every ring worker's last accepted snapshot into
-        ``group`` (inlined workers' shards already live in the result
-        group)."""
+    def _install_snapshots_into(self, group: ShardedASketch) -> None:
+        """Install every ring worker's last accepted snapshot into
+        ``group``, whose copies of those shards are pristine (inlined
+        workers' shards already live in the result group)."""
         for slot in self._slots:
-            if slot.feeding_ring and slot.snapshot_state is not None:
-                group.merge(ShardedASketch.from_state(slot.snapshot_state))
+            if slot.feeding_ring:
+                for shard, state in slot.snapshot.items():
+                    group.install_shard(shard, state)
 
     # -- elastic resharding -------------------------------------------------
 
@@ -1447,19 +1478,20 @@ class ParallelIngestRuntime:
           ring source's accepted snapshot holds its shards' exact state
           (an inlined source's shards are in the result group);
         * **install** hands each moving shard's state to its new owner:
-          a ring worker adopts it and acks with a full fresh snapshot,
-          an inlined one takes it into the result group;
+          a ring worker adopts it and acks with a fresh snapshot, an
+          inlined one takes it into the result group; ownership moves
+          to the destination then;
         * **commit** has a ring source reset its copies, acked with a
-          full fresh snapshot.
+          fresh snapshot that no longer holds them.
 
-        Until that commit ack, ``_exports_pending`` strips the moved
-        shards from the source's snapshot should it fail over, so the
-        destination copy is the only one counted.  A destination that
-        dies before adopting restores a pre-install snapshot and the
-        install retries; one that dies after adopting recovers the shard
-        from its adoption snapshot like any other data.  A move between
-        two inlined workers only edits the assignment.  Returns the
-        number of shards moved.
+        Until that commit ack the source's snapshot still holds the
+        moved shards, but failover takes only the shards a worker owns,
+        so the destination copy is the only one counted.  A destination
+        that dies before adopting restores a pre-install snapshot and
+        the install retries; one that dies after adopting recovers the
+        shard from its adoption snapshot like any other data.  A move
+        between two inlined workers only edits the assignment.  Returns
+        the number of shards moved.
         """
         if self.supervisor is None or not self._slots:
             raise ConfigurationError(
@@ -1494,43 +1526,37 @@ class ParallelIngestRuntime:
         for source, shard_list in sorted(by_source.items()):
             source_slot = self._slots[source]
             states = self._export_shards(source_slot, shard_list, moves)
-            self._exports_pending[source] = set(shard_list)
-            try:
-                for shard in shard_list:
-                    destination = moves[shard]
-                    # Install: an inlined owner (before or mid-install)
-                    # takes the state into the result group, whose copy
-                    # is pristine — the shard was on a ring source, or
-                    # its export reset it.
-                    if shard in states and not self._request(
-                        self._slots[destination],
-                        ("migrate_in", {shard: states[shard]}),
-                        "adopted",
-                    ):
-                        self.supervisor.group.install_shard(
-                            shard, states[shard]
-                        )
-                    self._assignment[shard] = destination
-                    self.migrations += 1
-                    if registry is not None:
-                        registry.counter(
-                            "reshard_migrations_total", shard=str(shard)
-                        ).inc()
-                    trace_point(
-                        "reshard_migration",
-                        shard=shard,
-                        source=source,
-                        destination=destination,
-                    )
-                # Commit: a ring source resets its copies (an inlined
-                # one has none left: export or failover took them).
-                self._request(
-                    source_slot,
-                    ("migrate_commit", shard_list),
-                    "migrate_committed",
+            for shard in shard_list:
+                destination = moves[shard]
+                # Install: an inlined owner (before or mid-install)
+                # takes the state into the result group, whose copy is
+                # pristine — the shard was on a ring source, or its
+                # export reset it.
+                if shard in states and not self._request(
+                    self._slots[destination],
+                    ("migrate_in", {shard: states[shard]}),
+                    "adopted",
+                ):
+                    self.supervisor.group.install_shard(shard, states[shard])
+                self._assignment[shard] = destination
+                self.migrations += 1
+                if registry is not None:
+                    registry.counter(
+                        "reshard_migrations_total", shard=str(shard)
+                    ).inc()
+                trace_point(
+                    "reshard_migration",
+                    shard=shard,
+                    source=source,
+                    destination=destination,
                 )
-            finally:
-                self._exports_pending.pop(source, None)
+            # Commit: a ring source resets its copies (an inlined one
+            # has none left: export or failover took them).
+            self._request(
+                source_slot,
+                ("migrate_commit", shard_list),
+                "migrate_committed",
+            )
         return len(moves)
 
     def _export_shards(
@@ -1542,18 +1568,15 @@ class ParallelIngestRuntime:
         """The moving shards' states, read without asking the source.
 
         A ring source's come out of its quiesced snapshot (its live
-        copies reset only at commit; no snapshot yet means it has
-        ingested nothing, so there is nothing to carry).  An inlined
-        source's come out of the result group, which resets them —
-        except for moves to another inlined worker, where the group
-        keeps them as they are.
+        copies reset only at commit; a shard the snapshot lacks is
+        pristine, so there is nothing to carry).  An inlined source's
+        come out of the result group, which resets them — except for
+        moves to another inlined worker, where the group keeps them as
+        they are.
         """
         if slot.feeding_ring:
-            if slot.snapshot_state is None:
-                return {}
             return {
-                s: ShardedASketch.shard_state(slot.snapshot_state, s)
-                for s in shard_list
+                s: slot.snapshot[s] for s in shard_list if s in slot.snapshot
             }
         group = self.supervisor.group
         return {
@@ -1571,7 +1594,7 @@ class ParallelIngestRuntime:
         between chunks), so each worker drains its ring to exactly
         ``sent_chunks`` and answers the sync request with a snapshot at
         that position.  The clone of the result group (holding the
-        inlined workers' shards) with those snapshots merged in
+        inlined workers' shards) with those snapshots installed
         therefore covers every chunk ingested so far — the same exactly-once
         replay point semantics as :class:`CheckpointStore` sequential
         checkpoints.  The journal record's ``extra`` carries the
@@ -1580,7 +1603,7 @@ class ParallelIngestRuntime:
         assert self.supervisor is not None
         self._quiesce()
         clone = ShardSupervisor.from_state(self.supervisor.state())
-        self._merge_workers_into(clone.group)
+        self._install_snapshots_into(clone.group)
         return store.save(
             clone,
             chunk_index=self.stats.chunks_ingested,

@@ -288,8 +288,8 @@ class ShardedASketch:
         :meth:`repro.runtime.parallel.ParallelIngestRuntime.reshard`):
         the returned state travels to the shard's new owner while this
         group's copy becomes indistinguishable from freshly built — so
-        the shard stays non-pristine on exactly one side of any later
-        merge, preserving the bit-exact identity fast path.
+        the shard stays non-pristine in exactly one place, and a later
+        :meth:`install_shard` of it elsewhere counts its traffic once.
         """
         self._check_shard_index(index)
         state = self._shards[index].state()
@@ -308,16 +308,31 @@ class ShardedASketch:
 
         The local copy of the shard must still be pristine — installing
         over absorbed traffic would double-count that traffic, exactly
-        the corruption the resharding protocol exists to rule out, so
-        it is rejected loudly.
+        the corruption the fleet's snapshot and resharding protocols
+        exist to rule out, so it is rejected loudly.
         """
         self._check_shard_index(index)
-        if self._shards[index].total_mass != 0:
+        if not self._shards[index]._is_pristine():
             raise ConfigurationError(
-                f"cannot install shard {index}: local copy already holds "
-                f"{self._shards[index].total_mass} mass (double ownership)"
+                f"cannot install shard {index}: local copy is not pristine "
+                f"(holds {self._shards[index].total_mass} mass; double "
+                "ownership)"
             )
         self._shards[index] = ASketch.from_state(state)
+
+    def nonpristine_states(self) -> dict[int, SynopsisState]:
+        """The state of every shard that is not pristine, by index.
+
+        A fleet worker's snapshot (see :mod:`repro.runtime.parallel`):
+        the worker is only ever sent keys of the shards it owns, so the
+        rest of its group stays pristine and is left out, and the
+        parent adopts each listed shard with :meth:`install_shard`.
+        """
+        return {
+            index: shard.state()
+            for index, shard in enumerate(self._shards)
+            if not shard._is_pristine()
+        }
 
     def reduce(self) -> ASketch:
         """Collapse the group into one stand-alone ASketch.
@@ -362,19 +377,13 @@ class ShardedASketch:
             extra={"shards": shard_metadata},
         )
 
-    @staticmethod
-    def shard_state(state: SynopsisState, index: int) -> SynopsisState:
-        """One shard's state out of a group's, without rebuilding the
-        group."""
-        return unpack_nested(
-            state.extra["shards"][index], state.arrays, f"shard{index}"
-        )
-
     @classmethod
     def from_state(cls, state: SynopsisState) -> "ShardedASketch":
         group = cls(**state.params)
         group._shards = [
-            ASketch.from_state(cls.shard_state(state, index))
-            for index in range(len(state.extra["shards"]))
+            ASketch.from_state(
+                unpack_nested(metadata, state.arrays, f"shard{index}")
+            )
+            for index, metadata in enumerate(state.extra["shards"])
         ]
         return group

@@ -12,6 +12,8 @@ import errno
 import glob
 import json
 import os
+import pickle
+import socket
 import time
 from collections import Counter
 
@@ -271,6 +273,30 @@ class TestObservability:
         finally:
             uninstall_registry()
 
+    def test_no_registry_means_no_worker_metric_rows(
+        self, stream, monkeypatch
+    ):
+        # Without a registry in the parent, workers record nothing and
+        # every snapshot message carries an empty metric row list.
+        rows = []
+        original = ParallelIngestRuntime._handle_message
+
+        def recording(runtime, slot, message):
+            if message[0] in ParallelIngestRuntime._SNAPSHOT_TAGS:
+                rows.append(message[-1])
+            return original(runtime, slot, message)
+
+        monkeypatch.setattr(
+            ParallelIngestRuntime, "_handle_message", recording
+        )
+        uninstall_registry()
+        runtime = ParallelIngestRuntime(
+            2, shards=4, sync_every=2, **GROUP_PARAMS
+        )
+        runtime.run(chunks_of(stream))
+        assert len(rows) >= 2 * 5  # each worker syncs every 2 of 10 chunks
+        assert all(row == [] for row in rows)
+
     def test_inline_ingest_counts_routed_items_once(self):
         # The parent records shard_items_total once per chunk when it
         # routes; ingesting an inlined worker's shares into the result
@@ -481,12 +507,12 @@ class TestResourceHygiene:
 class TestParentWaits:
     """The parent never sits out a worker blocked sending a snapshot.
 
-    A 4-shard snapshot of this layout is larger than a Unix socket's
-    default send buffer, so each worker blocks in ``send`` at every
-    snapshot (every chunk with ``sync_every=1``) until the parent reads
-    its pipe, and meanwhile cannot free ring slots.  Every parent-side
-    wait must read the pipes within a few milliseconds, so no single
-    ring publish may block anywhere near a long timeout.
+    A snapshot larger than a Unix socket's default send buffer blocks
+    its worker in ``send`` at every snapshot (every chunk with
+    ``sync_every=1``) until the parent reads its pipe, and meanwhile the
+    worker cannot free ring slots.  Every parent-side wait must read
+    the pipes within a few milliseconds, so no single ring publish may
+    block anywhere near a long timeout.
     """
 
     LAYOUT = {"shards": 4, "total_bytes": 32 * 1024, "seed": 7}
@@ -530,6 +556,28 @@ class TestParentWaits:
         assert runtime.supervisor.group.state().equals(
             self.sequential(keys).state()
         )
+
+    def test_owned_shard_snapshot_larger_than_socket_buffer(
+        self, keys, put_seconds
+    ):
+        # Each worker owns one 256 KB shard, so even its owned-shard
+        # snapshot is more than twice the default send buffer.
+        layout = {"shards": 2, "total_bytes": 256 * 1024, "seed": 7}
+        runtime = ParallelIngestRuntime(2, sync_every=1, **layout)
+        stats = runtime.run(self.ten_k_chunks(keys))
+        assert stats.tuples_ingested == keys.shape[0]
+        assert len(put_seconds) >= 2 * 30
+        assert max(put_seconds) < self.LONG_PUT_S
+        left, right = socket.socketpair()
+        with left, right:
+            send_buffer = left.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+        for slot in runtime._slots:
+            assert len(pickle.dumps(slot.snapshot)) > max(
+                212_992, send_buffer
+            )
+        sequential = ShardedASketch(**layout)
+        StreamEngine(sequential, batched=True).run(self.ten_k_chunks(keys))
+        assert runtime.supervisor.group.state().equals(sequential.state())
 
     def test_respawn_replay_drains_pipes(self, keys, put_seconds, monkeypatch):
         # Blocked time of the puts each replayed share took.
@@ -839,6 +887,109 @@ class TestSnapshotCorruption:
         )
         runtime.run(chunks_of(stream))
         assert runtime.respawn_count == 1
+        assert runtime.supervisor.group.state().equals(sequential.state())
+
+
+def keys_owned_by(stream, shards, owners):
+    """The stream's keys whose shard (of ``shards``) is in ``owners``."""
+    keys = stream.keys
+    routed = ShardedASketch(shards, **GROUP_PARAMS).owners_of(keys)
+    return keys[np.isin(routed, list(owners))]
+
+
+class TestOwnedShardSnapshots:
+    """A worker snapshot is exactly its non-pristine owned shards."""
+
+    def test_snapshot_holds_the_non_pristine_owned_shards(self, stream):
+        # Worker 0 owns shards 0 and 2, worker 1 shards 1 and 3; no key
+        # routes to shard 2 or 3, so each snapshots one of its shards.
+        keys = keys_owned_by(stream, 4, {0, 1})
+        chunks = [keys[i : i + 2_000] for i in range(0, len(keys), 2_000)]
+        runtime = ParallelIngestRuntime(
+            2, shards=4, sync_every=2, **GROUP_PARAMS
+        )
+        runtime.run(chunks)
+        sequential = ShardedASketch(4, **GROUP_PARAMS)
+        StreamEngine(sequential, batched=True).run(chunks)
+        first, second = runtime._slots
+        assert sorted(first.snapshot) == [0]
+        assert sorted(second.snapshot) == [1]
+        assert first.snapshot_chunks == first.sent_chunks
+        assert second.snapshot_chunks == second.sent_chunks
+        for slot in (first, second):
+            for shard, state in slot.snapshot.items():
+                assert state.equals(sequential.shards[shard].state())
+        assert runtime.supervisor.group.state().equals(sequential.state())
+
+    def test_idle_worker_snapshots_nothing(self, stream):
+        keys = keys_owned_by(stream, 2, {0})
+        runtime = ParallelIngestRuntime(
+            2, shards=2, sync_every=2, **GROUP_PARAMS
+        )
+        runtime.run([keys[i : i + 2_000] for i in range(0, len(keys), 2_000)])
+        idle = runtime._slots[1]
+        assert idle.snapshot == {}
+        assert idle.snapshot_chunks == idle.sent_chunks > 0
+        assert runtime.supervisor.group.total_mass == len(keys)
+
+    def test_commit_drops_the_moved_shard_from_the_source(self, stream):
+        sequential = sequential_group(stream, shards=4, chunk_size=1_000)
+        runtime = ParallelIngestRuntime(
+            2, shards=4, sync_every=2, **GROUP_PARAMS
+        )
+        seen = []
+
+        def driven():
+            for index, chunk in enumerate(chunks_of(stream, 1_000)):
+                if index == 8:
+                    source, destination = runtime._slots[1], runtime._slots[0]
+                    assert runtime.reshard({1: 0}) == 1
+                    seen.append(
+                        (sorted(source.snapshot), sorted(destination.snapshot))
+                    )
+                yield chunk
+
+        runtime.run(driven())
+        assert seen == [([3], [0, 1, 2])]
+        assert sorted(runtime._slots[0].snapshot) == [0, 1, 2]
+        assert sorted(runtime._slots[1].snapshot) == [3]
+        assert runtime.supervisor.group.state().equals(sequential.state())
+
+    def test_source_death_before_commit_ack_counts_shard_once(
+        self, stream, monkeypatch
+    ):
+        # The source dies after the destination adopted shard 1 but
+        # before it acknowledges the commit, so its last accepted
+        # snapshot still holds shard 1.  Inline failover must take only
+        # the shards it still owns (3), or the drain would find shard 1
+        # in two places.
+        original = ParallelIngestRuntime._request
+
+        def kill_source_at_commit(runtime, slot, message, reply_tag):
+            if message[0] == "migrate_commit":
+                assert 1 in slot.snapshot
+                slot.process.kill()
+                slot.process.join()
+            return original(runtime, slot, message, reply_tag)
+
+        monkeypatch.setattr(
+            ParallelIngestRuntime, "_request", kill_source_at_commit
+        )
+        sequential = sequential_group(stream, shards=4, chunk_size=1_000)
+        runtime = ParallelIngestRuntime(
+            2, shards=4, sync_every=2, **GROUP_PARAMS
+        )
+
+        def driven():
+            for index, chunk in enumerate(chunks_of(stream, 1_000)):
+                if index == 8:
+                    assert runtime.reshard({1: 0}) == 1
+                yield chunk
+
+        runtime.run(driven())
+        health = {h["worker"]: h for h in runtime.worker_health()}
+        assert health[1]["status"] == "inlined"
+        assert runtime.shards_of(0) == [0, 1, 2]
         assert runtime.supervisor.group.state().equals(sequential.state())
 
 
