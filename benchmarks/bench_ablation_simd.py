@@ -55,18 +55,17 @@ def test_modeled_simd_advantage():
 def test_batch_probe_backends(persist_text):
     """The three bulk membership probe paths agree and are measured.
 
-    A 32-slot filter id array (stored value = key + 1) is probed with a
-    10K-key batch (hit-heavy, with a miss tail), through the per-key
-    python lane emulation (``simd_find_index``), the vectorised numpy
-    kernel, and — where numba is installed — the compiled kernel.  All
-    paths must return identical slot answers; the measured rates persist
-    to ``benchmarks/results/ablation_simd_batch.txt``.
+    A full 32-slot filter's key array is probed with a 10K-key batch
+    (hit-heavy, with a miss tail), through the per-key python lane
+    emulation (``simd_find_index``), the vectorised numpy kernel, and —
+    where numba is installed — the compiled kernel.  All paths must
+    return identical slot answers; the measured rates persist to
+    ``benchmarks/results/ablation_simd_batch.txt``.
     """
     rng = np.random.default_rng(7)
     capacity = 32
     monitored = rng.choice(np.arange(100, 4096), size=capacity, replace=False)
-    ids = np.zeros(capacity, dtype=np.int64)
-    ids[:] = monitored + 1
+    stored = monitored.astype(np.int64)
     batch = np.concatenate(
         [
             rng.choice(monitored, size=8_000),  # hits
@@ -76,16 +75,16 @@ def test_batch_probe_backends(persist_text):
     rng.shuffle(batch)
 
     def lane_emulation() -> np.ndarray:
-        ids32 = ids.astype(np.int32)
+        stored32 = stored.astype(np.int32)
         return np.array(
-            [simd_find_index(ids32, int(key) + 1) for key in batch.tolist()],
+            [simd_find_index(stored32, int(key)) for key in batch.tolist()],
             dtype=np.int64,
         )
 
     def backend_probe(name: str):
         def run() -> np.ndarray:
             with use_backend(name) as backend:
-                return backend.membership_probe(ids, batch)
+                return backend.membership_probe(stored, batch)
 
         return run
 

@@ -11,7 +11,7 @@ two counts (paper §5):
   sketch on eviction.
 
 Space accounting: each implementation declares ``BYTES_PER_SLOT`` — 12
-bytes for the three-array layouts (id, new_count, old_count as 32-bit
+bytes for the three-array layouts (key, new_count, old_count as 32-bit
 values) and 100 bytes for Stream-Summary (pointers + hash entry).  For a
 fixed filter byte budget this reproduces Table 6's observation that
 Stream-Summary monitors 4 items where the arrays monitor 32.
@@ -206,42 +206,9 @@ class Filter(ABC):
 
     # -- bulk operations (batched ingest/query path) -----------------------
     #
-    # Filters that expose an id array (:meth:`probe_ids_array`) get their
-    # membership test from the active compute backend
-    # (:mod:`repro.kernels`) — one compiled/vectorised probe over the
-    # whole key batch.  Writes apply the few hits through the ordinary
-    # scalar operations (or a filter's own bulk override), so
-    # per-implementation bookkeeping (heap sifts, cached minima) is
-    # untouched; reads gather the hits' counts at the probed slots.
-    # Filters without an id array fall back to looping the scalar
-    # operations.  Either way the semantics and the operation record
-    # match the scalar loop exactly.
-
-    def probe_ids_array(self) -> np.ndarray | None:
-        """Id array for the bulk membership kernel, or None.
-
-        The array filters store slot value ``key + 1`` with ``0``
-        marking an empty slot (the layout Algorithm 3's SIMD scan
-        probes); returning it here routes :meth:`add_many_if_present`
-        and :meth:`lookup_many` through the active kernel backend, and
-        obliges the filter to implement :meth:`slot_new_counts`, which
-        :meth:`lookup_many` gathers the hits' answers from.
-        Implementations returning an array must keep it consistent with
-        the scalar operations at every call boundary.
-        """
-        return None
-
-    def keys_array(self) -> np.ndarray:
-        """Currently monitored keys as an int64 array (order unspecified)."""
-        ids = self.probe_ids_array()
-        if ids is not None:
-            occupied = np.flatnonzero(ids)
-            return ids[occupied] - 1
-        return np.fromiter(
-            (entry.key for entry in self.entries()),
-            dtype=np.int64,
-            count=len(self),
-        )
+    # The defaults loop the scalar operations; :class:`ArrayFilter`
+    # replaces them with one kernel probe.  Either way the semantics and
+    # the operation record match the scalar loop exactly.
 
     def add_many_if_present(
         self, keys: np.ndarray, amounts: np.ndarray
@@ -250,35 +217,16 @@ class Filter(ABC):
 
         ``keys[i]`` receives ``amounts[i]`` if monitored.  Callers pass
         pre-aggregated (distinct key, chunk total) pairs, so one entry
-        here stands for a whole chunk's worth of scalar hits.  With an
-        id array available, membership is resolved by one backend
-        kernel probe and only the hits re-enter
-        :meth:`add_if_present` (misses — the overwhelming majority on a
-        skewed stream — never touch the interpreter loop); the op
-        record is charged identically either way.
+        here stands for a whole chunk's worth of scalar hits.
         """
         keys = np.asarray(keys, dtype=np.int64)
         amounts = np.asarray(amounts, dtype=np.int64)
-        n = keys.shape[0]
-        ids = self.probe_ids_array()
-        if ids is None or n == 0:
-            hits = np.empty(n, dtype=bool)
-            for position, (key, amount) in enumerate(
-                zip(keys.tolist(), amounts.tolist())
-            ):
-                hits[position] = self.add_if_present(key, amount)
-            return hits
-        slots = active_backend().membership_probe(ids, keys)
-        mask = slots >= 0
-        hit_positions = np.flatnonzero(mask)
-        misses = n - hit_positions.shape[0]
-        self.ops.filter_probes += misses
-        self.ops.filter_probe_blocks += misses * self._probe_blocks
-        for position in hit_positions.tolist():
-            # Re-apply through the scalar hit path: heap slots move as
-            # hits sift, so precomputed slots cannot be written blindly.
-            self.add_if_present(int(keys[position]), int(amounts[position]))
-        return mask
+        hits = np.empty(keys.shape[0], dtype=bool)
+        for position, (key, amount) in enumerate(
+            zip(keys.tolist(), amounts.tolist())
+        ):
+            hits[position] = self.add_if_present(key, amount)
+        return hits
 
     def lookup_many(
         self, keys: np.ndarray
@@ -286,40 +234,18 @@ class Filter(ABC):
         """Bulk :meth:`get_new_count`: ``(hit_mask, new_counts)``.
 
         ``new_counts[i]`` is only meaningful where ``hit_mask[i]`` is
-        True; misses are left as 0.  Keys need not be distinct.  Filters
-        with an id array answer every key with one backend kernel probe
-        and one gather of :meth:`slot_new_counts` at the slots that probe
-        returns (a miss reads 0); the ``n`` lookups are charged in bulk,
-        exactly as ``n`` scalar :meth:`get_new_count` calls charge them.
-        Filters without an id array loop :meth:`get_new_count`.
+        True; misses are left as 0.  Keys need not be distinct.
         """
         keys = np.asarray(keys, dtype=np.int64)
         n = keys.shape[0]
-        ids = self.probe_ids_array()
-        if ids is None:
-            mask = np.zeros(n, dtype=bool)
-            counts = np.zeros(n, dtype=np.int64)
-            for position, key in enumerate(keys.tolist()):
-                new_count = self.get_new_count(key)
-                if new_count is not None:
-                    mask[position] = True
-                    counts[position] = new_count
-            return mask, counts
-        self.ops.filter_probes += n
-        self.ops.filter_probe_blocks += n * self._probe_blocks
-        slots = active_backend().membership_probe(ids, keys)
-        # A miss's slot, -1, reads the 0 appended past the last slot.
-        counts = np.append(self.slot_new_counts(), 0)[slots]
-        return slots >= 0, counts
-
-    def slot_new_counts(self) -> np.ndarray:
-        """``new_count`` of every slot of :meth:`probe_ids_array`, as int64.
-
-        Slot-aligned with the id array, so the slots the membership
-        kernel returns index it directly.  Only filters that return an
-        id array implement it.
-        """
-        raise NotImplementedError
+        mask = np.zeros(n, dtype=bool)
+        counts = np.zeros(n, dtype=np.int64)
+        for position, key in enumerate(keys.tolist()):
+            new_count = self.get_new_count(key)
+            if new_count is not None:
+                mask[position] = True
+                counts[position] = new_count
+        return mask, counts
 
     def top_k(self, k: int) -> list[tuple[int, int]]:
         """The k highest (key, new_count) pairs, descending new_count."""
@@ -333,3 +259,79 @@ class Filter(ABC):
             raise CapacityError(
                 "insert on a full filter; use replace_min instead"
             )
+
+
+class ArrayFilter(Filter):
+    """The three slot-aligned arrays of Algorithm 3: keys, new, old.
+
+    Slot ``i`` holds a raw int64 key in ``_keys[i]`` and its counts in
+    ``_new[i]`` / ``_old[i]``; ``_index`` maps each key to its slot for
+    the Python-speed lookup the op record prices as a SIMD scan.  No
+    slot is ever freed (``replace_min`` reuses the evicted slot and
+    :meth:`restore_entries` needs an empty filter), so the live slots
+    are always the prefix ``[0, size)`` and every int64 key, ``-1`` and
+    the int64 extremes included, is a storable key.  The bulk paths
+    probe that prefix with the active backend's membership kernel.
+    """
+
+    def __init__(self, capacity: int, ops: OpCounters | None = None) -> None:
+        super().__init__(capacity, ops)
+        self._keys = np.zeros(self.capacity, dtype=np.int64)
+        self._new = [0] * self.capacity
+        self._old = [0] * self.capacity
+        self._index: dict[int, int] = {}
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def id_array(self) -> np.ndarray:
+        """Keys of the live slots, read-only, in slot order."""
+        view = self._keys[: self._size]
+        view.setflags(write=False)
+        return view
+
+    def slot_new_counts(self) -> np.ndarray:
+        """``new_count`` of every live slot, aligned with :attr:`id_array`."""
+        return np.array(self._new[: self._size], dtype=np.int64)
+
+    def add_many_if_present(
+        self, keys: np.ndarray, amounts: np.ndarray
+    ) -> np.ndarray:
+        """One kernel probe resolves membership; only the hits re-enter
+        :meth:`add_if_present` (misses, the overwhelming majority on a
+        skewed stream, never touch the interpreter loop), so the op
+        record is charged exactly as the scalar loop charges it."""
+        keys = np.asarray(keys, dtype=np.int64)
+        amounts = np.asarray(amounts, dtype=np.int64)
+        slots = active_backend().membership_probe(
+            self._keys[: self._size], keys
+        )
+        mask = slots >= 0
+        hit_positions = np.flatnonzero(mask)
+        misses = keys.shape[0] - hit_positions.shape[0]
+        self.ops.filter_probes += misses
+        self.ops.filter_probe_blocks += misses * self._probe_blocks
+        for position in hit_positions.tolist():
+            # Re-apply through the scalar hit path: heap slots move as
+            # hits sift, so precomputed slots cannot be written blindly.
+            self.add_if_present(int(keys[position]), int(amounts[position]))
+        return mask
+
+    def lookup_many(
+        self, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One kernel probe, then one gather of :meth:`slot_new_counts`
+        at the probed slots; the ``n`` lookups are charged in bulk,
+        exactly as ``n`` scalar :meth:`get_new_count` calls charge them."""
+        keys = np.asarray(keys, dtype=np.int64)
+        n = keys.shape[0]
+        self.ops.filter_probes += n
+        self.ops.filter_probe_blocks += n * self._probe_blocks
+        slots = active_backend().membership_probe(
+            self._keys[: self._size], keys
+        )
+        # A miss's slot, -1, reads the 0 appended past the last slot.
+        counts = np.append(self.slot_new_counts(), 0)[slots]
+        return slots >= 0, counts

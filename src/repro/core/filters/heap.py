@@ -1,6 +1,6 @@
 """Heap filters: array min-heaps on ``new_count`` (paper §6.1).
 
-Both variants store (id, new_count, old_count) in three parallel arrays
+Both variants store (key, new_count, old_count) in three parallel arrays
 arranged as a binary min-heap keyed by ``new_count``, so the minimum item
 sits at the root and the miss-path min lookup (Algorithm 1 line 9) is a
 single read — the reason the heaps beat the Vector filter at low and
@@ -33,37 +33,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.filters.base import Filter, FilterEntry
+from repro.core.filters.base import ArrayFilter, FilterEntry
 from repro.errors import CapacityError
 from repro.hardware.costs import OpCounters
 
 
-class _HeapFilterBase(Filter):
+class _HeapFilterBase(ArrayFilter):
     """Shared machinery of the strict and relaxed heap filters."""
 
     BYTES_PER_SLOT = 12
 
     def __init__(self, capacity: int, ops: OpCounters | None = None) -> None:
         super().__init__(capacity, ops)
-        self._ids = np.zeros(self.capacity, dtype=np.int64)
-        self._new = [0] * self.capacity
-        self._old = [0] * self.capacity
-        self._size = 0
-        self._index: dict[int, int] = {}
         #: The arrays form a valid min-heap (an empty one does).
         self._valid = True
-
-    def __len__(self) -> int:
-        return self._size
-
-    def probe_ids_array(self) -> np.ndarray:
-        """Heap-slot id array.  Bulk adds re-enter the scalar hit path
-        (slots sift as hits land); bulk lookups gather at the probed
-        slots, which hold still while nothing is written."""
-        return self._ids
-
-    def slot_new_counts(self) -> np.ndarray:
-        return np.array(self._new, dtype=np.int64)
 
     # -- lookup -------------------------------------------------------------
 
@@ -87,9 +70,9 @@ class _HeapFilterBase(Filter):
         up into the hole above it, then written once where it stops:
         the same slots, index and level count a swap per level gives.
         """
-        ids, new, old, index = self._ids, self._new, self._old, self._index
+        keys, new, old, index = self._keys, self._new, self._old, self._index
         size = self._size
-        moving_id = ids[position]
+        moving_key = keys[position]
         moving_new = new[position]
         moving_old = old[position]
         levels = 0
@@ -102,25 +85,25 @@ class _HeapFilterBase(Filter):
                 child = right
             if new[child] >= moving_new:
                 break
-            child_id = ids[child]
-            ids[position] = child_id
+            child_key = keys[child]
+            keys[position] = child_key
             new[position] = new[child]
             old[position] = old[child]
-            index[int(child_id) - 1] = position
+            index[int(child_key)] = position
             position = child
             levels += 1
         if levels:
-            ids[position] = moving_id
+            keys[position] = moving_key
             new[position] = moving_new
             old[position] = moving_old
-            index[int(moving_id) - 1] = position
+            index[int(moving_key)] = position
         self.ops.heap_fixup_levels += max(levels, 1)
 
     def _sift_up(self, position: int) -> None:
         """Move a (possibly decreased / new) entry up to a valid spot,
         holding it aside like :meth:`_sift_down` does."""
-        ids, new, old, index = self._ids, self._new, self._old, self._index
-        moving_id = ids[position]
+        keys, new, old, index = self._keys, self._new, self._old, self._index
+        moving_key = keys[position]
         moving_new = new[position]
         moving_old = old[position]
         levels = 0
@@ -128,18 +111,18 @@ class _HeapFilterBase(Filter):
             parent = (position - 1) // 2
             if new[parent] <= moving_new:
                 break
-            parent_id = ids[parent]
-            ids[position] = parent_id
+            parent_key = keys[parent]
+            keys[position] = parent_key
             new[position] = new[parent]
             old[position] = old[parent]
-            index[int(parent_id) - 1] = position
+            index[int(parent_key)] = position
             position = parent
             levels += 1
         if levels:
-            ids[position] = moving_id
+            keys[position] = moving_key
             new[position] = moving_new
             old[position] = moving_old
-            index[int(moving_id) - 1] = position
+            index[int(moving_key)] = position
         self.ops.heap_fixup_levels += max(levels, 1)
 
     # -- structural operations ----------------------------------------------
@@ -149,7 +132,7 @@ class _HeapFilterBase(Filter):
         if key in self._index:
             raise CapacityError(f"key {key} already monitored")
         slot = self._size
-        self._ids[slot] = key + 1
+        self._keys[slot] = key
         self._new[slot] = new_count
         self._old[slot] = old_count
         self._index[key] = slot
@@ -169,12 +152,12 @@ class _HeapFilterBase(Filter):
         if key in self._index:
             raise CapacityError(f"key {key} already monitored")
         evicted = FilterEntry(
-            key=int(self._ids[0]) - 1,
+            key=int(self._keys[0]),
             new_count=self._new[0],
             old_count=self._old[0],
         )
         del self._index[evicted.key]
-        self._ids[0] = key + 1
+        self._keys[0] = key
         self._new[0] = new_count
         self._old[0] = old_count
         self._index[key] = 0
@@ -203,9 +186,7 @@ class _HeapFilterBase(Filter):
 
     def entries(self) -> list[FilterEntry]:
         return [
-            FilterEntry(
-                int(self._ids[slot]) - 1, self._new[slot], self._old[slot]
-            )
+            FilterEntry(int(self._keys[slot]), self._new[slot], self._old[slot])
             for slot in range(self._size)
         ]
 
@@ -227,19 +208,12 @@ class _HeapFilterBase(Filter):
                 np.asarray(old_counts).tolist(),
             )
         ):
-            self._ids[slot] = int(key) + 1
+            self._keys[slot] = key
             self._new[slot] = int(new_count)
             self._old[slot] = int(old_count)
             self._index[int(key)] = slot
         self._size = len(self._index)
         self._valid = False
-
-    @property
-    def id_array(self) -> np.ndarray:
-        """Raw id array (SIMD equivalence tests)."""
-        view = self._ids.view()
-        view.setflags(write=False)
-        return view
 
     def heap_property_violations(self) -> int:
         """Count parent>child violations (0 for strict; >=0 for relaxed)."""

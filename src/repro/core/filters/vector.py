@@ -1,6 +1,6 @@
 """Vector filter: three flat arrays scanned linearly (paper §6.1).
 
-Lookup is the SIMD linear scan of Algorithm 3 (16 ids per probe block);
+Lookup is the SIMD linear scan of Algorithm 3 (16 keys per probe block);
 finding the minimum ``new_count`` is another linear scan.  On modern
 hardware this beats pointer-based structures for small arrays, and the
 paper finds it the best filter at skew > 2 — where almost every update is
@@ -12,38 +12,30 @@ and only needs recomputing when the minimum slot itself changes).  Both
 are *semantically identical* to the scans; the operation record still
 charges the scans the C implementation performs (``filter_probe_blocks``
 per lookup, ``min_scans`` elements per miss-path min query), which is what
-the cost model prices.  The id array is maintained so the faithful SIMD
-kernel can be run against the same state in tests.
+the cost model prices.  The key array is maintained so the faithful
+SIMD kernel can be run against the same state in tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.filters.base import Filter, FilterEntry
+from repro.core.filters.base import ArrayFilter, FilterEntry
 from repro.errors import CapacityError
 from repro.hardware.costs import OpCounters
 from repro.kernels import active_backend
 
 
-class VectorFilter(Filter):
-    """Linear-scan filter over (id, new_count, old_count) arrays."""
+class VectorFilter(ArrayFilter):
+    """Linear-scan filter over (key, new_count, old_count) arrays."""
 
     BYTES_PER_SLOT = 12
 
     def __init__(self, capacity: int, ops: OpCounters | None = None) -> None:
         super().__init__(capacity, ops)
-        # Slot id 0 marks an empty slot; stored ids are key + 1.
-        self._ids = np.zeros(self.capacity, dtype=np.int64)
-        self._new = [0] * self.capacity
-        self._old = [0] * self.capacity
-        self._index: dict[int, int] = {}
         # Cached location/value of the minimum new_count.
         self._min_slot = -1
         self._min_value = 0
-
-    def __len__(self) -> int:
-        return len(self._index)
 
     # -- lookup / hit path ---------------------------------------------------
 
@@ -70,13 +62,6 @@ class VectorFilter(Filter):
 
     # -- bulk operations (batched ingest/query path) -------------------------
 
-    def probe_ids_array(self) -> np.ndarray:
-        """The slot id array — membership runs on the kernel backend."""
-        return self._ids
-
-    def slot_new_counts(self) -> np.ndarray:
-        return np.array(self._new, dtype=np.int64)
-
     def add_many_if_present(
         self, keys: np.ndarray, amounts: np.ndarray
     ) -> np.ndarray:
@@ -93,9 +78,11 @@ class VectorFilter(Filter):
         ops = self.ops
         ops.filter_probes += n
         ops.filter_probe_blocks += n * self._probe_blocks
-        if n == 0 or not self._index:
+        if n == 0 or not self._size:
             return np.zeros(n, dtype=bool)
-        slots = active_backend().membership_probe(self._ids, keys)
+        slots = active_backend().membership_probe(
+            self._keys[: self._size], keys
+        )
         mask = slots >= 0
         hit_count = int(np.count_nonzero(mask))
         if hit_count:
@@ -119,11 +106,12 @@ class VectorFilter(Filter):
         self._require_not_full()
         if key in self._index:
             raise CapacityError(f"key {key} already monitored")
-        slot = int(np.nonzero(self._ids == 0)[0][0])
-        self._ids[slot] = key + 1
+        slot = self._size
+        self._keys[slot] = key
         self._new[slot] = new_count
         self._old[slot] = old_count
         self._index[key] = slot
+        self._size += 1
         if self._min_slot < 0 or new_count < self._min_value:
             self._min_slot = slot
             self._min_value = new_count
@@ -154,12 +142,12 @@ class VectorFilter(Filter):
             raise CapacityError(f"key {key} already monitored")
         slot = self._min_slot
         evicted = FilterEntry(
-            key=int(self._ids[slot]) - 1,
+            key=int(self._keys[slot]),
             new_count=self._new[slot],
             old_count=self._old[slot],
         )
         del self._index[evicted.key]
-        self._ids[slot] = key + 1
+        self._keys[slot] = key
         self._new[slot] = new_count
         self._old[slot] = old_count
         self._index[key] = slot
@@ -195,10 +183,3 @@ class VectorFilter(Filter):
                 best_value = new[slot]
         self._min_slot = best_slot
         self._min_value = best_value
-
-    @property
-    def id_array(self) -> np.ndarray:
-        """The raw id array (for the faithful-SIMD equivalence tests)."""
-        view = self._ids.view()
-        view.setflags(write=False)
-        return view

@@ -41,10 +41,11 @@ class MisraGries:
             raise CapacityError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.ops = ops if ops is not None else OpCounters()
-        # Slot id 0 is the empty marker; stored ids are key + 1.  The dict
-        # index mirrors the id array for O(1) Python-side lookup; the cost
-        # model still charges the SIMD scan the C implementation performs.
-        self._ids = np.zeros(self.capacity, dtype=np.int64)
+        # Slots hold raw keys; a slot is live unless it is on the free
+        # list.  The dict index mirrors the key array for O(1) Python-side
+        # lookup; the cost model still charges the SIMD scan the C
+        # implementation performs.
+        self._keys = np.zeros(self.capacity, dtype=np.int64)
         self._counts = [0] * self.capacity
         self._index: dict[int, int] = {}
         self._free = list(range(capacity - 1, -1, -1))
@@ -68,7 +69,7 @@ class MisraGries:
             return
         if self._free:
             slot = self._free.pop()
-            self._ids[slot] = key + 1
+            self._keys[slot] = key
             self._counts[slot] = amount
             self._index[key] = slot
             return
@@ -77,13 +78,11 @@ class MisraGries:
     def _decrement_all(self, amount: int) -> None:
         """Decrement every counter by ``amount``, freeing exhausted slots."""
         self.total_decrements += amount
-        for slot in range(self.capacity):
-            if self._ids[slot] == 0:
-                continue
+        for slot in self._live_slots():
             self._counts[slot] -= amount
             if self._counts[slot] <= 0:
-                del self._index[int(self._ids[slot]) - 1]
-                self._ids[slot] = 0
+                del self._index[int(self._keys[slot])]
+                self._keys[slot] = 0
                 self._counts[slot] = 0
                 self._free.append(slot)
         self.ops.mg_ops += self.capacity
@@ -102,16 +101,20 @@ class MisraGries:
     def items(self) -> list[tuple[int, int]]:
         """All monitored (key, count) pairs, descending count."""
         pairs = [
-            (int(self._ids[slot]) - 1, self._counts[slot])
-            for slot in range(self.capacity)
-            if self._ids[slot] != 0
+            (int(self._keys[slot]), self._counts[slot])
+            for slot in self._live_slots()
         ]
         pairs.sort(key=lambda pair: pair[1], reverse=True)
         return pairs
 
+    def _live_slots(self) -> list[int]:
+        """Slots not on the free list, ascending."""
+        free = set(self._free)
+        return [slot for slot in range(self.capacity) if slot not in free]
+
     # -- sizing ------------------------------------------------------------
 
-    #: Logical bytes per slot: id + count in the 12-byte array layout the
+    #: Logical bytes per slot: key + count in the 12-byte array layout the
     #: cost model prices (same as the ASketch array filters).
     BYTES_PER_ITEM = 12
 
@@ -161,12 +164,13 @@ class MisraGries:
         The free list's LIFO order decides which slot a future insert
         lands in; persisting it verbatim makes the restored summary's
         slot assignments — and thus its SIMD probe traces — identical.
+        It also marks which slots are live, so ``keys`` holds raw keys.
         """
         return SynopsisState(
             kind=self.SYNOPSIS_KIND,
             params={"capacity": self.capacity},
             arrays={
-                "ids": self._ids.copy(),
+                "keys": self._keys.copy(),
                 "counts": np.array(self._counts, dtype=np.int64),
                 "free": np.array(self._free, dtype=np.int64),
             },
@@ -175,14 +179,17 @@ class MisraGries:
 
     @classmethod
     def from_state(cls, state: SynopsisState) -> "MisraGries":
+        """Inverse of :meth:`state`.  Older states hold ``ids`` (each
+        live slot's ``key + 1``) in place of ``keys``; they load to the
+        same summary, key -1 (stored as id 0) included."""
         summary = cls(**state.params)
-        summary._ids[:] = state.arrays["ids"]
         summary._counts = [int(c) for c in state.arrays["counts"].tolist()]
         summary._free = [int(s) for s in state.arrays["free"].tolist()]
-        summary._index = {
-            int(summary._ids[slot]) - 1: slot
-            for slot in range(summary.capacity)
-            if summary._ids[slot] != 0
-        }
+        live = summary._live_slots()
+        if "keys" in state.arrays:
+            summary._keys[:] = state.arrays["keys"]
+        else:
+            summary._keys[live] = state.arrays["ids"][live] - 1
+        summary._index = {int(summary._keys[slot]): slot for slot in live}
         summary.total_decrements = int(state.extra["total_decrements"])
         return summary

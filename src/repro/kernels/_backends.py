@@ -70,9 +70,9 @@ class KernelBackend:
     accelerated: bool = False
 
     def membership_probe(
-        self, ids: np.ndarray, keys: np.ndarray
+        self, stored: np.ndarray, keys: np.ndarray
     ) -> np.ndarray:
-        """Slot of each key in a filter id array, ``-1`` on a miss."""
+        """Slot of each key among a filter's live keys, ``-1`` on a miss."""
         raise NotImplementedError
 
     def cm_update_weighted(
@@ -129,12 +129,12 @@ class _LoopBackend(KernelBackend):
         self._exchange_candidates = wrap(_impl.exchange_candidates)
 
     def membership_probe(
-        self, ids: np.ndarray, keys: np.ndarray
+        self, stored: np.ndarray, keys: np.ndarray
     ) -> np.ndarray:
         """Loop-kernel membership probe (see ``_impl.membership_probe``)."""
         keys = _as_int64(keys)
         out = np.empty(keys.shape[0], dtype=np.int64)
-        self._membership_probe(_as_int64(ids), keys, out)
+        self._membership_probe(_as_int64(stored), keys, out)
         return out
 
     def cm_update_weighted(
@@ -184,27 +184,23 @@ class NumpyBackend(KernelBackend):
     accelerated = False
 
     def membership_probe(
-        self, ids: np.ndarray, keys: np.ndarray
+        self, stored: np.ndarray, keys: np.ndarray
     ) -> np.ndarray:
         """Bit-table prefilter, then sorted-view ``searchsorted``
-        membership over occupied slots for the keys that pass it.
+        membership over the live keys for the probe keys that pass it.
 
         Each stored key sets one bit of a table of ``2**bits >= 32 m``
-        bits (``m`` occupied slots, one byte per bit), chosen by the
+        bits (``m`` live slots, one byte per bit), chosen by the
         multiplicative hash ``(key * _GOLDEN) >> (64 - bits)`` on the
         uint64 view.  A key whose bit is clear is not stored, so only
         the hits and about one miss in 32 reach the binary search; the
         answers are the search's own.
         """
         keys = _as_int64(keys)
+        stored = _as_int64(stored)
         out = np.full(keys.shape[0], -1, dtype=np.int64)
-        if keys.shape[0] == 0:
+        if keys.shape[0] == 0 or stored.shape[0] == 0:
             return out
-        ids = _as_int64(ids)
-        occupied = np.flatnonzero(ids)
-        if occupied.shape[0] == 0:
-            return out
-        stored = ids[occupied] - 1
         shift = _prefilter_shift(stored.shape[0])
         table = np.zeros(1 << (64 - int(shift)), dtype=bool)
         table[_golden_hash(stored, shift)] = True
@@ -217,7 +213,7 @@ class NumpyBackend(KernelBackend):
         positions = np.searchsorted(sorted_keys, probed)
         positions = np.minimum(positions, sorted_keys.shape[0] - 1)
         mask = sorted_keys[positions] == probed
-        out[candidates[mask]] = occupied[order[positions[mask]]]
+        out[candidates[mask]] = order[positions[mask]]
         return out
 
     def cm_update_weighted(
@@ -327,9 +323,9 @@ class NumbaBackend(_LoopBackend):
 
     def _warmup(self) -> None:
         """Trigger compilation of every kernel with minimal inputs."""
-        ids = np.array([2], dtype=np.int64)
+        stored = np.array([1], dtype=np.int64)
         keys = np.array([1, -1], dtype=np.int64)
-        self.membership_probe(ids, keys)
+        self.membership_probe(stored, keys)
         table = np.zeros((1, 4), dtype=np.int64)
         row_param = np.array([1], dtype=np.int64)
         encoded = np.array([3], dtype=np.int64)

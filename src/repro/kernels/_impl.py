@@ -29,27 +29,23 @@ _INT64_MAX = (1 << 63) - 1
 
 
 def membership_probe(
-    ids: np.ndarray, keys: np.ndarray, out: np.ndarray
+    stored: np.ndarray, keys: np.ndarray, out: np.ndarray
 ) -> None:
-    """Slot index of each key in a filter id array (``-1`` = miss).
+    """Slot index of each key among a filter's live keys (``-1`` = miss).
 
-    ``ids`` uses the array filters' encoding: slot value ``key + 1``,
-    ``0`` marks an empty slot.  The inner scan is the branch-free
-    membership loop of Algorithm 3 — a compiler auto-vectorises it into
-    exactly the SIMD probe the paper describes.  Target ``0`` (key
-    ``-1``) is the empty-slot marker and reports a miss without
-    consulting the array; every other key, negative ones included, is
-    stored and found as ``key + 1``, as the NumPy backend finds it.
+    ``stored`` is the live prefix of an array filter's raw key slots.
+    The inner scan is the branch-free membership loop of Algorithm 3 —
+    a compiler auto-vectorises it into exactly the SIMD probe the paper
+    describes.
     """
-    m = ids.shape[0]
+    m = stored.shape[0]
     n = keys.shape[0]
     for i in range(n):
-        target = keys[i] + 1
+        target = keys[i]
         slot = -1
-        if target != 0:
-            for j in range(m):
-                if ids[j] == target:
-                    slot = j
+        for j in range(m):
+            if stored[j] == target:
+                slot = j
         out[i] = slot
 
 

@@ -57,9 +57,9 @@ def simd_find_index(filter_ids: np.ndarray, item: int) -> int:
     the exact instruction sequence of the paper's kernel, generalised to
     arrays longer than 16 by the outer block loop.
 
-    Zero-padding the tail block is safe only when ``item != 0``; callers
-    encode empty slots and keys so that id 0 never collides (the filters in
-    this library reserve id 0 as the empty marker and store keys + 1).
+    The tail block is zero-padded; a match in the padding lies at or past
+    ``len(filter_ids)`` and is discarded, so any ``item``, 0 included, is
+    found exactly where it is stored.
 
     Returns the index of ``item`` in ``filter_ids`` or -1 if absent.
     """

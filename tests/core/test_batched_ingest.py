@@ -282,11 +282,18 @@ class TestFilterBulkApi:
     """The bulk filter operations the batched path is built on."""
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
-    def test_keys_array_lists_residents(self, kind):
+    def test_lookup_many_int64_residents(self, kind):
+        # Every int64 key is an ordinary resident: -1, 0 and the extremes
+        # are found, and an absent 0 or -2 misses.
+        residents = [3, -1, 0, -(1 << 63), (1 << 63) - 1]
         filter_ = make_filter(kind, 8)
-        for key in (3, 11, 7):
-            filter_.insert(key, key, 0)
-        assert sorted(filter_.keys_array().tolist()) == [3, 7, 11]
+        for count, key in enumerate(residents, start=1):
+            filter_.insert(key, count, 0)
+        mask, counts = filter_.lookup_many(
+            np.array(residents + [-2, 4], dtype=np.int64)
+        )
+        assert mask.tolist() == [True] * 5 + [False, False]
+        assert counts.tolist() == [1, 2, 3, 4, 5, 0, 0]
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_add_many_matches_scalar_loop(self, kind):

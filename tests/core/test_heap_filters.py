@@ -131,5 +131,5 @@ class TestBothHeaps:
         filter_ = cls(8)
         for key in [5, 9, 13]:
             filter_.insert(key, key, 0)
-        stored = {int(v) - 1 for v in filter_.id_array if v != 0}
-        assert stored == {5, 9, 13}
+        assert filter_.id_array.tolist() == [e.key for e in filter_.entries()]
+        assert set(filter_.id_array.tolist()) == {5, 9, 13}

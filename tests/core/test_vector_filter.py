@@ -36,23 +36,27 @@ class TestMinCache:
 
 class TestSimdEquivalence:
     def test_id_array_searchable_by_faithful_kernel(self, rng):
-        """The faithful Algorithm 3 kernel locates real filter state."""
+        """The faithful Algorithm 3 kernel locates real filter state:
+        it scans the live prefix of raw keys, key 0 included."""
         filter_ = VectorFilter(32)
-        keys = rng.choice(10_000, size=20, replace=False)
+        keys = np.append(rng.choice(np.arange(1, 10_000), 19, replace=False), 0)
         for key in keys.tolist():
             filter_.insert(int(key), 1, 0)
+        assert len(filter_.id_array) == len(filter_) == 20
         ids32 = filter_.id_array.astype(np.int32)
         for key in keys.tolist():
-            simd_result = simd_find_index(ids32, int(key) + 1)
-            numpy_result = numpy_find_index(filter_.id_array, int(key) + 1)
+            simd_result = simd_find_index(ids32, int(key))
+            numpy_result = numpy_find_index(filter_.id_array, int(key))
             assert simd_result == numpy_result >= 0
 
     def test_faithful_kernel_misses_absent_keys(self, rng):
         filter_ = VectorFilter(16)
-        for key in range(10):
+        for key in range(1, 11):
             filter_.insert(key, 1, 0)
         ids32 = filter_.id_array.astype(np.int32)
-        assert simd_find_index(ids32, 999 + 1) == -1
+        # 0 matches only the tail block's padding, past the live prefix.
+        assert simd_find_index(ids32, 0) == -1
+        assert simd_find_index(ids32, 999) == -1
 
 
 class TestSlotReuse:

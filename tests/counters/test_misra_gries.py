@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.counters.misra_gries import MisraGries
@@ -105,3 +106,61 @@ class TestWeightedAndOps:
         before = mg.ops.mg_ops
         mg.update(99)  # triggers decrement-all
         assert mg.ops.mg_ops >= before + 1 + 4
+
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def slot_state(mg: MisraGries):
+    return (
+        mg._keys.tolist(), list(mg._counts), list(mg._free),
+        dict(mg._index), mg.total_decrements,
+    )
+
+
+class TestInt64Keys:
+    def test_minus_one_is_decremented_and_freed(self):
+        mg = MisraGries(2)
+        for key in [-1, -1, 5, 7, 7, 8]:
+            mg.update(key)
+        # 7 decrements (-1 -> 1, 5 freed), 7 re-enters, 8 decrements both.
+        assert mg.items() == []
+        assert len(mg) == 0
+        assert mg.total_decrements == 2
+        restored = MisraGries.from_state(mg.state())
+        assert restored.items() == [] and len(restored) == 0
+
+    def test_extreme_keys_survive_a_round_trip(self):
+        mg = MisraGries(4)
+        for key in [-1, INT64_MAX, -1, INT64_MIN, 0, -1, INT64_MAX]:
+            mg.update(key)
+        assert mg.items() == [(-1, 3), (INT64_MAX, 2), (INT64_MIN, 1), (0, 1)]
+        state = mg.state()
+        assert sorted(state.arrays) == ["counts", "free", "keys"]
+        restored = MisraGries.from_state(state)
+        assert slot_state(restored) == slot_state(mg)
+
+    def test_old_ids_state_loads_exactly(self):
+        """A state written before raw keys holds ``ids`` (``key + 1``
+        per live slot, 0 on free slots); key -1 was stored as id 0 on a
+        live slot and is recovered from the free list."""
+        mg = MisraGries(4)
+        for key in [9, -1, -1, 9, 4, -3]:
+            mg.update(key)
+        mg.update(11)  # decrement-all frees 4 and -3: free = [2, 3]
+        state = mg.state()
+        old_arrays = dict(state.arrays)
+        keys = old_arrays.pop("keys")
+        live = [slot for slot in range(4) if slot not in set(mg._free)]
+        ids = [0] * 4
+        for slot in live:
+            ids[slot] = int(keys[slot]) + 1
+        assert ids == [10, 0, 0, 0]  # key -1 sits on live slot 1 as id 0
+        old_arrays["ids"] = np.array(ids, dtype=np.int64)
+        old = type(state)(
+            kind=state.kind, params=state.params, arrays=old_arrays,
+            extra=state.extra,
+        )
+        restored = MisraGries.from_state(old)
+        assert slot_state(restored) == slot_state(mg)
+        assert restored.items() == [(9, 1), (-1, 1)]

@@ -33,42 +33,49 @@ def _reference_backend():
     return BACKENDS[1]  # numpy
 
 
-class TestMembershipProbe:
-    def test_hits_misses_and_empty_slots(self, backend):
-        # Slots hold key + 1; zeros are empty.
-        ids = np.array([6, 0, 3, 12, 0, 1], dtype=np.int64)
-        keys = np.array([5, 2, 11, 0, 7, 5], dtype=np.int64)
-        slots = backend.membership_probe(ids, keys)
-        assert slots.tolist() == [0, 2, 3, 5, -1, 0]
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
 
-    def test_negative_key_never_matches_empty_slot(self, backend):
-        # key -1 encodes to target 0, the empty-slot marker; it must
-        # miss, not "find" the first hole.
-        ids = np.array([0, 4, 0], dtype=np.int64)
+
+class TestMembershipProbe:
+    """``membership_probe(stored, keys)`` takes a filter's live prefix of
+    raw keys: every int64 value is an ordinary key."""
+
+    def test_hits_misses_and_empty_slots(self, backend):
+        # No value marks an empty slot: a stored 0 is found, and an
+        # absent 0 misses like any other key.
+        stored = np.array([5, 0, 2, 11, 4], dtype=np.int64)
+        keys = np.array([5, 2, 11, 0, 7, 5], dtype=np.int64)
+        slots = backend.membership_probe(stored, keys)
+        assert slots.tolist() == [0, 2, 3, 1, -1, 0]
+        slots = backend.membership_probe(stored[2:], keys)
+        assert slots.tolist() == [-1, 0, 1, -1, -1, -1]
+
+    def test_minus_one_and_extremes_found(self, backend):
+        stored = np.array([_INT64_MAX, -1, 4, _INT64_MIN], dtype=np.int64)
         slots = backend.membership_probe(
-            ids, np.array([-1, 3, -5], dtype=np.int64)
+            stored,
+            np.array([-1, 3, _INT64_MIN, _INT64_MAX, 0, -2], dtype=np.int64),
         )
-        assert slots.tolist() == [-1, 1, -1]
+        assert slots.tolist() == [1, -1, 3, 0, -1, -1]
 
     def test_negative_resident_key_found(self, backend):
-        # Keys below -1 are stored as key + 1 < 0 and must be found,
-        # as the scalar filter operations find them.
-        ids = np.array([0, -4, 3, -9], dtype=np.int64)
+        stored = np.array([-5, 2, -10], dtype=np.int64)
         slots = backend.membership_probe(
-            ids, np.array([-5, -10, 2, -2], dtype=np.int64)
+            stored, np.array([-5, -10, 2, -2], dtype=np.int64)
         )
-        assert slots.tolist() == [1, 3, 2, -1]
+        assert slots.tolist() == [0, 2, 1, -1]
 
     def test_all_empty_filter(self, backend):
-        ids = np.zeros(8, dtype=np.int64)
+        stored = np.empty(0, dtype=np.int64)
         slots = backend.membership_probe(
-            ids, np.array([0, 1, 2], dtype=np.int64)
+            stored, np.array([0, 1, -1], dtype=np.int64)
         )
         assert slots.tolist() == [-1, -1, -1]
 
     def test_empty_key_batch(self, backend):
-        ids = np.array([5, 3], dtype=np.int64)
-        slots = backend.membership_probe(ids, np.empty(0, dtype=np.int64))
+        stored = np.array([5, 3], dtype=np.int64)
+        slots = backend.membership_probe(stored, np.empty(0, dtype=np.int64))
         assert slots.shape == (0,)
 
     def test_random_batches_match_reference(self, backend):
@@ -77,27 +84,15 @@ class TestMembershipProbe:
         for _ in range(5):
             capacity = int(rng.integers(1, 64))
             monitored = rng.choice(
-                np.arange(1000), size=capacity, replace=False
+                np.arange(-500, 1000), size=capacity, replace=False
             )
-            ids = np.zeros(capacity, dtype=np.int64)
             occupancy = int(rng.integers(0, capacity + 1))
-            ids[:occupancy] = monitored[:occupancy] + 1
-            keys = rng.integers(0, 1500, size=200).astype(np.int64)
+            stored = monitored[:occupancy].astype(np.int64)
+            keys = rng.integers(-600, 1500, size=200).astype(np.int64)
             assert np.array_equal(
-                backend.membership_probe(ids, keys),
-                reference.membership_probe(ids, keys),
+                backend.membership_probe(stored, keys),
+                reference.membership_probe(stored, keys),
             )
-
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
-
-
-def _ids_of(stored, capacity: int) -> np.ndarray:
-    """A filter id array holding ``stored`` (``key + 1``; 0 = empty)."""
-    ids = np.zeros(capacity, dtype=np.int64)
-    ids[: len(stored)] = np.asarray(stored, dtype=np.int64) + 1
-    return ids
 
 
 class TestProbePrefilter:
@@ -105,12 +100,12 @@ class TestProbePrefilter:
     every case is checked against the python loop backend."""
 
     @staticmethod
-    def _assert_parity(ids, keys):
+    def _assert_parity(stored, keys):
+        stored = np.asarray(stored, dtype=np.int64)
         keys = np.asarray(keys, dtype=np.int64)
-        with np.errstate(over="ignore"):
-            expected = PythonBackend().membership_probe(ids, keys)
+        expected = PythonBackend().membership_probe(stored, keys)
         np.testing.assert_array_equal(
-            NumpyBackend().membership_probe(ids, keys), expected
+            NumpyBackend().membership_probe(stored, keys), expected
         )
 
     @pytest.mark.parametrize("capacity", [1, 2, 3, 31, 32, 33, 1000, 4096])
@@ -119,44 +114,46 @@ class TestProbePrefilter:
         stored = rng.choice(1 << 40, size=capacity, replace=False)
         probes = max(8, 200_000 // capacity)
         for occupancy in (0, capacity // 2, capacity):
-            ids = _ids_of(stored[:occupancy], capacity)
-            rng.shuffle(ids)
+            live = stored[:occupancy].copy()
+            rng.shuffle(live)
             keys = np.concatenate([
                 rng.choice(stored, size=probes // 2),  # hits and duplicates
                 rng.integers(0, 1 << 40, size=probes // 2),
             ])
-            self._assert_parity(ids, keys)
+            self._assert_parity(live, keys)
 
     def test_stored_keys_sharing_low_bits(self):
         stored = [7 + (i << 40) for i in range(64)]
         keys = [7 + (i << 39) for i in range(256)] + [7, 7 + (1 << 62)]
-        self._assert_parity(_ids_of(stored, 64), keys)
+        self._assert_parity(stored, keys)
 
     def test_probe_keys_sharing_a_bucket_with_stored_keys(self):
         from repro.kernels._backends import _golden_hash, _prefilter_shift
 
         stored = np.array([3, 1_000, 77_777, -40], dtype=np.int64)
-        ids = _ids_of(stored, 8)
         shift = _prefilter_shift(stored.shape[0])
         occupied = set(_golden_hash(stored, shift).tolist())
         pool = np.arange(-200_000, 200_000, dtype=np.int64)
         colliding = pool[np.isin(_golden_hash(pool, shift), list(occupied))]
         colliding = colliding[~np.isin(colliding, stored)]
         assert colliding.shape[0] > 1_000
-        self._assert_parity(ids, np.concatenate([colliding, stored]))
+        self._assert_parity(stored, np.concatenate([colliding, stored]))
 
     def test_negative_and_extreme_keys(self):
         stored = [-2, -3, -1_000_000, _INT64_MIN, 0, _INT64_MAX - 1]
         keys = [-1, -2, -3, -4, -1_000_000, _INT64_MIN, _INT64_MIN + 1,
                 _INT64_MAX, _INT64_MAX - 1, 0, 1, -1, -2]
-        for capacity in (6, 9):
-            self._assert_parity(_ids_of(stored, capacity), keys)
+        for live in (3, 6):
+            self._assert_parity(stored[:live], keys)
+        self._assert_parity(stored[:5] + [-1, _INT64_MAX], keys)
 
-    def test_minus_one_misses_on_any_table(self):
-        # key -1 would be stored as 0, the empty-slot marker.
+    def test_minus_one_on_any_table(self):
+        # -1 is found where stored and misses elsewhere, at every size.
         for capacity in (1, 5, 64):
-            ids = _ids_of(np.arange(capacity // 2), capacity)
-            self._assert_parity(ids, [-1] * 10 + [0, 1])
+            stored = np.arange(capacity // 2)
+            keys = [-1] * 10 + [0, 1]
+            self._assert_parity(stored, keys)
+            self._assert_parity(np.append(stored, -1), keys)
 
 
 def _cw_params(num_rows: int, width: int, seed: int):

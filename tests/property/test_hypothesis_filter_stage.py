@@ -257,9 +257,9 @@ class _SwapSifting:
     """The per-level ``_swap`` sift pair the heaps used to run."""
 
     def _swap(self, a: int, b: int) -> None:
-        ids, new, old = self._ids, self._new, self._old
-        key_a, key_b = int(ids[a]) - 1, int(ids[b]) - 1
-        ids[a], ids[b] = ids[b].item(), ids[a].item()
+        keys, new, old = self._keys, self._new, self._old
+        key_a, key_b = int(keys[a]), int(keys[b])
+        keys[a], keys[b] = keys[b].item(), keys[a].item()
         new[a], new[b] = new[b], new[a]
         old[a], old[b] = old[b], old[a]
         self._index[key_a] = b
@@ -317,7 +317,6 @@ def heap_operations(seed: int, count: int):
     layout."""
     rng = np.random.default_rng(seed)
     keys = rng.integers(-5, 16, size=count)
-    keys[keys == -1] = 16
     ops = rng.integers(0, len(HEAP_OPS), size=count)
     values = rng.integers(0, 9, size=(count, 2))
     for op, key, (a, b) in zip(ops.tolist(), keys.tolist(), values.tolist()):

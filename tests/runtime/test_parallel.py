@@ -188,6 +188,34 @@ class TestBitIdentity:
         assert stats.chunks_ingested == len(chunks_of(stream, 1_777))
         assert supervisor.group.state().equals(sequential.state())
 
+    def test_full_int64_keys_match_sharded(self):
+        # Keys span the whole int64 range, and -1, 0 and both extremes
+        # are among the heaviest, so they sit in the shard filters.
+        rng = np.random.default_rng(29)
+        forced = [-1, 0, -(1 << 63), (1 << 63) - 1]
+        pool = np.concatenate([
+            np.array(forced, dtype=np.int64),
+            rng.integers(-(1 << 63), (1 << 63) - 1, size=2_000,
+                         dtype=np.int64, endpoint=True),
+        ])
+        keys = pool[(rng.zipf(1.3, size=20_000) - 1) % pool.shape[0]]
+        chunks = [keys[i : i + 1_500] for i in range(0, keys.shape[0], 1_500)]
+        sequential = ShardedASketch(2, **GROUP_PARAMS)
+        StreamEngine(sequential, batched=True).run(chunks)
+        runtime = ParallelIngestRuntime(2, shards=2, **GROUP_PARAMS)
+        stats = runtime.run(iter(chunks))
+        assert stats.tuples_ingested == keys.shape[0]
+        assert runtime.supervisor.group.state().equals(sequential.state())
+        probes = np.array(forced + [-2, 1], dtype=np.int64)
+        answers = runtime.supervisor.query_batch(probes)
+        assert answers == [sequential.query(int(k)) for k in probes]
+        exact = Counter(keys.tolist())
+        assert all(a >= exact[k] for a, k in zip(answers, probes.tolist()))
+        assert runtime.supervisor.total_mass == keys.shape[0]
+        resident = {k for shard in sequential.shards
+                    for k, _ in shard.top_k(16)}
+        assert set(forced) <= resident
+
     def test_worker_health_reports_clean_run(self, stream):
         runtime = ParallelIngestRuntime(2, shards=2, **GROUP_PARAMS)
         runtime.run(chunks_of(stream))
