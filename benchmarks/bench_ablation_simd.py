@@ -3,10 +3,9 @@
 Wall-clock comparison of the three find-index kernels on a 32-id filter
 array, plus the cost model's view of the same choice (one 16-id probe
 block vs 32 scalar comparisons), plus the *batch* membership ablation:
-the per-key python lane emulation vs the vectorised numpy kernel vs the
-compiled (numba) kernel over a whole key batch — the three probe paths
-a :meth:`Filter.add_many_if_present` call can take depending on the
-active :mod:`repro.kernels` backend.
+the per-key python lane emulation vs the vectorised
+:mod:`repro.kernels` probe a :meth:`Filter.add_many_if_present` call
+runs, over a whole key batch.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.hardware.costs import CostModel, OpCounters
-from repro.kernels import available_backends, use_backend
+from repro.kernels import active_backend
 from repro.simd.engine import (
     numpy_find_index,
     scalar_find_index,
@@ -53,14 +52,13 @@ def test_modeled_simd_advantage():
 
 
 def test_batch_probe_backends(persist_text):
-    """The three bulk membership probe paths agree and are measured.
+    """The two bulk membership probe paths agree and are measured.
 
     A full 32-slot filter's key array is probed with a 10K-key batch
     (hit-heavy, with a miss tail), through the per-key python lane
-    emulation (``simd_find_index``), the vectorised numpy kernel, and —
-    where numba is installed — the compiled kernel.  All paths must
-    return identical slot answers; the measured rates persist to
-    ``benchmarks/results/ablation_simd_batch.txt``.
+    emulation (``simd_find_index``) and the vectorised numpy kernel.
+    Both must return identical slot answers; the measured rates persist
+    to ``benchmarks/results/ablation_simd_batch.txt``.
     """
     rng = np.random.default_rng(7)
     capacity = 32
@@ -81,21 +79,15 @@ def test_batch_probe_backends(persist_text):
             dtype=np.int64,
         )
 
-    def backend_probe(name: str):
-        def run() -> np.ndarray:
-            with use_backend(name) as backend:
-                return backend.membership_probe(stored, batch)
+    def kernel_probe() -> np.ndarray:
+        return active_backend().membership_probe(stored, batch)
 
-        return run
-
-    paths = {"python-lanes": lane_emulation, "numpy-kernel": backend_probe("numpy")}
-    if "numba" in available_backends():
-        paths["numba-kernel"] = backend_probe("numba")
+    paths = {"python-lanes": lane_emulation, "numpy-kernel": kernel_probe}
 
     reference: np.ndarray | None = None
     lines = []
     for name, run in paths.items():
-        result = run()  # warm (and compile, for numba)
+        result = run()  # warm
         if reference is None:
             reference = result
         assert np.array_equal(result, reference), name
@@ -106,6 +98,4 @@ def test_batch_probe_backends(persist_text):
         elapsed = (time.perf_counter() - start) / repeats
         rate = batch.shape[0] / elapsed if elapsed > 0 else 0.0
         lines.append(f"{name:14s} {rate:>14,.0f} probes/s")
-    if "numba-kernel" not in paths:
-        lines.append("numba-kernel   SKIPPED (numba not installed)")
     persist_text("ablation_simd_batch", lines)

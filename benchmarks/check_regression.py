@@ -10,10 +10,7 @@ any shared bench's throughput dropped by more than the tolerance::
 Rules of engagement:
 
 * Only bench ids present in **both** documents are compared — adding a
-  bench never fails the gate, silently *dropping* one does, unless the
-  baseline row is marked ``optional: true`` (environment-dependent
-  benches like the numba leg, which legitimately vanish on runners
-  without the dependency).
+  bench never fails the gate, silently *dropping* one does.
 * Multi-worker benches (``workers > 1``) are skipped when the two
   documents were recorded on machines with different ``cpu_count``:
   a 2-worker number from a 4-cpu box and one from a 1-cpu box measure
@@ -131,14 +128,6 @@ def compare(
 
     dropped = sorted(set(base_benches) - set(cur_benches))
     for bench_id in dropped:
-        if base_benches[bench_id].get("optional"):
-            # Environment-dependent benches (e.g. the numba leg) vanish
-            # legitimately when the current runner lacks the dependency.
-            lines.append(
-                f"  {bench_id:20s} SKIP (optional bench absent from "
-                "current run)"
-            )
-            continue
         regressions.append(
             f"{bench_id}: present in baseline but missing from current run"
         )

@@ -37,11 +37,7 @@ sys.path.insert(0, str(_REPO_ROOT))
 
 from benchmarks.bench_adaptive_drift import run_drift_benchmark  # noqa: E402
 
-from repro.kernels import (  # noqa: E402
-    active_backend,
-    available_backends,
-    use_backend,
-)
+from repro.kernels import active_backend  # noqa: E402
 from repro.obs import install_registry, uninstall_registry  # noqa: E402
 from repro.runtime.engine import StreamEngine  # noqa: E402
 from repro.runtime.parallel import ParallelIngestRuntime  # noqa: E402
@@ -79,26 +75,22 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _stamp(row: dict, workers: int, optional: bool = False) -> dict:
+def _stamp(row: dict, workers: int) -> dict:
     """Attach the context that makes a throughput number interpretable.
 
     A parallel items/s figure means nothing without knowing how many
     worker processes produced it and how many CPUs they had to share —
     the perf gate also keys off these to avoid comparing numbers taken
-    on differently sized machines.  ``backend`` records which kernel
-    compute backend (:mod:`repro.kernels`) produced the number;
+    on differently sized machines.  ``backend`` names the kernel
+    implementation (:mod:`repro.kernels`) that produced the number;
     ``oversubscribed`` marks runs with more workers than CPUs, whose
     throughput is start-up-overhead-dominated and excluded from both the
-    perf gate and any speedup claim.  ``optional`` marks benches that
-    only run in some environments (e.g. the numba leg) so the gate
-    treats their absence as a skip, not a drop.
+    perf gate and any speedup claim.
     """
     row["workers"] = int(workers)
     row["cpu_count"] = _cpu_count()
     row["backend"] = active_backend().name
     row["oversubscribed"] = int(workers) > _cpu_count()
-    if optional:
-        row["optional"] = True
     return row
 
 
@@ -287,22 +279,6 @@ def record(tiny: bool) -> dict:
             _query_bench(keys, keys[:20_000]), workers=1
         ),
     }
-    if "numba" in available_backends():
-        # The compiled leg, recorded only where numba exists (CI's
-        # with-numba job, developer machines with `pip install .[native]`).
-        # Marked optional so a no-numba run's gate treats its absence as
-        # a skip rather than a dropped bench.
-        with use_backend("numba"):
-            benches["batched_ingest_native"] = _stamp(
-                _run_ingest_bench(
-                    build_synopsis(ASKETCH_SPEC.with_params(seed=64)),
-                    keys,
-                    chunk_size,
-                    batched=True,
-                ),
-                workers=1,
-                optional=True,
-            )
     return {
         "schema": SCHEMA,
         "git_sha": _git_sha(),

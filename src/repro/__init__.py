@@ -50,12 +50,7 @@ from repro.hardware import (
     PipelineSimulator,
     SpmdModel,
 )
-from repro.kernels import (
-    active_backend,
-    available_backends,
-    set_backend,
-    use_backend,
-)
+from repro.kernels import active_backend
 from repro.runtime import (
     AdaptiveController,
     CheckpointStore,
@@ -163,7 +158,6 @@ __all__ = [
     "VectorFilter",
     "__version__",
     "active_backend",
-    "available_backends",
     "build_synopsis",
     "current_registry",
     "install_registry",
@@ -177,13 +171,11 @@ __all__ = [
     "registered_kinds",
     "render_prometheus",
     "save_synopsis",
-    "set_backend",
     "snapshot_metrics",
     "trace_span",
     "uniform_stream",
     "uninstall_registry",
     "uninstall_tracer",
-    "use_backend",
     "validate_metrics_json",
     "write_metrics_json",
     "zipf_stream",

@@ -81,16 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="version",
         version=f"%(prog)s {repro.__version__}",
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["python", "numpy", "numba"],
-        help=(
-            "kernel compute backend for the batch hot loops (default: "
-            "the REPRO_BACKEND env var, else numpy; requesting numba "
-            "without numba installed falls back to numpy with a warning)"
-        ),
-    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     subparsers.add_parser("list", help="list all experiment ids")
@@ -846,11 +836,6 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    if args.backend is not None:
-        from repro.kernels import set_backend
-
-        set_backend(args.backend)
 
     if args.command == "list":
         for experiment_id in experiment_ids():

@@ -31,6 +31,7 @@ estimates, op counts and state digests against a committed golden file).
 
 from __future__ import annotations
 
+import operator
 import time
 
 import numpy as np
@@ -255,7 +256,12 @@ class StagedSynopsis:
     # -- Algorithm 1: stream processing -----------------------------------
 
     def update(self, key: int, amount: int = 1) -> int:
-        """Insert ``(key, amount)``; returns the post-update estimate."""
+        """Insert ``(key, amount)``; returns the post-update estimate.
+
+        A key that is not an int64 integer raises
+        :class:`ConfigurationError` before any state changes, here and
+        in :meth:`process`, :meth:`query` and :meth:`remove`."""
+        key = _int64_key(key)
         estimate = self._process(key, amount)
         if estimate is not None:
             return estimate
@@ -270,7 +276,7 @@ class StagedSynopsis:
         :meth:`update`, minus the extra filter probe a hit-path return
         value would need.
         """
-        self._process(key, amount)
+        self._process(_int64_key(key), amount)
 
     def _process(self, key: int, amount: int) -> int | None:
         """Shared Algorithm 1 body.
@@ -328,16 +334,17 @@ class StagedSynopsis:
         once per call — state transitions and estimates are identical
         either way.
         """
+        keys = _key_vector(keys).tolist()
         registry = current_registry()
         if registry is None:
             process = self._process
-            for key in keys.tolist():
+            for key in keys:
                 process(key, 1)
             return
         before = (self.ops.items, self.miss_events, self.ops.exchanges)
         start = time.perf_counter()
         process = self._process
-        for key in keys.tolist():
+        for key in keys:
             process(key, 1)
         self._record_ingest_metrics(
             registry, before, time.perf_counter() - start
@@ -536,6 +543,7 @@ class StagedSynopsis:
 
     def query(self, key: int) -> int:
         """Frequency estimate: filter ``new_count``, else sketch estimate."""
+        key = _int64_key(key)
         self.ops.items += 1
         new_count = self._filter.get_new_count(key)
         if new_count is not None:
@@ -811,6 +819,7 @@ class StagedSynopsis:
         """
         if amount < 0:
             raise NegativeCountError("remove() expects a positive amount")
+        key = _int64_key(key)
         self.ops.items += 1
         self.total_mass -= amount
         counts = self._filter.get_counts(key)
@@ -919,14 +928,61 @@ class StagedSynopsis:
         )
 
 
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
+
+def key_dtype_problem(array: np.ndarray) -> str | None:
+    """Why ``array`` cannot be read as int64 keys without mangling one,
+    or None when it can.
+
+    The one key rule of every ingest and query path: keys are integers
+    in the int64 range, so object and float arrays are refused (a cast
+    would truncate fractions and turn NaN into garbage), and so are
+    uint64 values above ``INT64_MAX`` (a cast would wrap them negative).
+    """
+    dtype = array.dtype
+    if dtype == object:
+        return "object dtype (mixed or non-numeric keys)"
+    if not np.issubdtype(dtype, np.integer):
+        if np.issubdtype(dtype, np.floating):
+            bad = "NaN keys" if np.isnan(array).any() else "fractional keys"
+            return f"float keys (coercion would truncate; found {bad})"
+        return f"dtype {dtype} is not an integer type"
+    if dtype == np.uint64 and array.size and int(array.max()) > _INT64_MAX:
+        return "uint64 keys above INT64_MAX (coercion would wrap them)"
+    return None
+
+
 def _key_vector(keys) -> np.ndarray:
-    """``keys`` as a one-dimensional int64 array, else a typed error."""
-    keys = np.asarray(keys, dtype=np.int64)
+    """``keys`` as a one-dimensional int64 array, else a typed error:
+    :class:`ConfigurationError` for a shape that is not 1-D or keys
+    that break :func:`key_dtype_problem`'s rule."""
+    keys = np.asarray(keys)
     if keys.ndim != 1:
         raise ConfigurationError(
             f"keys must be one-dimensional, got shape {keys.shape}"
         )
+    if keys.dtype != np.int64:
+        if keys.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        problem = key_dtype_problem(keys)
+        if problem is not None:
+            raise ConfigurationError(f"invalid keys: {problem}")
+        keys = keys.astype(np.int64)
     return keys
+
+
+def _int64_key(key) -> int:
+    """A scalar key as a Python int in the int64 range, else
+    :class:`ConfigurationError`."""
+    try:
+        value = operator.index(key)
+    except TypeError:
+        raise ConfigurationError(f"keys must be integers, got {key!r}") from None
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ConfigurationError(f"key {value} is outside the int64 range")
+    return value
 
 
 def _count_vector(keys: np.ndarray, counts) -> np.ndarray | None:

@@ -93,9 +93,8 @@ def cw_fold_columns(
     runs in place on two int64 arrays of the broadcast shape: scalar
     parameters against a key vector fold one row, and ``(rows, 1)``
     parameter columns against ``(1, n)`` keys fold a ``(rows, n)``
-    group of rows in one call.  The compiled kernels
-    (:mod:`repro.kernels`) compute the same columns with ``%``, and the
-    kernel parity suites hold the two forms equal.
+    group of rows in one call.  ``tests/kernels`` holds the columns
+    equal to the scalar :meth:`CarterWegmanHash.__call__`.
     """
     hi = np.multiply(encoded, a_hi)
     total = np.bitwise_and(hi, (1 << 30) - 1)
@@ -167,7 +166,7 @@ class CarterWegmanHash(HashFamily):
     def kernel_params(self) -> tuple[int, int, int]:
         """``(a_hi, a_lo, b mod p)`` for :func:`cw_fold_columns` callers.
 
-        The pre-split form the compiled kernels consume; valid for
+        The pre-split form the Count-Min kernels consume; valid for
         encoded keys below ``2**31`` (see :func:`cw_fold_columns`).
         """
         return (

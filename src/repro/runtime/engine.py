@@ -25,8 +25,8 @@ from typing import Any, Callable, Iterable, Protocol
 
 import numpy as np
 
+from repro.core.staged import key_dtype_problem
 from repro.errors import ConfigurationError, PoisonChunkError
-from repro.kernels import stamp_backend
 from repro.obs.registry import current_registry
 from repro.obs.trace import current_tracer, trace_span
 
@@ -40,26 +40,21 @@ def coerce_chunk(
 
     The synopses model integer-keyed turnstile streams, so anything a
     lossy ``np.asarray(chunk, dtype=np.int64)`` would silently mangle is
-    rejected as poison instead: float keys (fractional values truncate,
-    NaN/inf coerce to garbage), object/string dtypes, boolean payloads,
-    and non-1-D shapes.  When per-key ``counts`` accompany the chunk
-    they must be integral and non-negative — negative counts belong to
-    the strict-turnstile *deletion* API, not bulk ingest.
+    rejected as poison instead: whatever
+    :func:`~repro.core.staged.key_dtype_problem` refuses (float keys,
+    object/string dtypes, boolean payloads, uint64 keys above
+    ``INT64_MAX``) and non-1-D shapes.  When per-key ``counts``
+    accompany the chunk they must be integral and non-negative —
+    negative counts belong to the strict-turnstile *deletion* API, not
+    bulk ingest.
 
     Raises :class:`~repro.errors.PoisonChunkError` carrying
     ``chunk_index`` so callers can quarantine the exact offender.
     """
     array = np.asarray(chunk)
-    if array.dtype == object:
-        raise PoisonChunkError(
-            "object dtype (mixed or non-numeric keys)", chunk_index=chunk_index
-        )
-    if not np.issubdtype(array.dtype, np.integer):
-        detail = f"dtype {array.dtype} is not an integer type"
-        if np.issubdtype(array.dtype, np.floating):
-            bad = "NaN keys" if np.isnan(array).any() else "fractional keys"
-            detail = f"float keys (coercion would truncate; found {bad})"
-        raise PoisonChunkError(detail, chunk_index=chunk_index)
+    problem = key_dtype_problem(array)
+    if problem is not None:
+        raise PoisonChunkError(problem, chunk_index=chunk_index)
     if array.ndim != 1:
         raise PoisonChunkError(
             f"expected a 1-D key array, got shape {array.shape}",
@@ -253,10 +248,6 @@ class StreamEngine:
         ``ingest`` span; the synopsis state is unaffected either way.
         """
         registry = current_registry()
-        if registry is not None:
-            # Which compute backend served this run — every perf number
-            # recorded below is meaningless without it.
-            stamp_backend(registry)
         traced = current_tracer() is not None
         for payload in chunks:
             position = self.position

@@ -10,12 +10,12 @@ own a mutable set of shards of one
 
 **Forked workers.**  Every worker is started with ``fork``, the one
 start method: it is running within milliseconds and inherits what it
-needs — its :class:`ChunkRing` object, the group layout, the active
-kernel backend, its fault plan and any restore state — so nothing is
-pickled and no interpreter boots or re-imports ``repro``.  Fork is safe
-here because the workers are single-threaded and no library code runs
-a Python thread beside a fleet (the metrics server's thread serves only
-``serve-metrics``, which ingests in-process); OpenBLAS, the one native
+needs — its :class:`ChunkRing` object, the group layout, its fault
+plan and any restore state — so nothing is pickled and no interpreter
+boots or re-imports ``repro``.  Fork is safe here because the workers
+are single-threaded and no library code runs a Python thread beside a
+fleet (the metrics server's thread serves only ``serve-metrics``,
+which ingests in-process); OpenBLAS, the one native
 thread pool numpy brings, re-arms its pool in the child through
 ``pthread_atfork``.  CPython >= 3.12 emits a ``DeprecationWarning``
 when a process with more than one OS thread forks, and OpenBLAS's pool
@@ -447,13 +447,13 @@ def _worker_main(
 ) -> None:
     """Worker body: the ingest loop from the ring into a shard group.
 
-    Runs in a forked child, on the parent's own objects: the ring, the
-    group layout and the active kernel backend are inherited, not sent.
-    It first closes ``parent_ends`` — every parent-side pipe end the
-    fork handed it, its own peer end included — and drops the parent's
-    tracer.  The group has the *full* shard layout; the parent only
-    ever sends keys owned by this worker's shards, so every other shard
-    stays pristine, and a snapshot
+    Runs in a forked child, on the parent's own objects: the ring and
+    the group layout are inherited, not sent.  It first closes
+    ``parent_ends`` — every parent-side pipe end the fork handed it, its
+    own peer end included — and drops the parent's tracer.  The group
+    has the *full* shard layout; the parent only ever sends keys owned
+    by this worker's shards, so every other shard stays pristine, and a
+    snapshot
     (:meth:`~repro.runtime.sharding.ShardedASketch.nonpristine_states`)
     carries the owned shards that have seen keys and nothing else.
     The worker runs its own metrics registry only when the parent had

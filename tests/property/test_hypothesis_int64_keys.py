@@ -6,18 +6,24 @@ appear in every stream.  Each filter kind is driven through scalar,
 batched and sharded ingest, and the north-star invariants are asserted
 on every example: ``query(k) >= true count``, ``query_batch`` equals
 the point queries, ``total_mass == len(stream)``, and sharded ingest is
-bit-identical to feeding each shard its owned keys in order.
+bit-identical to feeding each shard its owned keys in order.  A key
+outside the domain (an int beyond int64, a float, a uint64 above
+``INT64_MAX``) raises :class:`ConfigurationError` and leaves the
+synopsis exactly as it was.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.asketch import ASketch
+from repro.errors import ConfigurationError
 from repro.runtime.engine import StreamEngine
 from repro.runtime.sharding import ShardedASketch
 from repro.sketches.count_min import CountMinSketch
@@ -148,3 +154,83 @@ class TestSharded:
         for key in stream.tolist():
             reference.shards[reference.shard_of(key)].update(key)
         assert group.state().equals(reference.state())
+
+
+#: Scalar keys outside the int64 domain: ints beyond it and non-ints
+#: (integral floats included, as a float array is refused whole).
+bad_scalars = st.one_of(
+    st.integers(max_value=INT64_MIN - 1),
+    st.integers(min_value=INT64_MAX + 1),
+    st.floats(),
+    st.sampled_from(["7", None, 2.0]),
+)
+
+
+@st.composite
+def bad_arrays(draw) -> np.ndarray:
+    """A 1-D key array no int64 cast reads faithfully."""
+    kind = draw(st.sampled_from(["float", "uint64", "object"]))
+    good = draw(st.lists(st.integers(0, INT64_MAX), max_size=8))
+    if kind == "float":
+        values = draw(st.lists(st.floats(), min_size=1, max_size=8))
+        return np.array(values + good, dtype=np.float64)
+    if kind == "uint64":
+        above = draw(
+            st.lists(st.integers(INT64_MAX + 1, (1 << 64) - 1), min_size=1,
+                     max_size=8)
+        )
+        return np.array(above + good, dtype=np.uint64)
+    return np.array(good + ["7"], dtype=object)
+
+
+def snapshot(synopsis) -> tuple:
+    """Mass, operation records and state: all a rejected call may not
+    touch."""
+    members = getattr(synopsis, "shards", [synopsis])
+    return (
+        synopsis.total_mass,
+        [dataclasses.astuple(member.combined_ops()) for member in members],
+        synopsis.state(),
+    )
+
+
+def assert_unchanged(synopsis, before: tuple) -> None:
+    after = snapshot(synopsis)
+    assert after[:2] == before[:2]
+    assert after[2].equals(before[2])
+
+
+class TestRejectedKeys:
+    @given(
+        stream=int64_streams(), kind=filter_kinds, seed=seeds,
+        key=bad_scalars,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_calls_reject_before_any_change(self, stream, kind, seed,
+                                                   key):
+        asketch = build(kind, seed)
+        asketch.process_batch(stream)
+        before = snapshot(asketch)
+        for call in (asketch.update, asketch.process, asketch.query,
+                     asketch.remove):
+            with pytest.raises(ConfigurationError):
+                call(key)
+            assert_unchanged(asketch, before)
+
+    @given(
+        stream=int64_streams(), kind=filter_kinds, seed=seeds,
+        keys=bad_arrays(), shards=st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_calls_reject_before_any_change(self, stream, kind, seed,
+                                                  keys, shards):
+        synopsis = (
+            build_group(kind, seed, shards) if shards else build(kind, seed)
+        )
+        synopsis.process_batch(stream)
+        before = snapshot(synopsis)
+        for call in (synopsis.process_batch, synopsis.process_stream,
+                     synopsis.query_batch):
+            with pytest.raises(ConfigurationError):
+                call(keys)
+            assert_unchanged(synopsis, before)

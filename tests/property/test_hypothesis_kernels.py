@@ -1,10 +1,9 @@
-"""Property-based tests: kernel backends are bit-identical everywhere.
+"""Property-based tests: each kernel equals its plain-Python reference.
 
-Random streams, filter kinds, sketch geometries, and weighted updates
-must produce the exact same end state no matter which compute backend
-executed the inner loops.  The python backend interprets the very loop
-bodies the numba backend compiles, so passing against numpy here covers
-the compiled leg's semantics too.
+The probe runs over keys from the whole int64 range, with -1, 0,
+``INT64_MIN`` and ``INT64_MAX`` in every batch; the Count-Min kernels
+run over codes below ``2**31`` (the range they serve) with batch sizes
+on both sides of the ``_CELLS // n`` row-group boundary.
 """
 
 from __future__ import annotations
@@ -13,111 +12,89 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.asketch import ASketch
-from repro.kernels import available_backends, use_backend
-from repro.sketches.count_min import CountMinSketch
+from repro.hashing.families import CarterWegmanHash, encode_key_array
+from repro.kernels import _CELLS, active_backend
+from tests.kernels import _oracle
 
-BACKEND_NAMES = [
-    name for name in ("python", "numpy", "numba") if name in available_backends()
-]
+KERNELS = active_backend()
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
+FORCED = [-1, 0, INT64_MIN, INT64_MAX]
 
-keys_strategy = st.lists(
-    st.integers(min_value=0, max_value=120), min_size=1, max_size=300
-)
-filter_kinds = st.sampled_from(
-    ["vector", "strict-heap", "relaxed-heap", "stream-summary"]
-)
-seeds = st.integers(min_value=0, max_value=30)
-chunk_sizes = st.integers(min_value=1, max_value=64)
-widths = st.integers(min_value=4, max_value=64)
-depths = st.integers(min_value=1, max_value=6)
+int64s = st.integers(min_value=INT64_MIN, max_value=INT64_MAX)
 
 
-def build(seed: int, kind: str, filter_items: int = 4) -> ASketch:
-    sketch = CountMinSketch(num_hashes=3, row_width=19, seed=seed)
-    return ASketch(sketch=sketch, filter_items=filter_items, filter_kind=kind)
-
-
-def full_state(asketch: ASketch):
-    return (
-        {
-            entry.key: (entry.new_count, entry.old_count)
-            for entry in asketch.filter.entries()
-        },
-        asketch.sketch.table.tolist(),
-        asketch.total_mass,
-        asketch.overflow_mass,
-        asketch.miss_events,
-        asketch.exchange_count,
+@st.composite
+def cm_batches(draw):
+    """``(depth, width, seed, n, pool)``: ``n`` is small, or within a few
+    keys of ``_CELLS // depth``, where the kernels' rows stop fitting in
+    one group; the keys are ``pool`` consecutive ints centred on 0, so
+    small pools repeat keys and the largest reaches code ``2**31 - 1``."""
+    depth = draw(st.integers(min_value=1, max_value=8))
+    boundary = _CELLS // depth
+    n = draw(
+        st.integers(min_value=0, max_value=40)
+        | st.integers(min_value=boundary - 3, max_value=boundary + 3)
     )
+    width = draw(st.integers(min_value=1, max_value=300))
+    seed = draw(st.integers(min_value=0, max_value=1_000))
+    pool = draw(st.sampled_from([1, 16, 1 << 31]))
+    return depth, width, seed, n, pool
 
 
-class TestBackendIdentity:
-    @given(keys=keys_strategy, kind=filter_kinds, seed=seeds,
-           chunk_size=chunk_sizes)
-    @settings(max_examples=50, deadline=None)
-    def test_ingest_state_identical_across_backends(
-        self, keys, kind, seed, chunk_size
-    ):
-        """Exchange-heavy random streams (tiny filter, many distinct
-        keys) leave the identical ASketch state under every backend."""
-        stream = np.array(keys, dtype=np.int64)
-        states = []
-        for name in BACKEND_NAMES:
-            with use_backend(name):
-                asketch = build(seed, kind)
-                for start in range(0, stream.shape[0], chunk_size):
-                    asketch.process_batch(stream[start : start + chunk_size])
-                states.append(full_state(asketch))
-        first = states[0]
-        assert all(state == first for state in states[1:])
-
+class TestKernelsMatchOracle:
     @given(
-        keys=keys_strategy,
-        seed=seeds,
-        width=widths,
-        depth=depths,
+        stored=st.lists(int64s, max_size=64, unique=True),
+        others=st.lists(int64s, max_size=64),
         data=st.data(),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_weighted_sketch_updates_identical(
-        self, keys, seed, width, depth, data
-    ):
-        """Fused hash+scatter and hash+gather agree across backends for
-        arbitrary sketch geometries and weighted batches."""
-        amounts = np.array(
-            data.draw(
-                st.lists(
-                    st.integers(min_value=1, max_value=50),
-                    min_size=len(keys),
-                    max_size=len(keys),
-                )
-            ),
-            dtype=np.int64,
+    @settings(max_examples=200, deadline=None)
+    def test_membership_probe(self, stored, others, data):
+        """Every live-prefix length answers like a ``{key: slot}``
+        lookup, for resident, absent and extreme keys alike."""
+        live = data.draw(st.integers(min_value=0, max_value=len(stored)))
+        stored = np.array(stored[:live], dtype=np.int64)
+        keys = np.array(
+            FORCED + others + stored.tolist()[::2], dtype=np.int64
         )
-        stream = np.array(keys, dtype=np.int64)
-        tables = []
-        estimates = []
-        for name in BACKEND_NAMES:
-            with use_backend(name):
-                sketch = CountMinSketch(
-                    num_hashes=depth, row_width=width, seed=seed
-                )
-                sketch.update_batch_weighted(stream, amounts)
-                tables.append(sketch.table.copy())
-                estimates.append(list(sketch.estimate_batch(stream)))
-        assert all(np.array_equal(tables[0], t) for t in tables[1:])
-        assert all(estimates[0] == e for e in estimates[1:])
+        keys = keys[data.draw(st.permutations(range(keys.shape[0])))]
+        np.testing.assert_array_equal(
+            KERNELS.membership_probe(stored, keys),
+            _oracle.membership_probe(stored, keys),
+        )
 
-    @given(keys=keys_strategy, kind=filter_kinds, seed=seeds)
-    @settings(max_examples=30, deadline=None)
-    def test_queries_identical_across_backends(self, keys, kind, seed):
-        stream = np.array(keys, dtype=np.int64)
-        probes = sorted(set(keys)) + [999]
-        answers = []
-        for name in BACKEND_NAMES:
-            with use_backend(name):
-                asketch = build(seed, kind)
-                asketch.process_batch(stream)
-                answers.append(asketch.query_batch(probes))
-        assert all(answers[0] == a for a in answers[1:])
+    @given(batch=cm_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_count_min_update_and_estimate(self, batch):
+        """The fused update leaves the oracle's table and returns the
+        oracle's estimates, which ``cm_estimate`` reads back."""
+        depth, width, seed, n, pool = batch
+        rng = np.random.default_rng(seed)
+        hashes = [CarterWegmanHash(width, seed + row) for row in range(depth)]
+        params = _oracle.kernel_rows(hashes)
+        low = -(pool // 2)
+        codes = encode_key_array(rng.integers(low, low + pool, size=n))
+        assert n == 0 or int(codes.max()) < 1 << 31
+        amounts = rng.integers(0, 1_000, size=n).astype(np.int64)
+        start = rng.integers(0, 50, size=(depth, width)).astype(np.int64)
+
+        table = start.copy()
+        estimates = KERNELS.cm_update_weighted(table, *params, codes, amounts)
+        expected = start.copy()
+        oracle_estimates = _oracle.cm_update_weighted(
+            expected, hashes, codes, amounts
+        )
+        np.testing.assert_array_equal(table, expected)
+        np.testing.assert_array_equal(estimates, oracle_estimates)
+        np.testing.assert_array_equal(
+            KERNELS.cm_estimate(table, *params, codes), oracle_estimates
+        )
+
+    @given(estimates=st.lists(int64s, max_size=100), threshold=int64s)
+    @settings(max_examples=100, deadline=None)
+    def test_exchange_candidates(self, estimates, threshold):
+        estimates = np.array(estimates, dtype=np.int64)
+        np.testing.assert_array_equal(
+            KERNELS.exchange_candidates(estimates, threshold),
+            _oracle.exchange_candidates(estimates, threshold),
+        )

@@ -216,6 +216,13 @@ class TestChunkValidation:
             coerce_chunk(np.array([1, "two", 3], dtype=object), 4)
         assert info.value.chunk_index == 4
 
+    def test_uint64_chunk_above_int64_max_is_poison(self):
+        # A cast would wrap 2**63 to INT64_MIN; INT64_MAX still passes.
+        with pytest.raises(PoisonChunkError, match="INT64_MAX"):
+            coerce_chunk(np.array([1, 1 << 63], dtype=np.uint64), 2)
+        out = coerce_chunk(np.array([(1 << 63) - 1], dtype=np.uint64), 2)
+        assert out.tolist() == [(1 << 63) - 1]
+
     def test_2d_chunk_is_poison(self):
         with pytest.raises(PoisonChunkError, match="1-D"):
             coerce_chunk(np.arange(8).reshape(2, 4), 0)

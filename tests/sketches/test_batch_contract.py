@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.asketch import ASketch
 from repro.hashing.families import encode_key_array
-from repro.kernels import available_backends, use_backend
 from repro.runtime.sharding import ShardedASketch
 from repro.sketches.count_min import CountMinSketch
 from repro.sketches.count_sketch import CountSketch
@@ -44,10 +43,6 @@ SKETCH_KINDS = {
     ),
 }
 
-KERNELS = [name for name in ("python", "numpy", "numba")
-           if name in available_backends()]
-
-
 def _batches(seed: int, domain: int, offset: int = 0):
     """Three weighted batches; the last repeats keys within itself."""
     rng = np.random.default_rng(seed)
@@ -75,19 +70,17 @@ class TestUpdateReturnsEstimates:
         assert returned.shape == (0,)
         assert returned.dtype == np.int64
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_count_min_kernel_and_huge_key_paths(self, kernel):
+    def test_count_min_kernel_and_huge_key_paths(self):
         # Keys at or above 2**30 encode at or above 2**31 and take the
         # per-row hash_array path instead of the fused kernel.
-        with use_backend(kernel):
-            for offset in (0, 1 << 40):
-                sketch = CountMinSketch(num_hashes=4, row_width=61, seed=3)
-                for keys, amounts in _batches(5, 500, offset):
-                    assert sketch._kernel_ready(
-                        encode_key_array(keys)
-                    ) == (offset == 0)
-                    returned = sketch.update_batch_weighted(keys, amounts)
-                    assert returned.tolist() == sketch.estimate_batch(keys)
+        for offset in (0, 1 << 40):
+            sketch = CountMinSketch(num_hashes=4, row_width=61, seed=3)
+            for keys, amounts in _batches(5, 500, offset):
+                assert sketch._kernel_ready(
+                    encode_key_array(keys)
+                ) == (offset == 0)
+                returned = sketch.update_batch_weighted(keys, amounts)
+                assert returned.tolist() == sketch.estimate_batch(keys)
 
     def test_count_min_charges_update_plus_estimate(self):
         # One fused pass, but the operation record is the one a separate
