@@ -9,7 +9,6 @@ Usage::
     repro-asketch run asketch --checkpoint-dir ckpts --checkpoint-every 8
     repro-asketch run zipf --metrics-json metrics.json
     repro-asketch run zipf --workers 4 --shards 8
-    repro-asketch run zipf --workers 4 --shards 8 --respawn --reshard
     repro-asketch resume ckpts --top-k 10
     repro-asketch checkpoint asketch.npz --method asketch --skew 1.5
     repro-asketch restore asketch.npz --top-k 10
@@ -41,14 +40,12 @@ through the default ASketch.  ``serve-metrics`` runs an ingest with a
 stdlib HTTP scrape endpoint at ``/metrics`` (Prometheus text) and
 ``/metrics.json``; ``health --checkpoint-dir DIR`` inspects the newest
 checkpoint and exits ``0`` (healthy), ``1`` (degraded — chunks sit in
-a dead-letter queue — or unreadable), ``2`` (usage error / no
-checkpoints), ``3`` (healing: a worker respawn is rebuilding state,
-data intact).  Parallel runs journal their self-healing lifecycle
-counters (``worker_respawns``, ``reshard_migrations``, stalls,
-quarantines) into every checkpoint, and ``health`` surfaces them under
-``fleet``; ``run --workers N`` itself exits non-zero when the fleet
-finishes degraded.  ``run --respawn`` enables exact worker recovery,
-``--reshard`` online skew-driven shard rebalancing.
+a dead-letter queue — or unreadable) or ``2`` (usage error / no
+checkpoints).  Parallel runs journal their failure counters (stalls,
+quarantines, snapshot rejects) into every checkpoint, and ``health``
+surfaces them under ``fleet``; ``run --workers N`` itself exits
+non-zero when the fleet finishes degraded.  A failed worker is always
+recovered exactly: the parent takes its shards over.
 """
 
 from __future__ import annotations
@@ -171,25 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--respawn",
-        action="store_true",
-        help=(
-            "with --workers: respawn dead/hung workers from their last "
-            "snapshot and replay the retained tail (exact recovery; "
-            "past the retry budget the parent takes the worker's "
-            "shards over, still exact)"
-        ),
-    )
-    run_parser.add_argument(
-        "--reshard",
-        action="store_true",
-        help=(
-            "with --workers: watch routing skew and move shards "
-            "between workers online (requires --shards > --workers to "
-            "have anything to move)"
-        ),
-    )
-    run_parser.add_argument(
         "--metrics-json",
         default=None,
         metavar="PATH",
@@ -258,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "health",
         help=(
             "inspect the newest checkpoint of a resilient run; "
-            "exit 0 healthy, 1 degraded, 3 healing (recovery in flight)"
+            "exit 0 healthy, 1 degraded or unreadable, 2 no checkpoints"
         ),
     )
     health_parser.add_argument(
@@ -589,8 +567,6 @@ def _run_parallel(args: argparse.Namespace) -> int:
         filter_kind=args.filter_kind,
         seed=args.seed,
         slot_capacity=max(1 << 16, args.chunk_size),
-        respawn=args.respawn,
-        auto_reshard=args.reshard,
     )
     store = None
     if args.checkpoint_dir is not None:
@@ -615,8 +591,8 @@ def _run_parallel(args: argparse.Namespace) -> int:
             f"({stats.wall_throughput_items_per_ms:.0f} items/ms); "
             f"{workers_ok}/{args.workers} workers healthy; "
             f"fleet {fleet['status']} "
-            f"(respawns {fleet['worker_respawns']}, "
-            f"migrations {fleet['reshard_migrations']})"
+            f"(stalls {fleet['worker_stalls']}, "
+            f"quarantined chunks {fleet['quarantined_chunks']})"
         )
         if args.metrics_json is not None:
             from repro.obs import write_metrics_json
@@ -717,22 +693,16 @@ def _run_health(args: argparse.Namespace) -> int:
     }
     if isinstance(synopsis, ShardSupervisor):
         report["shards"] = synopsis.shard_health()
-        if synopsis.healing_shards:
-            report["status"] = "healing"
     extra = record.get("extra") or {}
     if extra:
-        # Self-healing lifecycle counters journaled by the parallel
-        # runtime's checkpoints (respawns, migrations, quarantines...).
+        # Failure counters journaled by the parallel runtime's
+        # checkpoints (stalls, quarantines, snapshot rejects).
         report["fleet"] = extra
         if extra.get("quarantined_chunks"):
             # Data is sitting in a dead-letter queue, not the synopsis.
             report["status"] = "degraded"
-        elif report["status"] == "ok" and extra.get("healing_shards"):
-            report["status"] = "healing"
     print(json.dumps(report, indent=2))
-    if report["status"] == "ok":
-        return 0
-    return 3 if report["status"] == "healing" else 1
+    return 0 if report["status"] == "ok" else 1
 
 
 def _run_resume(args: argparse.Namespace) -> int:

@@ -940,7 +940,10 @@ def key_dtype_problem(array: np.ndarray) -> str | None:
     in the int64 range, so object and float arrays are refused (a cast
     would truncate fractions and turn NaN into garbage), and so are
     uint64 values above ``INT64_MAX`` (a cast would wrap them negative).
+    An array with no elements holds no key to mangle, whatever its dtype.
     """
+    if array.size == 0:
+        return None
     dtype = array.dtype
     if dtype == object:
         return "object dtype (mixed or non-numeric keys)"
@@ -949,7 +952,7 @@ def key_dtype_problem(array: np.ndarray) -> str | None:
             bad = "NaN keys" if np.isnan(array).any() else "fractional keys"
             return f"float keys (coercion would truncate; found {bad})"
         return f"dtype {dtype} is not an integer type"
-    if dtype == np.uint64 and array.size and int(array.max()) > _INT64_MAX:
+    if dtype == np.uint64 and int(array.max()) > _INT64_MAX:
         return "uint64 keys above INT64_MAX (coercion would wrap them)"
     return None
 
@@ -964,8 +967,6 @@ def _key_vector(keys) -> np.ndarray:
             f"keys must be one-dimensional, got shape {keys.shape}"
         )
     if keys.dtype != np.int64:
-        if keys.size == 0:
-            return np.zeros(0, dtype=np.int64)
         problem = key_dtype_problem(keys)
         if problem is not None:
             raise ConfigurationError(f"invalid keys: {problem}")

@@ -105,17 +105,17 @@ class RecoveryError(ReproError):
 class WorkerStalledError(ReproError):
     """A parallel worker stopped consuming its ring without dying.
 
-    Raised by the parent-side wait loops of
+    Built by the parent-side wait loops of
     :class:`~repro.runtime.parallel.ParallelIngestRuntime` when a
     worker process is still alive but has made no ring progress within
     its stall budget — the "slow/hung worker" case, which liveness
     polling alone cannot distinguish from a merely busy worker.  The
-    runtime catches it internally and fails the worker over (respawn
-    when enabled and budgeted, else inline: the parent takes over the
-    worker's shards in the result group); it escapes to callers only
-    when no recovery tier is available.  Attributes: ``worker``
-    (worker index), ``waited_seconds`` (how long the parent waited
-    without observing progress).
+    runtime fails such a worker over inline (the parent takes over the
+    worker's shards in the result group), so the error reaches callers
+    as the worker's ``error`` text in
+    :meth:`~repro.runtime.parallel.ParallelIngestRuntime.worker_health`.
+    Attributes: ``worker`` (worker index), ``waited_seconds`` (how long
+    the parent waited without observing progress).
     """
 
     def __init__(

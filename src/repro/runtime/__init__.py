@@ -20,7 +20,7 @@ provides that operational shell:
   checkpoints + exact crash recovery), :class:`~repro.runtime.
   reliability.RetryingSource` (backoff retries, dead-letter
   quarantine), :class:`~repro.runtime.reliability.ShardSupervisor`
-  (a shard group plus its ``ok``/``healing`` health view), and the
+  (a shard group plus its per-shard health view), and the
   deterministic :class:`~repro.runtime.reliability.FaultPlan`
   injection harness the recovery tests are built on;
 * :class:`~repro.runtime.adaptive.AdaptiveController` — closes the
@@ -31,8 +31,8 @@ provides that operational shell:
   :class:`~repro.runtime.parallel.ParallelIngestRuntime` runs N worker
   processes over shared-memory chunk rings, each ingesting its shards'
   keys, recombined through the synopsis ``merge()`` protocol into a
-  result bit-identical to a single-process run (a failed worker is
-  respawned or inlined, both exact).
+  result bit-identical to a single-process run (a failed worker's
+  shards are taken over by the parent, exactly).
 """
 
 from repro.runtime.adaptive import AdaptiveController

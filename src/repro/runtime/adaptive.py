@@ -257,162 +257,3 @@ class AdaptiveController:
             )
         return action
 
-
-class ReshardController:
-    """Rebalance shard ownership across parallel workers from live skew.
-
-    The parallel-runtime analogue of :class:`AdaptiveController`: where
-    that controller re-tunes the *filter* when the hit-rate signal
-    degrades, this one re-tunes the *shard→worker assignment* when the
-    routed-load signal degrades.  It watches the same per-shard routing
-    tallies that feed the ``shard_skew`` gauge, and when one worker's
-    observed window load exceeds ``skew_threshold`` times the balanced
-    share, it proposes moving that worker's best-fitting shard to the
-    least-loaded worker via
-    :meth:`~repro.runtime.parallel.ParallelIngestRuntime.reshard` —
-    whose quiesce/install/commit protocol keeps the move exact and
-    crash-consistent.
-
-    Duck-typed against the runtime (``shard_item_counts``,
-    ``shards_of``, ``workers``, ``reshard``) so this
-    module never imports :mod:`repro.runtime.parallel`.
-
-    Parameters
-    ----------
-    runtime:
-        The :class:`~repro.runtime.parallel.ParallelIngestRuntime`
-        being driven (must be mid-``run``: the controller is invoked by
-        the runtime itself between chunks when ``auto_reshard=True``).
-    skew_threshold:
-        Minimum ratio of the hottest worker's window load over the
-        balanced per-worker share before a move is proposed (> 1.0;
-        default 1.5).
-    min_window_items:
-        Observation windows with fewer routed items are ignored — skew
-        over a handful of tuples is noise (default 2048).
-    cooldown_windows:
-        Windows to sit out after a migration while the new assignment's
-        load signal stabilises (default 2).
-    max_moves:
-        Shards moved per firing window (default 1 — small reversible
-        steps, like the filter controller's single resize per window).
-    """
-
-    def __init__(
-        self,
-        runtime,
-        *,
-        skew_threshold: float = 1.5,
-        min_window_items: int = 2048,
-        cooldown_windows: int = 2,
-        max_moves: int = 1,
-    ) -> None:
-        if skew_threshold <= 1.0:
-            raise ConfigurationError(
-                f"skew_threshold must exceed 1.0, got {skew_threshold}"
-            )
-        if min_window_items < 1:
-            raise ConfigurationError(
-                f"min_window_items must be >= 1, got {min_window_items}"
-            )
-        if max_moves < 1:
-            raise ConfigurationError(
-                f"max_moves must be >= 1, got {max_moves}"
-            )
-        self.runtime = runtime
-        self.skew_threshold = float(skew_threshold)
-        self.min_window_items = int(min_window_items)
-        self.cooldown_windows = int(cooldown_windows)
-        self.max_moves = int(max_moves)
-        self._cooldown = 0
-        self._last = runtime.shard_item_counts()
-        #: (position, action, skew, moved, plan) per decision window.
-        self.decisions: list[tuple[int, str, float, int, dict]] = []
-
-    @property
-    def migration_count(self) -> int:
-        """Shards moved by this controller so far."""
-        return sum(moved for _, _, _, moved, _ in self.decisions)
-
-    def observe(self, position: int = 0) -> str:
-        """Close one observation window and maybe move shards.
-
-        Called by the runtime after every chunk; returns the action
-        taken (``"reshard"`` or ``"hold"``).
-        """
-        counts = self.runtime.shard_item_counts()
-        window = counts - self._last
-        if int(window.sum()) < self.min_window_items:
-            return "hold"
-        self._last = counts
-        if self._cooldown > 0:
-            self._cooldown -= 1
-            return "hold"
-        plan, skew = self._propose(window)
-        action = "hold"
-        moved = 0
-        if plan:
-            moved = self.runtime.reshard(plan)
-            if moved:
-                action = "reshard"
-                self._cooldown = self.cooldown_windows
-        self.decisions.append(
-            (int(position), action, float(skew), int(moved), dict(plan))
-        )
-        if current_tracer() is not None:
-            trace_point(
-                "reshard_decision",
-                action=action,
-                skew=round(float(skew), 6),
-                moved=int(moved),
-                plan={str(k): int(v) for k, v in plan.items()},
-                window_items=int(window.sum()),
-                position=int(position),
-            )
-        return action
-
-    def _propose(self, window) -> tuple[dict[int, int], float]:
-        """Pick up to ``max_moves`` shard moves from hot to cold workers.
-
-        Load is the window's routed items summed per worker under the
-        *current* assignment; the proposal moves the hottest worker's
-        shard whose transfer lands that worker closest to the balanced
-        share, onto the least-loaded worker.  Every worker can give and
-        receive: an inlined worker's shards are exact in the parent.
-        """
-        runtime = self.runtime
-        workers = range(runtime.workers)
-        if len(workers) < 2:
-            return {}, 0.0
-        owned = {w: runtime.shards_of(w) for w in workers}
-        load = {
-            w: int(sum(window[s] for s in owned[w])) for w in workers
-        }
-        total = sum(load.values())
-        if total <= 0:
-            return {}, 0.0
-        balanced = total / len(workers)
-        plan: dict[int, int] = {}
-        skew = max(load.values()) / balanced if balanced else 0.0
-        for _ in range(self.max_moves):
-            hot = max(load, key=lambda w: load[w])
-            cold = min(load, key=lambda w: load[w])
-            if hot == cold or load[hot] <= balanced * self.skew_threshold:
-                break
-            if len(owned[hot]) < 2:
-                break  # never strip a worker of its last shard
-            movable = [s for s in owned[hot] if s not in plan]
-            if not movable:
-                break
-            # the shard whose departure lands the hot worker nearest
-            # the balanced share (never the whole load: keep >= 1 shard)
-            shard = min(
-                movable,
-                key=lambda s: abs(load[hot] - int(window[s]) - balanced),
-            )
-            plan[shard] = cold
-            load[hot] -= int(window[shard])
-            load[cold] += int(window[shard])
-            owned[hot] = [s for s in owned[hot] if s != shard]
-            owned[cold] = [*owned[cold], shard]
-        return plan, skew

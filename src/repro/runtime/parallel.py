@@ -2,17 +2,17 @@
 
 :mod:`repro.hardware.spmd` *models* the paper's §6.3 multi-kernel run
 with a cost model; this module makes it real.  N worker processes each
-own a mutable set of shards of one
-:class:`~repro.runtime.sharding.ShardedASketch` layout (initially
-``s % workers == w``) and ingest their shares through the ordinary
-``process_batch`` path, fed over shared-memory ring buffers
+own the fixed set of shards ``s % workers == w`` of one
+:class:`~repro.runtime.sharding.ShardedASketch` layout for the whole
+run and ingest their shares through the ordinary ``process_batch``
+path, fed over shared-memory ring buffers
 (``multiprocessing.shared_memory``).
 
 **Forked workers.**  Every worker is started with ``fork``, the one
 start method: it is running within milliseconds and inherits what it
-needs — its :class:`ChunkRing` object, the group layout, its fault
-plan and any restore state — so nothing is pickled and no interpreter
-boots or re-imports ``repro``.  Fork is safe here because the workers
+needs — its :class:`ChunkRing` object, the group layout and its fault
+plan — so nothing is pickled and no interpreter boots or re-imports
+``repro``.  Fork is safe here because the workers
 are single-threaded and no library code runs a Python thread beside a
 fleet (the metrics server's thread serves only ``serve-metrics``,
 which ingests in-process); OpenBLAS, the one native
@@ -41,46 +41,20 @@ pristine check rejects a shard that is already non-pristine there.
 The combined result's :meth:`state` **equals** a single-process
 ingest's, enforced by the parallel test suite.
 
-**Self-healing.**  Worker death is detected by the parent (process
+**Failover.**  Worker death is detected by the parent (process
 liveness plus ring-progress stall detection — a hung worker is not a
 dead worker, but both are failed over).  Workers snapshot their
 non-pristine shards over a pipe every ``sync_every`` chunks (each
 snapshot carries a digest of exactly what is sent, so a corrupted
 snapshot is *rejected* and the retained replay tail kept), and the
-parent retains the un-snapshotted chunk tail per worker, giving two
-recovery tiers, both exact.  Either tier takes from the last accepted
-snapshot only the shards the worker *currently owns*:
-
-* ``respawn=True`` (first tier): fork a replacement process, install
-  those shards into its fresh group, replay the retained tail into
-  its fresh ring, and resume exact ingest — **still bit-identical**,
-  and transient: the worker's shards walk a
-  ``ok → healing → ok`` lifecycle in
-  :meth:`~repro.runtime.reliability.ShardSupervisor.health`.  Respawns
-  are bounded per worker by a
-  :class:`~repro.runtime.reliability.RetryPolicy`; past the budget the
-  failure falls through to inline failover.
-* inline failover (without ``respawn``, or once its budget is spent):
-  install those shards into the result group, replay
-  the retained tail there through the identical ``process_batch``
-  path, and ingest that worker's later shares there too — the parent
-  now owns its shards; bit-identical, minus the parallelism.
-
-Either way each shard is non-pristine in exactly one place: the result
-group, or the accepted snapshot of the ring worker that owns it.
-
-**Elastic resharding.**  :meth:`ParallelIngestRuntime.reshard` moves
-shard ownership between workers online with a
-quiesce → install → commit protocol that is crash-consistent at every
-step: a worker dying mid-migration neither loses nor double-counts a
-shard (ownership moves to the destination once it acknowledges
-adoption with a fresh snapshot, and failover takes only owned shards,
-so an exported shard still in the source's snapshot is never adopted
-twice).  With
-``auto_reshard=True`` a skew-watching controller
-(:class:`~repro.runtime.adaptive.ReshardController`) proposes moves
-from the live ``shard_skew`` signal, with cooldown and bounds like the
-filter's :class:`~repro.runtime.adaptive.AdaptiveController`.
+parent retains the un-snapshotted chunk tail per worker.  A dead, hung
+or exited worker is recovered inline, exactly: the parent installs the
+shards of its last accepted snapshot into the result group, replays
+the retained tail there through the identical ``process_batch`` path,
+and ingests that worker's later shares there too — the parent now owns
+its shards; bit-identical, minus the parallelism.  Each shard is
+therefore non-pristine in exactly one place: the result group, or the
+accepted snapshot of the ring worker that owns it.
 
 **Backpressure.**  Ring occupancy is bounded, so a
 slow consumer exerts natural backpressure on the parent.  Owned-shard
@@ -105,14 +79,12 @@ parent instead of dying, and its checkpoint step is the pipe snapshot.
 
 **Observability.**  With a registry installed (:mod:`repro.obs`) the
 parent records routing skew, per-worker item counters, ring depth,
-liveness, failures, respawns (``worker_respawns_total``), stalls
-(``parallel_worker_stalls_total``), migrations
-(``reshard_migrations_total``), snapshot rejects
+liveness, failures (``parallel_worker_failures_total``), stalls
+(``parallel_worker_stalls_total``), snapshot rejects
 (``parallel_snapshot_rejects_total``) and drain latency
 (``parallel_merge_seconds``, the drain's installs); trace points
-(``worker_respawn``, ``worker_healed``, ``worker_stalled``,
-``reshard_migration``, ``snapshot_reject``) mark every
-lifecycle transition.  A worker forked while the parent has a registry
+(``worker_stalled``, ``snapshot_reject``) mark those events.  A worker
+forked while the parent has a registry
 installed runs its own and forwards counter/gauge values over its
 pipe, which the parent re-labels with ``worker=<id>`` and folds into
 the installed registry; without one, a worker records and sends no
@@ -125,7 +97,6 @@ import hashlib
 import json
 import multiprocessing as mp
 import os
-import random
 import sys
 import time
 from collections import deque
@@ -443,7 +414,6 @@ def _worker_main(
     parent_ends: list,
     sync_every: int,
     faults: FaultPlan,
-    initial: tuple = ({}, 0, 0),
 ) -> None:
     """Worker body: the ingest loop from the ring into a shard group.
 
@@ -466,12 +436,6 @@ def _worker_main(
     :meth:`~repro.runtime.reliability.FaultPlan.worker_faults_for`),
     then retries, then validate-or-quarantine.  The checkpoint step is
     the pipe snapshot every ``sync_every`` chunks and at end of stream.
-
-    ``initial`` is ``(snapshot, chunks_done, items_done)``; a respawned
-    replacement gets the owned shards of the parent's last accepted
-    snapshot, installs them into a fresh group, and resumes chunk
-    counting from there, so the retained tail the parent replays lands
-    at exactly the right positions.
     """
     for end in parent_ends:
         end.close()
@@ -479,27 +443,21 @@ def _worker_main(
     registry: MetricsRegistry | None = None
     if current_registry() is not None:
         registry = install_registry(MetricsRegistry())
-    snapshot, chunks_done, items_done = initial
     group = ShardedASketch(**group_params)
-    for shard, shard_state in snapshot.items():
-        group.install_shard(shard, shard_state)
     engine = StreamEngine(group, batched=True)
-    engine.position = int(chunks_done)
-    engine.stats.tuples_ingested = int(items_done)
     checkpoints = 0
     sync_target: int | None = None
 
-    def send_snapshot(tag: str = "snapshot") -> None:
+    def send_snapshot() -> None:
         nonlocal checkpoints
         shard_states = group.nonpristine_states()
         digest = _snapshot_digest(shard_states)
-        if tag == "snapshot":  # a checkpoint, not a reshard ack
-            checkpoints += 1
-            faults.checkpoint_written(
-                checkpoints, lambda: _corrupt_in_flight(shard_states)
-            )
-        conn.send((tag, engine.position, engine.stats.tuples_ingested,
-                   shard_states, digest, _export_metrics(registry)))
+        checkpoints += 1
+        faults.checkpoint_written(
+            checkpoints, lambda: _corrupt_in_flight(shard_states)
+        )
+        conn.send(("snapshot", engine.position, shard_states, digest,
+                   _export_metrics(registry)))
 
     def quarantine(position: int, payload: Any, reason: str) -> None:
         # The parent's dead-letter queue keeps the pristine payload from
@@ -511,25 +469,8 @@ def _worker_main(
         nonlocal sync_target
         while conn.poll():
             message = conn.recv()
-            tag = message[0]
-            if tag == "sync":
+            if message[0] == "sync":
                 sync_target = int(message[1])
-            elif tag == "migrate_in":
-                for shard, shard_state in message[1].items():
-                    group.install_shard(int(shard), shard_state)
-                # The adoption ack IS a fresh snapshot: once the parent
-                # accepts it, a later death of this worker recovers the
-                # migrated shard from snapshot like any other data — no
-                # special mid-migration state survives.
-                send_snapshot("adopted")
-            elif tag == "migrate_commit":
-                # The parent exported these shards from this worker's
-                # quiesced snapshot and a new owner has adopted them:
-                # only now do the local copies reset and leave the
-                # snapshots.
-                for shard in message[1]:
-                    group.export_shard(int(shard))  # discard: reset
-                send_snapshot("migrate_committed")
         if sync_target is not None and engine.position >= sync_target:
             send_snapshot()
             sync_target = None
@@ -547,7 +488,7 @@ def _worker_main(
         sync_every, lambda position: send_snapshot()
     )
     try:
-        engine.run(faults.boundary_faults(retrying, engine.position))
+        engine.run(faults.boundary_faults(retrying))
         conn.send(("done", engine.position, engine.stats.tuples_ingested))
     except SimulatedCrash:
         faults.act_out_crash()
@@ -589,20 +530,15 @@ class _WorkerSlot:
     #: non-pristine shards (empty before the first).
     snapshot: dict = field(default_factory=dict)
     snapshot_chunks: int = 0
-    snapshot_items: int = 0
     #: ``"ok"`` (fed over its ring) or ``"inlined"`` (failed over: the
     #: parent owns its shards in the result group).
     status: str = "ok"
     metrics_last: dict = field(default_factory=dict)
     done: bool = False
     error: str | None = None
-    respawns: int = 0
     stalls: int = 0
     quarantined: int = 0
     snapshot_rejects: int = 0
-    #: While healing: the chunk count a replacement's snapshot must
-    #: reach before the worker's shards flip back to healthy.
-    heal_target: int | None = None
 
     @property
     def feeding_ring(self) -> bool:
@@ -630,9 +566,8 @@ class ParallelIngestRuntime:
     Parameters
     ----------
     workers:
-        Worker process count; worker ``w`` initially owns shards ``s``
-        with ``s % workers == w`` (ownership may move via
-        :meth:`reshard`).
+        Worker process count; worker ``w`` owns shards ``s`` with
+        ``s % workers == w`` for the whole run.
     shards:
         Shard count (default: one per worker).  Must be >= ``workers``.
     total_bytes, filter_items, filter_kind, num_hashes, seed:
@@ -645,39 +580,21 @@ class ParallelIngestRuntime:
     sync_every:
         Worker snapshot cadence in chunks; bounds the retained replay
         tail in the parent.
-    respawn:
-        Enable the first recovery tier: dead/hung workers are replaced
-        by fresh processes restored from snapshot + retained-tail
-        replay (exact, transient ``healing`` state).  Without it, or
-        past its budget, a failed worker is inlined: the parent takes
-        over its shards in the result group (exact too).
-    respawn_policy:
-        :class:`~repro.runtime.reliability.RetryPolicy` bounding
-        respawns per worker (``max_retries``) and pacing the backoff
-        between attempts.
-    auto_reshard:
-        Watch routing skew and move shards between workers online via
-        :class:`~repro.runtime.adaptive.ReshardController`.
-    reshard_skew_threshold, reshard_min_window_items,
-    reshard_cooldown_windows:
-        Controller bounds: minimum observed-window skew that triggers a
-        move, minimum items per observation window, and windows to hold
-        off after a migration.
     dead_letter_capacity:
         Parent-side dead-letter queue capacity (worker-quarantined
         payloads).
     stall_timeout:
         Seconds without any ring progress before a worker counts as
-        stalled (default: ``put_timeout``).  Progress resets the clock:
-        slow workers are waited on, hung workers are not.
+        stalled and is failed over.  Progress resets the clock: slow
+        workers are waited on, hung workers are not.
     fault_plan:
         A :class:`~repro.runtime.reliability.FaultPlan` whose
         cross-process faults (``worker_crash``/``worker_exit``/
         ``worker_hang``/``worker_poison``/``worker_transient``/
         ``corrupt_snapshot``) are acted out inside the workers.
-    put_timeout, drain_timeout:
-        Seconds the parent waits on a stuck ring slot / on drain
-        messages before declaring the worker hung and failing it over.
+    drain_timeout:
+        Seconds the parent waits on a worker's snapshot without any
+        arriving before declaring the worker hung and failing it over.
     """
 
     def __init__(
@@ -693,16 +610,9 @@ class ParallelIngestRuntime:
         slots: int = 8,
         slot_capacity: int = 1 << 16,
         sync_every: int = 8,
-        respawn: bool = False,
-        respawn_policy: RetryPolicy | None = None,
-        auto_reshard: bool = False,
-        reshard_skew_threshold: float = 1.5,
-        reshard_min_window_items: int = 2048,
-        reshard_cooldown_windows: int = 2,
         dead_letter_capacity: int = 64,
-        stall_timeout: float | None = None,
+        stall_timeout: float = 60.0,
         fault_plan: FaultPlan | None = None,
-        put_timeout: float = 60.0,
         drain_timeout: float = 60.0,
     ) -> None:
         if workers < 1:
@@ -717,11 +627,6 @@ class ParallelIngestRuntime:
             raise ConfigurationError(
                 f"sync_every must be >= 1, got {sync_every}"
             )
-        if reshard_skew_threshold <= 1.0:
-            raise ConfigurationError(
-                "reshard_skew_threshold must exceed 1.0, got "
-                f"{reshard_skew_threshold}"
-            )
         self.workers = int(workers)
         self.group_params = {
             "shards": shards,
@@ -734,18 +639,8 @@ class ParallelIngestRuntime:
         self.slots = int(slots)
         self.slot_capacity = int(slot_capacity)
         self.sync_every = int(sync_every)
-        self.respawn = bool(respawn)
-        self.respawn_policy = respawn_policy or RetryPolicy(
-            max_retries=3, base_delay=0.05, multiplier=2.0,
-            max_delay=1.0, jitter=0.25,
-        )
-        self.auto_reshard = bool(auto_reshard)
-        self.reshard_skew_threshold = float(reshard_skew_threshold)
-        self.reshard_min_window_items = int(reshard_min_window_items)
-        self.reshard_cooldown_windows = int(reshard_cooldown_windows)
-        self.stall_timeout = stall_timeout
+        self.stall_timeout = float(stall_timeout)
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
-        self.put_timeout = float(put_timeout)
         self.drain_timeout = float(drain_timeout)
         #: The combined result (populated by :meth:`run`).
         self.supervisor: ShardSupervisor | None = None
@@ -754,36 +649,24 @@ class ParallelIngestRuntime:
         #: quarantined (recovered from the retained tail when still
         #: available).
         self.dead_letters = DeadLetterQueue(capacity=dead_letter_capacity)
-        self._respawn_rng = random.Random(int(seed) * 31337 + 7)
+        #: Shard → owning worker, fixed for the fleet's lifetime.
+        self._assignment = np.arange(shards, dtype=np.int64) % self.workers
         self._reset()
 
     def _reset(self) -> None:
         """Per-run fleet state, fresh for every :meth:`run`."""
-        #: Completed shard migrations (reshard moves applied).
-        self.migrations = 0
         self._slots: list[_WorkerSlot] = []
-        shards = self.group_params["shards"]
-        self._assignment = np.array(
-            [s % self.workers for s in range(shards)], dtype=np.int64
+        self._shard_items = np.zeros(
+            self.group_params["shards"], dtype=np.int64
         )
-        self._shard_items = np.zeros(shards, dtype=np.int64)
 
     def shards_of(self, worker: int) -> list[int]:
-        """Shard indices currently owned by one worker."""
-        return [int(s) for s in np.nonzero(self._assignment == worker)[0]]
+        """Shard indices owned by one worker."""
+        return list(range(worker, self.group_params["shards"], self.workers))
 
     def shard_item_counts(self) -> np.ndarray:
-        """Cumulative items routed per shard this run (copy).
-
-        The :class:`~repro.runtime.adaptive.ReshardController` reads
-        this to compute per-worker load under the current assignment.
-        """
+        """Cumulative items routed per shard this run (copy)."""
         return self._shard_items.copy()
-
-    @property
-    def respawn_count(self) -> int:
-        """Total worker respawns across the fleet."""
-        return sum(slot.respawns for slot in self._slots)
 
     @property
     def stall_count(self) -> int:
@@ -798,10 +681,7 @@ class ParallelIngestRuntime:
     # -- lifecycle ---------------------------------------------------------
 
     def _launch(
-        self,
-        index: int,
-        faults: FaultPlan,
-        initial: tuple = ({}, 0, 0),
+        self, index: int, faults: FaultPlan
     ) -> tuple[Any, Any, ChunkRing]:
         """Fork one worker process with a fresh ring and pipe."""
         ctx = mp.get_context("fork")
@@ -818,7 +698,6 @@ class ParallelIngestRuntime:
                     [parent_conn, *(slot.conn for slot in self._slots)],
                     self.sync_every,
                     faults,
-                    initial,
                 ),
                 daemon=True,
                 name=f"repro-ingest-{index}",
@@ -875,15 +754,10 @@ class ParallelIngestRuntime:
             else:
                 registry.gauge(name, **labelled).set(value)
 
-    #: Message tags carrying a worker snapshot (handled alike).
-    _SNAPSHOT_TAGS = ("snapshot", "adopted", "migrate_committed")
-
     def _handle_message(self, slot: _WorkerSlot, message: tuple) -> None:
         tag = message[0]
-        if tag in self._SNAPSHOT_TAGS:
-            _, chunks_done, items_done, snapshot, digest, metric_rows = (
-                message
-            )
+        if tag == "snapshot":
+            _, chunks_done, snapshot, digest, metric_rows = message
             if _snapshot_digest(snapshot) != digest:
                 # Corrupted in flight: reject, keep the previous
                 # snapshot AND the retained tail it still covers.
@@ -903,7 +777,6 @@ class ParallelIngestRuntime:
                 return
             slot.snapshot = snapshot
             slot.snapshot_chunks = int(chunks_done)
-            slot.snapshot_items = int(items_done)
             # The snapshot covers the first chunks_done FIFO chunks this
             # worker received — drop exactly that prefix of the retained
             # replay tail.
@@ -911,11 +784,6 @@ class ParallelIngestRuntime:
                 slot.retained.popleft()
                 slot.acked_chunks += 1
             self._apply_worker_metrics(slot, metric_rows)
-            if (
-                slot.heal_target is not None
-                and slot.snapshot_chunks >= slot.heal_target
-            ):
-                self._complete_healing(slot)
         elif tag == "quarantine":
             _, position, reason = message
             slot.quarantined += 1
@@ -938,9 +806,7 @@ class ParallelIngestRuntime:
         except (EOFError, OSError):
             pass  # pipe gone; liveness check deals with the process
 
-    def _drain_all_messages(
-        self, exclude: _WorkerSlot | None = None
-    ) -> None:
+    def _drain_all_messages(self) -> None:
         """Drain every live worker's pipe.
 
         A snapshot of large shards can exceed the socket buffer, so a
@@ -949,11 +815,10 @@ class ParallelIngestRuntime:
         whose full ring the parent is waiting on, which cannot consume
         while it is stuck in send.  :meth:`_wait` therefore calls this
         between slices, so such a worker is read within one
-        :data:`_WAIT_SLICE`.  ``exclude`` protects a pipe another loop
-        is reading selectively (see :meth:`_request`).
+        :data:`_WAIT_SLICE`.
         """
         for slot in self._slots:
-            if slot.feeding_ring and slot is not exclude:
+            if slot.feeding_ring:
                 self._drain_messages(slot)
 
     def _wait(
@@ -963,7 +828,6 @@ class ParallelIngestRuntime:
         budget: float,
         *,
         progress: Callable[[], int] | None = None,
-        exclude: _WorkerSlot | None = None,
     ) -> str:
         """The parent's one wait on its workers: slice and drain.
 
@@ -971,7 +835,7 @@ class ParallelIngestRuntime:
         without blocking, then in slices of :data:`_WAIT_SLICE`, until
         it returns True; a freed ring slot or an arriving message ends
         a slice early.  Between tries every ring worker's pipe is
-        drained (bar ``exclude``, whose pipe ``attempt`` reads itself).
+        drained.
 
         Returns ``"ready"``; ``"dead"`` once a slot of ``watch()`` has
         lost its process; or ``"stalled"`` once ``progress()`` has not
@@ -983,7 +847,7 @@ class ParallelIngestRuntime:
         mark = progress() if progress is not None else None
         since = time.monotonic()
         while True:
-            self._drain_all_messages(exclude=exclude)
+            self._drain_all_messages()
             if any(not slot.process.is_alive() for slot in watch()):
                 return "dead"
             now = time.monotonic()
@@ -1005,35 +869,12 @@ class ParallelIngestRuntime:
 
     # -- failover ----------------------------------------------------------
 
-    def _owned_snapshot(self, slot: _WorkerSlot) -> dict[int, SynopsisState]:
-        """The shards of a worker's last accepted snapshot it still owns.
-
-        A reshard source's snapshot keeps the shards it exported until
-        its commit ack replaces it, but those shards belong to their
-        new owner from adoption on: a failover must not adopt them
-        twice.
-        """
-        return {
-            shard: state
-            for shard, state in slot.snapshot.items()
-            if self._assignment[shard] == slot.index
-        }
-
     def _fail_dead(self, slot: _WorkerSlot) -> None:
         """Fail over a worker whose process is gone."""
         self._fail_worker(
             slot,
             f"worker {slot.index} died (exitcode {slot.process.exitcode})",
         )
-
-    def _complete_healing(self, slot: _WorkerSlot) -> None:
-        """A replacement's snapshot caught up: shards healthy again."""
-        slot.heal_target = None
-        if self.supervisor is None:
-            return
-        for shard in self.shards_of(slot.index):
-            self.supervisor.heal_shard(shard)
-        trace_point("worker_healed", worker=slot.index)
 
     def _stall(
         self,
@@ -1072,115 +913,28 @@ class ParallelIngestRuntime:
         self._drain_messages(slot)
 
     def _fail_worker(self, slot: _WorkerSlot, reason: str) -> None:
-        """Recover a dead/hung worker's traffic, walking the tiers:
-        respawn (if enabled and budgeted), then inline."""
+        """Recover a dead/hung worker's traffic inline: the parent takes
+        over its shards in the result group."""
         registry = current_registry()
         if registry is not None:
             registry.counter(
                 "parallel_worker_failures_total", worker=str(slot.index)
             ).inc()
         self._stop(slot)
-        if self.respawn and slot.status == "ok" and not slot.done:
-            if self._respawn_worker(slot, reason):
-                return
-            # The replacement is unusable too: salvage whatever
-            # snapshot it managed (accepted snapshots already pruned
-            # the retained tail consistently), then fall through.
-            self._stop(slot)
         assert self.supervisor is not None
-        # The parent takes over: the worker's shards are pristine in the
-        # result group, which adopts them from its snapshot bit-exactly.
+        # The worker's shards are pristine in the result group, which
+        # adopts them from its snapshot bit-exactly.
         group = self.supervisor.group
-        for shard, state in self._owned_snapshot(slot).items():
+        for shard, state in slot.snapshot.items():
             group.install_shard(shard, state)
         slot.snapshot = {}
         for share in slot.retained:
             self._ingest_in_parent(share)
         slot.retained.clear()
         slot.status = "inlined"
-        # Inline recovery is exact: any healing shards are whole.
-        for shard in self.shards_of(slot.index):
-            self.supervisor.heal_shard(shard)
-        slot.heal_target = None
         slot.error = slot.error or reason
         slot.ring.close()
         slot.ring.unlink()
-
-    def _respawn_worker(self, slot: _WorkerSlot, reason: str) -> bool:
-        """Tier-one recovery: replace the process, restore, replay.
-
-        Returns False when the respawn budget is spent or the
-        replacement itself fails during replay — the caller then falls
-        through to inline failover, which remains correct
-        because accepted replacement snapshots prune the retained tail
-        consistently with the state they carry.
-        """
-        policy = self.respawn_policy
-        if slot.respawns >= policy.max_retries:
-            return False
-        attempt = slot.respawns
-        slot.respawns += 1
-        registry = current_registry()
-        if registry is not None:
-            registry.counter(
-                "worker_respawns_total", worker=str(slot.index)
-            ).inc()
-        trace_point(
-            "worker_respawn", worker=slot.index, attempt=attempt,
-            reason=reason,
-        )
-        if self.supervisor is not None:
-            for shard in self.shards_of(slot.index):
-                self.supervisor.begin_healing(
-                    shard, f"worker {slot.index} respawning: {reason}"
-                )
-        time.sleep(min(policy.delay_for(attempt, self._respawn_rng), 1.0))
-        initial = (
-            self._owned_snapshot(slot),
-            slot.snapshot_chunks,
-            slot.snapshot_items,
-        )
-        # Injected faults are one-shot per process generation: the
-        # replacement runs fault-free (a planned crash would re-fire on
-        # restore and loop the respawn budget away for nothing).
-        process, conn, ring = self._launch(
-            slot.index, FaultPlan(), initial=initial
-        )
-        try:
-            slot.conn.close()
-        except OSError:
-            pass
-        slot.ring.close()
-        slot.ring.unlink()
-        slot.process = process
-        slot.conn = conn
-        slot.ring = ring
-        slot.metrics_last = {}
-        slot.done = False
-        slot.error = None
-        slot.heal_target = slot.sent_chunks
-        # Iterate a copy: the replay's waits drain this pipe too, and a
-        # snapshot the replacement takes mid-replay pops the prefix of
-        # the tail it already covers.
-        for share in list(slot.retained):
-            if not self._replay_into(slot, share):
-                return False
-        try:
-            # Ask for a snapshot at the caught-up position: its arrival
-            # completes the healing cycle.
-            slot.conn.send(("sync", slot.sent_chunks))
-        except (OSError, BrokenPipeError):
-            return False
-        return True
-
-    def _replay_into(self, slot: _WorkerSlot, share: np.ndarray) -> bool:
-        """Feed one retained share to a replacement's fresh ring."""
-        outcome = self._wait(
-            lambda timeout: slot.ring.put(share, timeout=timeout),
-            lambda: (slot,),
-            self.put_timeout,
-        )
-        return outcome == "ready"
 
     # -- backpressure / feeding --------------------------------------------
 
@@ -1189,26 +943,21 @@ class ParallelIngestRuntime:
 
         ``put(timeout)`` is retried under :meth:`_wait`.  Returns True
         once published, False when the worker was failed over instead
-        (the slot is now respawned or inlined and the caller must
-        re-dispatch).  Progress on the ring (``consumed()`` advancing)
-        resets the stall clock: a slow worker is waited on
-        indefinitely, only a worker making *no* progress within
-        ``stall_timeout`` is declared stalled.
+        (the slot is now inlined).  Progress on the ring
+        (``consumed()`` advancing) resets the stall clock: a slow worker
+        is waited on indefinitely, only a worker making *no* progress
+        within ``stall_timeout`` is declared stalled.
         """
-        budget = (
-            self.stall_timeout
-            if self.stall_timeout is not None
-            else self.put_timeout
-        )
         outcome = self._wait(
-            put, lambda: (slot,), budget, progress=slot.ring.consumed
+            put, lambda: (slot,), self.stall_timeout,
+            progress=slot.ring.consumed,
         )
         if outcome == "ready":
             return True
         if outcome == "dead":
             self._fail_dead(slot)
         else:
-            self._stall(slot, budget, "ring")
+            self._stall(slot, self.stall_timeout, "ring")
         return False
 
     def _ingest_in_parent(self, share: np.ndarray) -> None:
@@ -1237,8 +986,8 @@ class ParallelIngestRuntime:
                 registry.counter(
                     "parallel_worker_items_total", worker=str(slot.index)
                 ).inc(int(share.shape[0]))
-        else:  # failed over: the slot changed tier (or was respawned)
-            self._feed(slot, share)
+        else:  # failed over: the parent owns the worker's shards now
+            self._ingest_in_parent(share)
 
     # -- driving -----------------------------------------------------------
 
@@ -1274,17 +1023,6 @@ class ParallelIngestRuntime:
             )
         self._reset()
         self.supervisor = ShardSupervisor(**self.group_params)
-        controller = None
-        if self.auto_reshard and self.workers > 1:
-            from repro.runtime.adaptive import ReshardController
-
-            controller = ReshardController(
-                self,
-                skew_threshold=self.reshard_skew_threshold,
-                min_window_items=self.reshard_min_window_items,
-                cooldown_windows=self.reshard_cooldown_windows,
-            )
-        self.reshard_controller = controller
         engine = StreamEngine(_Router(self), batched=True)
         if checkpoint_store is not None:
             engine.checkpointing = Checkpointing(
@@ -1323,8 +1061,6 @@ class ParallelIngestRuntime:
         for slot in self._slots:
             self._feed(slot, chunk[worker_of == slot.index])
         self._check_liveness()
-        if self.reshard_controller is not None:
-            self.reshard_controller.observe(self.stats.chunks_ingested + 1)
         if registry is not None:
             self._record_fleet_metrics(registry)
 
@@ -1350,10 +1086,9 @@ class ParallelIngestRuntime:
         """Block until every ring-fed worker's snapshot covers the
         chunks sent to it.
 
-        Workers that die while we wait are failed over on the spot; a
-        failover resets the deadline (a respawned replacement
-        legitimately needs time to catch back up).  Workers making no
-        progress past ``drain_timeout`` raise the typed stall path.
+        Workers that die while we wait are failed over on the spot.
+        Workers making no progress past ``drain_timeout`` raise the
+        typed stall path.
         """
 
         def caught_up(timeout: float) -> bool:
@@ -1372,58 +1107,12 @@ class ParallelIngestRuntime:
                 elif not slot.process.is_alive():
                     self._fail_dead(slot)
 
-    def _request(
-        self, slot: _WorkerSlot, message: tuple, reply_tag: str
-    ) -> bool:
-        """Send a ring worker one control message and accept its
-        snapshot reply.
-
-        Other messages from the same worker are handled on the way;
-        :meth:`_wait` keeps the other workers' pipes drained.  A worker
-        that dies, or sends no reply within ``drain_timeout``, is
-        failed over; a respawned replacement restores a snapshot taken
-        before the request and gets the request again.  Returns False
-        once the worker is inlined instead (each failover spends respawn
-        budget or inlines, so this ends): the parent owns its shards
-        from then on.
-        """
-
-        def replied(timeout: float) -> bool:
-            # Read everything buffered before _wait checks liveness: a
-            # reply sent just before the worker died still counts.
-            try:
-                while slot.conn.poll(timeout):
-                    reply = slot.conn.recv()
-                    self._handle_message(slot, reply)
-                    if reply[0] == reply_tag:
-                        return True
-            except (EOFError, OSError):
-                pass  # liveness handling in _wait
-            return False
-
-        while slot.feeding_ring:
-            try:
-                slot.conn.send(message)
-            except OSError:
-                pass  # liveness handling in _wait
-            outcome = self._wait(
-                replied, lambda: (slot,), self.drain_timeout, exclude=slot
-            )
-            if outcome == "ready":
-                return True
-            if outcome == "dead":
-                self._fail_dead(slot)
-            else:
-                self._stall(slot, self.drain_timeout, reply_tag)
-        return False
-
     def _quiesce(self) -> None:
         """Sync every ring-fed worker to its sent position.
 
         After this returns, every live worker's accepted snapshot
         covers exactly the chunks the parent has sent it and all
-        retained tails are empty — the precondition for both
-        checkpointing and shard migration.
+        retained tails are empty — the precondition for checkpointing.
         """
         for slot in self._slots:
             if slot.feeding_ring:
@@ -1437,17 +1126,14 @@ class ParallelIngestRuntime:
         """End of stream: EOF every ring, collect finals, install them."""
         assert self.supervisor is not None
         for slot in self._slots:
-            while slot.feeding_ring:
-                if self._put_with_failover(
+            if slot.feeding_ring:
+                # A failover here inlines the slot: no EOF to send then.
+                self._put_with_failover(
                     slot,
                     lambda timeout, slot=slot: slot.ring.close_producer(
                         timeout=timeout
                     ),
-                ):
-                    break
-                # failed over: a respawned slot has a fresh ring that
-                # still needs its EOF; an inlined slot exits via
-                # feeding_ring.
+                )
         self._await_snapshots()
         install_start = time.perf_counter()
         self._install_snapshots_into(self.supervisor.group)
@@ -1466,125 +1152,6 @@ class ParallelIngestRuntime:
                 for shard, state in slot.snapshot.items():
                     group.install_shard(shard, state)
 
-    # -- elastic resharding -------------------------------------------------
-
-    def reshard(self, plan: Mapping[int, int]) -> int:
-        """Move shard ownership between workers online.
-
-        ``plan`` maps shard index → destination worker.  The protocol
-        is quiesce → install → commit, crash-consistent at every step:
-
-        * **quiesce** syncs every ring worker to its sent position, so a
-          ring source's accepted snapshot holds its shards' exact state
-          (an inlined source's shards are in the result group);
-        * **install** hands each moving shard's state to its new owner:
-          a ring worker adopts it and acks with a fresh snapshot, an
-          inlined one takes it into the result group; ownership moves
-          to the destination then;
-        * **commit** has a ring source reset its copies, acked with a
-          fresh snapshot that no longer holds them.
-
-        Until that commit ack the source's snapshot still holds the
-        moved shards, but failover takes only the shards a worker owns,
-        so the destination copy is the only one counted.  A destination
-        that dies before adopting restores a pre-install snapshot and
-        the install retries; one that dies after adopting recovers the
-        shard from its adoption snapshot like any other data.  A move
-        between two inlined workers only edits the assignment.  Returns
-        the number of shards moved.
-        """
-        if self.supervisor is None or not self._slots:
-            raise ConfigurationError(
-                "reshard requires a running fleet (call it during run(), "
-                "e.g. from the chunk generator or the reshard controller)"
-            )
-        shards = self.group_params["shards"]
-        moves: dict[int, int] = {}
-        for shard, destination in plan.items():
-            shard = int(shard)
-            destination = int(destination)
-            if not 0 <= shard < shards:
-                raise ConfigurationError(
-                    f"shard {shard} out of range for {shards} shards"
-                )
-            if not 0 <= destination < self.workers:
-                raise ConfigurationError(
-                    f"worker {destination} out of range for "
-                    f"{self.workers} workers"
-                )
-            if int(self._assignment[shard]) != destination:
-                moves[shard] = destination
-        if not moves:
-            return 0
-        self._quiesce()
-        by_source: dict[int, list[int]] = {}
-        for shard in sorted(moves):
-            by_source.setdefault(int(self._assignment[shard]), []).append(
-                shard
-            )
-        registry = current_registry()
-        for source, shard_list in sorted(by_source.items()):
-            source_slot = self._slots[source]
-            states = self._export_shards(source_slot, shard_list, moves)
-            for shard in shard_list:
-                destination = moves[shard]
-                # Install: an inlined owner (before or mid-install)
-                # takes the state into the result group, whose copy is
-                # pristine — the shard was on a ring source, or its
-                # export reset it.
-                if shard in states and not self._request(
-                    self._slots[destination],
-                    ("migrate_in", {shard: states[shard]}),
-                    "adopted",
-                ):
-                    self.supervisor.group.install_shard(shard, states[shard])
-                self._assignment[shard] = destination
-                self.migrations += 1
-                if registry is not None:
-                    registry.counter(
-                        "reshard_migrations_total", shard=str(shard)
-                    ).inc()
-                trace_point(
-                    "reshard_migration",
-                    shard=shard,
-                    source=source,
-                    destination=destination,
-                )
-            # Commit: a ring source resets its copies (an inlined one
-            # has none left: export or failover took them).
-            self._request(
-                source_slot,
-                ("migrate_commit", shard_list),
-                "migrate_committed",
-            )
-        return len(moves)
-
-    def _export_shards(
-        self,
-        slot: _WorkerSlot,
-        shard_list: list[int],
-        moves: Mapping[int, int],
-    ) -> dict[int, SynopsisState]:
-        """The moving shards' states, read without asking the source.
-
-        A ring source's come out of its quiesced snapshot (its live
-        copies reset only at commit; a shard the snapshot lacks is
-        pristine, so there is nothing to carry).  An inlined source's
-        come out of the result group, which resets them — except for
-        moves to another inlined worker, where the group keeps them as
-        they are.
-        """
-        if slot.feeding_ring:
-            return {
-                s: slot.snapshot[s] for s in shard_list if s in slot.snapshot
-            }
-        group = self.supervisor.group
-        return {
-            s: group.export_shard(s)
-            for s in shard_list
-            if self._slots[moves[s]].feeding_ring
-        }
-
     # -- checkpointing ------------------------------------------------------
 
     def checkpoint(self, store: CheckpointStore) -> dict:
@@ -1598,7 +1165,7 @@ class ParallelIngestRuntime:
         therefore covers every chunk ingested so far — the same exactly-once
         replay point semantics as :class:`CheckpointStore` sequential
         checkpoints.  The journal record's ``extra`` carries the
-        self-healing counters for ``cli health``.
+        fleet's failure counters for ``cli health``.
         """
         assert self.supervisor is not None
         self._quiesce()
@@ -1614,17 +1181,12 @@ class ParallelIngestRuntime:
     # -- health -------------------------------------------------------------
 
     def _health_extra(self) -> dict:
-        """The self-healing counters journaled with every checkpoint."""
+        """The failure counters journaled with every checkpoint."""
         return {
-            "worker_respawns": self.respawn_count,
-            "reshard_migrations": self.migrations,
             "worker_stalls": self.stall_count,
             "quarantined_chunks": self.quarantined_count,
             "snapshot_rejects": sum(
                 slot.snapshot_rejects for slot in self._slots
-            ),
-            "healing_shards": (
-                self.supervisor.healing_shards if self.supervisor else []
             ),
         }
 
@@ -1632,14 +1194,14 @@ class ParallelIngestRuntime:
         """Whole-fleet lifecycle snapshot (JSON-safe).
 
         Extends :meth:`ShardSupervisor.health` with the per-worker view
-        and the self-healing counters; quarantined chunks escalate an
+        and the failure counters; quarantined chunks escalate an
         otherwise-``ok`` fleet to ``degraded`` (data is sitting in a
         dead-letter queue, not in the synopsis).
         """
         if self.supervisor is not None:
             base = self.supervisor.health()
         else:
-            base = {"status": "ok", "healing_shards": [], "shards": []}
+            base = {"status": "ok", "shards": []}
         status = base["status"]
         if status == "ok" and (
             self.quarantined_count or self.dead_letters.quarantined
@@ -1665,24 +1227,16 @@ class ParallelIngestRuntime:
                 "sent_items": slot.sent_items,
                 "snapshot_chunks": slot.snapshot_chunks,
                 "shards": self.shards_of(slot.index),
-                "respawns": slot.respawns,
                 "stalls": slot.stalls,
                 "quarantined": slot.quarantined,
                 "snapshot_rejects": slot.snapshot_rejects,
-                "healing": slot.heal_target is not None,
                 "error": slot.error,
             }
             for slot in self._slots
         ]
 
     def shard_health(self) -> list[dict]:
-        """Per-shard status from the combined supervisor.
-
-        During a respawn the worker's shards read ``healing`` — process
-        liveness surfaced through the same
-        :meth:`ShardSupervisor.shard_health` view sequential
-        deployments use.
-        """
+        """Per-shard status from the combined supervisor."""
         if self.supervisor is None:
             return []
         return self.supervisor.shard_health()

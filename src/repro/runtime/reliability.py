@@ -30,10 +30,10 @@ source layers feeding it, its quarantine and its checkpoint step:
   counts) are quarantined in a :class:`DeadLetterQueue` instead of
   being silently coerced into the synopsis.
 * **Shard health** — :class:`ShardSupervisor` is a
-  :class:`~repro.runtime.sharding.ShardedASketch` plus the per-shard
-  ``ok``/``healing`` view a worker fleet drives while it rebuilds a
-  shard exactly; :meth:`ResilientEngine.health` surfaces checkpoint
-  lag, retry and quarantine counters.  Every recovery path restores
+  :class:`~repro.runtime.sharding.ShardedASketch` plus its per-shard
+  health view, the result a worker fleet returns;
+  :meth:`ResilientEngine.health` surfaces checkpoint lag, retry and
+  quarantine counters.  Every recovery path restores
   state exactly or raises a typed error.
 
 Replay semantics: synopsis **state** is exactly-once (the journal pins
@@ -679,15 +679,14 @@ class CheckpointStore:
 
 
 class ShardSupervisor:
-    """A :class:`ShardedASketch` plus its per-shard ``ok``/``healing`` view.
+    """A :class:`ShardedASketch` plus its per-shard health view.
 
     Ingest, queries, state and merge are exact delegations to
-    :attr:`group`.  What the supervisor adds is the shard lifecycle a
-    worker fleet drives while it rebuilds a shard: ``ok → healing → ok``
-    while a replacement worker is restored from snapshot + replay.  A
-    healing shard's data is not lost — it lives in the fleet's retained
-    tail — so its routing never changes, only the health view does.
-    An exception inside one shard's ingest propagates to the caller.
+    :attr:`group`.  Every recovery the worker fleet runs is exact, so
+    every shard reads ``ok``; the view keeps the ``shard-supervisor``
+    checkpoint format and the ``health()`` shape that ``cli health``
+    and fleet callers read.  An exception inside one shard's ingest
+    propagates to the caller.
 
     Constructible three ways: wrap an existing group
     (``ShardSupervisor(group)``), build the group in place
@@ -698,9 +697,8 @@ class ShardSupervisor:
 
     SYNOPSIS_KIND = "shard-supervisor"
 
-    #: Shard lifecycle states surfaced through :meth:`shard_health`.
+    #: The status of every shard, surfaced through :meth:`shard_health`.
     STATUS_OK = "ok"
-    STATUS_HEALING = "healing"
 
     def __init__(
         self, group: ShardedASketch | None = None, **group_params: Any
@@ -717,64 +715,19 @@ class ShardSupervisor:
                 "not both"
             )
         self.group = group
-        self._status = [self.STATUS_OK] * len(group)
-        self._errors: dict[int, str] = {}
 
     # -- health view -------------------------------------------------------
-
-    def begin_healing(self, index: int, reason: str) -> None:
-        """Mark a shard as healing: its worker is being rebuilt from
-        snapshot + replay, and its data is intact meanwhile."""
-        self.group._check_shard_index(index)
-        self._status[index] = self.STATUS_HEALING
-        self._errors[index] = reason
-        self._record_transition(index, self.STATUS_HEALING)
-
-    def heal_shard(self, index: int) -> None:
-        """Complete a healing cycle: the shard is healthy again (no-op
-        unless it is healing)."""
-        self.group._check_shard_index(index)
-        if self._status[index] != self.STATUS_HEALING:
-            return
-        self._status[index] = self.STATUS_OK
-        self._errors.pop(index, None)
-        self._record_transition(index, self.STATUS_OK)
-
-    def _record_transition(self, index: int, to_status: str) -> None:
-        registry = current_registry()
-        if registry is not None:
-            registry.counter(
-                "shard_health_transitions_total",
-                shard=str(index),
-                to=to_status,
-            ).inc()
-            registry.gauge("shards_healing").set(len(self.healing_shards))
-
-    @property
-    def healing_shards(self) -> list[int]:
-        """Indices of shards with a recovery (respawn/replay) in flight."""
-        return [
-            index
-            for index, status in enumerate(self._status)
-            if status == self.STATUS_HEALING
-        ]
 
     def shard_health(self) -> list[dict]:
         """Per-shard status snapshot (JSON-safe)."""
         return [
-            {"shard": index, "status": status, "error": self._errors.get(index)}
-            for index, status in enumerate(self._status)
+            {"shard": index, "status": self.STATUS_OK, "error": None}
+            for index in range(len(self.group))
         ]
 
     def health(self) -> dict:
-        """Whole-group snapshot (JSON-safe): ``status`` is ``"healing"``
-        while any shard is being rebuilt, else ``"ok"``."""
-        healing = self.healing_shards
-        return {
-            "status": self.STATUS_HEALING if healing else self.STATUS_OK,
-            "healing_shards": healing,
-            "shards": self.shard_health(),
-        }
+        """Whole-group snapshot (JSON-safe)."""
+        return {"status": self.STATUS_OK, "shards": self.shard_health()}
 
     # -- the group ---------------------------------------------------------
 
@@ -837,58 +790,46 @@ class ShardSupervisor:
             arrays=prefix_arrays("group", group_state.arrays),
             extra={
                 "group": pack_nested(group_state),
-                "status": list(self._status),
-                "errors": {str(i): msg for i, msg in self._errors.items()},
+                "status": [self.STATUS_OK] * len(self.group),
+                "errors": {},
             },
         )
 
     @classmethod
     def from_state(cls, state: SynopsisState) -> "ShardSupervisor":
-        """Rebuild a supervisor (group and statuses) from state.
+        """Rebuild a supervisor from state.
 
-        A state whose shards are all ``ok``/``healing`` loads exactly,
-        including one saved by builds that also kept standby sizing in
-        ``params``.  A state with a ``"failed"`` shard or any standby
-        Count-Min (the removed degraded tier) holds counts no exact
-        state can restore, so it raises
-        :class:`~repro.errors.StreamFormatError` and
+        A state whose shards are all ``ok`` or ``healing`` loads
+        exactly, its shards reading ``ok``: older builds marked a shard
+        ``healing`` while a replacement worker rebuilt it, and its data
+        was intact in every checkpoint.  That includes states saved by
+        builds that also kept standby sizing in ``params``.  A state
+        with a ``"failed"`` shard or any standby Count-Min (the removed
+        degraded tier) holds counts no exact state can restore, so it
+        raises :class:`~repro.errors.StreamFormatError` and
         :meth:`CheckpointStore.load_latest` falls back a generation.
         """
         status = list(state.extra["status"])
-        allowed = (cls.STATUS_OK, cls.STATUS_HEALING)
+        allowed = (cls.STATUS_OK, "healing")
         if state.extra.get("standbys") or any(s not in allowed for s in status):
             raise StreamFormatError(
                 "shard-supervisor state holds standby-tier counts "
                 f"(statuses {status}); they cannot be restored exactly"
             )
-        group = ShardedASketch.from_state(
-            unpack_nested(state.extra["group"], state.arrays, "group")
+        return cls(
+            ShardedASketch.from_state(
+                unpack_nested(state.extra["group"], state.arrays, "group")
+            )
         )
-        supervisor = cls(group)
-        supervisor._status = status
-        supervisor._errors = {
-            int(i): msg for i, msg in state.extra["errors"].items()
-        }
-        return supervisor
 
     def merge(self, other: "ShardSupervisor") -> None:
-        """Shard-wise merge of two supervised groups with equal layout.
-
-        Groups merge through :meth:`ShardedASketch.merge`; a shard
-        healing on either side is healing in the result.  ``other`` is
-        consumed.
-        """
+        """Shard-wise merge of two supervised groups with equal layout,
+        through :meth:`ShardedASketch.merge`.  ``other`` is consumed."""
         if not isinstance(other, ShardSupervisor):
             raise ConfigurationError(
                 f"cannot merge ShardSupervisor with {type(other).__name__}"
             )
         self.group.merge(other.group)
-        for index in other.healing_shards:
-            if self._status[index] == self.STATUS_OK:
-                self._status[index] = self.STATUS_HEALING
-                self._errors[index] = other._errors.get(
-                    index, "healing in merged peer"
-                )
 
 
 # -- the resilient engine ----------------------------------------------------

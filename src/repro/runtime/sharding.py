@@ -281,35 +281,13 @@ class ShardedASketch:
                 f"{len(self._shards)} shards"
             )
 
-    def export_shard(self, index: int) -> SynopsisState:
-        """Extract one shard's state, resetting the shard to pristine.
-
-        The sending half of the elastic-resharding handoff (see
-        :meth:`repro.runtime.parallel.ParallelIngestRuntime.reshard`):
-        the returned state travels to the shard's new owner while this
-        group's copy becomes indistinguishable from freshly built — so
-        the shard stays non-pristine in exactly one place, and a later
-        :meth:`install_shard` of it elsewhere counts its traffic once.
-        """
-        self._check_shard_index(index)
-        state = self._shards[index].state()
-        self._shards[index] = ASketch(
-            total_bytes=self.total_bytes,
-            filter_items=self.filter_items,
-            filter_kind=self.filter_kind,
-            num_hashes=self.num_hashes,
-            seed=self.seed * 6151,
-            sketch_backend=self.sketch_backend,
-        )
-        return state
-
     def install_shard(self, index: int, state: SynopsisState) -> None:
-        """Adopt a transferred shard state (receiving half of a handoff).
+        """Adopt a transferred shard state (a fleet worker's snapshot).
 
         The local copy of the shard must still be pristine — installing
         over absorbed traffic would double-count that traffic, exactly
-        the corruption the fleet's snapshot and resharding protocols
-        exist to rule out, so it is rejected loudly.
+        the corruption the fleet's snapshot protocol exists to rule
+        out, so it is rejected loudly.
         """
         self._check_shard_index(index)
         if not self._shards[index]._is_pristine():

@@ -1,4 +1,4 @@
-"""Cross-process chaos harness for the self-healing parallel runtime.
+"""Cross-process chaos harness for the parallel runtime's failover.
 
 Each scenario composes several :class:`FaultPlan` cross-process faults
 (kill -9, premature exit, hangs, snapshot corruption, in-worker poison,
@@ -8,8 +8,8 @@ two invariants the runtime promises under *every* schedule:
 1. **one-sided always** — estimates never under-count any key that
    actually reached a synopsis (quarantined payloads excluded until
    replayed from the dead-letter queue);
-2. **exact once healed** — when every injected fault is of a kind the
-   recovery tiers repair exactly (crash/exit/hang/corruption, no
+2. **exact once recovered** — when every injected fault is of a kind
+   inline failover repairs exactly (crash/exit/hang/corruption, no
    poison), the merged state is bit-identical to an
    uninterrupted single-process ingest.
 
@@ -39,7 +39,7 @@ import pytest
 import repro
 from repro.runtime.engine import StreamEngine
 from repro.runtime.parallel import ParallelIngestRuntime
-from repro.runtime.reliability import FaultPlan, RetryPolicy
+from repro.runtime.reliability import FaultPlan
 from repro.runtime.sharding import ShardedASketch
 from repro.streams.zipf import zipf_stream
 
@@ -84,7 +84,7 @@ def assert_one_sided(runtime, stream):
 
 
 class TestExactRecoverySchedules:
-    """Fault schedules the tiers repair exactly: bit-identity holds."""
+    """Fault schedules failover repairs exactly: bit-identity holds."""
 
     @pytest.mark.parametrize(
         "plan",
@@ -105,13 +105,12 @@ class TestExactRecoverySchedules:
         ids=["two-kills", "kill+exit", "kill+hang", "corrupt+kill",
              "transient+kill"],
     )
-    def test_respawn_heals_to_bit_identity(self, stream, plan):
+    def test_schedule_recovers_to_bit_identity(self, stream, plan):
         expected = sequential_state(stream, shards=6)
         runtime = ParallelIngestRuntime(
             3,
             shards=6,
             sync_every=3,
-            respawn=True,
             stall_timeout=1.5,
             slots=4,
             fault_plan=plan,
@@ -122,66 +121,13 @@ class TestExactRecoverySchedules:
         assert runtime.supervisor.group.state().equals(expected)
         assert_one_sided(runtime, stream)
 
-    def test_kill_during_migration_window(self, stream):
-        # The source of a shard migration is killed right around the
-        # commit window; the shard must be counted exactly once.
-        expected = sequential_state(stream, shards=6)
-        runtime = ParallelIngestRuntime(
-            3,
-            shards=6,
-            sync_every=2,
-            respawn=True,
-            fault_plan=FaultPlan(worker_crash={1: 8}),
-            **GROUP_PARAMS,
-        )
-        all_chunks = chunks_of(stream)
-
-        def driven():
-            for index, chunk in enumerate(all_chunks):
-                if index == 6:
-                    assert runtime.reshard({1: 0, 4: 2}) == 2
-                yield chunk
-
-        runtime.run(driven())
-        assert runtime.migrations == 2
-        assert runtime.supervisor.group.state().equals(expected)
-        assert_one_sided(runtime, stream)
-
-    def test_reshard_across_repeated_kills(self, stream):
-        # Migrations interleaved with kills of both endpoints.
-        expected = sequential_state(stream, shards=4)
-        runtime = ParallelIngestRuntime(
-            2,
-            shards=4,
-            sync_every=2,
-            respawn=True,
-            fault_plan=FaultPlan(worker_crash={0: 6, 1: 14}),
-            **GROUP_PARAMS,
-        )
-        all_chunks = chunks_of(stream)
-
-        def driven():
-            for index, chunk in enumerate(all_chunks):
-                if index == 4:
-                    runtime.reshard({1: 0})
-                if index == 12:
-                    runtime.reshard({1: 1, 3: 1})
-                yield chunk
-
-        runtime.run(driven())
-        assert runtime.migrations >= 2
-        assert runtime.supervisor.group.state().equals(expected)
-
-    def test_inline_after_budget_exhaustion_is_exact(self, stream):
-        # A spent respawn budget falls through to inline failover: the
-        # parent takes the worker's shards over, still exactly.
+    def test_inline_failover_is_exact(self, stream):
+        # The parent takes the killed worker's shards over, exactly.
         expected = sequential_state(stream, shards=6)
         runtime = ParallelIngestRuntime(
             3,
             shards=6,
             sync_every=3,
-            respawn=True,
-            respawn_policy=RetryPolicy(max_retries=0),
             fault_plan=FaultPlan(worker_crash={1: 5}),
             **GROUP_PARAMS,
         )
@@ -202,7 +148,6 @@ class TestDegradedSchedules:
             3,
             shards=6,
             sync_every=3,
-            respawn=True,
             fault_plan=FaultPlan(
                 worker_poison={0: 4}, worker_crash={2: 6}
             ),
@@ -210,7 +155,6 @@ class TestDegradedSchedules:
         )
         runtime.run(chunks_of(stream))
         assert runtime.quarantined_count == 1
-        assert runtime.respawn_count == 1
         assert runtime.health()["status"] == "degraded"
         assert_one_sided(runtime, stream)
         # Replaying the quarantined payload restores full coverage.
@@ -225,12 +169,11 @@ class TestEverythingAtOnce:
         # All fault kinds in one run: kill, exit, corruption, poison,
         # transient errors.  Poison forfeits bit-identity (documented),
         # so the invariant is one-sidedness + full coverage after DLQ
-        # replay + clean healing of every recoverable fault.
+        # replay + exact failover of every recoverable fault.
         runtime = ParallelIngestRuntime(
             3,
             shards=6,
             sync_every=3,
-            respawn=True,
             stall_timeout=2.0,
             fault_plan=FaultPlan(
                 worker_crash={0: 5},
@@ -243,15 +186,12 @@ class TestEverythingAtOnce:
         )
         stats = runtime.run(chunks_of(stream))
         assert stats.tuples_ingested == len(stream)
-        assert runtime.respawn_count == 2
         assert runtime.quarantined_count == 1
         assert_one_sided(runtime, stream)
         for letter in runtime.dead_letters.letters:
             runtime.supervisor.group.process_batch(letter.payload)
         for key, count in stream.exact.top_k(64):
             assert runtime.supervisor.query(int(key)) >= count
-        # Every recoverable fault healed: no shard is still healing.
-        assert runtime.supervisor.healing_shards == []
 
 
 #: A fleet parent that never finishes: a 2-worker fleet over an endless

@@ -237,6 +237,20 @@ class TestChunkValidation:
         with pytest.raises(PoisonChunkError, match="does not match"):
             coerce_chunk(np.arange(3), 0, counts=np.arange(4))
 
+    @pytest.mark.parametrize("dtype", [np.float64, object, np.uint64])
+    def test_empty_chunk_of_any_dtype_is_accepted(
+        self, asketch, dtype
+    ):
+        # ``np.array([])`` is float64: with no key in it, the driver and
+        # the synopsis's own batch calls follow the same rule.
+        empty = np.array([], dtype=dtype)
+        asketch.process_batch(empty)
+        assert asketch.query_batch(empty) == []
+        engine = StreamEngine(asketch, batched=True)
+        engine.run([empty, np.array([3, 3, 5])])
+        assert engine.stats.chunks_ingested == 2
+        assert asketch.total_mass == 3
+
     def test_clean_chunk_passes_through_as_int64(self):
         out = coerce_chunk(np.arange(5, dtype=np.int32), 0)
         assert out.dtype == np.int64

@@ -566,19 +566,17 @@ class TestShardSupervisor:
             shards=4, total_bytes=8 * 1024, filter_items=8, seed=3
         )
 
-    def run_healing(self, stream, shard: int, at_chunk: int) -> ShardSupervisor:
-        """Ingest the stream with ``shard`` healing from ``at_chunk`` on."""
+    def ingest(self, stream) -> ShardSupervisor:
+        """A supervisor fed the whole stream chunk by chunk."""
         supervisor = self.make_supervisor()
-        for position, chunk in enumerate(stream.chunks(CHUNK)):
-            if position == at_chunk:
-                supervisor.begin_healing(shard, "worker respawning")
+        for chunk in stream.chunks(CHUNK):
             supervisor.process_batch(chunk)
         return supervisor
 
     def test_degraded_estimates_stay_one_sided(self, stream):
-        supervisor = self.run_healing(stream, shard=1, at_chunk=7)
-        assert supervisor.healing_shards == [1]
-        # Healing never reroutes: the group is exactly a plain ingest.
+        supervisor = self.ingest(stream)
+        # The supervisor never reroutes: the group is exactly a plain
+        # ingest.
         plain = self.make_supervisor().group
         for chunk in stream.chunks(CHUNK):
             plain.process_batch(chunk)
@@ -591,7 +589,7 @@ class TestShardSupervisor:
         assert supervisor.total_mass == len(stream)
 
     def test_query_batch_matches_scalar_queries_when_degraded(self, stream):
-        supervisor = self.run_healing(stream, shard=0, at_chunk=3)
+        supervisor = self.ingest(stream)
         probes = stream.keys[:500].tolist()
         assert supervisor.query_batch(probes) == [
             supervisor.query(key) for key in probes
@@ -608,45 +606,24 @@ class TestShardSupervisor:
             supervisor.process_batch(stream.keys[:5_000])
 
     def test_top_k_still_answers_when_degraded(self, stream):
-        supervisor = self.run_healing(stream, shard=2, at_chunk=20)
+        supervisor = self.ingest(stream)
         top = supervisor.top_k(5)
         assert len(top) == 5
         heaviest_true = max(stream.exact.items(), key=lambda kv: kv[1])[0]
         assert heaviest_true in {key for key, _ in top}
 
-    def test_healing_cycle(self):
-        supervisor = self.make_supervisor()
-        supervisor.heal_shard(2)  # not healing: no-op
-        assert supervisor.health()["status"] == "ok"
-        supervisor.begin_healing(2, "worker 0 respawning: died")
-        health = supervisor.health()
-        assert health["status"] == "healing"
-        assert health["healing_shards"] == [2]
-        assert health["shards"][2]["error"] == "worker 0 respawning: died"
-        supervisor.heal_shard(2)
-        assert supervisor.health() == {
-            "status": "ok",
-            "healing_shards": [],
-            "shards": supervisor.shard_health(),
-        }
-        assert supervisor.shard_health()[2] == {
-            "shard": 2, "status": "ok", "error": None,
-        }
-
     def test_state_roundtrip_preserves_degradation(self, stream):
-        supervisor = self.run_healing(stream, shard=1, at_chunk=5)
+        supervisor = self.ingest(stream)
         restored = ShardSupervisor.from_state(supervisor.state())
-        assert restored.healing_shards == [1]
         assert restored.state().equals(supervisor.state())
         probes = stream.keys[:200].tolist()
         assert restored.query_batch(probes) == supervisor.query_batch(probes)
 
     def test_checkpoint_roundtrip_through_persistence(self, tmp_path, stream):
-        supervisor = self.run_healing(stream, shard=1, at_chunk=5)
+        supervisor = self.ingest(stream)
         save_synopsis(supervisor, tmp_path / "supervised.npz")
         restored = load_synopsis(tmp_path / "supervised.npz")
         assert isinstance(restored, ShardSupervisor)
-        assert restored.healing_shards == [1]
         assert restored.state().equals(supervisor.state())
 
     def test_crash_recovery_of_supervised_group(self, tmp_path, stream):
@@ -678,28 +655,12 @@ class TestShardSupervisor:
         assert isinstance(supervisor, ShardSupervisor)
         assert len(supervisor) == 2
 
-    def test_merge_unions_healing_shards(self, stream):
-        left = self.make_supervisor()
-        right = self.make_supervisor()
-        half = len(stream) // 2
-        left.begin_healing(1, "worker 1 respawning")
-        left.process_batch(stream.keys[:half])
-        right.process_batch(stream.keys[half:])
-        left.merge(right)
-        assert left.healing_shards == [1]
-        assert left.total_mass == len(stream)
-        exact = stream.exact
-        for key in np.unique(stream.keys[:1_000]).tolist():
-            assert left.query(key) >= exact.count_of(key)
-
     def test_bad_construction_rejected(self):
         with pytest.raises(ConfigurationError):
             ShardSupervisor()  # neither a group nor parameters
         group = ShardSupervisor(shards=2, total_bytes=4096, seed=0).group
         with pytest.raises(ConfigurationError):
             ShardSupervisor(group, shards=2, total_bytes=4096)
-        with pytest.raises(ConfigurationError):
-            ShardSupervisor(group).begin_healing(99, "no such shard")
 
 
 def legacy_supervisor_state(
@@ -765,7 +726,10 @@ class TestLegacySupervisorState:
                       tmp_path / "legacy.npz")
         restored = load_synopsis(tmp_path / "legacy.npz")
         assert isinstance(restored, ShardSupervisor)
-        assert restored.healing_shards == [1]
+        # A healing shard's data was intact: it loads as an ok shard.
+        assert restored.health()["status"] == "ok"
+        assert restored.state().extra["status"] == ["ok"] * 4
+        assert restored.state().extra["errors"] == {}
         assert restored.group.state().equals(supervisor.group.state())
         probes = stream.keys[:500].tolist()
         assert restored.query_batch(probes) == supervisor.query_batch(probes)
