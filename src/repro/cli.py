@@ -42,9 +42,10 @@ stdlib HTTP scrape endpoint at ``/metrics`` (Prometheus text) and
 checkpoint and exits ``0`` (healthy), ``1`` (degraded — chunks sit in
 a dead-letter queue — or unreadable) or ``2`` (usage error / no
 checkpoints).  Parallel runs journal their failure counters (stalls,
-quarantines, snapshot rejects) into every checkpoint, and ``health``
-surfaces them under ``fleet``; ``run --workers N`` itself exits
-non-zero when the fleet finishes degraded.  A failed worker is always
+source chunks the fleet parent quarantined, snapshot rejects) into
+every checkpoint, and ``health`` surfaces them under ``fleet``;
+``run --workers N`` itself exits non-zero when the fleet finishes
+degraded.  A failed worker is always
 recovered exactly: the parent takes its shards over.
 """
 

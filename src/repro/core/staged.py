@@ -39,6 +39,7 @@ import numpy as np
 from repro.core.filters import Filter, make_filter
 from repro.errors import ConfigurationError, NegativeCountError
 from repro.hardware.costs import OpCounters
+from repro.hashing.families import int64_keys
 from repro.kernels import active_backend
 from repro.obs.registry import MetricsRegistry, current_registry
 from repro.obs.trace import current_tracer, trace_point
@@ -932,46 +933,17 @@ _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
 
-def key_dtype_problem(array: np.ndarray) -> str | None:
-    """Why ``array`` cannot be read as int64 keys without mangling one,
-    or None when it can.
-
-    The one key rule of every ingest and query path: keys are integers
-    in the int64 range, so object and float arrays are refused (a cast
-    would truncate fractions and turn NaN into garbage), and so are
-    uint64 values above ``INT64_MAX`` (a cast would wrap them negative).
-    An array with no elements holds no key to mangle, whatever its dtype.
-    """
-    if array.size == 0:
-        return None
-    dtype = array.dtype
-    if dtype == object:
-        return "object dtype (mixed or non-numeric keys)"
-    if not np.issubdtype(dtype, np.integer):
-        if np.issubdtype(dtype, np.floating):
-            bad = "NaN keys" if np.isnan(array).any() else "fractional keys"
-            return f"float keys (coercion would truncate; found {bad})"
-        return f"dtype {dtype} is not an integer type"
-    if dtype == np.uint64 and int(array.max()) > _INT64_MAX:
-        return "uint64 keys above INT64_MAX (coercion would wrap them)"
-    return None
-
-
 def _key_vector(keys) -> np.ndarray:
     """``keys`` as a one-dimensional int64 array, else a typed error:
     :class:`ConfigurationError` for a shape that is not 1-D or keys
-    that break :func:`key_dtype_problem`'s rule."""
+    that break :func:`~repro.hashing.families.key_dtype_problem`'s
+    rule."""
     keys = np.asarray(keys)
     if keys.ndim != 1:
         raise ConfigurationError(
             f"keys must be one-dimensional, got shape {keys.shape}"
         )
-    if keys.dtype != np.int64:
-        problem = key_dtype_problem(keys)
-        if problem is not None:
-            raise ConfigurationError(f"invalid keys: {problem}")
-        keys = keys.astype(np.int64)
-    return keys
+    return int64_keys(keys)
 
 
 def _int64_key(key) -> int:

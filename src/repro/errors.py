@@ -63,8 +63,8 @@ class RetryExhaustedError(ReproError):
     """A retryable source error persisted past its retry budget.
 
     Raised by :class:`~repro.runtime.reliability.RetryingSource` after
-    the per-error-class :class:`~repro.runtime.reliability.RetryPolicy`
-    allowance is spent; the final underlying failure is chained as
+    its :class:`~repro.runtime.reliability.RetryPolicy` allowance is
+    spent; the final underlying failure is chained as
     ``__cause__``.  Attributes: ``chunk_index`` (0-based index of the
     chunk being fetched), ``attempts`` (total fetch attempts made).
     """

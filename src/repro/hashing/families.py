@@ -24,6 +24,7 @@ MERSENNE_PRIME_61 = (1 << 61) - 1
 
 _UINT64 = np.uint64
 _MASK_64 = (1 << 64) - 1
+_INT64_MAX = (1 << 63) - 1
 
 
 def key_to_int(key: object) -> int:
@@ -44,6 +45,46 @@ def key_to_int(key: object) -> int:
     return hash(key) & MERSENNE_PRIME_61
 
 
+def key_dtype_problem(array: np.ndarray) -> str | None:
+    """Why ``array`` cannot be read as int64 keys without mangling one,
+    or None when it can.
+
+    The one key rule of every ingest and query path: keys are integers
+    in the int64 range, so object and float arrays are refused (a cast
+    would truncate fractions and turn NaN into garbage), and so are
+    uint64 values above ``INT64_MAX`` (a cast would wrap them negative).
+    An array with no elements holds no key to mangle, whatever its dtype.
+    """
+    if array.size == 0:
+        return None
+    dtype = array.dtype
+    if dtype == object:
+        return "object dtype (mixed or non-numeric keys)"
+    if not np.issubdtype(dtype, np.integer):
+        if np.issubdtype(dtype, np.floating):
+            bad = "NaN keys" if np.isnan(array).any() else "fractional keys"
+            return f"float keys (coercion would truncate; found {bad})"
+        return f"dtype {dtype} is not an integer type"
+    if dtype == np.uint64 and int(array.max()) > _INT64_MAX:
+        return "uint64 keys above INT64_MAX (coercion would wrap them)"
+    return None
+
+
+def int64_keys(keys) -> np.ndarray:
+    """``keys`` (an array or any iterable of keys) as an int64 array,
+    else :class:`ConfigurationError` for keys that break
+    :func:`key_dtype_problem`'s rule.  An int64 array costs one dtype
+    compare."""
+    if not isinstance(keys, np.ndarray):
+        keys = np.asarray(list(keys))
+    if keys.dtype != np.int64:
+        problem = key_dtype_problem(keys)
+        if problem is not None:
+            raise ConfigurationError(f"invalid keys: {problem}")
+        keys = keys.astype(np.int64)
+    return keys
+
+
 def encode_key_array(keys: np.ndarray) -> np.ndarray:
     """Vectorised :func:`key_to_int` for int64 key arrays, as uint64.
 
@@ -51,9 +92,11 @@ def encode_key_array(keys: np.ndarray) -> np.ndarray:
     code of an int64 key is below ``2**64``, so the uint64 view holds it
     exactly (``INT64_MAX`` encodes to ``2**64 - 2``, ``INT64_MIN`` to
     ``2**64 - 1``), where a signed view would wrap keys at or above
-    ``2**62`` and ``INT64_MIN`` to negative codes.
+    ``2**62`` and ``INT64_MIN`` to negative codes.  Keys are read
+    through :func:`int64_keys`, so keys outside int64 raise
+    :class:`ConfigurationError` before any caller's state changes.
     """
-    keys = np.asarray(keys, dtype=np.int64)
+    keys = int64_keys(keys)
     codes = np.left_shift(keys, 1)
     np.bitwise_xor(codes, np.right_shift(keys, 63), out=codes)
     return codes.view(_UINT64)

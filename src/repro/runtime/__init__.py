@@ -18,8 +18,9 @@ provides that operational shell:
 * :mod:`~repro.runtime.reliability` — the fault-tolerance layer:
   :class:`~repro.runtime.reliability.ResilientEngine` (atomic
   checkpoints + exact crash recovery), :class:`~repro.runtime.
-  reliability.RetryingSource` (backoff retries, dead-letter
-  quarantine), :class:`~repro.runtime.reliability.ShardSupervisor`
+  reliability.RetryingSource` (backoff retries),
+  :class:`~repro.runtime.reliability.DeadLetterQueue` (quarantine),
+  :class:`~repro.runtime.reliability.ShardSupervisor`
   (a shard group plus its per-shard health view), and the
   deterministic :class:`~repro.runtime.reliability.FaultPlan`
   injection harness the recovery tests are built on;

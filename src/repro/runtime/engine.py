@@ -25,8 +25,8 @@ from typing import Any, Callable, Iterable, Protocol
 
 import numpy as np
 
-from repro.core.staged import key_dtype_problem
 from repro.errors import ConfigurationError, PoisonChunkError
+from repro.hashing.families import key_dtype_problem
 from repro.obs.registry import current_registry
 from repro.obs.trace import current_tracer, trace_span
 
@@ -41,7 +41,7 @@ def coerce_chunk(
     The synopses model integer-keyed turnstile streams, so anything a
     lossy ``np.asarray(chunk, dtype=np.int64)`` would silently mangle is
     rejected as poison instead: whatever
-    :func:`~repro.core.staged.key_dtype_problem` refuses (float keys,
+    :func:`~repro.hashing.families.key_dtype_problem` refuses (float keys,
     object/string dtypes, boolean payloads, uint64 keys above
     ``INT64_MAX``) and non-1-D shapes.  When per-key ``counts``
     accompany the chunk they must be integral and non-negative —

@@ -71,11 +71,13 @@ progress* (keep waiting).
 
 **One ingest loop.**  The parent drives
 :class:`~repro.runtime.engine.StreamEngine` with the chunk router as its
-sink; each worker drives it over its ring, through the source layers of
-:class:`~repro.runtime.reliability.ResilientEngine` (its per-worker
-:class:`~repro.runtime.reliability.FaultPlan`, then retries), into its
-shard group.  A worker quarantines poison chunks, reporting them to the
-parent instead of dying, and its checkpoint step is the pipe snapshot.
+sink and :attr:`ParallelIngestRuntime.dead_letters` as its quarantine: a
+chunk that fails validation is quarantined at its source position
+before routing, so every share a worker reads is a validated int64
+array.  Each worker drives the same loop over its ring, through the
+chunk-boundary faults of its per-worker
+:class:`~repro.runtime.reliability.FaultPlan`, into its shard group;
+its checkpoint step is the pipe snapshot.
 
 **Observability.**  With a registry installed (:mod:`repro.obs`) the
 parent records routing skew, per-worker item counters, ring depth,
@@ -121,8 +123,6 @@ from repro.runtime.reliability import (
     CheckpointStore,
     DeadLetterQueue,
     FaultPlan,
-    RetryingSource,
-    RetryPolicy,
     ShardSupervisor,
     SimulatedCrash,
 )
@@ -407,7 +407,6 @@ def _ring_chunks(ring: ChunkRing, control) -> Iterator[np.ndarray]:
 
 
 def _worker_main(
-    worker_id: int,
     ring: ChunkRing,
     group_params: dict,
     conn,
@@ -430,12 +429,11 @@ def _worker_main(
     one installed when it forked.
 
     The ring feeds :class:`~repro.runtime.engine.StreamEngine` through
-    the source layers of
-    :class:`~repro.runtime.reliability.ResilientEngine`: ``faults``
-    (this worker's plan from
-    :meth:`~repro.runtime.reliability.FaultPlan.worker_faults_for`),
-    then retries, then validate-or-quarantine.  The checkpoint step is
-    the pipe snapshot every ``sync_every`` chunks and at end of stream.
+    the chunk-boundary faults of ``faults`` (this worker's plan from
+    :meth:`~repro.runtime.reliability.FaultPlan.worker_faults_for`).
+    The parent validated every share before routing it, so the loop
+    needs no quarantine.  The checkpoint step is the pipe snapshot
+    every ``sync_every`` chunks and at end of stream.
     """
     for end in parent_ends:
         end.close()
@@ -459,12 +457,6 @@ def _worker_main(
         conn.send(("snapshot", engine.position, shard_states, digest,
                    _export_metrics(registry)))
 
-    def quarantine(position: int, payload: Any, reason: str) -> None:
-        # The parent's dead-letter queue keeps the pristine payload from
-        # its retained tail.  The position still counts: tail pruning is
-        # keyed to chunks *handled*, ingested or not.
-        conn.send(("quarantine", int(position), reason))
-
     def handle_control() -> None:
         nonlocal sync_target
         while conn.poll():
@@ -475,20 +467,11 @@ def _worker_main(
             send_snapshot()
             sync_target = None
 
-    retrying = RetryingSource(
-        faults.wrap(_ring_chunks(ring, handle_control)),
-        default_policy=RetryPolicy(
-            max_retries=8, base_delay=0.001, multiplier=2.0,
-            max_delay=0.05, jitter=0.5,
-        ),
-        seed=faults.seed * 131 + worker_id,
-    )
-    engine.quarantine = quarantine
     engine.checkpointing = Checkpointing(
         sync_every, lambda position: send_snapshot()
     )
     try:
-        engine.run(faults.boundary_faults(retrying))
+        engine.run(faults.boundary_faults(_ring_chunks(ring, handle_control)))
         conn.send(("done", engine.position, engine.stats.tuples_ingested))
     except SimulatedCrash:
         faults.act_out_crash()
@@ -537,7 +520,6 @@ class _WorkerSlot:
     done: bool = False
     error: str | None = None
     stalls: int = 0
-    quarantined: int = 0
     snapshot_rejects: int = 0
 
     @property
@@ -580,21 +562,16 @@ class ParallelIngestRuntime:
     sync_every:
         Worker snapshot cadence in chunks; bounds the retained replay
         tail in the parent.
-    dead_letter_capacity:
-        Parent-side dead-letter queue capacity (worker-quarantined
-        payloads).
     stall_timeout:
         Seconds without any ring progress before a worker counts as
-        stalled and is failed over.  Progress resets the clock: slow
+        stalled and is failed over, whether the parent waits to publish
+        a share or for a snapshot.  Progress resets the clock: slow
         workers are waited on, hung workers are not.
     fault_plan:
         A :class:`~repro.runtime.reliability.FaultPlan` whose
         cross-process faults (``worker_crash``/``worker_exit``/
-        ``worker_hang``/``worker_poison``/``worker_transient``/
-        ``corrupt_snapshot``) are acted out inside the workers.
-    drain_timeout:
-        Seconds the parent waits on a worker's snapshot without any
-        arriving before declaring the worker hung and failing it over.
+        ``worker_hang``/``corrupt_snapshot``) are acted out inside the
+        workers.
     """
 
     def __init__(
@@ -610,10 +587,8 @@ class ParallelIngestRuntime:
         slots: int = 8,
         slot_capacity: int = 1 << 16,
         sync_every: int = 8,
-        dead_letter_capacity: int = 64,
         stall_timeout: float = 60.0,
         fault_plan: FaultPlan | None = None,
-        drain_timeout: float = 60.0,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -641,20 +616,18 @@ class ParallelIngestRuntime:
         self.sync_every = int(sync_every)
         self.stall_timeout = float(stall_timeout)
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
-        self.drain_timeout = float(drain_timeout)
         #: The combined result (populated by :meth:`run`).
         self.supervisor: ShardSupervisor | None = None
         self.stats = EngineStats()
-        #: Parent-side quarantine: payloads of chunks workers
-        #: quarantined (recovered from the retained tail when still
-        #: available).
-        self.dead_letters = DeadLetterQueue(capacity=dead_letter_capacity)
         #: Shard → owning worker, fixed for the fleet's lifetime.
         self._assignment = np.arange(shards, dtype=np.int64) % self.workers
         self._reset()
 
     def _reset(self) -> None:
         """Per-run fleet state, fresh for every :meth:`run`."""
+        #: The run's quarantine: source chunks that failed validation,
+        #: with their source positions.
+        self.dead_letters = DeadLetterQueue()
         self._slots: list[_WorkerSlot] = []
         self._shard_items = np.zeros(
             self.group_params["shards"], dtype=np.int64
@@ -673,11 +646,6 @@ class ParallelIngestRuntime:
         """Total stall detections across the fleet."""
         return sum(slot.stalls for slot in self._slots)
 
-    @property
-    def quarantined_count(self) -> int:
-        """Total chunks quarantined inside workers."""
-        return sum(slot.quarantined for slot in self._slots)
-
     # -- lifecycle ---------------------------------------------------------
 
     def _launch(
@@ -691,7 +659,6 @@ class ParallelIngestRuntime:
             process = ctx.Process(
                 target=_worker_main,
                 args=(
-                    index,
                     ring,
                     self.group_params,
                     child_conn,
@@ -784,16 +751,6 @@ class ParallelIngestRuntime:
                 slot.retained.popleft()
                 slot.acked_chunks += 1
             self._apply_worker_metrics(slot, metric_rows)
-        elif tag == "quarantine":
-            _, position, reason = message
-            slot.quarantined += 1
-            payload = None
-            offset = int(position) - slot.acked_chunks
-            if 0 <= offset < len(slot.retained):
-                payload = slot.retained[offset]
-            self.dead_letters.quarantine(
-                int(position), payload, f"worker {slot.index}: {reason}"
-            )
         elif tag == "done":
             slot.done = True
         elif tag == "error":
@@ -847,8 +804,12 @@ class ParallelIngestRuntime:
         mark = progress() if progress is not None else None
         since = time.monotonic()
         while True:
+            # A worker already gone before this drain has sent all it
+            # ever will, so only one still watched after it is dead: a
+            # worker that sent its final snapshot and exited is not.
+            gone = {slot.index for slot in watch() if not slot.process.is_alive()}
             self._drain_all_messages()
-            if any(not slot.process.is_alive() for slot in watch()):
+            if any(slot.index in gone for slot in watch()):
                 return "dead"
             now = time.monotonic()
             if progress is not None and (current := progress()) != mark:
@@ -1002,11 +963,13 @@ class ParallelIngestRuntime:
 
         The chunks go through the
         :class:`~repro.runtime.engine.StreamEngine` loop with the chunk
-        router as its sink, so a poison chunk raises
-        :class:`~repro.errors.PoisonChunkError` before any worker sees
-        it.  With a ``checkpoint_store``, the loop's checkpoint step
-        calls :meth:`checkpoint` every ``checkpoint_every`` chunks and
-        once at end of stream.
+        router as its sink and :attr:`dead_letters` as its quarantine,
+        so a poison chunk is quarantined at its source position before
+        any worker sees it, and the fleet's result equals a sequential
+        run that quarantines the same chunk.  With a
+        ``checkpoint_store``, the loop's checkpoint step calls
+        :meth:`checkpoint` every ``checkpoint_every`` chunks and once at
+        end of stream.
 
         Returns :class:`EngineStats` whose ``wall_seconds`` covers the
         whole pipeline — feeding, worker ingest, and the drain —
@@ -1024,10 +987,11 @@ class ParallelIngestRuntime:
         self._reset()
         self.supervisor = ShardSupervisor(**self.group_params)
         engine = StreamEngine(_Router(self), batched=True)
+        engine.quarantine = self.dead_letters.quarantine
         if checkpoint_store is not None:
             engine.checkpointing = Checkpointing(
                 checkpoint_every,
-                lambda position: self.checkpoint(checkpoint_store),
+                lambda position: self.checkpoint(checkpoint_store, position),
             )
         self.stats = engine.stats
         start = time.perf_counter()
@@ -1087,8 +1051,9 @@ class ParallelIngestRuntime:
         chunks sent to it.
 
         Workers that die while we wait are failed over on the spot.
-        Workers making no progress past ``drain_timeout`` raise the
-        typed stall path.
+        While any lagging worker's ring ``consumed()`` advances the wait
+        goes on; once none has for ``stall_timeout`` seconds, the
+        lagging workers take the typed stall path.
         """
 
         def caught_up(timeout: float) -> bool:
@@ -1097,13 +1062,18 @@ class ParallelIngestRuntime:
                 connection.wait([slot.conn for slot in behind], timeout)
             return not behind
 
+        def consumed() -> int:
+            return sum(slot.ring.consumed() for slot in self._behind())
+
         while True:
-            outcome = self._wait(caught_up, self._behind, self.drain_timeout)
+            outcome = self._wait(
+                caught_up, self._behind, self.stall_timeout, progress=consumed
+            )
             if outcome == "ready":
                 return
             for slot in self._behind():
                 if outcome == "stalled":
-                    self._stall(slot, self.drain_timeout, "snapshot")
+                    self._stall(slot, self.stall_timeout, "snapshot")
                 elif not slot.process.is_alive():
                     self._fail_dead(slot)
 
@@ -1154,18 +1124,22 @@ class ParallelIngestRuntime:
 
     # -- checkpointing ------------------------------------------------------
 
-    def checkpoint(self, store: CheckpointStore) -> dict:
-        """Quiesce, snapshot every worker, save the combined state.
+    def checkpoint(self, store: CheckpointStore, position: int) -> dict:
+        """Quiesce, snapshot every worker, save the combined state as
+        covering the first ``position`` source chunks.
 
         The parent has stopped feeding when this runs (it is called
         between chunks), so each worker drains its ring to exactly
         ``sent_chunks`` and answers the sync request with a snapshot at
         that position.  The clone of the result group (holding the
         inlined workers' shards) with those snapshots installed
-        therefore covers every chunk ingested so far — the same exactly-once
-        replay point semantics as :class:`CheckpointStore` sequential
-        checkpoints.  The journal record's ``extra`` carries the
-        fleet's failure counters for ``cli health``.
+        therefore covers every chunk handled so far, ingested or
+        quarantined — the same exactly-once replay point semantics as
+        :class:`~repro.runtime.reliability.ResilientEngine`'s
+        checkpoints, journaled with the same ``chunk_index`` (source
+        position) and ``engine_chunks`` (chunks ingested).  The journal
+        record's ``extra`` carries the fleet's failure counters for
+        ``cli health``.
         """
         assert self.supervisor is not None
         self._quiesce()
@@ -1173,8 +1147,9 @@ class ParallelIngestRuntime:
         self._install_snapshots_into(clone.group)
         return store.save(
             clone,
-            chunk_index=self.stats.chunks_ingested,
+            chunk_index=position,
             tuples_ingested=self.stats.tuples_ingested,
+            engine_chunks=self.stats.chunks_ingested,
             extra=self._health_extra(),
         )
 
@@ -1184,7 +1159,7 @@ class ParallelIngestRuntime:
         """The failure counters journaled with every checkpoint."""
         return {
             "worker_stalls": self.stall_count,
-            "quarantined_chunks": self.quarantined_count,
+            "quarantined_chunks": self.dead_letters.quarantined,
             "snapshot_rejects": sum(
                 slot.snapshot_rejects for slot in self._slots
             ),
@@ -1203,9 +1178,7 @@ class ParallelIngestRuntime:
         else:
             base = {"status": "ok", "shards": []}
         status = base["status"]
-        if status == "ok" and (
-            self.quarantined_count or self.dead_letters.quarantined
-        ):
+        if status == "ok" and self.dead_letters.quarantined:
             status = "degraded"
         return {
             **base,
@@ -1228,7 +1201,6 @@ class ParallelIngestRuntime:
                 "snapshot_chunks": slot.snapshot_chunks,
                 "shards": self.shards_of(slot.index),
                 "stalls": slot.stalls,
-                "quarantined": slot.quarantined,
                 "snapshot_rejects": slot.snapshot_rejects,
                 "error": slot.error,
             }

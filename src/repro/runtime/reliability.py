@@ -21,14 +21,15 @@ source layers feeding it, its quarantine and its checkpoint step:
   and checkpoint corruption, all seeded, so the
   recovery test suite can prove the guarantees above rather than hope
   for them.  Each worker of the parallel fleet acts out its share of a
-  plan through the same layers.
-* **Resilient sources** — :class:`RetryingSource` retries transient
-  source failures with exponential backoff + deterministic jitter under
-  per-error-class :class:`RetryPolicy` budgets, raising
-  :class:`~repro.errors.RetryExhaustedError` when a budget is spent.
+  plan's kills, exits, hangs and snapshot corruption.
+* **Resilient sources** — :class:`RetryingSource` retries
+  :class:`~repro.errors.TransientSourceError` with exponential backoff
+  + deterministic jitter under one :class:`RetryPolicy` budget, raising
+  :class:`~repro.errors.RetryExhaustedError` when it is spent.
   Chunks that fail validation (float/NaN keys, object dtypes, negative
   counts) are quarantined in a :class:`DeadLetterQueue` instead of
-  being silently coerced into the synopsis.
+  being silently coerced into the synopsis — by
+  :class:`ResilientEngine` and by the fleet parent alike.
 * **Shard health** — :class:`ShardSupervisor` is a
   :class:`~repro.runtime.sharding.ShardedASketch` plus its per-shard
   health view, the result a worker fleet returns;
@@ -94,7 +95,7 @@ class SimulatedCrash(BaseException):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Backoff budget for one class of transient source errors.
+    """Backoff budget for transient source errors.
 
     ``delay_for(attempt)`` grows exponentially from ``base_delay`` by
     ``multiplier`` per attempt, capped at ``max_delay``, plus
@@ -124,26 +125,22 @@ class RetryingSource:
     *not* satisfy it (they close on raise); wrap the transport object,
     not a generator over it.
 
-    ``policies`` maps exception types to :class:`RetryPolicy` budgets
-    (matched by ``isinstance``, most-derived registration wins);
-    :class:`~repro.errors.TransientSourceError` is always retryable
-    under ``default_policy``.  Non-retryable exceptions propagate
-    untouched.  When a budget is spent the last failure is chained
-    beneath :class:`~repro.errors.RetryExhaustedError`.
+    :class:`~repro.errors.TransientSourceError` is retried under
+    ``default_policy``; every other exception propagates untouched.
+    When the budget is spent the last failure is chained beneath
+    :class:`~repro.errors.RetryExhaustedError`.
     """
 
     def __init__(
         self,
         chunks: Iterable[np.ndarray] | Iterator[np.ndarray],
         *,
-        policies: dict[type, RetryPolicy] | None = None,
         default_policy: RetryPolicy | None = None,
         seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self._iterator = iter(chunks)
-        self._policies = dict(policies or {})
-        self._default = default_policy or RetryPolicy()
+        self._policy = default_policy or RetryPolicy()
         self._rng = random.Random(seed)
         self._sleep = sleep
         #: Total retry attempts made (across all chunks).
@@ -152,19 +149,6 @@ class RetryingSource:
         self.chunks_delivered = 0
         #: Total seconds of backoff requested (sums the sleep arguments).
         self.backoff_seconds = 0.0
-
-    def _policy_for(self, error: Exception) -> RetryPolicy | None:
-        best: tuple[int, RetryPolicy] | None = None
-        for exc_type, policy in self._policies.items():
-            if isinstance(error, exc_type):
-                depth = len(type(error).__mro__) - len(exc_type.__mro__)
-                if best is None or depth < best[0]:
-                    best = (depth, policy)
-        if best is not None:
-            return best[1]
-        if isinstance(error, TransientSourceError):
-            return self._default
-        return None
 
     def __iter__(self) -> "RetryingSource":
         """Iterator protocol: the source is its own iterator."""
@@ -176,20 +160,15 @@ class RetryingSource:
         while True:
             try:
                 chunk = next(self._iterator)
-            except StopIteration:
-                raise
-            except Exception as error:
-                policy = self._policy_for(error)
-                if policy is None:
-                    raise
-                if attempt >= policy.max_retries:
+            except TransientSourceError as error:
+                if attempt >= self._policy.max_retries:
                     raise RetryExhaustedError(
                         f"source failed {attempt + 1} times fetching chunk "
                         f"{self.chunks_delivered}: {error}",
                         chunk_index=self.chunks_delivered,
                         attempts=attempt + 1,
                     ) from error
-                delay = policy.delay_for(attempt, self._rng)
+                delay = self._policy.delay_for(attempt, self._rng)
                 attempt += 1
                 self.retries += 1
                 self.backoff_seconds += delay
@@ -325,7 +304,9 @@ class FaultPlan:
     Cross-process faults, acted out *inside* the worker processes of
     :class:`~repro.runtime.parallel.ParallelIngestRuntime` through the
     per-worker plan :meth:`worker_faults_for` derives; every position
-    counts that worker's locally handled chunks:
+    counts that worker's locally handled chunks.  (A worker reads only
+    shares the parent has validated, so poison and transient source
+    errors are faults of the parent's source, as in-process.)
 
     worker_crash:
         ``{worker_id: after_chunks}`` — the worker dies hard
@@ -338,15 +319,6 @@ class FaultPlan:
         ``{worker_id: after_chunks}`` — the worker stops consuming its
         ring and sleeps forever: alive but stalled, the case parent-side
         stall detection (not liveness polling) must catch.
-    worker_poison:
-        ``{worker_id: chunk_position}`` — the worker's chunk at that
-        position is replaced with a poison payload before validation,
-        exercising the in-worker quarantine path.
-    worker_transient:
-        ``{worker_id: {chunk_position: failures}}`` — the worker's ring
-        source raises :class:`~repro.errors.TransientSourceError` that
-        many times before surrendering the chunk, exercising the
-        in-worker :class:`RetryingSource` path.
     corrupt_snapshot:
         ``{worker_id: snapshot_number}`` — that worker's Nth checkpoint
         snapshot (1-based) is corrupted in flight; the parent must
@@ -363,15 +335,12 @@ class FaultPlan:
     worker_crash: dict[int, int] = field(default_factory=dict)
     worker_exit: dict[int, int] = field(default_factory=dict)
     worker_hang: dict[int, int] = field(default_factory=dict)
-    worker_poison: dict[int, int] = field(default_factory=dict)
-    worker_transient: dict[int, dict[int, int]] = field(default_factory=dict)
     corrupt_snapshot: dict[int, int] = field(default_factory=dict)
 
     def worker_faults_for(self, worker: int) -> "FaultPlan":
         """The plan one worker process acts out over its own ring.
 
         ``worker``'s entries become single-process faults:
-        ``transient_errors``, ``poison_chunks``,
         ``corrupt_checkpoint_after`` (its Nth pipe snapshot) and
         ``crash_at_chunk`` (its first planned kill, exit or hang; a tie
         goes to the kill, then the exit).  An exit or hang keeps its
@@ -385,12 +354,9 @@ class FaultPlan:
             )
             if worker in planned
         )[:1]
-        poison = self.worker_poison
         return FaultPlan(
             seed=self.seed,
             crash_at_chunk=first[0][0] if first else None,
-            transient_errors=dict(self.worker_transient.get(worker, {})),
-            poison_chunks=frozenset([poison[worker]] if worker in poison else []),
             corrupt_checkpoint_after=self.corrupt_snapshot.get(worker),
             worker_exit={worker: at for at, kind in first if kind == 1},
             worker_hang={worker: at for at, kind in first if kind == 2},
@@ -841,7 +807,7 @@ class ResilientEngine:
     Composes the pieces of this module into one ingestion runtime:
 
     * the source is wrapped in a :class:`RetryingSource` (transient
-      failures retried with backoff, budgets per error class);
+      failures retried with backoff under ``default_retry_policy``);
     * every chunk is validated before it can touch the synopsis; poison
       chunks land in :attr:`dead_letters` and ingestion continues;
     * with a ``checkpoint_dir``, the synopsis is checkpointed atomically
@@ -863,13 +829,9 @@ class ResilientEngine:
         *,
         checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 64,
-        keep_generations: int = 2,
         batched: bool | None = None,
-        retry_policies: dict[type, RetryPolicy] | None = None,
         default_retry_policy: RetryPolicy | None = None,
-        retry_seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
-        dead_letter_capacity: int = 64,
     ) -> None:
         if synopsis is None and checkpoint_dir is None:
             raise ConfigurationError(
@@ -883,16 +845,12 @@ class ResilientEngine:
         self.checkpoint_every = int(checkpoint_every)
         self.batched = batched
         self._store = (
-            CheckpointStore(checkpoint_dir, keep=keep_generations)
-            if checkpoint_dir is not None
-            else None
+            CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
         )
-        self._retry_policies = dict(retry_policies or {})
         self._default_retry_policy = default_retry_policy
-        self._retry_seed = int(retry_seed)
         self._sleep = sleep
         #: Quarantine of rejected chunks (see :class:`DeadLetterQueue`).
-        self.dead_letters = DeadLetterQueue(capacity=dead_letter_capacity)
+        self.dead_letters = DeadLetterQueue()
         self._consumer_specs: list[tuple[int, Callable[[int], None], str]] = []
         self._engine: StreamEngine | None = None
         self._source: RetryingSource | None = None
@@ -1011,9 +969,7 @@ class ResilientEngine:
             )
         self._source = RetryingSource(
             plan.wrap(chunks),
-            policies=self._retry_policies,
             default_policy=self._default_retry_policy,
-            seed=self._retry_seed,
             sleep=self._sleep,
         )
         self._engine = engine

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hardware.costs import OpCounters
+from repro.hashing.families import int64_keys
 
 #: Logical bytes per counter cell, as in the paper's space accounting.
 CELL_BYTES = 4
@@ -76,8 +77,8 @@ class FrequencySketch(ABC):
         The default implementation loops; array-backed sketches override
         with a vectorised version.
         """
-        for key in np.asarray(keys).tolist():
-            self.update(int(key), amount)
+        for key in int64_keys(keys).tolist():
+            self.update(key, amount)
 
     def update_batch_weighted(
         self, keys: np.ndarray, amounts: np.ndarray
@@ -92,7 +93,7 @@ class FrequencySketch(ABC):
         loops :meth:`update` and then reads the estimates; Count-Min
         overrides with one fused scatter-and-gather per group of rows.
         """
-        keys = np.asarray(keys)
+        keys = int64_keys(keys)
         amounts = np.asarray(amounts)
         for key, amount in zip(keys.tolist(), amounts.tolist()):
             self.update(int(key), int(amount))
@@ -100,7 +101,7 @@ class FrequencySketch(ABC):
 
     def estimate_batch(self, keys: Iterable[int]) -> list[int]:
         """Point-query every key; default loops over :meth:`estimate`."""
-        return [self.estimate(int(key)) for key in keys]
+        return [self.estimate(key) for key in int64_keys(keys).tolist()]
 
     def estimate_array(self, keys: Iterable[int]) -> np.ndarray:
         """:meth:`estimate_batch` as an int64 array.

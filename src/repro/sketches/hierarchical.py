@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hardware.costs import OpCounters
+from repro.hashing.families import int64_keys
 from repro.sketches.count_min import CountMinSketch
 from repro.synopses.protocol import SynopsisState
 
@@ -112,7 +113,7 @@ class HierarchicalCountMin:
 
     def update_batch(self, keys: np.ndarray, amount: int = 1) -> None:
         """Vectorised updates across all levels."""
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = int64_keys(keys)
         if keys.size == 0:
             return
         if int(keys.min()) < 0 or int(keys.max()) >= self.domain_size:

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hardware.costs import OpCounters
+from repro.hashing.families import int64_keys
 from repro.simd.engine import simd_probe_blocks
 from repro.sketches.base import FrequencySketch
 from repro.sketches.count_min import CountMinSketch
@@ -127,8 +128,8 @@ class HolisticUDAF(FrequencySketch):
 
     def process_stream(self, keys: np.ndarray) -> None:
         """Sequentially process a key array (flush points are order-exact)."""
-        for key in keys.tolist():
-            self.process(int(key))
+        for key in int64_keys(keys).tolist():
+            self.process(key)
 
     update_batch = process_stream
 

@@ -1,17 +1,16 @@
 """Cross-process chaos harness for the parallel runtime's failover.
 
 Each scenario composes several :class:`FaultPlan` cross-process faults
-(kill -9, premature exit, hangs, snapshot corruption, in-worker poison,
-transient ring errors) against a real forked fleet, then asserts the
+(kill -9, premature exit, hangs, snapshot corruption) against a real
+forked fleet, some with a poison chunk in the source, then asserts the
 two invariants the runtime promises under *every* schedule:
 
-1. **one-sided always** — estimates never under-count any key that
-   actually reached a synopsis (quarantined payloads excluded until
-   replayed from the dead-letter queue);
-2. **exact once recovered** — when every injected fault is of a kind
-   inline failover repairs exactly (crash/exit/hang/corruption, no
-   poison), the merged state is bit-identical to an
-   uninterrupted single-process ingest.
+1. **one-sided always** — estimates never under-count any key of the
+   stream;
+2. **exact once recovered** — inline failover repairs every fault
+   exactly, so the merged state is bit-identical to an uninterrupted
+   single-process ingest of the same chunks (the parent quarantines a
+   poison chunk before routing, as the single-process reference does).
 
 Every scenario also checks resource hygiene: no leaked worker
 processes and no leaked ``/dev/shm`` segments, even when workers died
@@ -39,7 +38,7 @@ import pytest
 import repro
 from repro.runtime.engine import StreamEngine
 from repro.runtime.parallel import ParallelIngestRuntime
-from repro.runtime.reliability import FaultPlan
+from repro.runtime.reliability import DeadLetterQueue, FaultPlan
 from repro.runtime.sharding import ShardedASketch
 from repro.streams.zipf import zipf_stream
 
@@ -66,19 +65,26 @@ def chunks_of(stream):
     return [keys[i : i + CHUNK] for i in range(0, keys.shape[0], CHUNK)]
 
 
-def sequential_state(stream, shards):
+def with_poison(chunks, position):
+    """``chunks`` with a float copy of ``chunks[position]`` inserted at
+    ``position``: a poison chunk no key of the stream is lost to."""
+    poison = chunks[position].astype(np.float64) + 0.5
+    return [*chunks[:position], poison, *chunks[position:]]
+
+
+def sequential_state(chunks, shards):
+    """The single-process reference: the ingest loop over ``chunks``,
+    quarantining poison as the fleet parent does."""
     group = ShardedASketch(shards, **GROUP_PARAMS)
-    StreamEngine(group, batched=True).run(chunks_of(stream))
+    engine = StreamEngine(group, batched=True)
+    engine.quarantine = DeadLetterQueue().quarantine
+    engine.run(chunks)
     return group.state()
 
 
 def assert_one_sided(runtime, stream):
-    """Estimates must cover every key's true count, minus quarantined
-    payloads (whose pristine copies sit in the parent DLQ)."""
+    """Estimates must cover every key's true count."""
     truth = Counter(int(k) for k in stream.keys)
-    for letter in runtime.dead_letters.letters:
-        if letter.payload is not None:
-            truth.subtract(int(k) for k in letter.payload)
     for key, count in truth.most_common(64):
         assert runtime.supervisor.query(key) >= count, key
 
@@ -87,26 +93,27 @@ class TestExactRecoverySchedules:
     """Fault schedules failover repairs exactly: bit-identity holds."""
 
     @pytest.mark.parametrize(
-        "plan",
+        "plan, poison_at",
         [
             # two workers killed at different depths
-            FaultPlan(worker_crash={0: 2, 1: 7}),
+            (FaultPlan(worker_crash={0: 2, 1: 7}), None),
             # kill one, premature-exit another
-            FaultPlan(worker_crash={2: 4}, worker_exit={0: 9}),
+            (FaultPlan(worker_crash={2: 4}, worker_exit={0: 9}), None),
             # kill + hang at once
-            FaultPlan(worker_crash={0: 3}, worker_hang={2: 5}),
+            (FaultPlan(worker_crash={0: 3}, worker_hang={2: 5}), None),
             # corruption rejected, then the same worker killed
-            FaultPlan(corrupt_snapshot={1: 2}, worker_crash={1: 8}),
-            # transient ring errors + a kill elsewhere
-            FaultPlan(
-                worker_transient={0: {2: 3}}, worker_crash={1: 5}
-            ),
+            (FaultPlan(corrupt_snapshot={1: 2}, worker_crash={1: 8}), None),
+            # a poison chunk in the source + a kill
+            (FaultPlan(worker_crash={1: 5}), 3),
         ],
         ids=["two-kills", "kill+exit", "kill+hang", "corrupt+kill",
-             "transient+kill"],
+             "poison+kill"],
     )
-    def test_schedule_recovers_to_bit_identity(self, stream, plan):
-        expected = sequential_state(stream, shards=6)
+    def test_schedule_recovers_to_bit_identity(self, stream, plan, poison_at):
+        chunks = chunks_of(stream)
+        if poison_at is not None:
+            chunks = with_poison(chunks, poison_at)
+        expected = sequential_state(chunks, shards=6)
         runtime = ParallelIngestRuntime(
             3,
             shards=6,
@@ -116,14 +123,17 @@ class TestExactRecoverySchedules:
             fault_plan=plan,
             **GROUP_PARAMS,
         )
-        stats = runtime.run(chunks_of(stream))
+        stats = runtime.run(chunks)
         assert stats.tuples_ingested == len(stream)
         assert runtime.supervisor.group.state().equals(expected)
         assert_one_sided(runtime, stream)
+        assert runtime.dead_letters.chunk_indices() == (
+            [] if poison_at is None else [poison_at]
+        )
 
     def test_inline_failover_is_exact(self, stream):
         # The parent takes the killed worker's shards over, exactly.
-        expected = sequential_state(stream, shards=6)
+        expected = sequential_state(chunks_of(stream), shards=6)
         runtime = ParallelIngestRuntime(
             3,
             shards=6,
@@ -140,36 +150,32 @@ class TestExactRecoverySchedules:
 
 
 class TestDegradedSchedules:
-    """Schedules that legitimately lose exactness keep one-sidedness
-    (modulo the documented dead-letter carve-outs) and report it."""
+    """Schedules with poison in the source: the fleet reads degraded
+    (a chunk sits in the dead-letter queue) and stays exact."""
 
     def test_poison_plus_kill_quarantines_and_heals(self, stream):
+        chunks = with_poison(chunks_of(stream), 4)
         runtime = ParallelIngestRuntime(
             3,
             shards=6,
             sync_every=3,
-            fault_plan=FaultPlan(
-                worker_poison={0: 4}, worker_crash={2: 6}
-            ),
+            fault_plan=FaultPlan(worker_crash={2: 6}),
             **GROUP_PARAMS,
         )
-        runtime.run(chunks_of(stream))
-        assert runtime.quarantined_count == 1
+        runtime.run(chunks)
+        assert runtime.dead_letters.quarantined == 1
         assert runtime.health()["status"] == "degraded"
         assert_one_sided(runtime, stream)
-        # Replaying the quarantined payload restores full coverage.
-        for letter in runtime.dead_letters.letters:
-            runtime.supervisor.group.process_batch(letter.payload)
-        for key, count in stream.exact.top_k(64):
-            assert runtime.supervisor.query(int(key)) >= count
+        assert runtime.supervisor.group.state().equals(
+            sequential_state(chunks, shards=6)
+        )
 
 
 class TestEverythingAtOnce:
     def test_full_chaos_schedule(self, stream):
-        # All fault kinds in one run: kill, exit, corruption, poison,
-        # transient errors.  Poison forfeits bit-identity (documented),
-        # so the invariant is one-sidedness + full coverage after DLQ
-        # replay + exact failover of every recoverable fault.
+        # Kill, exit and corruption in the workers plus a poison chunk
+        # in the source, in one run: every fault is recovered exactly.
+        chunks = with_poison(chunks_of(stream), 6)
         runtime = ParallelIngestRuntime(
             3,
             shards=6,
@@ -179,19 +185,18 @@ class TestEverythingAtOnce:
                 worker_crash={0: 5},
                 worker_exit={1: 9},
                 corrupt_snapshot={2: 1},
-                worker_poison={2: 6},
-                worker_transient={1: {1: 2}},
             ),
             **GROUP_PARAMS,
         )
-        stats = runtime.run(chunks_of(stream))
+        stats = runtime.run(chunks)
         assert stats.tuples_ingested == len(stream)
-        assert runtime.quarantined_count == 1
+        assert runtime.dead_letters.quarantined == 1
         assert_one_sided(runtime, stream)
-        for letter in runtime.dead_letters.letters:
-            runtime.supervisor.group.process_batch(letter.payload)
         for key, count in stream.exact.top_k(64):
             assert runtime.supervisor.query(int(key)) >= count
+        assert runtime.supervisor.group.state().equals(
+            sequential_state(chunks, shards=6)
+        )
 
 
 #: A fleet parent that never finishes: a 2-worker fleet over an endless

@@ -35,7 +35,11 @@ from repro.runtime.parallel import (
     ParallelIngestRuntime,
     parallel_ingest,
 )
-from repro.runtime.reliability import CheckpointStore, FaultPlan
+from repro.runtime.reliability import (
+    CheckpointStore,
+    DeadLetterQueue,
+    FaultPlan,
+)
 from repro.runtime.sharding import ShardedASketch
 from repro.streams.zipf import zipf_stream
 
@@ -55,6 +59,23 @@ def chunks_of(stream, size=4_000):
 def sequential_group(stream, shards, chunk_size=4_000):
     group = ShardedASketch(shards, **GROUP_PARAMS)
     StreamEngine(group, batched=True).run(chunks_of(stream, chunk_size))
+    return group
+
+
+def with_float_chunk(chunks, position):
+    """``chunks`` with a float copy of ``chunks[position]`` inserted at
+    ``position``, and that poison payload."""
+    poison = chunks[position].astype(np.float64) + 0.5
+    return [*chunks[:position], poison, *chunks[position:]], poison
+
+
+def quarantining_group(chunks, shards):
+    """The sequential reference for a source holding poison: the
+    ingest loop over ``chunks`` with a quarantine set."""
+    group = ShardedASketch(shards, **GROUP_PARAMS)
+    engine = StreamEngine(group, batched=True)
+    engine.quarantine = DeadLetterQueue().quarantine
+    engine.run(chunks)
     return group
 
 
@@ -463,6 +484,26 @@ class TestCheckpointing:
         final = sequential_group(stream, shards=6, chunk_size=2_000)
         assert runtime.supervisor.group.state().equals(final.state())
 
+    def test_checkpoint_journals_source_position(self, stream, tmp_path):
+        # A quarantined chunk advances the source position the journal
+        # keys replay to, not the count of chunks ingested.
+        from repro.persistence import load_synopsis
+
+        chunks, _ = with_float_chunk(chunks_of(stream)[:3], 1)
+        store = CheckpointStore(tmp_path, keep=8)
+        runtime = ParallelIngestRuntime(2, shards=2, **GROUP_PARAMS)
+        runtime.run(chunks, checkpoint_store=store, checkpoint_every=2)
+        first, last = store.journal_records()
+        assert first["chunk_index"] == 2
+        assert first["engine_chunks"] == 1
+        assert first["tuples_ingested"] == len(chunks[0])
+        assert (last["chunk_index"], last["engine_chunks"]) == (4, 3)
+        assert last["extra"]["quarantined_chunks"] == 1
+        restored = load_synopsis(store.snapshot_path(first["generation"]))
+        assert restored.group.state().equals(
+            quarantining_group(chunks[:2], 2).state()
+        )
+
 
 class TestResourceHygiene:
     def test_no_leaked_processes_or_shm(self, stream):
@@ -639,80 +680,88 @@ class TestStallDetection:
             uninstall_registry()
 
 
-class TestWorkerQuarantine:
-    def test_poison_chunk_quarantines_instead_of_killing(self, stream):
-        # The fault swaps worker 1's share of its 3rd local chunk to a
-        # float payload inside the process; the worker must quarantine
-        # it and keep ingesting (the single-process ResilientEngine
-        # semantics), not die.
+class TestParentQuarantine:
+    """A chunk that fails validation is quarantined by the parent at its
+    source position, before routing: the fleet's result is the
+    sequential run's that quarantines the same chunk, with or without a
+    worker failure."""
+
+    @pytest.mark.parametrize(
+        "plan, statuses",
+        [
+            (FaultPlan(), ["ok", "ok"]),
+            (FaultPlan(worker_crash={1: 3}), ["ok", "inlined"]),
+        ],
+        ids=["no-fault", "worker-crash"],
+    )
+    def test_poison_chunk_quarantined_at_its_source_position(
+        self, stream, plan, statuses
+    ):
+        chunks, poison = with_float_chunk(chunks_of(stream), 4)
         runtime = ParallelIngestRuntime(
-            2,
-            shards=2,
-            sync_every=2,
-            fault_plan=FaultPlan(worker_poison={1: 3}),
-            **GROUP_PARAMS,
+            2, shards=2, sync_every=2, fault_plan=plan, **GROUP_PARAMS
         )
-        stats = runtime.run(chunks_of(stream))
-        assert stats.chunks_ingested == len(chunks_of(stream))
-        assert runtime.quarantined_count == 1
-        health = {h["worker"]: h for h in runtime.worker_health()}
-        assert health[1]["status"] == "ok"
-        assert health[1]["quarantined"] == 1
-        # The parent kept the pristine int64 payload in its dead-letter
-        # queue (recovered from the retained tail).
+        stats = runtime.run(chunks)
+        assert stats.chunks_ingested == len(chunks) - 1
+        assert stats.tuples_ingested == len(stream)
+        letters = runtime.dead_letters.letters
+        assert [letter.chunk_index for letter in letters] == [4]
+        assert letters[0].payload is poison
+        assert "float keys" in letters[0].reason
+        health = runtime.health()
+        assert health["status"] == "degraded"
+        assert health["quarantined_chunks"] == 1
+        assert [h["status"] for h in health["workers"]] == statuses
+        assert runtime.supervisor.group.state().equals(
+            quarantining_group(chunks, 2).state()
+        )
+
+    def test_dead_letters_belong_to_one_run(self, stream):
+        # Like the result group, the dead letters are the last run's:
+        # a clean run after a poisoned one reads ok.
+        clean = chunks_of(stream)
+        runtime = ParallelIngestRuntime(2, shards=2, **GROUP_PARAMS)
+        runtime.run(with_float_chunk(clean, 4)[0])
+        assert runtime.dead_letters.chunk_indices() == [4]
+        runtime.run(clean)
+        assert runtime.dead_letters.quarantined == 0
+        assert runtime.health()["status"] == "ok"
+
+
+class TestWorkerQuarantine:
+    """The workers around a quarantine: poison never reaches a ring, so
+    no worker dies of it, and their counts stay one-sided over the
+    chunks that were not quarantined."""
+
+    def test_poison_chunk_quarantines_instead_of_killing(self, stream):
+        chunks, poison = with_float_chunk(chunks_of(stream), 3)
+        runtime = ParallelIngestRuntime(
+            2, shards=2, sync_every=2, **GROUP_PARAMS
+        )
+        stats = runtime.run(chunks)
+        assert stats.chunks_ingested == len(chunks) - 1
+        assert [h["status"] for h in runtime.worker_health()] == [
+            "ok",
+            "ok",
+        ]
         letters = runtime.dead_letters.letters
         assert len(letters) == 1
-        assert letters[0].payload is not None
-        assert letters[0].payload.dtype == np.int64
-        assert "worker 1" in letters[0].reason
+        assert letters[0].payload is poison
         assert runtime.health()["status"] == "degraded"
 
     def test_estimates_one_sided_excluding_quarantined(self, stream):
-        from collections import Counter
-
+        chunks = chunks_of(stream)
+        chunks[3] = chunks[3].astype(np.float64) + 0.5
         runtime = ParallelIngestRuntime(
-            2,
-            shards=2,
-            sync_every=2,
-            fault_plan=FaultPlan(worker_poison={1: 3}),
-            **GROUP_PARAMS,
+            2, shards=2, sync_every=2, **GROUP_PARAMS
         )
-        runtime.run(chunks_of(stream))
-        letters = runtime.dead_letters.letters
-        assert len(letters) == 1
-        ingested = Counter(int(k) for k in stream.keys)
-        ingested.subtract(int(k) for k in letters[0].payload)
+        runtime.run(chunks)
+        assert runtime.dead_letters.chunk_indices() == [3]
+        ingested = Counter(
+            int(k) for i, chunk in enumerate(chunks) if i != 3 for k in chunk
+        )
         for key, count in ingested.most_common(50):
             assert runtime.supervisor.query(key) >= count
-
-    def test_replaying_quarantined_payload_covers_full_stream(self, stream):
-        runtime = ParallelIngestRuntime(
-            2,
-            shards=2,
-            sync_every=2,
-            fault_plan=FaultPlan(worker_poison={1: 3}),
-            **GROUP_PARAMS,
-        )
-        runtime.run(chunks_of(stream))
-        for letter in runtime.dead_letters.letters:
-            runtime.supervisor.group.process_batch(letter.payload)
-        for key, count in stream.exact.top_k(50):
-            assert runtime.supervisor.query(int(key)) >= count
-
-
-class TestTransientRingFaults:
-    def test_transient_errors_retried_inside_worker(self, stream):
-        sequential = sequential_group(stream, shards=2)
-        runtime = ParallelIngestRuntime(
-            2,
-            shards=2,
-            sync_every=2,
-            fault_plan=FaultPlan(worker_transient={0: {1: 2}, 1: {0: 1}}),
-            **GROUP_PARAMS,
-        )
-        runtime.run(chunks_of(stream))
-        assert runtime.supervisor.group.state().equals(sequential.state())
-        assert all(h["status"] == "ok" for h in runtime.worker_health())
 
 
 class TestSnapshotCorruption:

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from repro.core.asketch import ASketch
+from repro.errors import ConfigurationError
 from repro.hashing.families import encode_key_array
 from repro.runtime.sharding import ShardedASketch
 from repro.sketches.count_min import CountMinSketch
 from repro.sketches.count_sketch import CountSketch
 from repro.sketches.fcm import FrequencyAwareCountMin
+from repro.sketches.hierarchical import HierarchicalCountMin
 from repro.sketches.holistic_udaf import HolisticUDAF
 from repro.sketches.salsa import SalsaCountMin
 from repro.sketches.sf_sketch import SFSketch
@@ -170,3 +172,47 @@ class TestExtremeKeys:
         ])
         owners = group.owners_of(keys)
         assert owners.tolist() == [group.shard_of(int(k)) for k in keys]
+
+
+#: Arrays no int64 cast can read without mangling a key.
+REJECTED_KEYS = {
+    "float": lambda: np.array([1.5, 2.0]),
+    "object": lambda: np.array([1, "x"], dtype=object),
+    "uint64-above-int64-max": lambda: np.array([1, 1 << 63], dtype=np.uint64),
+}
+
+BATCH_CALLS = {
+    "update_batch": lambda sketch, keys: sketch.update_batch(keys),
+    "update_batch_weighted": lambda sketch, keys: sketch.update_batch_weighted(
+        keys, np.ones(len(keys), dtype=np.int64)
+    ),
+    "estimate_batch": lambda sketch, keys: sketch.estimate_batch(keys),
+    "estimate_array": lambda sketch, keys: sketch.estimate_array(keys),
+}
+
+
+class TestRejectedKeys:
+    """Every batch call refuses keys outside int64 before any state
+    changes, with the key rule the staged synopses and the ingest loop
+    apply."""
+
+    @pytest.mark.parametrize("call", sorted(BATCH_CALLS))
+    @pytest.mark.parametrize("bad", sorted(REJECTED_KEYS))
+    @pytest.mark.parametrize("kind", sorted(SKETCH_KINDS))
+    def test_every_kind_refuses_before_any_change(self, kind, bad, call):
+        sketch = SKETCH_KINDS[kind]()
+        for keys, amounts in _batches(seed=2, domain=100):
+            sketch.update_batch_weighted(keys, amounts)
+        before = sketch.state()
+        with pytest.raises(ConfigurationError, match="invalid keys"):
+            BATCH_CALLS[call](sketch, REJECTED_KEYS[bad]())
+        assert sketch.state().equals(before)
+
+    @pytest.mark.parametrize("bad", sorted(REJECTED_KEYS))
+    def test_hierarchical_update_batch(self, bad):
+        sketch = HierarchicalCountMin(8, total_bytes=4096, seed=1)
+        sketch.update_batch(np.arange(50, dtype=np.int64))
+        before = sketch.state()
+        with pytest.raises(ConfigurationError, match="invalid keys"):
+            sketch.update_batch(REJECTED_KEYS[bad]())
+        assert sketch.state().equals(before)
