@@ -2,15 +2,13 @@
 
 Wall-clock comparison of the three find-index kernels on a 32-id filter
 array, plus the cost model's view of the same choice (one 16-id probe
-block vs 32 scalar comparisons), plus the *batch* membership ablation:
-the per-key python lane emulation vs the vectorised
+block vs 32 scalar comparisons), plus the *batch* membership check:
+the per-key python lane emulation and the vectorised
 :mod:`repro.kernels` probe a :meth:`Filter.add_many_if_present` call
-runs, over a whole key batch.
+runs agree over a whole key batch.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -51,14 +49,14 @@ def test_modeled_simd_advantage():
     assert simd_cycles * 4 < scalar_cycles
 
 
-def test_batch_probe_backends(persist_text):
-    """The two bulk membership probe paths agree and are measured.
+def test_batch_probe_backends():
+    """The two bulk membership probe paths agree.
 
     A full 32-slot filter's key array is probed with a 10K-key batch
     (hit-heavy, with a miss tail), through the per-key python lane
     emulation (``simd_find_index``) and the vectorised numpy kernel.
-    Both must return identical slot answers; the measured rates persist
-    to ``benchmarks/results/ablation_simd_batch.txt``.
+    Both must return identical slot answers.  Their rates depend on the
+    host, so the bench keeps no record of them.
     """
     rng = np.random.default_rng(7)
     capacity = 32
@@ -71,31 +69,11 @@ def test_batch_probe_backends(persist_text):
         ]
     ).astype(np.int64)
     rng.shuffle(batch)
-
-    def lane_emulation() -> np.ndarray:
-        stored32 = stored.astype(np.int32)
-        return np.array(
-            [simd_find_index(stored32, int(key)) for key in batch.tolist()],
-            dtype=np.int64,
-        )
-
-    def kernel_probe() -> np.ndarray:
-        return active_backend().membership_probe(stored, batch)
-
-    paths = {"python-lanes": lane_emulation, "numpy-kernel": kernel_probe}
-
-    reference: np.ndarray | None = None
-    lines = []
-    for name, run in paths.items():
-        result = run()  # warm
-        if reference is None:
-            reference = result
-        assert np.array_equal(result, reference), name
-        start = time.perf_counter()
-        repeats = 3
-        for _ in range(repeats):
-            run()
-        elapsed = (time.perf_counter() - start) / repeats
-        rate = batch.shape[0] / elapsed if elapsed > 0 else 0.0
-        lines.append(f"{name:14s} {rate:>14,.0f} probes/s")
-    persist_text("ablation_simd_batch", lines)
+    lanes = np.array(
+        [
+            simd_find_index(stored.astype(np.int32), int(key))
+            for key in batch.tolist()
+        ],
+        dtype=np.int64,
+    )
+    assert np.array_equal(active_backend().membership_probe(stored, batch), lanes)

@@ -1,16 +1,13 @@
-"""Extension bench: distributed deployments (merge, kernel group, window).
+"""Extension bench: distributed deployments (merge, kernel group).
 
-Wall-clocks the production-feature extensions: synopsis merging (the
-combined-synopsis SPMD variant), the query-merged kernel group (§6.3
-semantics), and the sliding-window wrapper built on Appendix-A
-deletions.
+Wall-clocks synopsis merging (the combined-synopsis SPMD variant) and
+the query-merged kernel group (§6.3 semantics).
 """
 
 from __future__ import annotations
 
 from repro.core.asketch import ASketch
 from repro.core.kernel_group import KernelGroup
-from repro.core.window import SlidingWindowASketch
 from repro.streams.zipf import zipf_stream
 
 STREAMS = [
@@ -39,16 +36,3 @@ def test_kernel_group_query(benchmark):
     probe = STREAMS[0].keys[:500]
 
     benchmark(group.query_batch, probe)
-
-def test_sliding_window_ingest(benchmark):
-    keys = STREAMS[0].keys
-
-    def ingest():
-        window = SlidingWindowASketch(
-            5_000, total_bytes=64 * 1024, filter_items=32, seed=11
-        )
-        window.process_stream(keys)
-        return window
-
-    window = benchmark.pedantic(ingest, rounds=1, iterations=1)
-    assert len(window) == 5_000

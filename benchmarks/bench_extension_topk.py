@@ -1,8 +1,7 @@
-"""Extension bench: three ways to answer top-k at equal space.
+"""Extension bench: two ways to answer top-k at equal space.
 
 The paper's related work positions ASketch's filter-based top-k against
-(a) counter-based summaries (Space Saving) and (b) sketches augmented
-with a hierarchical structure [8].  This bench runs all three at the
+counter-based summaries (Space Saving).  This bench runs both at the
 same byte budget on a Zipf 1.5 stream and compares update cost, top-k
 precision, and heavy-hitter point accuracy.
 """
@@ -22,10 +21,6 @@ K = 20
 ASKETCH_SPEC = SynopsisSpec(
     "asketch", {"total_bytes": BUDGET, "filter_items": 32, "seed": 1}
 )
-HIERARCHY_SPEC = SynopsisSpec(
-    "hierarchical-count-min",
-    {"domain_bits": 14, "total_bytes": BUDGET, "num_hashes": 4, "seed": 1},
-)
 SPACE_SAVING_SPEC = SynopsisSpec("space-saving", {"total_bytes": BUDGET})
 
 
@@ -35,12 +30,6 @@ def build_asketch():
     return asketch
 
 
-def build_hierarchy():
-    hierarchy = build_synopsis(HIERARCHY_SPEC)
-    hierarchy.process_stream(STREAM.keys)
-    return hierarchy
-
-
 def build_space_saving():
     summary = build_synopsis(SPACE_SAVING_SPEC)
     summary.process_stream(STREAM.keys)
@@ -48,8 +37,8 @@ def build_space_saving():
 
 
 @pytest.mark.parametrize(
-    "builder", [build_asketch, build_hierarchy, build_space_saving],
-    ids=["asketch", "hierarchical-cms", "space-saving"],
+    "builder", [build_asketch, build_space_saving],
+    ids=["asketch", "space-saving"],
 )
 def test_topk_approach(benchmark, builder):
     synopsis = benchmark.pedantic(builder, rounds=1, iterations=1)
@@ -57,20 +46,7 @@ def test_topk_approach(benchmark, builder):
     precision = precision_at_k(synopsis.top_k(K), truth, k=K)
     # Every approach must find the clear heavy hitters on this skew.
     assert precision >= 0.8
-    # Point accuracy on the heavies: one-sided for all three here.
+    # Point accuracy on the heavies: one-sided for both here.
     for key, count in truth[:5]:
         assert synopsis.estimate(key) >= count
 
-
-def test_asketch_most_accurate_on_heavies(benchmark):
-    def run_all():
-        return build_asketch(), build_hierarchy(), build_space_saving()
-
-    asketch, hierarchy, space_saving = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
-    top = STREAM.true_top_k(K)
-    asketch_error = sum(asketch.query(k) - c for k, c in top)
-    hierarchy_error = sum(hierarchy.estimate(k) - c for k, c in top)
-    assert asketch_error <= hierarchy_error
-    del space_saving  # its counts are also near-exact at this capacity

@@ -35,8 +35,6 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO_ROOT / "src"))
 sys.path.insert(0, str(_REPO_ROOT))
 
-from benchmarks.bench_adaptive_drift import run_drift_benchmark  # noqa: E402
-
 from repro.kernels import active_backend  # noqa: E402
 from repro.obs import install_registry, uninstall_registry  # noqa: E402
 from repro.runtime.engine import StreamEngine  # noqa: E402
@@ -174,9 +172,8 @@ def _parallel_bench(keys, chunk_size: int, workers: int) -> dict:
     }
 
 
-#: The back stages the accuracy-vs-space section compares, at equal
-#: shipped bytes (SF's fat helper is working memory, not shipped state).
-_ACCURACY_METHODS = ("count-min", "asketch", "sf-sketch", "salsa-cm")
+#: The methods the accuracy-vs-space section compares, at equal bytes.
+_ACCURACY_METHODS = ("count-min", "asketch")
 
 
 def _accuracy_spec(method: str, total_bytes: int) -> SynopsisSpec:
@@ -193,10 +190,9 @@ def _accuracy_spec(method: str, total_bytes: int) -> SynopsisSpec:
 def _accuracy_vs_space(tiny: bool) -> dict:
     """Mean one-sided over-error per method at equal synopsis bytes.
 
-    The staged-synopsis comparison the back-stage registry exists for:
-    ASketch, SF-sketch and SALSA against the plain Count-Min baseline,
-    every method answering from the same byte budget.  Lower is better;
-    all four are one-sided, so the error is ``estimate - true >= 0``.
+    ASketch against the plain Count-Min baseline, both answering from
+    the same byte budget.  Lower is better; both are one-sided, so the
+    error is ``estimate - true >= 0``.
     """
     import numpy as np
 
@@ -286,11 +282,10 @@ def record(tiny: bool) -> dict:
         "tiny": tiny,
         "cpu_count": _cpu_count(),
         "benches": benches,
-        # Quality sections (not throughput): the perf gate only compares
-        # "benches", so these record accuracy/adaptivity trajectories
-        # without tripping throughput regression checks.
+        # Quality section (not throughput): the perf gate only compares
+        # "benches", so this records an accuracy trajectory without
+        # tripping throughput regression checks.
         "accuracy_vs_space": _accuracy_vs_space(tiny),
-        "adaptive_drift": run_drift_benchmark(tiny),
     }
 
 

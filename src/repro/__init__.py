@@ -28,7 +28,6 @@ paper-vs-measured record of every reproduced table and figure.
 from repro.core.asketch import ASketch
 from repro.core.kernel_group import KernelGroup
 from repro.core.staged import ClassicExchange, ExchangePolicy, StagedSynopsis
-from repro.core.window import SlidingWindowASketch
 from repro.core.filters import (
     RelaxedHeapFilter,
     StreamSummaryFilter,
@@ -38,7 +37,6 @@ from repro.core.filters import (
 )
 from repro.counters import (
     ExactCounter,
-    LossyCounting,
     MisraGries,
     SpaceSaving,
     StreamSummary,
@@ -52,7 +50,6 @@ from repro.hardware import (
 )
 from repro.kernels import active_backend
 from repro.runtime import (
-    AdaptiveController,
     CheckpointStore,
     ChunkRing,
     FaultPlan,
@@ -94,10 +91,7 @@ from repro.sketches import (
     CountMinSketch,
     CountSketch,
     FrequencyAwareCountMin,
-    HierarchicalCountMin,
     HolisticUDAF,
-    SalsaCountMin,
-    SFSketch,
 )
 from repro.streams import (
     Stream,
@@ -111,7 +105,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ASketch",
-    "AdaptiveController",
     "CheckpointStore",
     "ChunkRing",
     "ClassicExchange",
@@ -123,10 +116,8 @@ __all__ = [
     "ExchangePolicy",
     "FaultPlan",
     "FrequencyAwareCountMin",
-    "HierarchicalCountMin",
     "HolisticUDAF",
     "KernelGroup",
-    "LossyCounting",
     "MetricsRegistry",
     "MetricsServer",
     "MisraGries",
@@ -137,11 +128,8 @@ __all__ = [
     "ResilientEngine",
     "RetryPolicy",
     "RetryingSource",
-    "SFSketch",
-    "SalsaCountMin",
     "ShardSupervisor",
     "ShardedASketch",
-    "SlidingWindowASketch",
     "SpaceSaving",
     "SpmdModel",
     "StagedSynopsis",

@@ -5,9 +5,9 @@
   the Appendix A deletion support and top-k queries.
 * :mod:`repro.core.filters` — the four filter implementations compared in
   §6.1/§7.5: Vector, Strict-Heap, Relaxed-Heap, Stream-Summary.
-* :mod:`repro.core.staged` — the staged-synopsis core the ASketch (and
-  every second-generation variant) is built on: a pluggable front
-  stage, back stage, and exchange-policy strategy.
+* :mod:`repro.core.staged` — the staged-synopsis core the ASketch is
+  built on: a pluggable front stage, back stage, and exchange-policy
+  strategy.
 * :mod:`repro.core.analysis` — the closed-form model of §4 (Table 2,
   Theorem 1, Zipf filter selectivity) and Appendix C.2's exchange bounds.
 """
@@ -15,7 +15,6 @@
 from repro.core.asketch import ASketch
 from repro.core.kernel_group import KernelGroup
 from repro.core.staged import ClassicExchange, ExchangePolicy, StagedSynopsis
-from repro.core.window import SlidingWindowASketch
 from repro.core.filters import (
     Filter,
     RelaxedHeapFilter,
@@ -31,7 +30,6 @@ __all__ = [
     "ExchangePolicy",
     "Filter",
     "KernelGroup",
-    "SlidingWindowASketch",
     "StagedSynopsis",
     "RelaxedHeapFilter",
     "StreamSummaryFilter",

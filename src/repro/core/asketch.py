@@ -74,21 +74,9 @@ def _default_sketch(
         return CountSketch(
             num_hashes=num_hashes, total_bytes=sketch_bytes, seed=seed
         )
-    if backend == "sf-sketch":
-        from repro.sketches.sf_sketch import SFSketch
-
-        return SFSketch(
-            num_hashes=num_hashes, total_bytes=sketch_bytes, seed=seed
-        )
-    if backend == "salsa-cm":
-        from repro.sketches.salsa import SalsaCountMin
-
-        return SalsaCountMin(
-            num_hashes=num_hashes, total_bytes=sketch_bytes, seed=seed
-        )
     raise ConfigurationError(
         f"unknown sketch backend {backend!r}; choose from "
-        "'count-min', 'fcm', 'count-sketch', 'sf-sketch', 'salsa-cm'"
+        "'count-min', 'fcm', 'count-sketch'"
     )
 
 
@@ -109,10 +97,8 @@ class ASketch(StagedSynopsis):
         An already-built sketch to augment; mutually exclusive with
         ``total_bytes``.
     sketch_backend:
-        ``"count-min"`` (default), ``"fcm"`` (ASketch-FCM),
-        ``"count-sketch"``, ``"sf-sketch"`` (slim stage answers within
-        the byte budget; its fat helper is working memory), or
-        ``"salsa-cm"`` (byte-sized counters with on-demand merging).
+        ``"count-min"`` (default), ``"fcm"`` (ASketch-FCM) or
+        ``"count-sketch"``.
     num_hashes:
         ``w`` for the underlying sketch (kept equal to the plain sketch's
         so the ``e^-w`` error probability matches, §4).

@@ -3,18 +3,14 @@
 The paper's entire contribution is a *composition*: a small exact filter
 (the front stage) in front of a lossy frequency sketch (the back stage),
 glued together by the exchange protocol of Algorithms 1 and 2.  This
-module extracts that composition out of :class:`~repro.core.asketch.
-ASketch` so second-generation variants (SF-sketch's fat/slim split,
-SALSA's self-adjusting counters, an adaptively re-tuned filter) reuse
-one implementation of ingest, batching, kernels dispatch, merging,
-persistence plumbing, and observability instead of re-growing their own:
+module holds that composition, with its ingest, batching, kernel
+dispatch, merging, persistence plumbing and observability:
 
 * :class:`StagedSynopsis` — the composition.  Owns the two stages, the
   operation record, the mass/selectivity bookkeeping, scalar and
   vectorised ingest (Algorithm 1), queries (Algorithm 2), top-k and
-  heavy hitters, deletions (Appendix A), merging with the pristine
-  identity fast paths, and the :meth:`~StagedSynopsis.resize_filter`
-  re-tuning hook the adaptive controller drives.
+  heavy hitters, deletions (Appendix A), and merging with the pristine
+  identity fast paths.
 * :class:`ExchangePolicy` — the strategy interface owning the exchange
   decision: when a missed key's sketch estimate earns it a filter slot,
   and which batched keys are even worth checking.
@@ -22,11 +18,10 @@ persistence plumbing, and observability instead of re-growing their own:
   ``max_exchanges_per_update`` exchanges per miss (the paper fixes one),
   eviction hashes the victim's resident mass back into the sketch.
 
-:class:`~repro.core.asketch.ASketch` is now a thin
-:class:`StagedSynopsis` subclass that only builds the paper's default
-stages from a space budget — its behaviour is bit-identical to the
-pre-refactor monolith (``tests/staged/test_equivalence.py`` enforces
-estimates, op counts and state digests against a committed golden file).
+:class:`~repro.core.asketch.ASketch` is the :class:`StagedSynopsis`
+subclass that builds the paper's default stages from a space budget;
+``tests/staged/test_equivalence.py`` pins its estimates, op counts and
+state digests to a committed golden file.
 """
 
 from __future__ import annotations
@@ -36,8 +31,12 @@ import time
 
 import numpy as np
 
-from repro.core.filters import Filter, make_filter
-from repro.errors import ConfigurationError, NegativeCountError
+from repro.core.filters import Filter
+from repro.errors import (
+    ConfigurationError,
+    NegativeCountError,
+    StreamFormatError,
+)
 from repro.hardware.costs import OpCounters
 from repro.hashing.families import int64_keys
 from repro.kernels import active_backend
@@ -177,9 +176,8 @@ class StagedSynopsis:
         to the paper's :class:`ClassicExchange` with one exchange per
         miss.
     filter_kind:
-        The registry name of ``front``'s kind.  Recorded in
-        :meth:`state` and used by :meth:`resize_filter` to rebuild the
-        stage; inferred from ``front``'s class when omitted.
+        The registry name of ``front``'s kind, recorded in
+        :meth:`state`; inferred from ``front``'s class when omitted.
     """
 
     def __init__(
@@ -607,58 +605,6 @@ class StagedSynopsis:
             )
         return self._filter.top_k(k)
 
-    # -- online re-tuning --------------------------------------------------
-
-    def resize_filter(self, new_items: int) -> int:
-        """Re-tune the front stage to ``new_items`` slots, online.
-
-        The hook the :class:`~repro.runtime.adaptive.AdaptiveController`
-        drives.  Growing keeps every monitored entry and adds free
-        slots; shrinking keeps the ``new_items`` entries with the
-        largest ``new_count`` and spills each evicted entry's exactly
-        known resident mass (``new_count - old_count``) into the back
-        stage — the same one-sided-safe flush an exchange eviction
-        performs, so estimates stay over-estimates through any resize.
-        The new filter shares the old one's operation record, keeping
-        :meth:`combined_ops` continuous across resizes.
-
-        Returns the number of entries spilled to the back stage (0 when
-        growing or when the survivors all fit).
-        """
-        if new_items < 1:
-            raise ConfigurationError(
-                f"filter must keep at least 1 slot, got {new_items}"
-            )
-        new_items = int(new_items)
-        old_filter = self._filter
-        if new_items == old_filter.capacity:
-            return 0
-        entries = sorted(
-            old_filter.entries(),
-            key=lambda entry: entry.new_count,
-            reverse=True,
-        )
-        kept, spilled = entries[:new_items], entries[new_items:]
-        for entry in spilled:
-            if entry.resident_count > 0:
-                self._sketch.update(entry.key, entry.resident_count)
-                self.overflow_mass += entry.resident_count
-        new_filter = make_filter(
-            self.filter_kind, new_items, ops=old_filter.ops
-        )
-        for entry in kept:
-            new_filter.insert(entry.key, entry.new_count, entry.old_count)
-        self._filter = new_filter
-        if current_tracer() is not None:
-            trace_point(
-                "filter_resize",
-                old_items=int(old_filter.capacity),
-                new_items=new_items,
-                spilled=len(spilled),
-                items_seen=int(self.ops.items),
-            )
-        return len(spilled)
-
     # -- merging -----------------------------------------------------------
 
     def _is_pristine(self) -> bool:
@@ -817,29 +763,38 @@ class StagedSynopsis:
         exactly-known resident mass (``new_count - old_count``); only the
         spill beyond it touches the sketch.  No exchange is initiated on
         the deletion path.
+
+        A deletion larger than the key's estimate — the filter's
+        ``new_count`` for a resident key, else the back stage's estimate
+        of the part that must leave it — raises
+        :class:`NegativeCountError` before anything changes.
         """
         if amount < 0:
             raise NegativeCountError("remove() expects a positive amount")
         key = _int64_key(key)
-        self.ops.items += 1
-        self.total_mass -= amount
         counts = self._filter.get_counts(key)
         if counts is None:
-            self._sketch.update(key, -amount)
-            return
-        new_count, old_count = counts
-        if new_count - amount < 0:
-            raise NegativeCountError(
-                f"removing {amount} from key {key} whose estimate is "
-                f"{new_count}"
-            )
-        resident = new_count - old_count
-        if resident >= amount:
-            self._filter.set_counts(key, new_count - amount, old_count)
-            return
-        spill = amount - resident
-        self._sketch.update(key, -spill)
-        self._filter.set_counts(key, new_count - amount, old_count - spill)
+            spill = amount
+        else:
+            new_count, old_count = counts
+            if new_count - amount < 0:
+                raise NegativeCountError(
+                    f"removing {amount} from key {key} whose estimate is "
+                    f"{new_count}"
+                )
+            spill = max(0, amount - (new_count - old_count))
+        if spill:
+            estimate = self._sketch.estimate(key)
+            if estimate < spill:
+                raise NegativeCountError(
+                    f"removing {spill} from key {key} whose back-stage "
+                    f"estimate is {estimate}"
+                )
+            self._sketch.update(key, -spill)
+        self.ops.items += 1
+        self.total_mass -= amount
+        if counts is not None:
+            self._filter.set_counts(key, new_count - amount, old_count - spill)
 
     # -- synopsis protocol -------------------------------------------------
 
@@ -892,13 +847,22 @@ class StagedSynopsis:
 
     @staticmethod
     def _sketch_from_state(state: SynopsisState) -> FrequencySketch:
-        """Rebuild the nested back stage recorded by :meth:`state`."""
+        """Rebuild the nested back stage recorded by :meth:`state`; a
+        back-stage kind that is not registered raises
+        :class:`StreamFormatError`, as an unknown top-level kind does in
+        :func:`~repro.persistence.load_synopsis`."""
         from repro.synopses.spec import resolve_kind
 
         sketch_state = unpack_nested(
             state.extra["sketch"], state.arrays, "sketch"
         )
-        return resolve_kind(sketch_state.kind).from_state(sketch_state)
+        try:
+            cls = resolve_kind(sketch_state.kind)
+        except ConfigurationError as exc:
+            raise StreamFormatError(
+                f"archive names unknown synopsis kind {sketch_state.kind!r}"
+            ) from exc
+        return cls.from_state(sketch_state)
 
     # -- operation accounting ---------------------------------------------
 
@@ -960,12 +924,19 @@ def _int64_key(key) -> int:
 
 def _count_vector(keys: np.ndarray, counts) -> np.ndarray | None:
     """``counts`` for the key vector ``keys`` as an int64 array (None
-    stays None, meaning all-ones), else a typed error: a shape that is
-    not ``keys``' raises :class:`ConfigurationError`, a negative count
+    stays None, meaning all-ones), else a typed error: counts of a
+    non-integer dtype (a cast would truncate floats and parse strings)
+    or of a shape that is not ``keys``' raise
+    :class:`ConfigurationError`, a negative count
     :class:`NegativeCountError` (deletions go through ``remove()``)."""
     if counts is None:
         return None
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.asarray(counts)
+    if counts.size and not np.issubdtype(counts.dtype, np.integer):
+        raise ConfigurationError(
+            f"counts must be integers, got dtype {counts.dtype}"
+        )
+    counts = counts.astype(np.int64, copy=False)
     if counts.shape != keys.shape:
         raise ConfigurationError(
             "keys and counts must have matching shapes, got "

@@ -10,20 +10,16 @@ in contrast to sketches which count everything.  The paper uses:
 * :class:`~repro.counters.stream_summary.StreamSummary` — the bucket-list
   structure shared by Space Saving and the Stream-Summary filter;
 * :class:`~repro.counters.exact.ExactCounter` — the ground truth used by
-  every error metric;
-* :class:`~repro.counters.lossy_counting.LossyCounting` — an additional
-  counter baseline (extension beyond the paper's comparisons).
+  every error metric.
 """
 
 from repro.counters.exact import ExactCounter
-from repro.counters.lossy_counting import LossyCounting
 from repro.counters.misra_gries import MisraGries
 from repro.counters.space_saving import SpaceSaving
 from repro.counters.stream_summary import StreamSummary
 
 __all__ = [
     "ExactCounter",
-    "LossyCounting",
     "MisraGries",
     "SpaceSaving",
     "StreamSummary",

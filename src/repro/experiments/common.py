@@ -35,10 +35,6 @@ METHOD_LABELS = {
     "asketch-fcm": "ASketch-FCM",
     "space-saving-min": "Space Saving(min)",
     "space-saving-zero": "Space Saving",
-    "sf-sketch": "SF-sketch",
-    "salsa-cm": "SALSA",
-    "asketch-sf": "ASketch-SF",
-    "asketch-salsa": "ASketch-SALSA",
 }
 
 

@@ -134,38 +134,6 @@ class ExperimentConfig:
             if method == "asketch-fcm":
                 params["sketch_backend"] = "fcm"
             return SynopsisSpec("asketch", params)
-        if method == "sf-sketch":
-            return SynopsisSpec(
-                "sf-sketch",
-                {
-                    "num_hashes": self.num_hashes,
-                    "total_bytes": total_bytes,
-                    "seed": seed,
-                },
-            )
-        if method == "salsa-cm":
-            return SynopsisSpec(
-                "salsa-cm",
-                {
-                    "num_hashes": self.num_hashes,
-                    "total_bytes": total_bytes,
-                    "seed": seed,
-                },
-            )
-        if method in ("asketch-sf", "asketch-salsa"):
-            return SynopsisSpec(
-                "asketch",
-                {
-                    "total_bytes": total_bytes,
-                    "filter_items": self.filter_items,
-                    "filter_kind": self.filter_kind,
-                    "num_hashes": self.num_hashes,
-                    "seed": seed,
-                    "sketch_backend": (
-                        "sf-sketch" if method == "asketch-sf" else "salsa-cm"
-                    ),
-                },
-            )
         if method in ("space-saving-min", "space-saving-zero"):
             return SynopsisSpec(
                 "space-saving",

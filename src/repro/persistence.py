@@ -10,11 +10,16 @@ archive, and :func:`load_synopsis` restores an object whose future
 behaviour is identical to the original's.
 
 Every registered synopsis kind is supported — plain sketches (Count-Min,
-Count Sketch, FCM, Holistic UDAF, hierarchical Count-Min), counter
-summaries (Space Saving, Misra-Gries), :class:`~repro.core.asketch.
-ASketch` over any filter kind and any persistable backend, and
+Count Sketch, FCM, Holistic UDAF), counter summaries (Space Saving,
+Misra-Gries), :class:`~repro.core.asketch.ASketch` over any filter kind
+and any persistable backend, and
 :class:`~repro.runtime.sharding.ShardedASketch` groups.
 ``load_synopsis(path, expect_kind=...)`` also pins the archive's kind.
+An archive whose kind is not registered, at the top level or as an
+ASketch's back stage (among them ``sf-sketch``, ``salsa-cm``,
+``hierarchical-count-min`` and ``sliding-window-asketch``), fails with
+a :class:`~repro.errors.StreamFormatError` saying the archive names an
+unknown synopsis kind.
 
 Archive layout (format version 2): one ``metadata`` array holding a
 UTF-8 JSON blob ``{version, kind, params, extra}`` plus the state's

@@ -24,10 +24,6 @@ provides that operational shell:
   (a shard group plus its per-shard health view), and the
   deterministic :class:`~repro.runtime.reliability.FaultPlan`
   injection harness the recovery tests are built on;
-* :class:`~repro.runtime.adaptive.AdaptiveController` — closes the
-  observability loop: watches windowed filter hit-rate / exchange rate
-  / shard skew and re-tunes the staged filter online through
-  ``resize_filter()``;
 * :mod:`~repro.runtime.parallel` — true multicore ingest:
   :class:`~repro.runtime.parallel.ParallelIngestRuntime` runs N worker
   processes over shared-memory chunk rings, each ingesting its shards'
@@ -36,7 +32,6 @@ provides that operational shell:
   shards are taken over by the parent, exactly).
 """
 
-from repro.runtime.adaptive import AdaptiveController
 from repro.runtime.engine import (
     EngineStats,
     StreamEngine,
@@ -65,7 +60,6 @@ from repro.runtime.reliability import (
 from repro.runtime.sharding import ShardedASketch
 
 __all__ = [
-    "AdaptiveController",
     "CheckpointStore",
     "ChunkRing",
     "DeadLetter",

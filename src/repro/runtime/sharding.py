@@ -59,8 +59,7 @@ class ShardedASketch:
     sketch_backend:
         Back-stage sketch for every shard (any backend
         :class:`~repro.core.asketch.ASketch` accepts — ``"count-min"``
-        default, ``"fcm"``, ``"count-sketch"``, ``"sf-sketch"``,
-        ``"salsa-cm"``).
+        default, ``"fcm"``, ``"count-sketch"``).
     """
 
     def __init__(

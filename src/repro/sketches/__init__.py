@@ -1,5 +1,4 @@
-"""Sketch synopses: Count-Min, Count Sketch, FCM, Holistic UDAFs,
-SF-sketch (slim/fat), SALSA (self-adjusting counters).
+"""Sketch synopses: Count-Min, Count Sketch, FCM, Holistic UDAFs.
 
 All sketches implement the :class:`~repro.sketches.base.FrequencySketch`
 interface (point updates returning the post-update estimate, point queries,
@@ -13,19 +12,13 @@ from repro.sketches.base import FrequencySketch, row_width_for_bytes
 from repro.sketches.count_min import CountMinSketch
 from repro.sketches.count_sketch import CountSketch
 from repro.sketches.fcm import FrequencyAwareCountMin
-from repro.sketches.hierarchical import HierarchicalCountMin
 from repro.sketches.holistic_udaf import HolisticUDAF
-from repro.sketches.salsa import SalsaCountMin
-from repro.sketches.sf_sketch import SFSketch
 
 __all__ = [
     "CountMinSketch",
     "CountSketch",
     "FrequencyAwareCountMin",
     "FrequencySketch",
-    "HierarchicalCountMin",
     "HolisticUDAF",
-    "SFSketch",
-    "SalsaCountMin",
     "row_width_for_bytes",
 ]

@@ -31,6 +31,10 @@ from repro.synopses.protocol import SynopsisState
 #: (see :func:`repro.hashing.families.cw_fold_columns`).
 _KERNEL_KEY_LIMIT = 1 << 31
 _INT64_MAX = np.iinfo(np.int64).max
+_BELOW_ZERO = (
+    "negative update would drive a Count-Min cell below zero; "
+    "the strict turnstile assumption was violated"
+)
 
 
 class CountMinSketch(FrequencySketch):
@@ -144,8 +148,16 @@ class CountMinSketch(FrequencySketch):
         return self.update_at(self.hash_columns(key), amount)
 
     def update_at(self, columns: list[int] | np.ndarray, amount: int = 1) -> int:
-        """Update using precomputed column indices; returns new estimate."""
+        """Update using precomputed column indices; returns new estimate.
+
+        A negative ``amount`` that would drive any of the key's cells
+        below zero raises :class:`NegativeCountError` before any cell
+        changes."""
         table = self._table
+        if amount < 0 and amount + min(
+            int(table[row, col]) for row, col in enumerate(columns)
+        ) < 0:
+            raise NegativeCountError(_BELOW_ZERO)
         ops = self.ops
         ops.hash_evals += self.num_hashes
         ops.sketch_cell_writes += self.num_hashes
@@ -161,11 +173,6 @@ class CountMinSketch(FrequencySketch):
         estimate = None
         for row, col in enumerate(columns):
             cell = int(table[row, col]) + amount
-            if cell < 0:
-                raise NegativeCountError(
-                    "negative update drove a Count-Min cell below zero; "
-                    "the strict turnstile assumption was violated"
-                )
             table[row, col] = cell
             if estimate is None or cell < estimate:
                 estimate = cell
@@ -176,9 +183,13 @@ class CountMinSketch(FrequencySketch):
         """Vectorised updates (no estimates returned).
 
         Conservative mode cannot be vectorised exactly (each update depends
-        on the previous state), so it falls back to the per-item loop.
+        on the previous state), so it falls back to the per-item loop.  A
+        negative ``amount`` that would drive a cell below zero raises
+        :class:`NegativeCountError` before any cell changes.
         """
         keys = np.asarray(keys)
+        if amount < 0:
+            self._refuse_cells_below_zero(encode_key_array(keys), amount)
         if self.conservative:
             super().update_batch(keys, amount)
             return
@@ -188,10 +199,6 @@ class CountMinSketch(FrequencySketch):
         for row, family in enumerate(self._hashes):
             columns = family.hash_array(encoded)
             np.add.at(self._table[row], columns, amount)
-        if amount < 0 and (self._table < 0).any():
-            raise NegativeCountError(
-                "batch negative update drove a Count-Min cell below zero"
-            )
 
     def update_batch_weighted(
         self, keys: np.ndarray, amounts: np.ndarray
@@ -206,10 +213,13 @@ class CountMinSketch(FrequencySketch):
         the result equals :meth:`estimate_batch` read after the whole
         batch.  The operation record is charged as for that update plus
         that read.  Conservative mode falls back to the per-item loop for
-        the same reason :meth:`update_batch` does.
+        the same reason :meth:`update_batch` does, and negative amounts
+        are checked before any cell changes, as there.
         """
         keys = np.asarray(keys)
         amounts = np.asarray(amounts, dtype=np.int64)
+        if amounts.size and int(amounts.min()) < 0:
+            self._refuse_cells_below_zero(encode_key_array(keys), amounts)
         if self.conservative:
             return super().update_batch_weighted(keys, amounts)
         encoded = encode_key_array(keys)
@@ -229,11 +239,17 @@ class CountMinSketch(FrequencySketch):
                 columns = family.hash_array(encoded)
                 np.add.at(self._table[row], columns, amounts)
                 np.minimum(estimates, self._table[row, columns], out=estimates)
-        if amounts.size and int(amounts.min()) < 0 and (self._table < 0).any():
-            raise NegativeCountError(
-                "batch negative update drove a Count-Min cell below zero"
-            )
         return estimates
+
+    def _refuse_cells_below_zero(self, encoded: np.ndarray, amounts) -> None:
+        """Raise :class:`NegativeCountError`, writing nothing, when
+        adding ``amounts`` (one scalar, or one per key) at the encoded
+        keys' cells would drive any cell below zero."""
+        for row, family in enumerate(self._hashes):
+            after = self._table[row].copy()
+            np.add.at(after, family.hash_array(encoded), amounts)
+            if int(after.min()) < 0:
+                raise NegativeCountError(_BELOW_ZERO)
 
     # -- queries ----------------------------------------------------------
 

@@ -22,13 +22,9 @@ _BUILTIN_KINDS: dict[str, str] = {
     "count-sketch": "repro.sketches.count_sketch:CountSketch",
     "fcm": "repro.sketches.fcm:FrequencyAwareCountMin",
     "holistic-udaf": "repro.sketches.holistic_udaf:HolisticUDAF",
-    "hierarchical-count-min": "repro.sketches.hierarchical:HierarchicalCountMin",
-    "sf-sketch": "repro.sketches.sf_sketch:SFSketch",
-    "salsa-cm": "repro.sketches.salsa:SalsaCountMin",
     "space-saving": "repro.counters.space_saving:SpaceSaving",
     "misra-gries": "repro.counters.misra_gries:MisraGries",
     "asketch": "repro.core.asketch:ASketch",
-    "sliding-window-asketch": "repro.core.window:SlidingWindowASketch",
     "sharded-asketch": "repro.runtime.sharding:ShardedASketch",
     "shard-supervisor": "repro.runtime.reliability:ShardSupervisor",
 }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.asketch import ASketch
@@ -104,3 +105,28 @@ class TestGuaranteeUnderChurn:
         asketch.update(1, 10)
         asketch.remove(1, 4)
         assert asketch.total_mass == 6
+
+
+class TestRejectedRemovalLeavesNoTrace:
+    """A refused ``remove()`` raises before it changes anything: the
+    filter, the back stage and the mass tallies read as before."""
+
+    @pytest.mark.parametrize("case", ["absent-key", "over-removal"])
+    @pytest.mark.parametrize("backend", ["count-min", "fcm", "count-sketch"])
+    @pytest.mark.parametrize("filter_kind", ["vector", "strict-heap",
+                                             "relaxed-heap", "stream-summary"])
+    def test_state_unchanged(self, filter_kind, backend, case):
+        asketch = ASketch(total_bytes=16 * 1024, filter_items=4,
+                          filter_kind=filter_kind, sketch_backend=backend)
+        asketch.process_batch(np.arange(1, 200).repeat(3))
+        if case == "absent-key":
+            key = 10**9
+            amount = max(asketch.query(key), 0) + 1
+        else:
+            key, _ = asketch.top_k(1)[0]
+            amount = 10**6
+        before, mass = asketch.state(), asketch.total_mass
+        with pytest.raises(NegativeCountError):
+            asketch.remove(key, amount)
+        assert asketch.total_mass == mass == 597
+        assert asketch.state().equals(before)

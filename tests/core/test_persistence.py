@@ -138,42 +138,6 @@ class TestASketchRoundtrip:
             save_synopsis(asketch, tmp_path / "x.npz")
 
 
-class TestHierarchicalRoundtrip:
-    def test_state_and_queries_identical(self, stream, tmp_path):
-        from repro.sketches.hierarchical import HierarchicalCountMin
-
-        hierarchy = HierarchicalCountMin(
-            13, total_bytes=128 * 1024, num_hashes=4, seed=9
-        )
-        hierarchy.update_batch(stream.keys % 8192)
-        path = tmp_path / "hier.npz"
-        save_synopsis(hierarchy, path)
-        restored = load_synopsis(path, expect_kind="hierarchical-count-min")
-        assert restored.domain_bits == hierarchy.domain_bits
-        assert restored.total == hierarchy.total
-        for low, high in [(0, 8191), (100, 200), (4000, 8000)]:
-            assert restored.range_count(low, high) == (
-                hierarchy.range_count(low, high)
-            )
-        assert restored.top_k(10) == hierarchy.top_k(10)
-
-    def test_continues_identically(self, stream, tmp_path):
-        from repro.sketches.hierarchical import HierarchicalCountMin
-
-        hierarchy = HierarchicalCountMin(
-            10, total_bytes=64 * 1024, num_hashes=4, seed=10
-        )
-        keys = stream.keys % 1024
-        hierarchy.update_batch(keys[:10_000])
-        path = tmp_path / "hier.npz"
-        save_synopsis(hierarchy, path)
-        restored = load_synopsis(path, expect_kind="hierarchical-count-min")
-        hierarchy.update_batch(keys[10_000:20_000])
-        restored.update_batch(keys[10_000:20_000])
-        for key in range(0, 1024, 31):
-            assert restored.estimate(key) == hierarchy.estimate(key)
-
-
 def _write_archive(path, metadata: dict, **arrays) -> None:
     """Forge a raw archive to exercise the loader's error paths."""
     blob = np.frombuffer(json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
@@ -233,6 +197,21 @@ class TestErrorHandling:
         _write_archive(
             path,
             {"version": 2, "kind": "bloom-filter", "params": {}, "extra": {}},
+        )
+        with pytest.raises(StreamFormatError, match="unknown synopsis kind"):
+            load_synopsis(path)
+
+    def test_unknown_back_stage_kind(self, tmp_path):
+        """An ASketch archive whose back stage names a kind that is not
+        registered fails typed, as an unknown top-level kind does."""
+        path = tmp_path / "old.npz"
+        state = ASketch(total_bytes=4 * 1024, filter_items=4).state()
+        _write_archive(
+            path,
+            {"version": 2, "kind": "asketch", "params": state.params,
+             "extra": {**state.extra,
+                       "sketch": {**state.extra["sketch"], "kind": "salsa-cm"}}},
+            **{f"array.{name}": array for name, array in state.arrays.items()},
         )
         with pytest.raises(StreamFormatError, match="unknown synopsis kind"):
             load_synopsis(path)

@@ -40,8 +40,6 @@ class TestExamples:
             "nlp_cooccurrence",
             "parallel_pipeline",
             "quickstart",
-            "range_analytics",
-            "sliding_window_monitor",
         ]
 
     @pytest.mark.parametrize("name", ALL_EXAMPLES)

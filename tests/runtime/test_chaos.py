@@ -20,7 +20,6 @@ by ``os._exit`` mid-handoff — or when the parent itself is killed.
 from __future__ import annotations
 
 import contextlib
-import glob
 import json
 import multiprocessing as mp
 import os
@@ -52,11 +51,11 @@ def stream():
 
 
 @pytest.fixture(autouse=True)
-def no_leaks():
-    """Leaked-process and shm-segment check after every scenario."""
-    before = set(glob.glob("/dev/shm/psm_*"))
+def no_leaks(leaked_rings):
+    """Leaked-process and shm-segment check after every scenario: no
+    ring the scenario created survives it."""
     yield
-    assert set(glob.glob("/dev/shm/psm_*")) <= before, "leaked /dev/shm"
+    assert leaked_rings() == [], "leaked /dev/shm"
     assert mp.active_children() == [], "leaked worker processes"
 
 

@@ -9,7 +9,6 @@ when exercised across actual process boundaries.
 from __future__ import annotations
 
 import errno
-import glob
 import json
 import os
 import pickle
@@ -79,10 +78,6 @@ def quarantining_group(chunks, shards):
     return group
 
 
-def leaked_segments() -> list[str]:
-    return glob.glob("/dev/shm/psm_*")
-
-
 class TestChunkRing:
     def test_put_get_roundtrip(self):
         ring = ChunkRing(slots=4, slot_capacity=16)
@@ -149,20 +144,21 @@ class TestChunkRing:
         with pytest.raises(ConfigurationError):
             ChunkRing(slot_capacity=0)
 
-    def test_full_shm_is_a_typed_error_not_sigbus(self, monkeypatch):
+    def test_full_shm_is_a_typed_error_not_sigbus(
+        self, monkeypatch, leaked_rings
+    ):
         # A full /dev/shm fails the page reservation at creation; the
         # segment must not outlive the error.
         def no_space(fd, offset, length):
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(os, "posix_fallocate", no_space, raising=False)
-        before = set(leaked_segments())
         with pytest.raises(ConfigurationError) as raised:
             ChunkRing(slots=3, slot_capacity=100)
         message = str(raised.value)
         assert str(8 * (4 + 3 + 3 * 100)) in message
         assert "slots=3" in message and "slot_capacity=100" in message
-        assert set(leaked_segments()) <= before
+        assert leaked_rings() == []
 
 
 class TestConfigValidation:
@@ -506,10 +502,9 @@ class TestCheckpointing:
 
 
 class TestResourceHygiene:
-    def test_no_leaked_processes_or_shm(self, stream):
+    def test_no_leaked_processes_or_shm(self, stream, leaked_rings):
         import multiprocessing as mp
 
-        before = set(leaked_segments())
         runtime = ParallelIngestRuntime(
             2,
             shards=2,
@@ -518,10 +513,12 @@ class TestResourceHygiene:
             **GROUP_PARAMS,
         )
         runtime.run(chunks_of(stream))
-        assert set(leaked_segments()) <= before
+        assert leaked_rings() == []
         assert mp.active_children() == []
 
-    def test_failed_worker_start_cleans_up(self, stream, monkeypatch):
+    def test_failed_worker_start_cleans_up(
+        self, stream, monkeypatch, leaked_rings
+    ):
         # If the Nth process fails to start, the rings and workers
         # already launched (and the ring created for the failed start)
         # must all be swept — nothing may leak.
@@ -538,26 +535,24 @@ class TestResourceHygiene:
             return original(self)
 
         monkeypatch.setattr(mp_context.ForkProcess, "start", flaky_start)
-        before = set(leaked_segments())
         runtime = ParallelIngestRuntime(2, shards=2, **GROUP_PARAMS)
         with pytest.raises(OSError, match="injected spawn failure"):
             runtime.run(chunks_of(stream))
-        assert set(leaked_segments()) <= before
+        assert leaked_rings() == []
         assert mp.active_children() == []
 
-    def test_shutdown_even_when_source_raises(self, stream):
+    def test_shutdown_even_when_source_raises(self, stream, leaked_rings):
         runtime = ParallelIngestRuntime(2, shards=2, **GROUP_PARAMS)
 
         def exploding():
             yield chunks_of(stream)[0]
             raise RuntimeError("source failed")
 
-        before = set(leaked_segments())
         with pytest.raises(RuntimeError, match="source failed"):
             runtime.run(exploding())
         import multiprocessing as mp
 
-        assert set(leaked_segments()) <= before
+        assert leaked_rings() == []
         assert mp.active_children() == []
 
 

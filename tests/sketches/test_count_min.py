@@ -114,6 +114,32 @@ class TestWeightedAndNegative:
         with pytest.raises(NegativeCountError):
             sketch.update(5, -3)
 
+    @pytest.mark.parametrize("conservative", [False, True])
+    @pytest.mark.parametrize("call", ["update", "update_batch",
+                                      "update_batch_weighted"])
+    def test_refused_negative_update_writes_no_cell(self, call, conservative):
+        """A deletion that would drive one cell below zero leaves every
+        cell as it was, including the cells it shares with other keys."""
+        sketch = CountMinSketch(num_hashes=4, row_width=8, seed=3,
+                                conservative=conservative)
+        sketch.update(64, 1)
+        shared = sketch.hash_columns(64)
+        other = next(
+            key for key in range(65, 10_000)
+            if 0 < sum(a == b for a, b in
+                       zip(sketch.hash_columns(key), shared)) < 4
+        )
+        before = sketch.table.copy()
+        keys = np.array([64, other], dtype=np.int64)
+        with pytest.raises(NegativeCountError):
+            if call == "update":
+                sketch.update(other, -1)
+            elif call == "update_batch":
+                sketch.update_batch(keys, -1)
+            else:
+                sketch.update_batch_weighted(keys, np.array([-1, -1]))
+        np.testing.assert_array_equal(sketch.table, before)
+
     def test_total_count_tracks_mass(self, uniform_keys):
         sketch = CountMinSketch(num_hashes=4, row_width=512)
         sketch.update_batch(uniform_keys)

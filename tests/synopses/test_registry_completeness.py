@@ -35,22 +35,10 @@ DEFAULT_PARAMS: dict[str, dict] = {
     "count-min": {"num_hashes": 4, "row_width": 256, "seed": 3},
     "count-sketch": {"num_hashes": 5, "row_width": 256, "seed": 3},
     "fcm": {"num_hashes": 4, "row_width": 128, "mg_capacity": 16, "seed": 3},
-    "hierarchical-count-min": {
-        "domain_bits": 13, "total_bytes": 32 * 1024, "num_hashes": 4,
-        "seed": 3,
-    },
     "holistic-udaf": {"table_items": 16, "total_bytes": 16 * 1024, "seed": 3},
-    "sf-sketch": {
-        "num_hashes": 4, "total_bytes": 8 * 1024, "fat_ratio": 4, "seed": 3,
-    },
-    "salsa-cm": {"num_hashes": 4, "total_bytes": 8 * 1024, "seed": 3},
     "space-saving": {"capacity": 24},
     "misra-gries": {"capacity": 24},
     "asketch": {"total_bytes": 16 * 1024, "filter_items": 8, "seed": 3},
-    "sliding-window-asketch": {
-        "window_size": 4096, "total_bytes": 8 * 1024, "filter_items": 8,
-        "seed": 3,
-    },
     "sharded-asketch": {
         "shards": 2, "total_bytes": 8 * 1024, "filter_items": 8, "seed": 3,
     },
@@ -110,9 +98,9 @@ class TestEveryRegisteredKind:
         try:
             a.merge(b)
         except ReproError:
-            # A typed refusal is a valid contract (sliding windows,
-            # geometry mismatches) — a bare TypeError/AttributeError
-            # is not, and would escape this except clause.
+            # A typed refusal is a valid contract (geometry
+            # mismatches) — a bare TypeError/AttributeError is not,
+            # and would escape this except clause.
             return
         keys, counts = np.unique(STREAM.keys, return_counts=True)
         if kind in NOT_ONE_SIDED:

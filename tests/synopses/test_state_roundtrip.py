@@ -31,32 +31,14 @@ SPECS = [
         {"num_hashes": 8, "row_width": 128, "mg_capacity": 16, "seed": 7},
     ),
     SynopsisSpec(
-        "hierarchical-count-min",
-        {"domain_bits": 13, "total_bytes": 64 * 1024, "num_hashes": 4,
-         "seed": 7},
-    ),
-    SynopsisSpec(
         "holistic-udaf",
         {"table_items": 16, "total_bytes": 16 * 1024, "seed": 7},
     ),
     SynopsisSpec("space-saving", {"capacity": 24, "estimate_mode": "min"}),
     SynopsisSpec("misra-gries", {"capacity": 24}),
     SynopsisSpec(
-        "sf-sketch",
-        {"num_hashes": 4, "total_bytes": 8 * 1024, "fat_ratio": 4, "seed": 7},
-    ),
-    SynopsisSpec(
-        "salsa-cm",
-        {"num_hashes": 4, "total_bytes": 8 * 1024, "seed": 7},
-    ),
-    SynopsisSpec(
         "asketch",
         {"total_bytes": 16 * 1024, "filter_items": 8, "seed": 7},
-    ),
-    SynopsisSpec(
-        "sliding-window-asketch",
-        {"window_size": 4096, "total_bytes": 8 * 1024, "filter_items": 8,
-         "seed": 7},
     ),
     SynopsisSpec(
         "sharded-asketch",

@@ -9,7 +9,7 @@ leaves such a name behind fails here, in one of three families:
 * ``Class.member`` names whose class is defined in ``repro``
   (``ShardedASketch.install_shard``) resolve on that class, its
   dataclass fields, or an attribute its source assigns to ``self``;
-* repository paths (``runtime/adaptive.py``, ``tests/kernels/``)
+* repository paths (``runtime/parallel.py``, ``tests/kernels/``)
   resolve against the repository root, ``src/`` or ``src/repro/``.
   ``<id>`` templates are skipped.
 """
