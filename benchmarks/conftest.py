@@ -42,19 +42,3 @@ def persist(results_dir):
         return result
 
     return _write
-
-
-@pytest.fixture()
-def persist_text(results_dir):
-    """Write free-form bench lines to benchmarks/results/<id>.txt.
-
-    For benches whose output is a handful of measured numbers (e.g. the
-    real-vs-model parallel speedups) rather than a full experiment
-    table.
-    """
-
-    def _write(bench_id: str, lines: list[str]) -> None:
-        path = results_dir / f"{bench_id}.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    return _write

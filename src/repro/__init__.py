@@ -43,7 +43,6 @@ from repro.counters import (
 )
 from repro.hardware import (
     CostModel,
-    EventDrivenPipeline,
     OpCounters,
     PipelineSimulator,
     SpmdModel,
@@ -60,13 +59,9 @@ from repro.runtime import (
     ShardedASketch,
     ShardSupervisor,
     StreamEngine,
-    ThresholdAlert,
-    TopKBoard,
-    parallel_ingest,
 )
 from repro.obs import (
     MetricsRegistry,
-    MetricsServer,
     current_registry,
     install_registry,
     install_tracer,
@@ -111,7 +106,6 @@ __all__ = [
     "CostModel",
     "CountMinSketch",
     "CountSketch",
-    "EventDrivenPipeline",
     "ExactCounter",
     "ExchangePolicy",
     "FaultPlan",
@@ -119,7 +113,6 @@ __all__ = [
     "HolisticUDAF",
     "KernelGroup",
     "MetricsRegistry",
-    "MetricsServer",
     "MisraGries",
     "OpCounters",
     "ParallelIngestRuntime",
@@ -141,8 +134,6 @@ __all__ = [
     "Synopsis",
     "SynopsisSpec",
     "SynopsisState",
-    "ThresholdAlert",
-    "TopKBoard",
     "VectorFilter",
     "__version__",
     "active_backend",
@@ -154,7 +145,6 @@ __all__ = [
     "kosarak_stream",
     "load_synopsis",
     "make_filter",
-    "parallel_ingest",
     "register_synopsis",
     "registered_kinds",
     "render_prometheus",

@@ -12,7 +12,6 @@ Usage::
     repro-asketch resume ckpts --top-k 10
     repro-asketch checkpoint asketch.npz --method asketch --skew 1.5
     repro-asketch restore asketch.npz --top-k 10
-    repro-asketch serve-metrics --port 9100 --scale 0.5
     repro-asketch health --checkpoint-dir ckpts
 
 With ``--checkpoint-dir``, ``run`` switches from the experiment harness
@@ -36,17 +35,15 @@ PATH`` (write a schema-checked JSON metrics snapshot after the run,
 also embedded into ``run-manifest.json`` for checkpointed ingests) and
 ``--trace-jsonl PATH`` (structured span/point trace).  The positional
 ``zipf`` / ``uniform`` selects a plain streaming ingest of that stream
-through the default ASketch.  ``serve-metrics`` runs an ingest with a
-stdlib HTTP scrape endpoint at ``/metrics`` (Prometheus text) and
-``/metrics.json``; ``health --checkpoint-dir DIR`` inspects the newest
-checkpoint and exits ``0`` (healthy), ``1`` (degraded — chunks sit in
-a dead-letter queue — or unreadable) or ``2`` (usage error / no
-checkpoints).  Parallel runs journal their failure counters (stalls,
-source chunks the fleet parent quarantined, snapshot rejects) into
-every checkpoint, and ``health`` surfaces them under ``fleet``;
+through the default ASketch.  ``health --checkpoint-dir DIR`` inspects
+the newest checkpoint and exits ``0`` (healthy), ``1`` (degraded —
+chunks sit in a dead-letter queue — or unreadable) or ``2`` (usage
+error / no checkpoints).  Parallel runs journal their failure counters
+(stalls, source chunks the fleet parent quarantined, snapshot rejects)
+into every checkpoint, and ``health`` surfaces them under ``fleet``;
 ``run --workers N`` itself exits non-zero when the fleet finishes
-degraded.  A failed worker is always
-recovered exactly: the parent takes its shards over.
+degraded.  A failed worker is always recovered exactly: the parent
+takes its shards over.
 """
 
 from __future__ import annotations
@@ -184,52 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "write structured trace events (ingest/exchange/checkpoint "
             "spans) as JSON lines"
-        ),
-    )
-
-    serve_parser = subparsers.add_parser(
-        "serve-metrics",
-        help=(
-            "ingest a stream with a live Prometheus/JSON metrics "
-            "endpoint at /metrics"
-        ),
-    )
-    serve_parser.add_argument(
-        "--method",
-        default="asketch",
-        help="synopsis method to ingest into (default asketch)",
-    )
-    serve_parser.add_argument(
-        "--stream",
-        default="zipf",
-        choices=["zipf", "uniform"],
-        help="stream generator (default zipf)",
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="listen port (default 0 = ephemeral, printed on start)",
-    )
-    serve_parser.add_argument("--scale", type=float, default=1.0)
-    serve_parser.add_argument("--seed", type=int, default=0)
-    serve_parser.add_argument("--skew", type=float, default=1.5)
-    serve_parser.add_argument("--synopsis-kb", type=int, default=128)
-    serve_parser.add_argument("--filter-items", type=int, default=32)
-    serve_parser.add_argument(
-        "--filter-kind",
-        default="relaxed-heap",
-        choices=["vector", "strict-heap", "relaxed-heap", "stream-summary"],
-    )
-    serve_parser.add_argument("--chunk-size", type=int, default=10_000)
-    serve_parser.add_argument(
-        "--linger",
-        type=float,
-        default=0.0,
-        help=(
-            "seconds to keep serving after the stream ends "
-            "(default 0; use a large value for scrape-and-watch runs)"
         ),
     )
 
@@ -611,50 +562,6 @@ def _run_parallel(args: argparse.Namespace) -> int:
     return 0 if fleet["status"] == "ok" else 1
 
 
-def _run_serve_metrics(args: argparse.Namespace) -> int:
-    from repro.obs import MetricsServer, install_registry, uninstall_registry
-    from repro.runtime.reliability import ResilientEngine
-    from repro.streams.uniform import uniform_stream
-    from repro.streams.zipf import zipf_stream
-    from repro.synopses.spec import build_synopsis
-
-    config = ExperimentConfig(
-        scale=args.scale,
-        seed=args.seed,
-        synopsis_bytes=args.synopsis_kb * 1024,
-        filter_items=args.filter_items,
-        filter_kind=args.filter_kind,
-    )
-    spec = config.spec_for(args.method, seed=args.seed)
-    synopsis = build_synopsis(spec)
-    if args.stream == "uniform":
-        stream = uniform_stream(
-            config.stream_size, config.distinct, seed=args.seed
-        )
-    else:
-        stream = zipf_stream(
-            config.stream_size, config.distinct, args.skew, seed=args.seed
-        )
-    registry = install_registry()
-    try:
-        with MetricsServer(registry, host=args.host, port=args.port) as server:
-            print(
-                f"serving metrics at {server.url} "
-                "(JSON at /metrics.json); Ctrl-C to stop"
-            )
-            engine = ResilientEngine(synopsis)
-            stats = engine.run(stream.chunks(args.chunk_size))
-            _print_ingest_summary(engine, stats)
-            if args.linger > 0:
-                try:
-                    time.sleep(args.linger)
-                except KeyboardInterrupt:
-                    pass
-    finally:
-        uninstall_registry()
-    return 0
-
-
 def _run_health(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
@@ -822,13 +729,6 @@ def main(argv: list[str] | None = None) -> int:
             return _run_restore(args)
         except ReproError as exc:
             print(f"error during {args.command}: {exc}", file=sys.stderr)
-            return 1
-
-    if args.command == "serve-metrics":
-        try:
-            return _run_serve_metrics(args)
-        except ReproError as exc:
-            print(f"error during serve-metrics: {exc}", file=sys.stderr)
             return 1
 
     if args.command == "health":

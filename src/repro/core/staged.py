@@ -38,7 +38,7 @@ from repro.errors import (
     StreamFormatError,
 )
 from repro.hardware.costs import OpCounters
-from repro.hashing.families import int64_keys
+from repro.hashing.families import count_dtype_problem, int64_keys
 from repro.kernels import active_backend
 from repro.obs.registry import MetricsRegistry, current_registry
 from repro.obs.trace import current_tracer, trace_point
@@ -209,8 +209,6 @@ class StagedSynopsis:
         self.overflow_mass = 0
         #: Number of tuples forwarded to the sketch (pipeline messaging).
         self.miss_events = 0
-        #: Optional per-item hit/miss trace (see :meth:`record_misses`).
-        self._miss_log: list[bool] | None = None
 
     # -- introspection ----------------------------------------------------
 
@@ -291,10 +289,7 @@ class StagedSynopsis:
         self.ops.items += 1
         self.total_mass += amount
         filter_ = self._filter
-        miss_log = self._miss_log
         if filter_.add_if_present(key, amount):  # lines 2-3
-            if miss_log is not None:
-                miss_log.append(False)
             return None
         if not filter_.is_full:  # lines 4-6
             if self.overflow_mass:
@@ -307,14 +302,10 @@ class StagedSynopsis:
                 filter_.insert(key, prior + amount, prior)
             else:
                 filter_.insert(key, amount, 0)
-            if miss_log is not None:
-                miss_log.append(False)
             return None
         # Lines 7-17: overflow to the sketch, then the exchange policy
         # (the paper's: at most one exchange; more under the cascading
         # ablation).
-        if miss_log is not None:
-            miss_log.append(True)
         self.miss_events += 1
         self.overflow_mass += amount
         estimate = self._sketch.update(key, amount)
@@ -484,14 +475,6 @@ class StagedSynopsis:
 
         # Every occurrence of an overflowing key is a miss event.
         self.miss_events += int(occurrences[order[sketch_positions]].sum())
-        if self._miss_log is not None:
-            # Per-tuple trace: flag the overflowing runs, then send each
-            # tuple its run's flag through the sort permutation.
-            overflowed = np.zeros(starts.shape[0], dtype=bool)
-            overflowed[order[sketch_positions]] = True
-            per_tuple_miss = np.empty(n_items, dtype=bool)
-            per_tuple_miss[perm] = np.repeat(overflowed, occurrences)
-            self._miss_log.extend(per_tuple_miss.tolist())
         if sketch_positions.shape[0] == 0:
             return
 
@@ -519,24 +502,6 @@ class StagedSynopsis:
             self._run_exchanges(
                 int(sketch_keys[position]), int(estimates[position])
             )
-
-    def record_misses(self, enabled: bool = True) -> None:
-        """Toggle the per-item hit/miss trace.
-
-        When enabled, every processed tuple appends True (overflowed to
-        the sketch) or False (absorbed by the filter) to the trace —
-        the per-item schedule the event-driven pipeline simulator
-        replays (:mod:`repro.hardware.event_pipeline`).
-        """
-        self._miss_log = [] if enabled else None
-
-    def miss_trace(self) -> np.ndarray:
-        """The recorded hit/miss trace as a boolean array."""
-        if self._miss_log is None:
-            raise ConfigurationError(
-                "call record_misses() before processing the stream"
-            )
-        return np.array(self._miss_log, dtype=bool)
 
     # -- Algorithm 2: query processing ----------------------------------
 
@@ -642,7 +607,6 @@ class StagedSynopsis:
         self.overflow_mass = other.overflow_mass
         self.miss_events = other.miss_events
         self.ops = other.ops
-        self._miss_log = other._miss_log
 
     def merge(self, other: "StagedSynopsis") -> None:
         """Absorb another staged synopsis over the same sketch geometry.
@@ -924,18 +888,18 @@ def _int64_key(key) -> int:
 
 def _count_vector(keys: np.ndarray, counts) -> np.ndarray | None:
     """``counts`` for the key vector ``keys`` as an int64 array (None
-    stays None, meaning all-ones), else a typed error: counts of a
-    non-integer dtype (a cast would truncate floats and parse strings)
+    stays None, meaning all-ones), else a typed error: counts that break
+    :func:`~repro.hashing.families.count_dtype_problem`'s rule (a cast
+    would truncate floats, parse strings or wrap large uint64 values)
     or of a shape that is not ``keys``' raise
     :class:`ConfigurationError`, a negative count
     :class:`NegativeCountError` (deletions go through ``remove()``)."""
     if counts is None:
         return None
     counts = np.asarray(counts)
-    if counts.size and not np.issubdtype(counts.dtype, np.integer):
-        raise ConfigurationError(
-            f"counts must be integers, got dtype {counts.dtype}"
-        )
+    problem = count_dtype_problem(counts)
+    if problem is not None:
+        raise ConfigurationError(problem)
     counts = counts.astype(np.int64, copy=False)
     if counts.shape != keys.shape:
         raise ConfigurationError(

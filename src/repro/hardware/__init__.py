@@ -24,7 +24,6 @@ suite; the experiments report both.
 
 from repro.hardware.cache import CacheStats, SetAssociativeCache, simulate_sketch_hit_ratios
 from repro.hardware.costs import CacheLevel, CostModel, OpCounters
-from repro.hardware.event_pipeline import EventDrivenPipeline, EventPipelineResult
 from repro.hardware.pipeline import PipelineResult, PipelineSimulator
 from repro.hardware.spmd import SpmdModel, SpmdResult
 
@@ -32,8 +31,6 @@ __all__ = [
     "CacheLevel",
     "CacheStats",
     "CostModel",
-    "EventDrivenPipeline",
-    "EventPipelineResult",
     "OpCounters",
     "PipelineResult",
     "PipelineSimulator",

@@ -70,6 +70,29 @@ def key_dtype_problem(array: np.ndarray) -> str | None:
     return None
 
 
+def count_dtype_problem(array: np.ndarray) -> str | None:
+    """Why ``array`` cannot be read as int64 counts without mangling one,
+    or None when it can.
+
+    The one count rule of every ingest path, the key rule applied to
+    counts: integer dtypes only, and no uint64 count above
+    ``INT64_MAX`` (a cast would wrap it negative); the message names
+    the offending value.  Like keys, an array with no elements passes
+    whatever its dtype.  Negative counts are the callers' own check,
+    since each raises its own error type for them.
+    """
+    if array.size == 0:
+        return None
+    dtype = array.dtype
+    if dtype == object or not np.issubdtype(dtype, np.integer):
+        return f"counts must be integers, got dtype {dtype}"
+    if dtype == np.uint64:
+        top = int(array.max())
+        if top > _INT64_MAX:
+            return f"counts must be integers in the int64 range, got {top}"
+    return None
+
+
 def int64_keys(keys) -> np.ndarray:
     """``keys`` (an array or any iterable of keys) as an int64 array,
     else :class:`ConfigurationError` for keys that break

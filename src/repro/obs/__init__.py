@@ -14,10 +14,9 @@ ingestion runtime around them — observable *live* instead of post-hoc:
   installed they cost one ``None`` check per chunk/stream call, and
   estimates are bit-identical either way.
 * :mod:`repro.obs.exposition` — Prometheus text format
-  (:func:`render_prometheus`), JSON snapshots
+  (:func:`render_prometheus`) and JSON snapshots
   (:func:`snapshot_metrics` / :func:`write_metrics_json`, schema
-  checked by :func:`validate_metrics_json`), and a stdlib-only HTTP
-  scrape endpoint (:class:`MetricsServer`).
+  checked by :func:`validate_metrics_json`).
 * :mod:`repro.obs.trace` — span-style structured events
   (enter/exit for ingest, checkpoint, recovery; points for exchanges)
   through a pluggable sink (:func:`install_tracer`), with a JSONL
@@ -38,7 +37,6 @@ See DESIGN.md §10 for the metric-to-paper-quantity mapping.
 
 from repro.obs.exposition import (
     METRICS_SCHEMA,
-    MetricsServer,
     render_prometheus,
     snapshot_metrics,
     validate_metrics_json,
@@ -74,7 +72,6 @@ __all__ = [
     "JsonlTraceWriter",
     "METRICS_SCHEMA",
     "MetricsRegistry",
-    "MetricsServer",
     "RecordingTraceSink",
     "TraceEvent",
     "TraceSink",

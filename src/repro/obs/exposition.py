@@ -1,25 +1,20 @@
-"""Metric exposition: Prometheus text format, JSON snapshots, HTTP.
+"""Metric exposition: Prometheus text format and JSON snapshots.
 
-Three read paths over a :class:`~repro.obs.registry.MetricsRegistry`:
+Two read paths over a :class:`~repro.obs.registry.MetricsRegistry`:
 
 * :func:`render_prometheus` — the Prometheus text exposition format
   (version 0.0.4), the contract every scraper understands;
 * :func:`snapshot_metrics` / :func:`write_metrics_json` — a JSON-safe
   snapshot (schema ``repro-metrics/v1``, checked by
   :func:`validate_metrics_json`), what ``repro-asketch run
-  --metrics-json`` writes and what checkpoint run manifests embed;
-* :class:`MetricsServer` — a stdlib-only HTTP endpoint serving both
-  (``GET /metrics`` text, ``GET /metrics.json``), behind
-  ``repro-asketch serve-metrics``.
+  --metrics-json`` writes and what checkpoint run manifests embed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
@@ -36,7 +31,6 @@ __all__ = [
     "snapshot_metrics",
     "write_metrics_json",
     "validate_metrics_json",
-    "MetricsServer",
 ]
 
 #: Schema identifier stamped into every JSON snapshot.
@@ -270,109 +264,3 @@ def validate_metrics_json(document: Any) -> list[str]:
     check_series("histograms", histogram=True)
     return problems
 
-
-class _MetricsHandler(BaseHTTPRequestHandler):
-    """Request handler serving the owning :class:`MetricsServer`."""
-
-    server: "_MetricsHTTPServer"
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        """Serve /metrics (text format) and /metrics.json."""
-        registry = self.server.registry
-        if self.path.split("?", 1)[0] in ("/", "/metrics"):
-            body = render_prometheus(registry).encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        elif self.path.split("?", 1)[0] == "/metrics.json":
-            body = (
-                json.dumps(snapshot_metrics(registry), sort_keys=True) + "\n"
-            ).encode("utf-8")
-            content_type = "application/json"
-        else:
-            self.send_error(404, "try /metrics or /metrics.json")
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Silence per-request stderr logging (scrapes are periodic)."""
-
-
-class _MetricsHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the registry for its handlers."""
-
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int],
-                 registry: MetricsRegistry) -> None:
-        super().__init__(address, _MetricsHandler)
-        self.registry = registry
-
-
-class MetricsServer:
-    """A stdlib-only HTTP scrape endpoint over a registry.
-
-    Serves ``GET /metrics`` (Prometheus text) and ``GET /metrics.json``
-    (the JSON snapshot) from a daemon thread.  ``port=0`` binds an
-    ephemeral port, read back from :attr:`port` after :meth:`start` —
-    the pattern the tests and ``repro-asketch serve-metrics`` use.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.registry = _require_registry(registry)
-        self._host = host
-        self._requested_port = port
-        self._server: _MetricsHTTPServer | None = None
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        """The bound port (valid after :meth:`start`)."""
-        if self._server is None:
-            raise RuntimeError("server not started")
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """The scrape URL (valid after :meth:`start`)."""
-        return f"http://{self._host}:{self.port}/metrics"
-
-    def start(self) -> "MetricsServer":
-        """Bind and start serving from a daemon thread; returns self."""
-        if self._server is not None:
-            raise RuntimeError("server already started")
-        self._server = _MetricsHTTPServer(
-            (self._host, self._requested_port), self.registry
-        )
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-metrics-server",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Shut the server down and join its thread (idempotent)."""
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "MetricsServer":
-        """Context-manager entry: starts the server."""
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        """Context-manager exit: stops the server."""
-        self.stop()

@@ -1,16 +1,11 @@
 """A small streaming runtime around the synopses.
 
 The paper's systems context is continuous ingestion: tuples arrive in
-batches from a source, a summary absorbs them, and consumers read
-periodic snapshots (top-k boards, threshold alerts).  This package
-provides that operational shell:
+batches from a source and a summary absorbs them; a caller queries the
+summary between runs.  This package provides that operational shell:
 
 * :class:`~repro.runtime.engine.StreamEngine` — drives any synopsis from
-  a chunk iterator, metering throughput and firing registered callbacks
-  (every N tuples) with consistent snapshots;
-* :class:`~repro.runtime.engine.TopKBoard` and
-  :class:`~repro.runtime.engine.ThresholdAlert` — the two consumer types
-  the paper's applications (§1) describe;
+  a chunk iterator, validating each chunk and metering throughput;
 * :class:`~repro.runtime.sharding.ShardedASketch` — hash-partitioned
   ingestion across several ASketch shards (each key owned by exactly one
   shard, so queries need no merging), the standard scale-out layout for
@@ -35,14 +30,11 @@ provides that operational shell:
 from repro.runtime.engine import (
     EngineStats,
     StreamEngine,
-    ThresholdAlert,
-    TopKBoard,
     coerce_chunk,
 )
 from repro.runtime.parallel import (
     ChunkRing,
     ParallelIngestRuntime,
-    parallel_ingest,
 )
 from repro.runtime.reliability import (
     CheckpointStore,
@@ -75,9 +67,6 @@ __all__ = [
     "ShardedASketch",
     "SimulatedCrash",
     "StreamEngine",
-    "ThresholdAlert",
-    "TopKBoard",
     "coerce_chunk",
     "corrupt_file",
-    "parallel_ingest",
 ]

@@ -1,4 +1,4 @@
-"""The ingest loop, with periodic consumers over a synopsis.
+"""The ingest loop over a synopsis.
 
 :class:`StreamEngine` is the repository's one per-chunk ingest loop —
 Algorithm 1 pushed over a chunked source.  It is synopsis-agnostic:
@@ -6,9 +6,9 @@ anything with ``process_stream`` works (ASketch, plain sketches, Space
 Saving, a sharded group).  Synopses that also expose a vectorised
 ``process_batch`` (ASketch, ShardedASketch) are driven through it by
 default — each chunk becomes one batched ingest call instead of a
-per-item Python loop.  Consumers are callbacks fired every ``period``
-ingested tuples — the "continuous query" pattern of the paper's
-application scenarios.
+per-item Python loop.  A caller that wants continuous answers (the
+paper's top-k boards and threshold alerts) queries the synopsis between
+:meth:`StreamEngine.run` calls.
 
 The other drivers are this loop with their own source layers, sink,
 quarantine and :class:`Checkpointing` step:
@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable, Protocol
 import numpy as np
 
 from repro.errors import ConfigurationError, PoisonChunkError
-from repro.hashing.families import key_dtype_problem
+from repro.hashing.families import count_dtype_problem, key_dtype_problem
 from repro.obs.registry import current_registry
 from repro.obs.trace import current_tracer, trace_span
 
@@ -44,9 +44,10 @@ def coerce_chunk(
     :func:`~repro.hashing.families.key_dtype_problem` refuses (float keys,
     object/string dtypes, boolean payloads, uint64 keys above
     ``INT64_MAX``) and non-1-D shapes.  When per-key ``counts``
-    accompany the chunk they must be integral and non-negative —
-    negative counts belong to the strict-turnstile *deletion* API, not
-    bulk ingest.
+    accompany the chunk they must pass
+    :func:`~repro.hashing.families.count_dtype_problem` and be
+    non-negative — negative counts belong to the strict-turnstile
+    *deletion* API, not bulk ingest.
 
     Raises :class:`~repro.errors.PoisonChunkError` carrying
     ``chunk_index`` so callers can quarantine the exact offender.
@@ -62,11 +63,9 @@ def coerce_chunk(
         )
     if counts is not None:
         counts = np.asarray(counts)
-        if counts.dtype == object or not np.issubdtype(counts.dtype, np.integer):
-            raise PoisonChunkError(
-                f"counts dtype {counts.dtype} is not an integer type",
-                chunk_index=chunk_index,
-            )
+        problem = count_dtype_problem(counts)
+        if problem is not None:
+            raise PoisonChunkError(problem, chunk_index=chunk_index)
         if counts.ndim != 1 or counts.shape[0] != array.shape[0]:
             raise PoisonChunkError(
                 f"counts shape {counts.shape} does not match "
@@ -97,38 +96,19 @@ class SupportsBatchIngest(Protocol):
 
 @dataclass
 class EngineStats:
-    """Running ingestion statistics.
-
-    ``wall_seconds`` clocks synopsis ingest calls only;
-    ``consumer_seconds`` separately clocks time spent inside consumer
-    callbacks, so slow consumers no longer hide inside an unmetered gap.
-    """
+    """Running ingestion statistics; ``wall_seconds`` clocks synopsis
+    ingest calls only."""
 
     tuples_ingested: int = 0
     chunks_ingested: int = 0
     wall_seconds: float = 0.0
-    consumer_seconds: float = 0.0
-    consumer_firings: int = 0
 
     @property
     def wall_throughput_items_per_ms(self) -> float:
-        """Ingest throughput in items/ms over **ingest-only** wall time.
-
-        Consumer callback time (``consumer_seconds``) is excluded — this
-        measures how fast the synopsis absorbs tuples, not how fast the
-        whole pipeline (ingest + continuous queries) turns around.
-        """
+        """Ingest throughput in items/ms over ingest-only wall time."""
         if self.wall_seconds <= 0:
             return 0.0
         return self.tuples_ingested / self.wall_seconds / 1000.0
-
-
-@dataclass
-class _Consumer:
-    name: str
-    period: int
-    callback: Callable[[int], None]
-    next_due: int
 
 
 @dataclass
@@ -158,7 +138,7 @@ class Checkpointing:
 
 
 class StreamEngine:
-    """Drive a synopsis from a chunked source with periodic consumers.
+    """Drive a synopsis from a chunked source.
 
     Parameters
     ----------
@@ -196,7 +176,6 @@ class StreamEngine:
             else getattr(synopsis, "process_stream")
         )
         self.stats = EngineStats()
-        self._consumers: list[_Consumer] = []
         #: Source chunks handled so far, ingested or quarantined: the
         #: position poison is reported at and checkpoints are keyed to.
         self.position = 0
@@ -208,30 +187,8 @@ class StreamEngine:
         self.quarantine: Callable[[int, Any, str], None] | None = None
         self.checkpointing: Checkpointing | None = None
 
-    def every(
-        self, period: int, callback: Callable[[int], None], name: str = ""
-    ) -> None:
-        """Register ``callback(tuples_so_far)`` to fire every ``period``
-        ingested tuples (aligned to chunk boundaries).
-
-        Firings sit at absolute stream positions: the first is due at
-        the first multiple of ``period`` past the tuples already
-        ingested, so an engine restored to a checkpoint does not repeat
-        firings delivered before it.
-        """
-        if period < 1:
-            raise ConfigurationError(f"period must be >= 1, got {period}")
-        self._consumers.append(
-            _Consumer(
-                name=name or f"consumer-{len(self._consumers)}",
-                period=period,
-                callback=callback,
-                next_due=(self.stats.tuples_ingested // period + 1) * period,
-            )
-        )
-
     def run(self, chunks: Iterable[Any]) -> EngineStats:
-        """Ingest every chunk, firing due consumers between chunks.
+        """Ingest every chunk.
 
         Each chunk is validated through :func:`coerce_chunk` before it
         reaches the synopsis; malformed payloads (float/object dtypes,
@@ -289,74 +246,3 @@ class StreamEngine:
             registry.gauge("engine_items_per_s").set(
                 1000.0 * self.stats.wall_throughput_items_per_ms
             )
-        self._fire_due_consumers()
-
-    def _fire_due_consumers(self) -> None:
-        if not self._consumers:
-            return
-        position = self.stats.tuples_ingested
-        fired_before = self.stats.consumer_firings
-        start = time.perf_counter()
-        for consumer in self._consumers:
-            while consumer.next_due <= position:
-                consumer.callback(position)
-                consumer.next_due += consumer.period
-                self.stats.consumer_firings += 1
-        self.stats.consumer_seconds += time.perf_counter() - start
-        registry = current_registry()
-        if registry is not None:
-            fired = self.stats.consumer_firings - fired_before
-            if fired:
-                registry.counter("engine_consumer_firings_total").inc(fired)
-
-
-class TopKBoard:
-    """A consumer keeping the history of periodic top-k snapshots."""
-
-    def __init__(self, synopsis, k: int) -> None:
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        self._synopsis = synopsis
-        self.k = k
-        #: (tuples_ingested, top-k list) per firing.
-        self.snapshots: list[tuple[int, list[tuple[int, int]]]] = []
-
-    def __call__(self, position: int) -> None:
-        self.snapshots.append((position, self._synopsis.top_k(self.k)))
-
-    @property
-    def latest(self) -> list[tuple[int, int]]:
-        """The most recent snapshot (empty before the first firing)."""
-        if not self.snapshots:
-            return []
-        return self.snapshots[-1][1]
-
-
-class ThresholdAlert:
-    """A consumer raising alerts for keys crossing a frequency threshold.
-
-    Each key alerts at most once (the load-balancer / DDoS pattern:
-    flag, then hand off to a slow path).
-    """
-
-    def __init__(self, synopsis, threshold: int) -> None:
-        if threshold < 1:
-            raise ConfigurationError(
-                f"threshold must be >= 1, got {threshold}"
-            )
-        self._synopsis = synopsis
-        self.threshold = threshold
-        #: (tuples_ingested, key, estimate) per alert, in firing order.
-        self.alerts: list[tuple[int, int, int]] = []
-        self._alerted: set[int] = set()
-
-    def __call__(self, position: int) -> None:
-        for key, estimate in self._synopsis.heavy_hitters(self.threshold):
-            if key not in self._alerted:
-                self._alerted.add(key)
-                self.alerts.append((position, key, estimate))
-
-    @property
-    def alerted_keys(self) -> set[int]:
-        """Keys that have alerted so far (each alerts at most once)."""
-        return set(self._alerted)

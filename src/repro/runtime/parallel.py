@@ -14,8 +14,7 @@ needs — its :class:`ChunkRing` object, the group layout and its fault
 plan — so nothing is pickled and no interpreter boots or re-imports
 ``repro``.  Fork is safe here because the workers
 are single-threaded and no library code runs a Python thread beside a
-fleet (the metrics server's thread serves only ``serve-metrics``,
-which ingests in-process); OpenBLAS, the one native
+fleet; OpenBLAS, the one native
 thread pool numpy brings, re-arms its pool in the child through
 ``pthread_atfork``.  CPython >= 3.12 emits a ``DeprecationWarning``
 when a process with more than one OS thread forks, and OpenBLAS's pool
@@ -129,7 +128,7 @@ from repro.runtime.reliability import (
 from repro.runtime.sharding import ShardedASketch, record_routing
 from repro.synopses.protocol import SynopsisState
 
-__all__ = ["ChunkRing", "ParallelIngestRuntime", "parallel_ingest"]
+__all__ = ["ChunkRing", "ParallelIngestRuntime"]
 
 
 # -- shared-memory chunk ring ------------------------------------------------
@@ -1213,19 +1212,3 @@ class ParallelIngestRuntime:
             return []
         return self.supervisor.shard_health()
 
-
-def parallel_ingest(
-    chunks: Iterable[np.ndarray],
-    workers: int,
-    **params: Any,
-) -> tuple[ShardSupervisor, EngineStats]:
-    """One-shot convenience: run a fleet over ``chunks``, return result.
-
-    ``params`` are :class:`ParallelIngestRuntime` keyword arguments.
-    Returns the combined :class:`ShardSupervisor` (queryable, mergeable,
-    persistable) and the run's :class:`EngineStats`.
-    """
-    runtime = ParallelIngestRuntime(workers, **params)
-    stats = runtime.run(chunks)
-    assert runtime.supervisor is not None
-    return runtime.supervisor, stats

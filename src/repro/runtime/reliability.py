@@ -1,11 +1,10 @@
 """Fault-tolerant ingestion: crash recovery, retries, shard health.
 
-The paper's application scenarios — continuous top-k boards, DDoS
-threshold alerts — only hold up in production if the synopsis survives
-process crashes and bad input without losing or corrupting counts.
-This module puts the reliability layer a long-running collector needs
-around :class:`~repro.runtime.engine.StreamEngine`'s ingest loop — as
-source layers feeding it, its quarantine and its checkpoint step:
+A long-running collector must keep the synopsis through process
+crashes and bad input without losing or corrupting counts.  This
+module puts that reliability layer around
+:class:`~repro.runtime.engine.StreamEngine`'s ingest loop — as source
+layers feeding it, its quarantine and its checkpoint step:
 
 * **Exact crash recovery** — :class:`ResilientEngine` checkpoints the
   synopsis every ``checkpoint_every`` chunks through the PR-2 state
@@ -37,10 +36,8 @@ source layers feeding it, its quarantine and its checkpoint step:
   quarantine counters.  Every recovery path restores
   state exactly or raises a typed error.
 
-Replay semantics: synopsis **state** is exactly-once (the journal pins
-the replay point), while consumer callbacks between the last checkpoint
-and the crash fire again on replay — at-least-once, the standard
-contract for side effects under checkpoint/replay recovery.
+Replay semantics: synopsis state is exactly-once, because the journal
+pins the replay point.
 """
 
 from __future__ import annotations
@@ -816,11 +813,6 @@ class ResilientEngine:
       exactly the un-checkpointed source suffix — the recovered synopsis
       state is identical to an uninterrupted run's;
     * :meth:`health` surfaces the whole picture.
-
-    Consumers registered via :meth:`every` fire at absolute stream
-    positions, so a consumer due at position ``p`` fires in the resumed
-    run iff it had not already fired before the restored checkpoint
-    (callbacks between checkpoint and crash replay — at-least-once).
     """
 
     def __init__(
@@ -851,7 +843,6 @@ class ResilientEngine:
         self._sleep = sleep
         #: Quarantine of rejected chunks (see :class:`DeadLetterQueue`).
         self.dead_letters = DeadLetterQueue()
-        self._consumer_specs: list[tuple[int, Callable[[int], None], str]] = []
         self._engine: StreamEngine | None = None
         self._source: RetryingSource | None = None
         self._last_record: dict | None = None
@@ -866,19 +857,6 @@ class ResilientEngine:
     def stats(self) -> EngineStats:
         """Ingestion statistics of the current / most recent drive."""
         return self._engine.stats if self._engine is not None else EngineStats()
-
-    def every(
-        self, period: int, callback: Callable[[int], None], name: str = ""
-    ) -> None:
-        """Register ``callback(tuples_so_far)`` every ``period`` tuples.
-
-        Consumers survive :meth:`resume`: they are re-registered on the
-        rebuilt inner engine with their schedule fast-forwarded past the
-        restored position.
-        """
-        if period < 1:
-            raise ConfigurationError(f"period must be >= 1, got {period}")
-        self._consumer_specs.append((period, callback, name))
 
     # -- driving -----------------------------------------------------------
 
@@ -957,10 +935,6 @@ class ResilientEngine:
             engine.stats.chunks_ingested = int(
                 restored.get("engine_chunks", start)
             )
-        # Registered after the restore, so consumers skip the firings
-        # delivered before the checkpoint (taken after consumers fire).
-        for period, callback, name in self._consumer_specs:
-            engine.every(period, callback, name)
         engine.quarantine = self.dead_letters.quarantine
         if self._store is not None:
             engine.checkpointing = Checkpointing(

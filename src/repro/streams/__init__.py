@@ -22,7 +22,6 @@ from repro.streams.adversarial import (
     lemma3_colliding_stream,
 )
 from repro.streams.base import Stream
-from repro.streams.io import load_stream, save_stream
 from repro.streams.ip_trace import decode_edge, encode_edge, ip_trace_stream
 from repro.streams.kosarak import kosarak_stream
 from repro.streams.uniform import uniform_stream
@@ -36,8 +35,6 @@ __all__ = [
     "kosarak_stream",
     "lemma2_alternating_stream",
     "lemma3_colliding_stream",
-    "load_stream",
-    "save_stream",
     "uniform_stream",
     "zipf_stream",
 ]

@@ -35,7 +35,6 @@ class TestExamples:
         assert ALL_EXAMPLES == [
             "checkpoint_and_merge",
             "clickstream_topk",
-            "live_dashboard",
             "network_heavy_hitters",
             "nlp_cooccurrence",
             "parallel_pipeline",

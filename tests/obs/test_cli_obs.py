@@ -1,9 +1,8 @@
-"""CLI observability: --metrics-json, stream targets, health, serve-metrics."""
+"""CLI observability: --metrics-json, stream targets, health."""
 
 from __future__ import annotations
 
 import json
-import urllib.request
 
 from repro.cli import main
 from repro.obs import validate_metrics_json
@@ -182,39 +181,3 @@ class TestHealth:
         assert code == 0
         assert report["status"] == "ok"
         assert all(shard["status"] == "ok" for shard in report["shards"])
-
-
-class TestServeMetrics:
-    def test_serves_during_ingest_and_exits_clean(self, capsys):
-        code = main(
-            ["serve-metrics", "--scale", "0.02", "--chunk-size", "4000"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "serving metrics at http://127.0.0.1:" in out
-        assert "ingested" in out
-
-    def test_scrape_during_linger(self, capsys, monkeypatch):
-        """``--linger`` keeps the endpoint up after ingest; scraping it
-        then sees the full run's metrics.  The linger sleep is patched
-        to perform the scrape, so the test never actually waits."""
-        import time as time_module
-
-        scraped: dict[str, str] = {}
-
-        def scrape_instead_of_sleeping(_seconds):
-            out = capsys.readouterr().out
-            url = out.split("serving metrics at ")[1].split()[0]
-            with urllib.request.urlopen(url, timeout=5) as response:
-                scraped["body"] = response.read().decode()
-
-        monkeypatch.setattr(
-            time_module, "sleep", scrape_instead_of_sleeping
-        )
-        code = main(
-            ["serve-metrics", "--scale", "0.02", "--chunk-size", "4000",
-             "--linger", "5.0"]
-        )
-        assert code == 0
-        assert "engine_tuples_total" in scraped["body"]
-        assert "asketch_filter_hits_total" in scraped["body"]

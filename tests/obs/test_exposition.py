@@ -1,14 +1,12 @@
-"""Unit tests for Prometheus/JSON exposition and the scrape server."""
+"""Unit tests for Prometheus/JSON exposition."""
 
 from __future__ import annotations
 
 import json
-import urllib.request
 
 from repro.obs import (
     METRICS_SCHEMA,
     MetricsRegistry,
-    MetricsServer,
     render_prometheus,
     snapshot_metrics,
     validate_metrics_json,
@@ -100,28 +98,3 @@ class TestValidator:
         snapshot["histograms"][0]["buckets"][0][1] = 999
         assert any("monotonic" in p.lower() or "bucket" in p.lower()
                    for p in validate_metrics_json(snapshot))
-
-
-class TestMetricsServer:
-    def test_serves_text_and_json(self):
-        registry = _populated_registry()
-        with MetricsServer(registry) as server:
-            with urllib.request.urlopen(server.url, timeout=5) as response:
-                text = response.read().decode()
-            assert "asketch_items_total 100" in text
-            json_url = server.url.replace("/metrics", "/metrics.json")
-            with urllib.request.urlopen(json_url, timeout=5) as response:
-                document = json.loads(response.read().decode())
-            assert validate_metrics_json(document) == []
-
-    def test_unknown_path_is_404(self):
-        import urllib.error
-
-        with MetricsServer(MetricsRegistry()) as server:
-            bad = server.url.replace("/metrics", "/nope")
-            try:
-                urllib.request.urlopen(bad, timeout=5)
-            except urllib.error.HTTPError as exc:
-                assert exc.code == 404
-            else:  # pragma: no cover - should not happen
-                raise AssertionError("expected 404")

@@ -125,7 +125,6 @@ class TestBitIdenticalStates:
 class TestEngineMetrics:
     def test_engine_counters_reconcile(self, stream, registry):
         engine = StreamEngine(make_asketch())
-        engine.every(10_000, lambda position: None)
         stats = engine.run(stream.chunks(5_000))
         assert registry.value("engine_tuples_total") == stats.tuples_ingested
         assert registry.value("engine_chunks_total") == stats.chunks_ingested
@@ -133,9 +132,6 @@ class TestEngineMetrics:
             stats.chunks_ingested
         )
         assert registry.value("engine_items_per_s") > 0.0
-        assert registry.value("engine_consumer_firings_total") == float(
-            stats.consumer_firings
-        )
 
     def test_ingest_spans_emitted(self, stream, registry):
         sink = RecordingTraceSink()

@@ -69,8 +69,6 @@ def unique_process_batch(staged, keys, counts=None) -> None:
     overflowed[order[sketch_positions]] = True
     per_tuple_miss = overflowed[inverse]
     staged.miss_events += int(np.count_nonzero(per_tuple_miss))
-    if staged._miss_log is not None:
-        staged._miss_log.extend(per_tuple_miss.tolist())
     if sketch_positions.shape[0] == 0:
         return
 
@@ -92,9 +90,7 @@ def unique_process_batch(staged, keys, counts=None) -> None:
 
 def build(kind: str, seed: int) -> ASketch:
     sketch = CountMinSketch(num_hashes=3, row_width=23, seed=seed)
-    asketch = ASketch(sketch=sketch, filter_items=4, filter_kind=kind)
-    asketch.record_misses()
-    return asketch
+    return ASketch(sketch=sketch, filter_items=4, filter_kind=kind)
 
 
 def full_state(asketch: ASketch):
@@ -110,15 +106,11 @@ def full_state(asketch: ASketch):
         asketch.ops,
         asketch.filter.ops,
         asketch.sketch.ops,
-        asketch.miss_trace().tolist(),
     )
 
 
-# Keys span negatives and duplicates; -1 is left out because its slot
-# encoding (key + 1) is the array filters' empty-slot marker, 0.
-keys_in_chunk = st.integers(min_value=-30, max_value=30).filter(
-    lambda key: key != -1
-)
+# Keys span negatives (-1 included) and duplicates.
+keys_in_chunk = st.integers(min_value=-30, max_value=30)
 #: A chunk: (key, count) tuples, counts including zeros; ``unit`` chunks
 #: drop the counts and take the all-ones default.
 chunks = st.tuples(
@@ -133,12 +125,8 @@ chunks = st.tuples(
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
-#: The array filters store ``key + 1``, so they take keys in
-#: ``[0, 2**62]`` here; stream-summary takes the whole int64 range.
-KEY_RANGES = {
-    kind: (0, 1 << 62) for kind in ("vector", "strict-heap", "relaxed-heap")
-}
-KEY_RANGES["stream-summary"] = (INT64_MIN, INT64_MAX)
+#: Every filter kind takes the whole int64 range.
+KEY_RANGES = {kind: (INT64_MIN, INT64_MAX) for kind in FILTER_KINDS}
 
 
 @st.composite
@@ -202,7 +190,7 @@ class TestPreAggregationOracle:
     def test_sort_matches_unique(self, kind, seed, stream):
         """Every filter kind, unit and weighted chunks (zeros included),
         single-item chunks, duplicates and negative keys: state, all
-        three op records, ``miss_events`` and the miss trace agree."""
+        three op records and ``miss_events`` agree."""
         current = build(kind, seed)
         oracle = build(kind, seed)
         for pairs, unit in stream:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.hardware.cache import SetAssociativeCache
 from repro.hardware.costs import CostModel, OpCounters
-from repro.hardware.event_pipeline import EventDrivenPipeline
 from repro.hardware.pipeline import PipelineSimulator
 
 op_records = st.builds(
@@ -88,38 +87,6 @@ class TestPipelineProperties:
                   result.stage1_cycles_per_item)
             / 1000.0
         ) * (1 + 1e-9)
-
-
-class TestEventPipelineProperties:
-    traces = st.lists(st.booleans(), min_size=1, max_size=300)
-
-    @given(trace=traces, capacity=st.integers(min_value=1, max_value=64))
-    @settings(max_examples=60, deadline=None)
-    def test_bigger_queue_never_slower(self, trace, capacity):
-        array = np.array(trace, dtype=bool)
-        tight = EventDrivenPipeline(
-            hit_cycles=30, miss_cycles=40, sketch_cycles=300,
-            queue_capacity=capacity,
-        ).run(array)
-        roomy = EventDrivenPipeline(
-            hit_cycles=30, miss_cycles=40, sketch_cycles=300,
-            queue_capacity=capacity + 64,
-        ).run(array)
-        assert roomy.total_cycles <= tight.total_cycles + 1e-9
-
-    @given(trace=traces)
-    @settings(max_examples=60, deadline=None)
-    def test_total_at_least_each_stage_alone(self, trace):
-        array = np.array(trace, dtype=bool)
-        result = EventDrivenPipeline(
-            hit_cycles=30, miss_cycles=40, sketch_cycles=300,
-            queue_capacity=1024,
-        ).run(array)
-        misses = int(array.sum())
-        hits = array.size - misses
-        stage0 = hits * 30 + misses * 40
-        stage1 = misses * 300
-        assert result.total_cycles >= max(stage0, stage1) - 1e-9
 
 
 class TestCacheAgainstReference:

@@ -6,7 +6,8 @@ appear in every stream.  Each filter kind is driven through scalar,
 batched and sharded ingest, and the north-star invariants are asserted
 on every example: ``query(k) >= true count``, ``query_batch`` equals
 the point queries, ``total_mass == len(stream)``, and sharded ingest is
-bit-identical to feeding each shard its owned keys in order.  A key
+bit-identical to feeding each shard its owned keys in order, as is a
+two-worker fleet to the sharded group at the same chunks.  A key
 outside the domain (an int beyond int64, a float, a uint64 above
 ``INT64_MAX``) raises :class:`ConfigurationError` and leaves the
 synopsis exactly as it was.
@@ -19,12 +20,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.asketch import ASketch
 from repro.errors import ConfigurationError
 from repro.runtime.engine import StreamEngine
+from repro.runtime.parallel import ParallelIngestRuntime
 from repro.runtime.sharding import ShardedASketch
 from repro.sketches.count_min import CountMinSketch
 
@@ -65,11 +67,15 @@ def build(kind: str, seed: int) -> ASketch:
     return ASketch(sketch=sketch, filter_items=4, filter_kind=kind)
 
 
-def build_group(kind: str, seed: int, shards: int) -> ShardedASketch:
-    return ShardedASketch(
-        shards, total_bytes=2048, filter_items=4, filter_kind=kind,
-        num_hashes=3, seed=seed,
+def group_params(kind: str, seed: int) -> dict:
+    return dict(
+        total_bytes=2048, filter_items=4, filter_kind=kind, num_hashes=3,
+        seed=seed,
     )
+
+
+def build_group(kind: str, seed: int, shards: int) -> ShardedASketch:
+    return ShardedASketch(shards, **group_params(kind, seed))
 
 
 def chunked(stream: np.ndarray, size: int) -> list[np.ndarray]:
@@ -154,6 +160,32 @@ class TestSharded:
         for key in stream.tolist():
             reference.shards[reference.shard_of(key)].update(key)
         assert group.state().equals(reference.state())
+
+
+class TestFleet:
+    """Each example forks two workers, so there are few of them; CI's
+    parallel job runs this class with the fleet suites."""
+
+    @given(
+        stream=int64_streams(), kind=filter_kinds, seed=seeds,
+        chunk_size=chunk_sizes,
+    )
+    @settings(
+        max_examples=5, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_two_workers_match_sharded(self, stream, kind, seed,
+                                       chunk_size):
+        chunks = chunked(stream, chunk_size)
+        reference = build_group(kind, seed, 2)
+        StreamEngine(reference, batched=True).run(chunks)
+        runtime = ParallelIngestRuntime(
+            2, shards=2, **group_params(kind, seed)
+        )
+        stats = runtime.run(iter(chunks))
+        assert stats.tuples_ingested == stream.shape[0]
+        assert runtime.supervisor.group.state().equals(reference.state())
+        assert_invariants(runtime.supervisor, stream)
 
 
 #: Scalar keys outside the int64 domain: ints beyond it and non-ints

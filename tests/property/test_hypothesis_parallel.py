@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.engine import StreamEngine
-from repro.runtime.parallel import ParallelIngestRuntime, parallel_ingest
+from repro.runtime.parallel import ParallelIngestRuntime
 from repro.runtime.reliability import FaultPlan
 from repro.runtime.sharding import ShardedASketch
 
@@ -63,13 +63,14 @@ class TestParallelBitIdentity:
         shards = workers + extra_shards
         chunks = chunked(keys, chunk_size)
         expected = sequential(chunks, shards)
-        supervisor, stats = parallel_ingest(
-            iter(chunks),
+        runtime = ParallelIngestRuntime(
             workers,
             shards=shards,
             sync_every=sync_every,
             **GROUP_PARAMS,
         )
+        stats = runtime.run(iter(chunks))
+        supervisor = runtime.supervisor
         assert stats.tuples_ingested == len(keys)
         assert supervisor.group.state().equals(expected.state())
 
@@ -94,8 +95,7 @@ class TestParallelBitIdentity:
         # the merged result under inline failover.
         chunks = chunked(keys, chunk_size)
         expected = sequential(chunks, workers)
-        supervisor, stats = parallel_ingest(
-            iter(chunks),
+        runtime = ParallelIngestRuntime(
             workers,
             shards=workers,
             sync_every=sync_every,
@@ -104,6 +104,8 @@ class TestParallelBitIdentity:
             ),
             **GROUP_PARAMS,
         )
+        stats = runtime.run(iter(chunks))
+        supervisor = runtime.supervisor
         assert stats.tuples_ingested == len(keys)
         assert supervisor.group.state().equals(expected.state())
 

@@ -1,4 +1,4 @@
-"""Tests for the streaming engine and its consumers."""
+"""Tests for the streaming engine."""
 
 from __future__ import annotations
 
@@ -10,12 +10,7 @@ import numpy as np
 
 from repro.core.asketch import ASketch
 from repro.errors import ConfigurationError, PoisonChunkError
-from repro.runtime.engine import (
-    StreamEngine,
-    ThresholdAlert,
-    TopKBoard,
-    coerce_chunk,
-)
+from repro.runtime.engine import StreamEngine, coerce_chunk
 from repro.runtime.parallel import ParallelIngestRuntime
 from repro.runtime.reliability import ResilientEngine
 from repro.streams.zipf import zipf_stream
@@ -37,26 +32,6 @@ class TestEngine:
         assert stats.chunks_ingested == 8
         assert asketch.total_mass == len(stream)
         assert stats.wall_throughput_items_per_ms > 0
-
-    def test_consumer_fires_on_schedule(self, asketch, stream):
-        engine = StreamEngine(asketch)
-        firings: list[int] = []
-        engine.every(10_000, firings.append, name="probe")
-        engine.run(stream.chunks(5_000))
-        assert firings == [10_000, 20_000, 30_000, 40_000]
-
-    def test_consumer_catches_up_on_large_chunks(self, asketch, stream):
-        """A chunk larger than the period fires the consumer repeatedly."""
-        engine = StreamEngine(asketch)
-        firings: list[int] = []
-        engine.every(8_000, firings.append)
-        engine.run([stream.keys])  # one 40K chunk
-        assert firings == [40_000] * 5
-        assert engine.stats.consumer_firings == 5
-
-    def test_invalid_period(self, asketch):
-        with pytest.raises(ConfigurationError):
-            StreamEngine(asketch).every(0, lambda _: None)
 
     def test_works_with_plain_sketch(self, stream):
         from repro.sketches.count_min import CountMinSketch
@@ -104,32 +79,6 @@ class TestBatchedIngest:
         assert asketch.total_mass == len(stream)
         assert asketch.ops.items == len(stream)
 
-    def test_topk_consumer_over_batched_ingest(self, asketch, stream):
-        """The top-k continuous query sees the true heavy hitter through
-        the batched path."""
-        engine = StreamEngine(asketch)
-        board = TopKBoard(asketch, k=5)
-        engine.every(10_000, board)
-        engine.run(stream.chunks(5_000))
-        assert len(board.snapshots) == 4
-        heaviest_true = max(stream.exact.items(), key=lambda kv: kv[1])[0]
-        assert board.latest[0][0] == heaviest_true
-        # Reported counts are one-sided over-estimates of the truth.
-        for key, reported in board.latest:
-            assert reported >= stream.exact.count_of(key)
-
-    def test_threshold_alerts_over_batched_ingest(self, asketch, stream):
-        engine = StreamEngine(asketch)
-        threshold = int(0.01 * len(stream))
-        alert = ThresholdAlert(asketch, threshold)
-        engine.every(5_000, alert)
-        engine.run(stream.chunks(5_000))
-        keys = [key for _, key, _ in alert.alerts]
-        assert len(keys) == len(set(keys))
-        for key, count in stream.exact.items():
-            if count >= threshold:
-                assert key in alert.alerted_keys
-
     def test_sharded_group_batches_per_shard(self, stream):
         from repro.runtime.sharding import ShardedASketch
 
@@ -141,59 +90,6 @@ class TestBatchedIngest:
         # Batched owner-partitioned queries agree with scalar routing.
         probes = stream.keys[:500].tolist()
         assert group.query_batch(probes) == [group.query(k) for k in probes]
-
-
-class TestTopKBoard:
-    def test_snapshots_accumulate(self, asketch, stream):
-        engine = StreamEngine(asketch)
-        board = TopKBoard(asketch, k=5)
-        engine.every(20_000, board)
-        engine.run(stream.chunks(5_000))
-        assert len(board.snapshots) == 2
-        positions = [position for position, _ in board.snapshots]
-        assert positions == [20_000, 40_000]
-        assert len(board.latest) == 5
-
-    def test_latest_matches_final_topk(self, asketch, stream):
-        engine = StreamEngine(asketch)
-        board = TopKBoard(asketch, k=10)
-        engine.every(len(stream), board)
-        engine.run(stream.chunks(5_000))
-        assert board.latest == asketch.top_k(10)
-
-    def test_empty_board(self, asketch):
-        assert TopKBoard(asketch, k=3).latest == []
-
-    def test_invalid_k(self, asketch):
-        with pytest.raises(ConfigurationError):
-            TopKBoard(asketch, k=0)
-
-
-class TestThresholdAlert:
-    def test_alerts_once_per_key(self, asketch, stream):
-        engine = StreamEngine(asketch)
-        threshold = int(0.01 * len(stream))
-        alert = ThresholdAlert(asketch, threshold)
-        engine.every(5_000, alert)
-        engine.run(stream.chunks(5_000))
-        keys = [key for _, key, _ in alert.alerts]
-        assert len(keys) == len(set(keys))  # no duplicate alerts
-        # Every true heavy key above the threshold eventually alerted.
-        for key, count in stream.exact.items():
-            if count >= threshold:
-                assert key in alert.alerted_keys
-
-    def test_alert_positions_monotone(self, asketch, stream):
-        engine = StreamEngine(asketch)
-        alert = ThresholdAlert(asketch, int(0.005 * len(stream)))
-        engine.every(4_000, alert)
-        engine.run(stream.chunks(4_000))
-        positions = [position for position, _, _ in alert.alerts]
-        assert positions == sorted(positions)
-
-    def test_invalid_threshold(self, asketch):
-        with pytest.raises(ConfigurationError):
-            ThresholdAlert(asketch, 0)
 
 
 class TestChunkValidation:
@@ -237,6 +133,24 @@ class TestChunkValidation:
         with pytest.raises(PoisonChunkError, match="does not match"):
             coerce_chunk(np.arange(3), 0, counts=np.arange(4))
 
+    @pytest.mark.parametrize(
+        "counts, named",
+        [
+            (np.array([1.0, 2.0, 3.0]), "float64"),
+            (np.array([1, 2, 3], dtype=object), "object"),
+            (np.array([1, 1 << 63, 3], dtype=np.uint64), str(1 << 63)),
+        ],
+    )
+    def test_counts_break_the_count_rule(self, asketch, counts, named):
+        # The chunk and the synopsis's own batch call refuse the same
+        # counts for the same reason, and the synopsis stays empty.
+        with pytest.raises(PoisonChunkError, match=named) as poison:
+            coerce_chunk(np.arange(3), 5, counts=counts)
+        with pytest.raises(ConfigurationError, match=named) as refused:
+            asketch.process_batch(np.arange(3), counts)
+        assert poison.value.reason == str(refused.value)
+        assert asketch.total_mass == 0
+
     @pytest.mark.parametrize("dtype", [np.float64, object, np.uint64])
     def test_empty_chunk_of_any_dtype_is_accepted(
         self, asketch, dtype
@@ -245,6 +159,8 @@ class TestChunkValidation:
         # the synopsis's own batch calls follow the same rule.
         empty = np.array([], dtype=dtype)
         asketch.process_batch(empty)
+        asketch.process_batch(empty, empty)
+        assert coerce_chunk(empty, 0, counts=empty).tolist() == []
         assert asketch.query_batch(empty) == []
         engine = StreamEngine(asketch, batched=True)
         engine.run([empty, np.array([3, 3, 5])])
@@ -256,27 +172,6 @@ class TestChunkValidation:
         assert out.dtype == np.int64
         assert out.flags["C_CONTIGUOUS"]
         assert out.tolist() == [0, 1, 2, 3, 4]
-
-
-class TestConsumerMetering:
-    def test_consumer_seconds_metered_separately(self, asketch, stream):
-        engine = StreamEngine(asketch)
-
-        def slow_consumer(_position):
-            total = 0
-            for value in range(20_000):
-                total += value
-            return total
-
-        engine.every(5_000, slow_consumer)
-        stats = engine.run(stream.chunks(5_000))
-        assert stats.consumer_seconds > 0.0
-        assert stats.consumer_firings == len(stream) // 5_000
-
-    def test_no_consumers_means_zero_consumer_seconds(self, asketch, stream):
-        engine = StreamEngine(asketch)
-        stats = engine.run(stream.chunks(10_000))
-        assert stats.consumer_seconds == 0.0
 
 
 class TestOneIngestLoop:

@@ -32,7 +32,6 @@ from repro.runtime.parallel import (
     RING_TIMEOUT,
     ChunkRing,
     ParallelIngestRuntime,
-    parallel_ingest,
 )
 from repro.runtime.reliability import (
     CheckpointStore,
@@ -184,9 +183,9 @@ class TestBitIdentity:
     @pytest.mark.parametrize("workers,shards", [(1, 1), (2, 4), (3, 4)])
     def test_merged_equals_sequential(self, stream, workers, shards):
         sequential = sequential_group(stream, shards)
-        supervisor, stats = parallel_ingest(
-            iter(chunks_of(stream)), workers, shards=shards, **GROUP_PARAMS
-        )
+        runtime = ParallelIngestRuntime(workers, shards=shards, **GROUP_PARAMS)
+        stats = runtime.run(iter(chunks_of(stream)))
+        supervisor = runtime.supervisor
         assert stats.tuples_ingested == len(stream)
         assert supervisor.group.state().equals(sequential.state())
         queries = stream.keys[:500]
@@ -199,9 +198,9 @@ class TestBitIdentity:
         # workers force some per-worker shares to be empty; the chunk
         # accounting must stay aligned regardless.
         sequential = sequential_group(stream, shards=5, chunk_size=1_777)
-        supervisor, stats = parallel_ingest(
-            iter(chunks_of(stream, 1_777)), 2, shards=5, **GROUP_PARAMS
-        )
+        runtime = ParallelIngestRuntime(2, shards=5, **GROUP_PARAMS)
+        stats = runtime.run(iter(chunks_of(stream, 1_777)))
+        supervisor = runtime.supervisor
         assert stats.chunks_ingested == len(chunks_of(stream, 1_777))
         assert supervisor.group.state().equals(sequential.state())
 
@@ -249,14 +248,15 @@ class TestBitIdentity:
 class TestInlineFailover:
     def test_crash_mid_stream_still_bit_identical(self, stream):
         sequential = sequential_group(stream, shards=4)
-        supervisor, stats = parallel_ingest(
-            iter(chunks_of(stream)),
+        runtime = ParallelIngestRuntime(
             3,
             shards=4,
             sync_every=2,
             fault_plan=FaultPlan(worker_crash={1: 3}),
             **GROUP_PARAMS,
         )
+        stats = runtime.run(iter(chunks_of(stream)))
+        supervisor = runtime.supervisor
         assert stats.tuples_ingested == len(stream)
         assert supervisor.group.state().equals(sequential.state())
 
@@ -264,14 +264,15 @@ class TestInlineFailover:
         # Dies before any snapshot exists: the whole tail replays from
         # a fresh group.
         sequential = sequential_group(stream, shards=2)
-        supervisor, _ = parallel_ingest(
-            iter(chunks_of(stream)),
+        runtime = ParallelIngestRuntime(
             2,
             shards=2,
             sync_every=100,
             fault_plan=FaultPlan(worker_crash={0: 1}),
             **GROUP_PARAMS,
         )
+        runtime.run(iter(chunks_of(stream)))
+        supervisor = runtime.supervisor
         assert supervisor.group.state().equals(sequential.state())
 
     def test_health_reflects_inlined_worker(self, stream):
@@ -391,14 +392,14 @@ class TestObservability:
     def test_failure_counter_increments(self, stream):
         registry = install_registry()
         try:
-            parallel_ingest(
-                iter(chunks_of(stream)),
+            runtime = ParallelIngestRuntime(
                 2,
                 shards=2,
                 sync_every=2,
                 fault_plan=FaultPlan(worker_crash={1: 2}),
                 **GROUP_PARAMS,
             )
+            runtime.run(iter(chunks_of(stream)))
             assert (
                 registry.value(
                     "parallel_worker_failures_total", worker="1"

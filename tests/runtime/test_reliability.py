@@ -502,29 +502,6 @@ class TestCrashRecovery:
         )
         assert recovered.synopsis.state().equals(reference.state())
 
-    def test_consumers_fast_forward_past_restored_position(
-        self, tmp_path, stream
-    ):
-        firings: list[int] = []
-        engine = ResilientEngine(
-            make_asketch(), checkpoint_dir=tmp_path, checkpoint_every=4
-        )
-        engine.every(5_000, firings.append)
-        with pytest.raises(SimulatedCrash):
-            engine.run(
-                stream.chunks(CHUNK), fault_plan=FaultPlan(crash_at_chunk=13)
-            )
-        pre_crash = list(firings)
-        assert pre_crash == [5_000, 10_000]
-
-        firings.clear()
-        recovered = ResilientEngine(checkpoint_dir=tmp_path, checkpoint_every=4)
-        recovered.every(5_000, firings.append)
-        recovered.resume(stream.chunks(CHUNK))
-        # Restored at chunk 12 (position 12_000): 5k and 10k had already
-        # fired pre-crash; the resumed run fires only the remainder.
-        assert firings == [15_000, 20_000, 25_000, 30_000]
-
 
 # -- shard supervision -------------------------------------------------------
 
@@ -769,8 +746,6 @@ class TestEngineHealthAndRetries:
             ResilientEngine()  # nothing to drive, nothing to resume
         with pytest.raises(ConfigurationError):
             ResilientEngine(make_asketch(), checkpoint_every=0)
-        with pytest.raises(ConfigurationError):
-            ResilientEngine(make_asketch()).every(0, lambda _: None)
 
 
 # -- journal format sanity ---------------------------------------------------

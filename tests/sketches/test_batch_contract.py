@@ -205,7 +205,8 @@ class TestRejectedKeys:
 
 
 #: Counts no int64 cast can read without mangling one: a cast truncates
-#: fractions, parses strings and turns NaN and 1e30 into garbage.
+#: fractions, parses strings, turns NaN and 1e30 into garbage and wraps
+#: a uint64 count above INT64_MAX negative.
 REJECTED_COUNTS = {
     "fraction-above-one": lambda: np.array([1.5]),
     "fraction-below-one": lambda: np.array([0.4]),
@@ -213,6 +214,7 @@ REJECTED_COUNTS = {
     "nan": lambda: np.array([np.nan]),
     "huge-float": lambda: np.array([1e30]),
     "object": lambda: np.array([3], dtype=object),
+    "uint64-above-int64-max": lambda: np.array([1 << 63], dtype=np.uint64),
 }
 
 STAGED_KINDS = {
@@ -224,8 +226,8 @@ STAGED_KINDS = {
 
 
 class TestRejectedCounts:
-    """``process_batch(keys, counts)`` reads counts by the integer-dtype
-    half of the key rule: anything else raises
+    """``process_batch(keys, counts)`` reads counts by the count rule
+    (``count_dtype_problem``): anything else raises
     :class:`ConfigurationError` before any state changes."""
 
     @pytest.mark.parametrize("bad", sorted(REJECTED_COUNTS))

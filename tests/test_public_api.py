@@ -49,7 +49,7 @@ class TestParallelSurface:
     """The multiprocess runtime is a first-class public API."""
 
     @pytest.mark.parametrize(
-        "name", ["ChunkRing", "ParallelIngestRuntime", "parallel_ingest"]
+        "name", ["ChunkRing", "ParallelIngestRuntime"]
     )
     def test_exported_at_top_level_and_runtime(self, name):
         runtime = importlib.import_module("repro.runtime")
