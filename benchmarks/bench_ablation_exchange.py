@@ -32,15 +32,15 @@ def run_policy(max_exchanges: int) -> ASketch:
 
 
 @pytest.mark.parametrize("max_exchanges", [1, 8])
-def test_exchange_policy(benchmark, max_exchanges):
+def test_exchange_budget(benchmark, max_exchanges):
     asketch = benchmark.pedantic(
         run_policy, args=(max_exchanges,), rounds=1, iterations=1
     )
     error = observed_error_percent(asketch.query_batch(QUERIES), TRUTHS)
     if max_exchanges == 1:
-        test_exchange_policy.single = (asketch.exchange_count, error)
+        test_exchange_budget.single = (asketch.exchange_count, error)
     else:
-        single_exchanges, single_error = test_exchange_policy.single
+        single_exchanges, single_error = test_exchange_budget.single
         # Cascading does at least as many exchanges...
         assert asketch.exchange_count >= single_exchanges
         # ...and does not improve accuracy (the paper: it adds error).

@@ -27,7 +27,7 @@ paper-vs-measured record of every reproduced table and figure.
 
 from repro.core.asketch import ASketch
 from repro.core.kernel_group import KernelGroup
-from repro.core.staged import ClassicExchange, ExchangePolicy, StagedSynopsis
+from repro.core.staged import StagedSynopsis
 from repro.core.filters import (
     RelaxedHeapFilter,
     StreamSummaryFilter,
@@ -54,8 +54,6 @@ from repro.runtime import (
     FaultPlan,
     ParallelIngestRuntime,
     ResilientEngine,
-    RetryingSource,
-    RetryPolicy,
     ShardedASketch,
     ShardSupervisor,
     StreamEngine,
@@ -102,12 +100,10 @@ __all__ = [
     "ASketch",
     "CheckpointStore",
     "ChunkRing",
-    "ClassicExchange",
     "CostModel",
     "CountMinSketch",
     "CountSketch",
     "ExactCounter",
-    "ExchangePolicy",
     "FaultPlan",
     "FrequencyAwareCountMin",
     "HolisticUDAF",
@@ -119,8 +115,6 @@ __all__ = [
     "PipelineSimulator",
     "RelaxedHeapFilter",
     "ResilientEngine",
-    "RetryPolicy",
-    "RetryingSource",
     "ShardSupervisor",
     "ShardedASketch",
     "SpaceSaving",

@@ -6,15 +6,15 @@
 * :mod:`repro.core.filters` — the four filter implementations compared in
   §6.1/§7.5: Vector, Strict-Heap, Relaxed-Heap, Stream-Summary.
 * :mod:`repro.core.staged` — the staged-synopsis core the ASketch is
-  built on: a pluggable front stage, back stage, and exchange-policy
-  strategy.
+  built on: a pluggable front stage and back stage joined by the
+  paper's exchange step.
 * :mod:`repro.core.analysis` — the closed-form model of §4 (Table 2,
   Theorem 1, Zipf filter selectivity) and Appendix C.2's exchange bounds.
 """
 
 from repro.core.asketch import ASketch
 from repro.core.kernel_group import KernelGroup
-from repro.core.staged import ClassicExchange, ExchangePolicy, StagedSynopsis
+from repro.core.staged import StagedSynopsis
 from repro.core.filters import (
     Filter,
     RelaxedHeapFilter,
@@ -26,8 +26,6 @@ from repro.core.filters import (
 
 __all__ = [
     "ASketch",
-    "ClassicExchange",
-    "ExchangePolicy",
     "Filter",
     "KernelGroup",
     "StagedSynopsis",

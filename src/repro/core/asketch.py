@@ -40,7 +40,7 @@ same core.
 from __future__ import annotations
 
 from repro.core.filters import make_filter
-from repro.core.staged import ClassicExchange, StagedSynopsis
+from repro.core.staged import StagedSynopsis
 from repro.errors import ConfigurationError
 from repro.sketches.base import FrequencySketch
 from repro.sketches.count_min import CountMinSketch
@@ -128,7 +128,6 @@ class ASketch(StagedSynopsis):
             raise ConfigurationError(
                 "specify exactly one of total_bytes or sketch"
             )
-        policy = ClassicExchange(max_exchanges_per_update)
         front = make_filter(filter_kind, filter_items)
         if sketch is None:
             assert total_bytes is not None
@@ -141,7 +140,12 @@ class ASketch(StagedSynopsis):
             sketch = _default_sketch(
                 sketch_backend, sketch_bytes, num_hashes, seed
             )
-        super().__init__(front, sketch, policy, filter_kind=filter_kind)
+        super().__init__(
+            front,
+            sketch,
+            max_exchanges_per_update=max_exchanges_per_update,
+            filter_kind=filter_kind,
+        )
 
     @classmethod
     def from_state(cls, state: SynopsisState) -> "ASketch":

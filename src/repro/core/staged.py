@@ -1,4 +1,4 @@
-"""The staged-synopsis core: a front stage, a back stage, and a policy.
+"""The staged-synopsis core: front stage, back stage and the exchange step.
 
 The paper's entire contribution is a *composition*: a small exact filter
 (the front stage) in front of a lossy frequency sketch (the back stage),
@@ -11,12 +11,10 @@ dispatch, merging, persistence plumbing and observability:
   vectorised ingest (Algorithm 1), queries (Algorithm 2), top-k and
   heavy hitters, deletions (Appendix A), and merging with the pristine
   identity fast paths.
-* :class:`ExchangePolicy` — the strategy interface owning the exchange
-  decision: when a missed key's sketch estimate earns it a filter slot,
-  and which batched keys are even worth checking.
-* :class:`ClassicExchange` — the paper's policy: at most
+* The exchange step (Algorithm 1 lines 9-17,
+  :meth:`StagedSynopsis._run_exchanges`): at most
   ``max_exchanges_per_update`` exchanges per miss (the paper fixes one),
-  eviction hashes the victim's resident mass back into the sketch.
+  and eviction hashes the victim's resident mass back into the sketch.
 
 :class:`~repro.core.asketch.ASketch` is the :class:`StagedSynopsis`
 subclass that builds the paper's default stages from a space budget;
@@ -52,115 +50,6 @@ from repro.synopses.protocol import (
 )
 
 
-class ExchangePolicy:
-    """Strategy interface owning Algorithm 1's exchange step.
-
-    The policy decides when a missed key trades places with the filter
-    minimum and performs the swap.  It is deliberately stateless beyond
-    its own tuning knobs: all synopsis state (filter, sketch, op record)
-    stays on the :class:`StagedSynopsis` it is handed, so one policy
-    object can be shared or swapped without touching stage state.
-    """
-
-    #: Exchange budget per missed tuple (the paper fixes this to 1).
-    max_exchanges_per_update: int = 1
-
-    def run_exchanges(
-        self, staged: "StagedSynopsis", key: int, current_estimate: int
-    ) -> int:
-        """Run the policy for one missed ``key`` whose post-update back
-        stage estimate is ``current_estimate``; returns the key's
-        resulting estimate (its filter ``new_count`` if exchanged in).
-        """
-        raise NotImplementedError
-
-    def batch_candidates(
-        self,
-        staged: "StagedSynopsis",
-        estimates: np.ndarray,
-        threshold: int,
-    ) -> np.ndarray:
-        """Positions (into the missed-key arrays) worth running
-        :meth:`run_exchanges` for, given post-chunk ``estimates`` and the
-        filter minimum ``threshold`` at batch-exchange entry.
-        """
-        raise NotImplementedError
-
-
-class ClassicExchange(ExchangePolicy):
-    """The paper's exchange policy (Algorithm 1 lines 9-17).
-
-    At most ``max_exchanges_per_update`` exchanges run per missed tuple
-    (the paper always restricts itself to one; larger values enable the
-    cascading-exchange ablation and add error).  An exchanged key enters
-    the filter carrying ``new_count = old_count = estimate`` — nothing
-    is removed from the sketch, preserving the one-sided guarantee — and
-    the evicted minimum's resident mass ``new_count - old_count`` is
-    hashed back into the sketch.
-    """
-
-    def __init__(self, max_exchanges_per_update: int = 1) -> None:
-        if max_exchanges_per_update < 1:
-            raise ConfigurationError(
-                "max_exchanges_per_update must be >= 1, got "
-                f"{max_exchanges_per_update}"
-            )
-        self.max_exchanges_per_update = int(max_exchanges_per_update)
-
-    def run_exchanges(
-        self, staged: "StagedSynopsis", key: int, current_estimate: int
-    ) -> int:
-        filter_ = staged._filter
-        current_key = key
-        result = current_estimate
-        exchanges_done = 0
-        while (
-            exchanges_done < self.max_exchanges_per_update
-            and current_estimate > filter_.min_new_count()
-        ):
-            evicted = filter_.replace_min(
-                current_key, current_estimate, current_estimate
-            )
-            staged.ops.exchanges += 1
-            exchanges_done += 1
-            if current_tracer() is not None:
-                trace_point(
-                    "exchange",
-                    key=int(current_key),
-                    evicted=int(evicted.key),
-                    estimate=int(current_estimate),
-                    items_seen=int(staged.ops.items),
-                )
-            if current_key == key:
-                # The incoming item now lives in the filter; its estimate
-                # is its new_count there.
-                result = current_estimate
-            delta = evicted.resident_count
-            if delta > 0:
-                # Only the exactly-known resident mass is hashed back
-                # (line 12); the old_count part is already in the sketch.
-                current_estimate = staged._sketch.update(evicted.key, delta)
-            elif exchanges_done < self.max_exchanges_per_update:
-                current_estimate = staged._sketch.estimate(evicted.key)
-            else:
-                break
-            current_key = evicted.key
-        return result
-
-    def batch_candidates(
-        self,
-        staged: "StagedSynopsis",
-        estimates: np.ndarray,
-        threshold: int,
-    ) -> np.ndarray:
-        # The filter minimum is non-decreasing across exchanges (evicted
-        # entries are the minimum, inserted ones carry estimates above
-        # it), so keys whose estimate does not beat the minimum at step
-        # entry can never exchange — the kernel pre-check drops them
-        # before the Python loop.
-        return active_backend().exchange_candidates(estimates, threshold)
-
-
 class StagedSynopsis:
     """A two-stage synopsis: exact front stage + lossy back stage.
 
@@ -171,10 +60,10 @@ class StagedSynopsis:
     back:
         The lossy back stage — any
         :class:`~repro.sketches.base.FrequencySketch`.
-    policy:
-        The :class:`ExchangePolicy` gluing the stages together; defaults
-        to the paper's :class:`ClassicExchange` with one exchange per
-        miss.
+    max_exchanges_per_update:
+        Exchange budget per missed tuple.  The paper always restricts
+        itself to one; larger values enable the cascading-exchange
+        ablation and add error.
     filter_kind:
         The registry name of ``front``'s kind, recorded in
         :meth:`state`; inferred from ``front``'s class when omitted.
@@ -184,8 +73,8 @@ class StagedSynopsis:
         self,
         front: Filter,
         back: FrequencySketch,
-        policy: ExchangePolicy | None = None,
         *,
+        max_exchanges_per_update: int = 1,
         filter_kind: str | None = None,
     ) -> None:
         if not isinstance(back, FrequencySketch):
@@ -193,15 +82,19 @@ class StagedSynopsis:
                 "the back stage must be a FrequencySketch, got "
                 f"{type(back).__name__}"
             )
+        if max_exchanges_per_update < 1:
+            raise ConfigurationError(
+                "max_exchanges_per_update must be >= 1, got "
+                f"{max_exchanges_per_update}"
+            )
         self.ops = OpCounters()
         self._filter: Filter = front
         self.filter_kind = (
             filter_kind if filter_kind is not None else _kind_of(front)
         )
         self._sketch = back
-        self.exchange_policy: ExchangePolicy = (
-            policy if policy is not None else ClassicExchange()
-        )
+        #: Exchange budget per missed tuple (the paper fixes this to 1).
+        self.max_exchanges_per_update = int(max_exchanges_per_update)
         #: Aggregate count mass processed so far (``N`` in the paper).
         self.total_mass = 0
         #: Count mass that overflowed to the sketch (``N2``); the achieved
@@ -233,17 +126,6 @@ class StagedSynopsis:
         return self.ops.exchanges
 
     @property
-    def max_exchanges_per_update(self) -> int:
-        """The policy's exchange budget (kept as a property so the
-        pre-refactor attribute — and the ``state()`` payload recording
-        it — survives the strategy extraction unchanged)."""
-        return self.exchange_policy.max_exchanges_per_update
-
-    @max_exchanges_per_update.setter
-    def max_exchanges_per_update(self, value: int) -> None:
-        self.exchange_policy.max_exchanges_per_update = int(value)
-
-    @property
     def achieved_selectivity(self) -> float:
         """Measured ``N2 / N`` (Figure 17's "achieved" series)."""
         if self.total_mass == 0:
@@ -257,9 +139,11 @@ class StagedSynopsis:
 
         A key that is not an int64 integer raises
         :class:`ConfigurationError` before any state changes, here and
-        in :meth:`process`, :meth:`query` and :meth:`remove`."""
+        in :meth:`process`, :meth:`query` and :meth:`remove`; so does
+        an ``amount`` that is not one, here and in :meth:`process` and
+        :meth:`remove`."""
         key = _int64_key(key)
-        estimate = self._process(key, amount)
+        estimate = self._process(key, _int64_count(amount))
         if estimate is not None:
             return estimate
         counts = self._filter.get_counts(key)
@@ -273,7 +157,7 @@ class StagedSynopsis:
         :meth:`update`, minus the extra filter probe a hit-path return
         value would need.
         """
-        self._process(_int64_key(key), amount)
+        self._process(_int64_key(key), _int64_count(amount))
 
     def _process(self, key: int, amount: int) -> int | None:
         """Shared Algorithm 1 body.
@@ -303,7 +187,7 @@ class StagedSynopsis:
             else:
                 filter_.insert(key, amount, 0)
             return None
-        # Lines 7-17: overflow to the sketch, then the exchange policy
+        # Lines 7-17: overflow to the sketch, then the exchange step
         # (the paper's: at most one exchange; more under the cascading
         # ablation).
         self.miss_events += 1
@@ -312,9 +196,54 @@ class StagedSynopsis:
         return self._run_exchanges(key, estimate)
 
     def _run_exchanges(self, key: int, current_estimate: int) -> int:
-        """Delegate the exchange step to the policy (kept as a method so
-        pre-refactor callers and subclasses see the same hook)."""
-        return self.exchange_policy.run_exchanges(self, key, current_estimate)
+        """Algorithm 1's exchange step for one missed ``key`` whose
+        post-update back-stage estimate is ``current_estimate``; returns
+        the key's resulting estimate (its filter ``new_count`` if
+        exchanged in).
+
+        At most :attr:`max_exchanges_per_update` exchanges run.  An
+        exchanged key enters the filter carrying ``new_count = old_count
+        = estimate`` — nothing is removed from the sketch, preserving
+        the one-sided guarantee — and the evicted minimum's resident
+        mass ``new_count - old_count`` is hashed back into the sketch.
+        """
+        filter_ = self._filter
+        budget = self.max_exchanges_per_update
+        current_key = key
+        result = current_estimate
+        exchanges_done = 0
+        while (
+            exchanges_done < budget
+            and current_estimate > filter_.min_new_count()
+        ):
+            evicted = filter_.replace_min(
+                current_key, current_estimate, current_estimate
+            )
+            self.ops.exchanges += 1
+            exchanges_done += 1
+            if current_tracer() is not None:
+                trace_point(
+                    "exchange",
+                    key=int(current_key),
+                    evicted=int(evicted.key),
+                    estimate=int(current_estimate),
+                    items_seen=int(self.ops.items),
+                )
+            if current_key == key:
+                # The incoming item now lives in the filter; its estimate
+                # is its new_count there.
+                result = current_estimate
+            delta = evicted.resident_count
+            if delta > 0:
+                # Only the exactly-known resident mass is hashed back
+                # (line 12); the old_count part is already in the sketch.
+                current_estimate = self._sketch.update(evicted.key, delta)
+            elif exchanges_done < budget:
+                current_estimate = self._sketch.estimate(evicted.key)
+            else:
+                break
+            current_key = evicted.key
+        return result
 
     def process_stream(self, keys: np.ndarray) -> None:
         """Process an array of unit-count keys in order.
@@ -488,14 +417,18 @@ class StagedSynopsis:
             sketch_keys, sketch_totals
         )
 
-        # (4) the policy picks the exchange candidates (one check per
-        # distinct missed key, in first-appearance order — order-stable
-        # at chunk granularity), driven by those estimates; the elided
-        # per-key min reads are charged in bulk to keep the operation
-        # record identical to the scalar loop.
+        # (4) the exchange check, once per distinct missed key in
+        # first-appearance order (order-stable at chunk granularity),
+        # driven by those estimates.  The filter minimum is
+        # non-decreasing across exchanges (evicted entries are the
+        # minimum, inserted ones carry estimates above it), so keys whose
+        # estimate does not beat the minimum at step entry can never
+        # exchange: the kernel pre-check drops them before the Python
+        # loop, and their elided min reads are charged in bulk to keep
+        # the operation record identical to the scalar loop.
         threshold = filter_.peek_min_new_count()
-        candidates = self.exchange_policy.batch_candidates(
-            self, estimates, threshold
+        candidates = active_backend().exchange_candidates(
+            estimates, threshold
         )
         filter_.charge_min_queries(sketch_keys.shape[0] - candidates.shape[0])
         for position in candidates.tolist():
@@ -597,12 +530,12 @@ class StagedSynopsis:
         """Take over ``other``'s state wholesale (pristine-self merge).
 
         ``other`` is consumed, per the :meth:`merge` contract — its
-        filter, sketch and policy become this instance's by reference.
+        filter and sketch become this instance's by reference.
         """
         self._filter = other._filter
         self.filter_kind = other.filter_kind
         self._sketch = other._sketch
-        self.exchange_policy = other.exchange_policy
+        self.max_exchanges_per_update = other.max_exchanges_per_update
         self.total_mass = other.total_mass
         self.overflow_mass = other.overflow_mass
         self.miss_events = other.miss_events
@@ -733,6 +666,7 @@ class StagedSynopsis:
         of the part that must leave it — raises
         :class:`NegativeCountError` before anything changes.
         """
+        amount = _int64_count(amount)
         if amount < 0:
             raise NegativeCountError("remove() expects a positive amount")
         key = _int64_key(key)
@@ -883,6 +817,24 @@ def _int64_key(key) -> int:
         raise ConfigurationError(f"keys must be integers, got {key!r}") from None
     if not _INT64_MIN <= value <= _INT64_MAX:
         raise ConfigurationError(f"key {value} is outside the int64 range")
+    return value
+
+
+def _int64_count(amount) -> int:
+    """A scalar count as a Python int in the int64 range, else
+    :class:`ConfigurationError`: the scalar form of
+    :func:`~repro.hashing.families.count_dtype_problem`'s rule.  The
+    sign is the callers' own check."""
+    try:
+        value = operator.index(amount)
+    except TypeError:
+        raise ConfigurationError(
+            f"counts must be integers, got {amount!r}"
+        ) from None
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ConfigurationError(
+            f"counts must be integers in the int64 range, got {value}"
+        )
     return value
 
 

@@ -10,7 +10,7 @@ ingestion runtime around them — observable *live* instead of post-hoc:
   (counters, gauges, fixed-bucket histograms; thread-safe).  Install
   one with :func:`install_registry` and the instrumented paths
   (ASketch ingest, the stream engine, sharding, checkpointing,
-  retries, quarantine, shard supervision) start recording; with none
+  quarantine, the worker fleet) start recording; with none
   installed they cost one ``None`` check per chunk/stream call, and
   estimates are bit-identical either way.
 * :mod:`repro.obs.exposition` — Prometheus text format

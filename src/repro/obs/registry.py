@@ -19,7 +19,7 @@ and instruments accept an optional label mapping::
 
     registry = MetricsRegistry()
     registry.counter("asketch_filter_hits_total").inc(5)
-    registry.counter("source_retries_total", error="TransientSourceError").inc()
+    registry.counter("parallel_worker_stalls_total", worker="1").inc()
     registry.histogram("engine_chunk_seconds").observe(0.0021)
 """
 

@@ -12,8 +12,7 @@ summary between runs.  This package provides that operational shell:
   a multi-core collector;
 * :mod:`~repro.runtime.reliability` — the fault-tolerance layer:
   :class:`~repro.runtime.reliability.ResilientEngine` (atomic
-  checkpoints + exact crash recovery), :class:`~repro.runtime.
-  reliability.RetryingSource` (backoff retries),
+  checkpoints + exact crash recovery),
   :class:`~repro.runtime.reliability.DeadLetterQueue` (quarantine),
   :class:`~repro.runtime.reliability.ShardSupervisor`
   (a shard group plus its per-shard health view), and the
@@ -41,10 +40,7 @@ from repro.runtime.reliability import (
     DeadLetter,
     DeadLetterQueue,
     FaultPlan,
-    FaultySource,
     ResilientEngine,
-    RetryingSource,
-    RetryPolicy,
     ShardSupervisor,
     SimulatedCrash,
     corrupt_file,
@@ -58,11 +54,8 @@ __all__ = [
     "DeadLetterQueue",
     "EngineStats",
     "FaultPlan",
-    "FaultySource",
     "ParallelIngestRuntime",
     "ResilientEngine",
-    "RetryPolicy",
-    "RetryingSource",
     "ShardSupervisor",
     "ShardedASketch",
     "SimulatedCrash",

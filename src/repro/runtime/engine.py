@@ -26,16 +26,12 @@ from typing import Any, Callable, Iterable, Protocol
 import numpy as np
 
 from repro.errors import ConfigurationError, PoisonChunkError
-from repro.hashing.families import count_dtype_problem, key_dtype_problem
+from repro.hashing.families import key_dtype_problem
 from repro.obs.registry import current_registry
 from repro.obs.trace import current_tracer, trace_span
 
 
-def coerce_chunk(
-    chunk,
-    chunk_index: int,
-    counts: np.ndarray | None = None,
-) -> np.ndarray:
+def coerce_chunk(chunk, chunk_index: int) -> np.ndarray:
     """Validate one ingest chunk and return it as a 1-D ``int64`` array.
 
     The synopses model integer-keyed turnstile streams, so anything a
@@ -43,11 +39,9 @@ def coerce_chunk(
     rejected as poison instead: whatever
     :func:`~repro.hashing.families.key_dtype_problem` refuses (float keys,
     object/string dtypes, boolean payloads, uint64 keys above
-    ``INT64_MAX``) and non-1-D shapes.  When per-key ``counts``
-    accompany the chunk they must pass
-    :func:`~repro.hashing.families.count_dtype_problem` and be
-    non-negative — negative counts belong to the strict-turnstile
-    *deletion* API, not bulk ingest.
+    ``INT64_MAX``) and non-1-D shapes.  A chunk is unit-count keys;
+    weighted counts go through a synopsis's own ``process_batch``,
+    which applies the count rule.
 
     Raises :class:`~repro.errors.PoisonChunkError` carrying
     ``chunk_index`` so callers can quarantine the exact offender.
@@ -61,22 +55,6 @@ def coerce_chunk(
             f"expected a 1-D key array, got shape {array.shape}",
             chunk_index=chunk_index,
         )
-    if counts is not None:
-        counts = np.asarray(counts)
-        problem = count_dtype_problem(counts)
-        if problem is not None:
-            raise PoisonChunkError(problem, chunk_index=chunk_index)
-        if counts.ndim != 1 or counts.shape[0] != array.shape[0]:
-            raise PoisonChunkError(
-                f"counts shape {counts.shape} does not match "
-                f"keys shape {array.shape}",
-                chunk_index=chunk_index,
-            )
-        if (counts < 0).any():
-            raise PoisonChunkError(
-                "negative counts outside the strict-turnstile model",
-                chunk_index=chunk_index,
-            )
     return np.ascontiguousarray(array, dtype=np.int64)
 
 

@@ -64,9 +64,8 @@ one, unable to free a ring slot until the parent reads: every
 parent-side wait therefore runs in slices of a few milliseconds and
 drains every worker's pipe between them
 (:meth:`ParallelIngestRuntime._wait`).  The parent
-distinguishes *no progress* (stall → typed
-:class:`~repro.errors.WorkerStalledError`, failover) from *slow
-progress* (keep waiting).
+distinguishes *no progress* (stall → failover, with the stall in the
+worker's ``error`` text) from *slow progress* (keep waiting).
 
 **One ingest loop.**  The parent drives
 :class:`~repro.runtime.engine.StreamEngine` with the chunk router as its
@@ -107,7 +106,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.errors import ConfigurationError, WorkerStalledError
+from repro.errors import ConfigurationError
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -842,8 +841,8 @@ class ParallelIngestRuntime:
         waited: float,
         what: str,
     ) -> None:
-        """Record a typed stall and fail the worker over (hung ≠ dead,
-        but both leave the ring unserved)."""
+        """Record a stall and fail the worker over (hung ≠ dead, but
+        both leave the ring unserved)."""
         slot.stalls += 1
         registry = current_registry()
         if registry is not None:
@@ -854,14 +853,12 @@ class ParallelIngestRuntime:
             "worker_stalled", worker=slot.index, waited_seconds=waited,
             what=what,
         )
-        error = WorkerStalledError(
+        error = (
             f"worker {slot.index} stalled: no progress on {what} for "
-            f"{waited:.1f}s",
-            worker=slot.index,
-            waited_seconds=waited,
+            f"{waited:.1f}s"
         )
-        slot.error = slot.error or str(error)
-        self._fail_worker(slot, str(error))
+        slot.error = slot.error or error
+        self._fail_worker(slot, error)
 
     def _stop(self, slot: _WorkerSlot) -> None:
         """End a failed worker's process, salvaging any final snapshot

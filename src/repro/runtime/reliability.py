@@ -1,10 +1,10 @@
-"""Fault-tolerant ingestion: crash recovery, retries, shard health.
+"""Fault-tolerant ingestion: crash recovery, quarantine, shard health.
 
 A long-running collector must keep the synopsis through process
 crashes and bad input without losing or corrupting counts.  This
 module puts that reliability layer around
-:class:`~repro.runtime.engine.StreamEngine`'s ingest loop — as source
-layers feeding it, its quarantine and its checkpoint step:
+:class:`~repro.runtime.engine.StreamEngine`'s ingest loop — as its
+quarantine and its checkpoint step:
 
 * **Exact crash recovery** — :class:`ResilientEngine` checkpoints the
   synopsis every ``checkpoint_every`` chunks through the PR-2 state
@@ -16,28 +16,26 @@ layers feeding it, its quarantine and its checkpoint step:
   replays exactly the un-checkpointed suffix, so the recovered synopsis
   is *bit-identical* — equal :meth:`state` — to an uninterrupted run.
 * **Deterministic fault injection** — :class:`FaultPlan` describes
-  crashes at chunk boundaries, transient source errors, poison chunks
-  and checkpoint corruption, all seeded, so the
+  crashes at chunk boundaries and checkpoint corruption, so the
   recovery test suite can prove the guarantees above rather than hope
   for them.  Each worker of the parallel fleet acts out its share of a
   plan's kills, exits, hangs and snapshot corruption.
-* **Resilient sources** — :class:`RetryingSource` retries
-  :class:`~repro.errors.TransientSourceError` with exponential backoff
-  + deterministic jitter under one :class:`RetryPolicy` budget, raising
-  :class:`~repro.errors.RetryExhaustedError` when it is spent.
-  Chunks that fail validation (float/NaN keys, object dtypes, negative
-  counts) are quarantined in a :class:`DeadLetterQueue` instead of
-  being silently coerced into the synopsis — by
-  :class:`ResilientEngine` and by the fleet parent alike.
+* **Quarantine** — chunks that fail validation (float/NaN keys, object
+  dtypes, wrong shape) go to a :class:`DeadLetterQueue` instead of
+  being silently coerced into the synopsis — in :class:`ResilientEngine`
+  and in the fleet parent alike.
 * **Shard health** — :class:`ShardSupervisor` is a
   :class:`~repro.runtime.sharding.ShardedASketch` plus its per-shard
   health view, the result a worker fleet returns;
-  :meth:`ResilientEngine.health` surfaces checkpoint lag, retry and
-  quarantine counters.  Every recovery path restores
-  state exactly or raises a typed error.
+  :meth:`ResilientEngine.health` surfaces checkpoint lag and quarantine
+  counters.  Every recovery path restores state exactly or raises a
+  typed error.
 
-Replay semantics: synopsis state is exactly-once, because the journal
-pins the replay point.
+An error raised by the source itself ends the run: a generator is
+closed once it raises, so nothing can fetch the rest of it.
+:meth:`ResilientEngine.resume` over a fresh source then replays from
+the last checkpoint.  Replay semantics: synopsis state is exactly-once,
+because the journal pins the replay point.
 """
 
 from __future__ import annotations
@@ -56,13 +54,7 @@ from typing import Any, Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    RecoveryError,
-    RetryExhaustedError,
-    StreamFormatError,
-    TransientSourceError,
-)
+from repro.errors import ConfigurationError, RecoveryError, StreamFormatError
 from repro.obs.registry import current_registry
 from repro.obs.trace import trace_span
 from repro.persistence import _fsync_directory, load_synopsis, save_synopsis
@@ -85,103 +77,6 @@ class SimulatedCrash(BaseException):
     no chance to clean up, and the harness models exactly that.  Only
     the test driving the fault plan catches it.
     """
-
-
-# -- retrying sources --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Backoff budget for transient source errors.
-
-    ``delay_for(attempt)`` grows exponentially from ``base_delay`` by
-    ``multiplier`` per attempt, capped at ``max_delay``, plus
-    multiplicative jitter in ``[0, jitter)`` drawn from the caller's
-    seeded RNG — deterministic for a fixed seed, decorrelated across
-    retry storms.
-    """
-
-    max_retries: int = 5
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 5.0
-    jitter: float = 0.5
-
-    def delay_for(self, attempt: int, rng: random.Random) -> float:
-        """Sleep duration before retry number ``attempt`` (0-based)."""
-        backoff = min(self.max_delay, self.base_delay * self.multiplier**attempt)
-        return backoff * (1.0 + self.jitter * rng.random())
-
-
-class RetryingSource:
-    """Iterator wrapper retrying transient failures with backoff.
-
-    Wraps any chunk iterator whose ``__next__`` may raise a retryable
-    error (socket hiccup, NFS stall) and can be called again afterwards
-    — the contract of real transport readers.  Plain generators do
-    *not* satisfy it (they close on raise); wrap the transport object,
-    not a generator over it.
-
-    :class:`~repro.errors.TransientSourceError` is retried under
-    ``default_policy``; every other exception propagates untouched.
-    When the budget is spent the last failure is chained beneath
-    :class:`~repro.errors.RetryExhaustedError`.
-    """
-
-    def __init__(
-        self,
-        chunks: Iterable[np.ndarray] | Iterator[np.ndarray],
-        *,
-        default_policy: RetryPolicy | None = None,
-        seed: int = 0,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self._iterator = iter(chunks)
-        self._policy = default_policy or RetryPolicy()
-        self._rng = random.Random(seed)
-        self._sleep = sleep
-        #: Total retry attempts made (across all chunks).
-        self.retries = 0
-        #: Chunks successfully delivered downstream.
-        self.chunks_delivered = 0
-        #: Total seconds of backoff requested (sums the sleep arguments).
-        self.backoff_seconds = 0.0
-
-    def __iter__(self) -> "RetryingSource":
-        """Iterator protocol: the source is its own iterator."""
-        return self
-
-    def __next__(self) -> np.ndarray:
-        """Fetch the next chunk, retrying transient failures."""
-        attempt = 0
-        while True:
-            try:
-                chunk = next(self._iterator)
-            except TransientSourceError as error:
-                if attempt >= self._policy.max_retries:
-                    raise RetryExhaustedError(
-                        f"source failed {attempt + 1} times fetching chunk "
-                        f"{self.chunks_delivered}: {error}",
-                        chunk_index=self.chunks_delivered,
-                        attempts=attempt + 1,
-                    ) from error
-                delay = self._policy.delay_for(attempt, self._rng)
-                attempt += 1
-                self.retries += 1
-                self.backoff_seconds += delay
-                registry = current_registry()
-                if registry is not None:
-                    registry.counter(
-                        "source_retries_total",
-                        error=type(error).__name__,
-                    ).inc()
-                    registry.counter(
-                        "source_backoff_seconds_total"
-                    ).inc(delay)
-                self._sleep(delay)
-            else:
-                self.chunks_delivered += 1
-                return chunk
 
 
 # -- dead-letter quarantine --------------------------------------------------
@@ -272,28 +167,20 @@ class FaultPlan:
     """A deterministic, seeded schedule of injected faults.
 
     All positions are 0-based source-chunk indices.  The plan is applied
-    as two source layers around the ingest loop: :meth:`wrap` turns a
-    chunk iterable into a :class:`FaultySource` injecting *source-side*
-    faults (transient errors, poison payloads), and
-    :meth:`boundary_faults` acts out a crash planned at a chunk
-    boundary as each chunk is handed over.  The
-    checkpoint step reports each write to :meth:`checkpoint_written`,
-    which corrupts the planned one.
+    as one source layer around the ingest loop: :meth:`boundary_faults`
+    acts out a crash planned at a chunk boundary as each chunk is handed
+    over.  The checkpoint step reports each write to
+    :meth:`checkpoint_written`, which corrupts the planned one.  (Poison
+    is not a fault of the plan: a test puts the malformed payload into
+    its chunk list at the position it wants.)
 
     Attributes
     ----------
     seed:
-        Drives every random choice (poison variant, corruption offset).
+        Drives the corruption offset.
     crash_at_chunk:
         Raise :class:`SimulatedCrash` immediately before ingesting this
         chunk — exactly ``crash_at_chunk`` chunks have been handled.
-    transient_errors:
-        ``{chunk_index: failures}`` — the source raises
-        :class:`~repro.errors.TransientSourceError` that many times
-        before successfully yielding the chunk.
-    poison_chunks:
-        Chunk indices whose payload is replaced with poison (float,
-        NaN-bearing, or object-dtype keys, variant chosen by ``seed``).
     corrupt_checkpoint_after:
         After this many checkpoint writes (1-based), corrupt the newest
         snapshot file — exercising the fall-back-one-generation path.
@@ -302,8 +189,8 @@ class FaultPlan:
     :class:`~repro.runtime.parallel.ParallelIngestRuntime` through the
     per-worker plan :meth:`worker_faults_for` derives; every position
     counts that worker's locally handled chunks.  (A worker reads only
-    shares the parent has validated, so poison and transient source
-    errors are faults of the parent's source, as in-process.)
+    shares the parent has validated, so poison is a fault of the
+    parent's source, as in-process.)
 
     worker_crash:
         ``{worker_id: after_chunks}`` — the worker dies hard
@@ -326,8 +213,6 @@ class FaultPlan:
 
     seed: int = 0
     crash_at_chunk: int | None = None
-    transient_errors: dict[int, int] = field(default_factory=dict)
-    poison_chunks: frozenset[int] | set[int] = field(default_factory=frozenset)
     corrupt_checkpoint_after: int | None = None
     worker_crash: dict[int, int] = field(default_factory=dict)
     worker_exit: dict[int, int] = field(default_factory=dict)
@@ -358,10 +243,6 @@ class FaultPlan:
             worker_exit={worker: at for at, kind in first if kind == 1},
             worker_hang={worker: at for at, kind in first if kind == 2},
         )
-
-    def wrap(self, chunks: Iterable[np.ndarray]) -> "FaultySource":
-        """The source-side view of this plan over a chunk iterable."""
-        return FaultySource(chunks, self)
 
     def boundary_faults(
         self, chunks: Iterable[Any], start: int = 0
@@ -400,64 +281,6 @@ class FaultPlan:
         if self.worker_exit:
             sys.exit(3)  # premature "clean" exit, no final snapshot
         os._exit(17)  # injected mid-stream kill -9, no cleanup
-
-    def poison_payload(self, chunk: np.ndarray, chunk_index: int) -> Any:
-        """The poison replacing ``chunk``, chosen by ``(seed, index)``."""
-        rng = random.Random(self.seed * 1_000_003 + chunk_index)
-        variant = rng.randrange(3)
-        base = np.asarray(chunk, dtype=np.float64)
-        if base.size == 0:
-            base = np.zeros(1, dtype=np.float64)
-        if variant == 0:  # fractional keys: int64 coercion would truncate
-            return base + 0.5
-        if variant == 1:  # NaN keys
-            poisoned = base.copy()
-            poisoned[rng.randrange(poisoned.size)] = np.nan
-            return poisoned
-        return [int(v) for v in base[:-1]] + ["poison"]  # object dtype
-
-
-class FaultySource:
-    """A chunk iterator acting out a :class:`FaultPlan`'s source faults.
-
-    Transient failures are raised *before* the chunk is surrendered and
-    the same chunk is re-offered on the next ``__next__`` call — the
-    retry contract :class:`RetryingSource` expects.  Poison chunks are
-    substituted at their planned positions.
-    """
-
-    def __init__(self, chunks: Iterable[np.ndarray], plan: FaultPlan) -> None:
-        self._iterator = iter(chunks)
-        self._plan = plan
-        self._index = 0
-        self._pending: Any = None
-        self._has_pending = False
-        self._failures_left: dict[int, int] = dict(plan.transient_errors)
-
-    def __iter__(self) -> "FaultySource":
-        """Iterator protocol: the source is its own iterator."""
-        return self
-
-    def __next__(self) -> Any:
-        """Yield the next chunk, injecting planned source faults."""
-        if not self._has_pending:
-            self._pending = next(self._iterator)
-            self._has_pending = True
-        index = self._index
-        remaining = self._failures_left.get(index, 0)
-        if remaining > 0:
-            self._failures_left[index] = remaining - 1
-            raise TransientSourceError(
-                f"injected transient failure fetching chunk {index} "
-                f"({remaining - 1} more to come)"
-            )
-        chunk = self._pending
-        self._pending = None
-        self._has_pending = False
-        self._index += 1
-        if index in self._plan.poison_chunks:
-            return self._plan.poison_payload(chunk, index)
-        return chunk
 
 
 # -- checkpoint store --------------------------------------------------------
@@ -803,10 +626,10 @@ class ResilientEngine:
 
     Composes the pieces of this module into one ingestion runtime:
 
-    * the source is wrapped in a :class:`RetryingSource` (transient
-      failures retried with backoff under ``default_retry_policy``);
     * every chunk is validated before it can touch the synopsis; poison
       chunks land in :attr:`dead_letters` and ingestion continues;
+    * an exception raised by the source propagates out of :meth:`run`
+      with :meth:`health` still reporting how far the run got;
     * with a ``checkpoint_dir``, the synopsis is checkpointed atomically
       every ``checkpoint_every`` chunks (plus once at end of stream) and
       :meth:`resume` restores the newest valid generation and replays
@@ -822,8 +645,6 @@ class ResilientEngine:
         checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 64,
         batched: bool | None = None,
-        default_retry_policy: RetryPolicy | None = None,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if synopsis is None and checkpoint_dir is None:
             raise ConfigurationError(
@@ -839,12 +660,9 @@ class ResilientEngine:
         self._store = (
             CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
         )
-        self._default_retry_policy = default_retry_policy
-        self._sleep = sleep
         #: Quarantine of rejected chunks (see :class:`DeadLetterQueue`).
         self.dead_letters = DeadLetterQueue()
         self._engine: StreamEngine | None = None
-        self._source: RetryingSource | None = None
         self._last_record: dict | None = None
         self._checkpoints_written = 0
 
@@ -920,9 +738,9 @@ class ResilientEngine:
         restored: dict | None,
         fault_plan: FaultPlan | None,
     ) -> EngineStats:
-        """Run the ingest loop behind the source layers: the fault plan,
-        then retries, then (past a restored prefix) the plan's
-        chunk-boundary faults; poison goes to :attr:`dead_letters`."""
+        """Run the ingest loop over ``chunks`` past a restored prefix,
+        behind the plan's chunk-boundary faults; poison goes to
+        :attr:`dead_letters`."""
         if self.synopsis is None:
             raise ConfigurationError("no synopsis to drive")
         plan = fault_plan if fault_plan is not None else FaultPlan()
@@ -941,13 +759,8 @@ class ResilientEngine:
                 self.checkpoint_every,
                 lambda position: self._checkpoint(position, engine, plan),
             )
-        self._source = RetryingSource(
-            plan.wrap(chunks),
-            default_policy=self._default_retry_policy,
-            sleep=self._sleep,
-        )
         self._engine = engine
-        suffix = itertools.islice(self._source, start, None)
+        suffix = itertools.islice(chunks, start, None)
         return engine.run(plan.boundary_faults(suffix, start))
 
     def _checkpoint(
@@ -978,8 +791,7 @@ class ResilientEngine:
         Keys: ``status`` (``"ok"``/``"degraded"`` — degraded when chunks
         were quarantined), ingestion counters, the last checkpoint
         record (or None), ``checkpoint_lag_chunks`` (chunks handled
-        since that checkpoint), retry/backoff counters from the source
-        wrapper, and quarantine counters.
+        since that checkpoint), and quarantine counters.
         """
         stats = self.stats
         seen = self._engine.position if self._engine is not None else 0
@@ -997,10 +809,6 @@ class ResilientEngine:
             "checkpoint": checkpoint,
             "checkpoint_lag_chunks": seen - (
                 self._last_record["chunk_index"] if self._last_record else 0
-            ),
-            "retries": self._source.retries if self._source else 0,
-            "backoff_seconds": (
-                self._source.backoff_seconds if self._source else 0.0
             ),
             "quarantined": self.dead_letters.quarantined,
             "quarantine_dropped": self.dead_letters.dropped,

@@ -118,3 +118,62 @@ class TestCheckpointRestore:
         captured = capsys.readouterr()
         assert code == 1
         assert "does not answer top-k" in captured.err
+
+
+def _top_k_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if ". key=" in line]
+
+
+class TestResume:
+    """``resume DIR`` finishes a checkpointed ``run`` from its newest
+    valid generation; exit codes 0 (recovered), 1 (no recoverable
+    checkpoint), 2 (not a checkpoint directory)."""
+
+    @staticmethod
+    def run_checkpointed(directory, capsys) -> None:
+        # 10 chunks, a checkpoint every 2: the newest two of five
+        # generations are kept.
+        code = main(
+            ["run", "asketch", "--checkpoint-dir", str(directory),
+             "--checkpoint-every", "2", "--chunk-size", "2000",
+             "--scale", "0.05"]
+        )
+        assert code == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("corrupt_newest", [False, True])
+    def test_resume_prints_the_uninterrupted_top_k(
+        self, capsys, tmp_path, corrupt_newest
+    ):
+        from repro.runtime.reliability import corrupt_file
+
+        directory = tmp_path / "ck"
+        self.run_checkpointed(directory, capsys)
+        newest = max(directory.glob("gen-*.npz"))
+        # The newest generation is the end-of-stream checkpoint.
+        assert main(["restore", str(newest), "--top-k", "3"]) == 0
+        expected = _top_k_lines(capsys.readouterr().out)
+        assert len(expected) == 3
+        if corrupt_newest:
+            # Falls back one generation and replays the suffix.
+            corrupt_file(newest)
+        assert main(["resume", str(directory), "--top-k", "3"]) == 0
+        assert _top_k_lines(capsys.readouterr().out) == expected
+
+    def test_directory_without_manifest_is_a_usage_error(
+        self, capsys, tmp_path
+    ):
+        assert main(["resume", str(tmp_path)]) == 2
+        assert "run-manifest.json" in capsys.readouterr().err
+
+    def test_every_generation_corrupt_fails(self, capsys, tmp_path):
+        from repro.runtime.reliability import corrupt_file
+
+        directory = tmp_path / "ck"
+        self.run_checkpointed(directory, capsys)
+        generations = sorted(directory.glob("gen-*.npz"))
+        assert len(generations) == 2
+        for path in generations:
+            corrupt_file(path)
+        assert main(["resume", str(directory), "--top-k", "3"]) == 1
+        assert "no recoverable checkpoint" in capsys.readouterr().err

@@ -19,12 +19,7 @@ from repro.obs import (
     uninstall_registry,
 )
 from repro.runtime.engine import EngineStats, StreamEngine
-from repro.runtime.reliability import (
-    DeadLetterQueue,
-    FaultPlan,
-    ResilientEngine,
-    RetryPolicy,
-)
+from repro.runtime.reliability import DeadLetterQueue, ResilientEngine
 from repro.runtime.sharding import ShardedASketch
 from repro.streams.zipf import zipf_stream
 
@@ -226,24 +221,6 @@ class TestReliabilityMetrics:
         assert registry.value("recovery_replay_chunks") == 2.0
         recover_spans = sink.named("recover")
         assert [event.phase for event in recover_spans] == ["enter", "exit"]
-
-    def test_retry_metrics_by_error_class(self, stream, registry):
-        engine = ResilientEngine(
-            make_asketch(),
-            default_retry_policy=RetryPolicy(jitter=0.0),
-            sleep=lambda _delay: None,
-        )
-        engine.run(
-            stream.chunks(5_000),
-            fault_plan=FaultPlan(transient_errors={1: 2}),
-        )
-        assert (
-            registry.value(
-                "source_retries_total", error="TransientSourceError"
-            )
-            == 2.0
-        )
-        assert registry.value("source_backoff_seconds_total") > 0.0
 
     def test_dlq_metrics(self, registry):
         queue = DeadLetterQueue(capacity=1)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.asketch import ASketch
 from repro.core.filters.heap import RelaxedHeapFilter, StrictHeapFilter
+from repro.kernels import active_backend
 from repro.sketches.count_min import CountMinSketch
 
 FILTER_KINDS = ["vector", "strict-heap", "relaxed-heap", "stream-summary"]
@@ -78,9 +79,7 @@ def unique_process_batch(staged, keys, counts=None) -> None:
     estimates = staged.sketch.update_batch_weighted(sketch_keys, sketch_totals)
 
     threshold = filter_.peek_min_new_count()
-    candidates = staged.exchange_policy.batch_candidates(
-        staged, estimates, threshold
-    )
+    candidates = active_backend().exchange_candidates(estimates, threshold)
     filter_.charge_min_queries(sketch_keys.shape[0] - candidates.shape[0])
     for position in candidates.tolist():
         staged._run_exchanges(

@@ -3,8 +3,8 @@
 Every guarantee the module documents is proven here against the
 deterministic :class:`~repro.runtime.reliability.FaultPlan` harness:
 exact crash recovery (kill at any chunk boundary, resume, states
-bit-identical), corrupt-checkpoint fallback, retry budgets, poison
-quarantine, and the shard supervisor's exact health view.
+bit-identical), corrupt-checkpoint fallback, source errors ending a run,
+poison quarantine, and the shard supervisor's exact health view.
 """
 
 from __future__ import annotations
@@ -18,22 +18,13 @@ import numpy as np
 import pytest
 
 from repro.core.asketch import ASketch
-from repro.errors import (
-    ConfigurationError,
-    PoisonChunkError,
-    RecoveryError,
-    RetryExhaustedError,
-    StreamFormatError,
-    TransientSourceError,
-)
+from repro.errors import ConfigurationError, RecoveryError, StreamFormatError
 from repro.persistence import load_synopsis, save_synopsis
 from repro.runtime.reliability import (
     CheckpointStore,
     DeadLetterQueue,
     FaultPlan,
     ResilientEngine,
-    RetryingSource,
-    RetryPolicy,
     ShardSupervisor,
     SimulatedCrash,
     corrupt_file,
@@ -52,6 +43,23 @@ def stream():
 
 def make_asketch() -> ASketch:
     return ASketch(total_bytes=16 * 1024, filter_items=16, seed=5)
+
+
+def poisoned(chunks, positions) -> list:
+    """``chunks`` as a list with the chunk at each of ``positions``
+    replaced by a malformed payload: fractional float keys, a NaN key
+    and a string key in turn."""
+    chunks = list(chunks)
+    for turn, position in enumerate(sorted(positions)):
+        keys = chunks[position].astype(np.float64)
+        if turn % 3 == 0:
+            chunks[position] = keys + 0.5
+        elif turn % 3 == 1:
+            keys[len(keys) // 2] = np.nan
+            chunks[position] = keys
+        else:
+            chunks[position] = [*chunks[position][:-1].tolist(), "poison"]
+    return chunks
 
 
 @pytest.fixture(scope="module")
@@ -157,78 +165,6 @@ class TestArchiveCompatibility:
                 np.testing.assert_array_equal(new[name], old[name])
 
 
-# -- retrying sources --------------------------------------------------------
-
-
-class TestRetryingSource:
-    def _flaky(self, failures: dict[int, int], n_chunks: int = 5):
-        plan = FaultPlan(transient_errors=failures)
-        return plan.wrap([np.arange(4) + i for i in range(n_chunks)])
-
-    def test_transient_failures_are_retried_through(self):
-        sleeps: list[float] = []
-        source = RetryingSource(
-            self._flaky({1: 2, 3: 1}), seed=4, sleep=sleeps.append
-        )
-        chunks = list(source)
-        assert len(chunks) == 5
-        assert source.retries == 3
-        assert len(sleeps) == 3
-        assert source.chunks_delivered == 5
-        assert source.backoff_seconds == pytest.approx(sum(sleeps))
-
-    def test_backoff_is_deterministic_for_a_seed(self):
-        def run(seed):
-            sleeps: list[float] = []
-            list(
-                RetryingSource(
-                    self._flaky({0: 3}), seed=seed, sleep=sleeps.append
-                )
-            )
-            return sleeps
-
-        assert run(11) == run(11)
-        assert run(11) != run(12)  # jitter decorrelates different seeds
-
-    def test_backoff_grows_exponentially(self):
-        sleeps: list[float] = []
-        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, jitter=0.0)
-        list(
-            RetryingSource(
-                self._flaky({0: 3}),
-                default_policy=policy,
-                sleep=sleeps.append,
-            )
-        )
-        assert sleeps == pytest.approx([0.1, 0.2, 0.4])
-
-    def test_exhaustion_raises_with_cause_and_positions(self):
-        source = RetryingSource(
-            self._flaky({2: 99}),
-            default_policy=RetryPolicy(max_retries=3),
-            sleep=lambda _: None,
-        )
-        with pytest.raises(RetryExhaustedError) as info:
-            list(source)
-        assert info.value.chunk_index == 2
-        assert info.value.attempts == 4  # 1 + 3 retries
-        assert isinstance(info.value.__cause__, TransientSourceError)
-
-    def test_unregistered_errors_propagate_untouched(self):
-        class Fatal(Exception):
-            pass
-
-        class BadSource:
-            def __iter__(self):
-                return self
-
-            def __next__(self):
-                raise Fatal("not retryable")
-
-        with pytest.raises(Fatal):
-            next(iter(RetryingSource(BadSource(), sleep=lambda _: None)))
-
-
 # -- dead letters ------------------------------------------------------------
 
 
@@ -249,8 +185,7 @@ class TestDeadLetterQueue:
     def test_engine_quarantines_poison_and_keeps_ingesting(self, stream):
         synopsis = make_asketch()
         engine = ResilientEngine(synopsis)
-        plan = FaultPlan(seed=3, poison_chunks={2, 7, 11})
-        stats = engine.run(stream.chunks(CHUNK), fault_plan=plan)
+        stats = engine.run(poisoned(stream.chunks(CHUNK), {2, 7, 11}))
         # Three chunks quarantined, the rest ingested.
         assert engine.dead_letters.chunk_indices() == [2, 7, 11]
         assert stats.tuples_ingested == len(stream) - 3 * CHUNK
@@ -260,16 +195,6 @@ class TestDeadLetterQueue:
         health = engine.health()
         assert health["status"] == "degraded"
         assert health["quarantined"] == 3
-
-    def test_poison_variants_all_rejected(self):
-        chunk = np.arange(8, dtype=np.int64)
-        plan = FaultPlan(seed=0)
-        from repro.runtime.engine import coerce_chunk
-
-        for index in range(12):  # sweeps all three poison variants
-            payload = plan.poison_payload(chunk, index)
-            with pytest.raises(PoisonChunkError):
-                coerce_chunk(payload, index)
 
 
 class TestWorkerFaultPlan:
@@ -283,7 +208,7 @@ class TestWorkerFaultPlan:
         )
         hang = plan.worker_faults_for(0)
         assert (hang.crash_at_chunk, hang.worker_hang) == (2, {0: 2})
-        assert hang.worker_exit == {} and hang.poison_chunks == frozenset()
+        assert hang.worker_exit == {}
         exits = plan.worker_faults_for(1)  # the exit wins the tie at 3
         assert (exits.crash_at_chunk, exits.worker_exit) == (3, {1: 3})
         assert exits.worker_hang == {}
@@ -482,24 +407,17 @@ class TestCrashRecovery:
         self, tmp_path, stream
     ):
         """Poison chunks replay deterministically across the crash."""
-        plan_faults = dict(seed=2, poison_chunks=frozenset({5, 16}))
+        chunks = poisoned(stream.chunks(CHUNK), {5, 16})
         reference = make_asketch()
-        ResilientEngine(reference).run(
-            stream.chunks(CHUNK), fault_plan=FaultPlan(**plan_faults)
-        )
+        ResilientEngine(reference).run(chunks)
 
         engine = ResilientEngine(
             make_asketch(), checkpoint_dir=tmp_path, checkpoint_every=3
         )
         with pytest.raises(SimulatedCrash):
-            engine.run(
-                stream.chunks(CHUNK),
-                fault_plan=FaultPlan(crash_at_chunk=14, **plan_faults),
-            )
+            engine.run(chunks, fault_plan=FaultPlan(crash_at_chunk=14))
         recovered = ResilientEngine(checkpoint_dir=tmp_path, checkpoint_every=3)
-        recovered.resume(
-            stream.chunks(CHUNK), fault_plan=FaultPlan(**plan_faults)
-        )
+        recovered.resume(chunks)
         assert recovered.synopsis.state().equals(reference.state())
 
 
@@ -710,36 +628,56 @@ class TestLegacySupervisorState:
             ShardSupervisor.from_state(state)
 
 
-# -- engine health & retry integration ---------------------------------------
+# -- engine health and source errors ----------------------------------------
 
 
-class TestEngineHealthAndRetries:
-    def test_health_reports_checkpoint_lag_and_retries(self, tmp_path, stream):
+class TestEngineHealth:
+    def test_health_reports_checkpoint_lag_and_quarantine(
+        self, tmp_path, stream
+    ):
         engine = ResilientEngine(
-            make_asketch(),
-            checkpoint_dir=tmp_path,
-            checkpoint_every=4,
-            sleep=lambda _: None,
+            make_asketch(), checkpoint_dir=tmp_path, checkpoint_every=4
         )
-        plan = FaultPlan(transient_errors={3: 2, 9: 1}, crash_at_chunk=10)
+        plan = FaultPlan(crash_at_chunk=10)
         with pytest.raises(SimulatedCrash):
-            engine.run(stream.chunks(CHUNK), fault_plan=plan)
+            engine.run(poisoned(stream.chunks(CHUNK), {3, 9}), fault_plan=plan)
         health = engine.health()
-        assert health["retries"] == 3
-        assert health["backoff_seconds"] > 0
+        assert health["quarantined"] == 2
         assert health["checkpoint"]["chunk_index"] == 8
         assert health["checkpoint_lag_chunks"] == 2  # chunks 8 and 9
         assert health["source_chunks_seen"] == 10
 
-    def test_retry_exhaustion_escapes_run(self, stream):
+    @pytest.mark.parametrize("fails_at", [0, 5, 10])
+    def test_source_error_escapes_run(
+        self, tmp_path, stream, reference_state, fails_at
+    ):
+        """A source that raises ends the run with the error, never with a
+        truncated stream reported ``ok``; resuming over a fresh source
+        recovers the uninterrupted state."""
+
+        def failing_source():
+            for position, chunk in enumerate(stream.chunks(CHUNK)):
+                if position == fails_at:
+                    raise ConnectionError(f"source lost at chunk {position}")
+                yield chunk
+
         engine = ResilientEngine(
-            make_asketch(),
-            default_retry_policy=RetryPolicy(max_retries=1),
-            sleep=lambda _: None,
+            make_asketch(), checkpoint_dir=tmp_path, checkpoint_every=4
         )
-        plan = FaultPlan(transient_errors={2: 50})
-        with pytest.raises(RetryExhaustedError):
-            engine.run(stream.chunks(CHUNK), fault_plan=plan)
+        with pytest.raises(ConnectionError, match="source lost"):
+            engine.run(failing_source())
+        health = engine.health()
+        assert health["source_chunks_seen"] == fails_at
+        assert health["tuples_ingested"] == fails_at * CHUNK
+        # No end-of-stream checkpoint was written for the cut-off run.
+        assert health["checkpoint_lag_chunks"] == fails_at % 4
+
+        recovered = ResilientEngine(
+            make_asketch(), checkpoint_dir=tmp_path, checkpoint_every=4
+        )
+        stats = recovered.resume(stream.chunks(CHUNK))
+        assert stats.tuples_ingested == len(stream)
+        assert recovered.synopsis.state().equals(reference_state)
 
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -252,3 +252,51 @@ class TestRejectedCounts:
         synopsis.process_batch([], [])
         assert synopsis.total_mass == 7
         assert synopsis.query(4) >= 5
+
+
+
+#: Scalar counts the count rule refuses: a fraction, a value past
+#: INT64_MAX and a string.
+REJECTED_SCALAR_COUNTS = {"fraction": 1.5, "above-int64-max": 1 << 63,
+                          "string": "3"}
+
+SCALAR_CALLS = {
+    "update": lambda synopsis, amount: synopsis.update(7, amount),
+    "process": lambda synopsis, amount: synopsis.process(7, amount),
+    "remove": lambda synopsis, amount: synopsis.remove(7, amount),
+}
+
+
+class TestRejectedScalarCounts:
+    """``update`` / ``process`` / ``remove`` read ``amount`` by the same
+    count rule as ``process_batch``: anything else raises
+    :class:`ConfigurationError` before any state changes."""
+
+    @pytest.mark.parametrize("call", sorted(SCALAR_CALLS))
+    @pytest.mark.parametrize("bad", sorted(REJECTED_SCALAR_COUNTS))
+    @pytest.mark.parametrize(
+        "kind", ["relaxed-heap", "stream-summary", "strict-heap", "vector"]
+    )
+    def test_refused_before_any_change(self, kind, bad, call):
+        synopsis = ASketch(total_bytes=4096, filter_items=4, filter_kind=kind)
+        synopsis.process_batch(np.arange(40, dtype=np.int64) % 7)
+        synopsis.update(7, 3)
+        before, mass = synopsis.state(), synopsis.total_mass
+        with pytest.raises(ConfigurationError, match="counts must be integers"):
+            SCALAR_CALLS[call](synopsis, REJECTED_SCALAR_COUNTS[bad])
+        assert synopsis.total_mass == mass
+        assert synopsis.state().equals(before)
+
+    def test_sharded_update_is_refused(self):
+        group = STAGED_KINDS["sharded"]()
+        with pytest.raises(ConfigurationError, match="counts must be integers"):
+            group.update(7, 1.5)
+        assert group.total_mass == 0
+
+    def test_integer_scalars_of_any_width_are_read(self):
+        synopsis = ASketch(total_bytes=4096, filter_items=4)
+        synopsis.update(7, np.uint8(2))
+        synopsis.process(7, np.int64(3))
+        synopsis.remove(7, True)
+        assert synopsis.total_mass == 4
+        assert type(synopsis.total_mass) is int

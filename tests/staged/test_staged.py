@@ -1,21 +1,15 @@
-"""The staged-synopsis composition layer: stages and policies."""
+"""The staged-synopsis composition layer: stages and the exchange step."""
 
-import numpy as np
 import pytest
 
 from repro.core.asketch import ASketch
 from repro.core.filters import make_filter
-from repro.core.staged import ClassicExchange, ExchangePolicy, StagedSynopsis
+from repro.core.staged import StagedSynopsis
 from repro.errors import ConfigurationError
 from repro.sketches.count_min import CountMinSketch
 from repro.streams.zipf import zipf_stream
 
 STREAM = zipf_stream(20_000, 4_000, 1.3, seed=23)
-
-
-def _true_counts():
-    keys, counts = np.unique(STREAM.keys, return_counts=True)
-    return dict(zip(keys.tolist(), counts.tolist()))
 
 
 class TestComposition:
@@ -24,7 +18,7 @@ class TestComposition:
         staged = StagedSynopsis(
             make_filter("relaxed-heap", 16),
             CountMinSketch(num_hashes=8, total_bytes=8 * 1024, seed=3),
-            ClassicExchange(1),
+            max_exchanges_per_update=1,
         )
         asketch = ASketch(
             sketch=CountMinSketch(num_hashes=8, total_bytes=8 * 1024, seed=3),
@@ -49,22 +43,26 @@ class TestComposition:
             make_filter("relaxed-heap", 8),
             CountMinSketch(num_hashes=4, total_bytes=4 * 1024),
         )
-        assert isinstance(staged.exchange_policy, ClassicExchange)
         assert staged.max_exchanges_per_update == 1
+        assert staged.state().params["max_exchanges_per_update"] == 1
 
     def test_policy_knob_visible_through_property(self):
         staged = StagedSynopsis(
             make_filter("relaxed-heap", 8),
             CountMinSketch(num_hashes=4, total_bytes=4 * 1024),
-            ClassicExchange(3),
+            max_exchanges_per_update=3,
         )
         assert staged.max_exchanges_per_update == 3
         staged.max_exchanges_per_update = 2
-        assert staged.exchange_policy.max_exchanges_per_update == 2
+        assert staged.state().params["max_exchanges_per_update"] == 2
 
-    def test_classic_exchange_validates_budget(self):
-        with pytest.raises(ConfigurationError):
-            ClassicExchange(0)
+    def test_exchange_budget_is_validated(self):
+        with pytest.raises(ConfigurationError, match="must be >= 1"):
+            StagedSynopsis(
+                make_filter("relaxed-heap", 8),
+                CountMinSketch(num_hashes=4, total_bytes=4 * 1024),
+                max_exchanges_per_update=0,
+            )
 
     def test_back_stage_must_be_a_frequency_sketch(self):
         """A back stage without the FrequencySketch contract (here the
@@ -80,25 +78,3 @@ class TestComposition:
 
     def test_asketch_is_a_staged_synopsis(self):
         assert issubclass(ASketch, StagedSynopsis)
-
-    def test_custom_policy_can_disable_exchanges(self):
-        class NeverExchange(ExchangePolicy):
-            def run_exchanges(self, staged, key, current_estimate):
-                return current_estimate
-
-            def batch_candidates(self, staged, estimates, threshold):
-                staged.filter.charge_min_queries(estimates.shape[0])
-                return np.empty(0, dtype=np.int64)
-
-        staged = StagedSynopsis(
-            make_filter("relaxed-heap", 8),
-            CountMinSketch(num_hashes=4, total_bytes=4 * 1024),
-            NeverExchange(),
-        )
-        staged.process_stream(STREAM.keys)
-        assert staged.exchange_count == 0
-        # Still one-sided: filterless heavy keys fall through to CM.
-        true = _true_counts()
-        for key in list(true)[:200]:
-            assert staged.query(key) >= true[key]
-
