@@ -26,7 +26,7 @@ _INT64_MAX = (1 << 63) - 1
 #: batches take several rows at once, and no temporary exceeds
 #: ``max(_CELLS, n)`` cells.
 _CELLS = 1 << 14
-#: Odd multiplier of the probe prefilter's hash: ``2**64`` over the
+#: Odd multiplier of the probe's slot-table hash: ``2**64`` over the
 #: golden ratio (Fibonacci hashing).
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -59,17 +59,18 @@ class NumpyKernels:
     def membership_probe(
         self, stored: np.ndarray, keys: np.ndarray
     ) -> np.ndarray:
-        """Bit-table prefilter, then sorted-view ``searchsorted``
-        membership over the live keys for the probe keys that pass it.
+        """Slot-table lookup, with a sorted-view ``searchsorted`` for
+        the probe keys whose bucket two stored keys share.
 
         ``stored`` is the live prefix of an array filter's raw key
         slots; the answer is each key's slot, ``-1`` on a miss.  Each
-        stored key sets one bit of a table of ``2**bits >= 32 m`` bits
-        (``m`` live slots, one byte per bit), chosen by the
-        multiplicative hash ``(key * _GOLDEN) >> (64 - bits)`` on the
-        uint64 view.  A key whose bit is clear is not stored, so only
-        the hits and about one miss in 32 reach the binary search; the
-        answers are the search's own.
+        stored key lands in one bucket of a table of ``2**bits >= 32 m``
+        buckets (``m`` live slots), chosen by the multiplicative hash
+        ``(key * _GOLDEN) >> (64 - bits)`` on the uint64 view.  A bucket
+        holds ``slot + 1`` of its one stored key, ``0`` when empty and
+        ``-1`` when shared.  A key in a single-key bucket is confirmed
+        or refuted by one compare against that slot's key, and only the
+        keys in shared buckets reach the binary search.
         """
         keys = _as_int64(keys)
         stored = _as_int64(stored)
@@ -77,18 +78,28 @@ class NumpyKernels:
         if keys.shape[0] == 0 or stored.shape[0] == 0:
             return out
         shift = _prefilter_shift(stored.shape[0])
-        table = np.zeros(1 << (64 - int(shift)), dtype=bool)
-        table[_golden_hash(stored, shift)] = True
-        candidates = np.flatnonzero(table[_golden_hash(keys, shift)])
-        if candidates.shape[0] == 0:
-            return out
-        probed = keys[candidates]
-        order = np.argsort(stored)
-        sorted_keys = stored[order]
-        positions = np.searchsorted(sorted_keys, probed)
-        positions = np.minimum(positions, sorted_keys.shape[0] - 1)
-        mask = sorted_keys[positions] == probed
-        out[candidates[mask]] = order[positions[mask]]
+        buckets = _golden_hash(stored, shift)
+        table = np.zeros(1 << (64 - int(shift)), dtype=np.int64)
+        table[buckets] = np.arange(1, stored.shape[0] + 1, dtype=np.int64)
+        ranked = np.sort(buckets)
+        shared_buckets = ranked[1:][ranked[1:] == ranked[:-1]]
+        table[shared_buckets] = -1
+        held = table[_golden_hash(keys, shift)]
+        candidates = np.flatnonzero(held != 0)
+        # A shared bucket reads as slot -2 (valid: sharing needs m >= 2);
+        # a key equal to stored[-2] is stored, and the search rewrites it.
+        slots = held[candidates] - 1
+        match = stored[slots] == keys[candidates]
+        out[candidates[match]] = slots[match]
+        if shared_buckets.shape[0]:
+            shared = candidates[slots < 0]
+            probed = keys[shared]
+            order = np.argsort(stored)
+            sorted_keys = stored[order]
+            positions = np.searchsorted(sorted_keys, probed)
+            positions = np.minimum(positions, sorted_keys.shape[0] - 1)
+            mask = sorted_keys[positions] == probed
+            out[shared[mask]] = order[positions[mask]]
         return out
 
     def cm_update_weighted(
@@ -128,7 +139,7 @@ def active_backend() -> NumpyKernels:
 
 def _prefilter_shift(occupied: int) -> np.uint64:
     """``64 - bits`` for the smallest ``2**bits >= 32 * occupied``
-    (at least 32 bits), the probe prefilter's table size."""
+    (at least 32 entries), the probe's slot-table size."""
     return np.uint64(64 - max(5, (32 * occupied - 1).bit_length()))
 
 

@@ -75,18 +75,21 @@ class SupportsBatchIngest(Protocol):
 @dataclass
 class EngineStats:
     """Running ingestion statistics; ``wall_seconds`` clocks synopsis
-    ingest calls only."""
+    ingest calls only, and ``restored_tuples`` counts the tuples a
+    resumed drive took over from its checkpoint."""
 
     tuples_ingested: int = 0
     chunks_ingested: int = 0
     wall_seconds: float = 0.0
+    restored_tuples: int = 0
 
     @property
     def wall_throughput_items_per_ms(self) -> float:
-        """Ingest throughput in items/ms over ingest-only wall time."""
+        """Items/ms this drive ingested, over ingest-only wall time."""
         if self.wall_seconds <= 0:
             return 0.0
-        return self.tuples_ingested / self.wall_seconds / 1000.0
+        timed = self.tuples_ingested - self.restored_tuples
+        return timed / self.wall_seconds / 1000.0
 
 
 @dataclass

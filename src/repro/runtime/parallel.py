@@ -29,9 +29,11 @@ writes would interleave with the parent's).  No process outlives
 
 **Bit-identity.**  The parent routes every chunk with the group's own
 ``owners_of`` and sends worker ``w`` exactly the sub-array its shards
-would have received in a sequential run, in chunk order.  Stable
-partitioning inside ``process_batch`` then reproduces the exact same
-per-shard sub-batches, so each worker's shard states equal the
+would have received in a sequential run, in chunk order.  The
+parent's split by worker and ``process_batch``'s split by shard are
+each one stable owner sort
+(:func:`~repro.runtime.sharding.group_by_owner`), so each worker's
+per-shard sub-batches, and hence its shard states, equal the
 sequential run's.  A worker's snapshot is ``{shard: state}`` for its
 non-pristine shards only — the shards it owns that have seen keys —
 and the drain *installs* each of them into the result group with
@@ -124,7 +126,7 @@ from repro.runtime.reliability import (
     ShardSupervisor,
     SimulatedCrash,
 )
-from repro.runtime.sharding import ShardedASketch, record_routing
+from repro.runtime.sharding import ShardedASketch, group_by_owner, record_routing
 from repro.synopses.protocol import SynopsisState
 
 __all__ = ["ChunkRing", "ParallelIngestRuntime"]
@@ -1017,9 +1019,9 @@ class ParallelIngestRuntime:
         registry = current_registry()
         if registry is not None and owners.size:
             record_routing(registry, shares)
-        worker_of = self._assignment[owners]
-        for slot in self._slots:
-            self._feed(slot, chunk[worker_of == slot.index])
+        order, ends = group_by_owner(self._assignment[owners], self.workers)
+        for slot, share in zip(self._slots, np.split(chunk[order], ends[:-1])):
+            self._feed(slot, share)
         self._check_liveness()
         if registry is not None:
             self._record_fleet_metrics(registry)

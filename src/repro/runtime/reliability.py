@@ -750,6 +750,7 @@ class ResilientEngine:
             start = int(restored["chunk_index"])
             engine.position = start
             engine.stats.tuples_ingested = int(restored["tuples_ingested"])
+            engine.stats.restored_tuples = engine.stats.tuples_ingested
             engine.stats.chunks_ingested = int(
                 restored.get("engine_chunks", start)
             )

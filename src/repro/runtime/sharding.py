@@ -44,6 +44,17 @@ def record_routing(registry: MetricsRegistry, shares: np.ndarray) -> None:
     registry.gauge("shard_skew").set(float(shares.max()) / balanced)
 
 
+def group_by_owner(owners: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """A stable permutation grouping a batch by owner (ids in
+    ``[0, count)``), and each owner's end offset in it: owner ``o``'s
+    items, in batch order, are ``np.split(order, ends[:-1])[o]``.  The
+    ids are sorted as uint8 (up to 256 owners) or uint16 (up to
+    65,536), which numpy's stable sort orders by radix."""
+    narrow = owners.astype(np.min_scalar_type(count - 1))
+    order = np.argsort(narrow, kind="stable")
+    return order, np.cumsum(np.bincount(owners, minlength=count))
+
+
 class ShardedASketch:
     """Route keys to ASketch shards by a dedicated partition hash.
 
@@ -133,14 +144,14 @@ class ShardedASketch:
     def process_stream(self, keys: np.ndarray) -> None:
         """Partition a chunk by owner and feed each shard its share.
 
-        Within a shard, relative arrival order is preserved (stable
-        partitioning), which is all the exchange policy depends on.
+        The stable owner sort of :func:`group_by_owner` preserves
+        arrival order within a shard, which is all exchanges depend on.
         """
         keys = _key_vector(keys)
         owners = self._router.hash_array(encode_key_array(keys))
         self._record_routing(owners)
-        for index, shard in enumerate(self._shards):
-            share = keys[owners == index]
+        order, ends = group_by_owner(owners, len(self._shards))
+        for shard, share in zip(self._shards, np.split(keys[order], ends[:-1])):
             if share.size:
                 shard.process_stream(share)
 
@@ -149,11 +160,12 @@ class ShardedASketch:
     ) -> None:
         """Partition a chunk by owner and batch-ingest each shard's share.
 
-        Stable partitioning preserves first-appearance order within a
-        shard, so each shard sees exactly the chunk-granularity exchange
-        semantics of :meth:`repro.core.asketch.ASketch.process_batch`.
-        Keys that are not one-dimensional, and counts whose shape is not
-        the keys' or that hold a negative count, raise a typed error
+        The stable owner sort of :func:`group_by_owner` preserves
+        first-appearance order within a shard, so each shard sees
+        exactly the chunk-granularity exchange semantics of
+        :meth:`repro.core.asketch.ASketch.process_batch`.  Keys that
+        are not one-dimensional, and counts whose shape is not the
+        keys' or that hold a negative count, raise a typed error
         (:class:`ConfigurationError`, :class:`NegativeCountError`)
         before any shard or metric changes.
         """
@@ -175,12 +187,14 @@ class ShardedASketch:
         raise as in :meth:`process_batch`, before any shard changes."""
         keys = np.asarray(keys, dtype=np.int64)
         counts = _count_vector(keys, counts)
-        for index, shard in enumerate(self._shards):
-            mask = owners == index
-            if mask.any():
-                shard.process_batch(
-                    keys[mask], None if counts is None else counts[mask]
-                )
+        order, ends = group_by_owner(owners, len(self._shards))
+        shares = np.split(keys[order], ends[:-1])
+        weights = [None] * len(shares)
+        if counts is not None:
+            weights = np.split(counts[order], ends[:-1])
+        for shard, share, weight in zip(self._shards, shares, weights):
+            if share.size:
+                shard.process_batch(share, weight)
 
     def update(self, key: int, amount: int = 1) -> int:
         """Route one weighted update to its owner shard."""
@@ -201,9 +215,10 @@ class ShardedASketch:
     def query_batch(self, keys: Iterable[int]) -> list[int]:
         """Owner-shard point queries for many keys.
 
-        Partitions the batch by owner and runs each shard's vectorised
-        ``query_array`` once, scattering its int64 answers back into
-        input order; the list is built once, here.
+        Groups the batch by owner (:func:`group_by_owner`), runs each
+        shard's vectorised ``query_array`` once on its contiguous share,
+        and scatters the int64 answers back into input order with one
+        assignment; the list is built once, here.
         """
         if not isinstance(keys, np.ndarray):
             keys = list(keys)
@@ -211,11 +226,13 @@ class ShardedASketch:
         if keys.size == 0:
             return []
         owners = self._router.hash_array(encode_key_array(keys))
+        order, ends = group_by_owner(owners, len(self._shards))
+        shares = np.split(keys[order], ends[:-1])
         answers = np.empty(keys.shape[0], dtype=np.int64)
-        for index, shard in enumerate(self._shards):
-            mask = owners == index
-            if mask.any():
-                answers[mask] = shard.query_array(keys[mask])
+        answers[order] = np.concatenate([
+            shard.query_array(share)
+            for shard, share in zip(self._shards, shares) if share.size
+        ])
         return answers.tolist()
 
     estimate_batch = query_batch

@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels import _GOLDEN, _prefilter_shift
+
+_WORD = 1 << 64
+_GOLDEN_INVERSE = pow(int(_GOLDEN), -1, _WORD)
+
 
 def membership_probe(stored, keys) -> np.ndarray:
     """Slot of each key among the live keys ``stored``, ``-1`` on a miss."""
@@ -17,6 +22,23 @@ def membership_probe(stored, keys) -> np.ndarray:
         [slots.get(key, -1) for key in np.asarray(keys).tolist()],
         dtype=np.int64,
     )
+
+
+def bucket_mates(anchor: int, occupied: int, deltas) -> list[int]:
+    """Keys that share ``anchor``'s probe bucket while ``occupied`` keys
+    are stored, one per delta: ``anchor * _GOLDEN`` (mod ``2**64``) with
+    its low bits flipped by the delta, mapped back through the
+    multiplier's inverse.  A delta in ``[1, 2**shift)`` (the bits below
+    the bucket index) leaves the bucket unchanged, and distinct deltas
+    give distinct keys, none of them ``anchor``."""
+    shift = int(_prefilter_shift(occupied))
+    product = (anchor % _WORD) * int(_GOLDEN) % _WORD
+    mates = []
+    for delta in deltas:
+        assert 1 <= delta < 1 << shift
+        mate = (product ^ delta) * _GOLDEN_INVERSE % _WORD
+        mates.append(mate - _WORD if mate >= 1 << 63 else mate)
+    return mates
 
 
 def cm_update_weighted(table, hashes, codes, amounts) -> np.ndarray:

@@ -109,8 +109,8 @@ class TestMembershipProbe:
 
 
 class TestProbePrefilter:
-    """The numpy probe's bit-table prefilter never changes an answer:
-    every case is checked against the oracle's ``{key: slot}`` lookup."""
+    """The numpy probe's slot table, and its search over shared
+    buckets, answer every case like the oracle's ``{key: slot}`` lookup."""
 
     @staticmethod
     def _assert_parity(stored, keys):
@@ -159,6 +159,66 @@ class TestProbePrefilter:
         for live in (3, 6):
             self._assert_parity(stored[:live], keys)
         self._assert_parity(stored[:5] + [-1, _INT64_MAX], keys)
+
+    @staticmethod
+    def _shared_buckets(stored) -> int:
+        """How many of the stored keys' probe buckets hold two or more."""
+        from repro.kernels import _golden_hash, _prefilter_shift
+
+        stored = np.asarray(stored, dtype=np.int64)
+        buckets = _golden_hash(stored, _prefilter_shift(stored.shape[0]))
+        _, counts = np.unique(buckets, return_counts=True)
+        return int((counts > 1).sum())
+
+    def test_one_shared_pair(self):
+        rng = np.random.default_rng(5)
+        fillers = rng.choice(1 << 40, size=30, replace=False).tolist()
+        anchor = fillers.pop()
+        mate, *strangers = _oracle.bucket_mates(anchor, 32, [1, 2, 3, 4])
+        stored = rng.permutation(fillers + [anchor, mate, (1 << 41) + 7])
+        assert stored.shape[0] == 32 and self._shared_buckets(stored) >= 1
+        misses = rng.integers(0, 1 << 40, size=500).tolist()
+        self._assert_parity(
+            stored, stored.tolist() + strangers + [anchor, mate] + misses
+        )
+
+    def test_all_stored_keys_in_one_bucket(self):
+        anchor = 12_345
+        mates = _oracle.bucket_mates(anchor, 32, range(1, 41))
+        stored = [anchor] + mates[:31]
+        assert self._shared_buckets(stored) == 1
+        keys = stored + mates[31:] + list(range(-50, 50))
+        self._assert_parity(stored, keys)
+        self._assert_parity(stored[::-1], keys[::-1])
+
+    @pytest.mark.parametrize("occupied", [8, 32])
+    def test_extremes_in_shared_buckets(self, occupied):
+        extremes = [-1, 0, _INT64_MIN, _INT64_MAX]
+        stored, strangers = [], []
+        for extreme in extremes:
+            mate, stranger = _oracle.bucket_mates(extreme, occupied, [5, 6])
+            stored += [extreme, mate]
+            strangers.append(stranger)
+        stored += [(1 << 50) + i for i in range(occupied - len(stored))]
+        assert self._shared_buckets(stored) >= len(extremes)
+        neighbours = [-2, 1, _INT64_MIN + 1, _INT64_MAX - 1]
+        self._assert_parity(stored, stored + strangers + neighbours)
+        # The extremes missing while their mates stay stored.
+        mates_only = stored[1:8:2] + stored[8:] + strangers
+        assert len(mates_only) == occupied
+        self._assert_parity(mates_only, extremes + stored)
+
+    def test_duplicate_probe_keys(self):
+        rng = np.random.default_rng(9)
+        anchor = -77
+        mate, stranger = _oracle.bucket_mates(anchor, 16, [9, 10])
+        stored = [anchor, mate] + list(range(1_000, 1_014))
+        assert self._shared_buckets(stored) >= 1
+        keys = rng.permutation(
+            [anchor] * 50 + [mate] * 50 + [stranger] * 50 + [1_003] * 50
+            + [0] * 50
+        )
+        self._assert_parity(stored, keys)
 
     def test_minus_one_on_any_table(self):
         # -1 is found where stored and misses elsewhere, at every size.

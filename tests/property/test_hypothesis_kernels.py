@@ -9,7 +9,7 @@ on both sides of the ``_CELLS // n`` row-group boundary.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.hashing.families import CarterWegmanHash, encode_key_array
@@ -58,6 +58,49 @@ class TestKernelsMatchOracle:
             FORCED + others + stored.tolist()[::2], dtype=np.int64
         )
         keys = keys[data.draw(st.permutations(range(keys.shape[0])))]
+        np.testing.assert_array_equal(
+            KERNELS.membership_probe(stored, keys),
+            _oracle.membership_probe(stored, keys),
+        )
+
+    @given(
+        anchors=st.lists(
+            st.sampled_from(FORCED) | int64s, min_size=1, max_size=4,
+            unique=True,
+        ),
+        fillers=st.lists(int64s, max_size=40, unique=True),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_membership_probe_with_shared_buckets(
+        self, anchors, fillers, data
+    ):
+        """Stored keys planted in shared buckets (built with the probe's
+        own hash) answer like a ``{key: slot}`` lookup, as do unstored
+        keys in those buckets and repeated probe keys."""
+        sizes = [
+            data.draw(st.integers(min_value=1, max_value=6)) for _ in anchors
+        ]
+        occupied = len(fillers) + sum(size + 1 for size in sizes)
+        stored, strangers = [], []
+        for anchor, size in zip(anchors, sizes):
+            deltas = data.draw(st.lists(
+                st.integers(min_value=1, max_value=(1 << 40) - 1),
+                min_size=size + 2, max_size=size + 2, unique=True,
+            ))
+            mates = _oracle.bucket_mates(anchor, occupied, deltas)
+            stored += [anchor] + mates[:size]
+            strangers += mates[size:]
+        stored += fillers
+        assume(len(set(stored)) == occupied)
+        stored = np.array(
+            data.draw(st.permutations(stored)), dtype=np.int64
+        )
+        keys = FORCED + stored.tolist() + strangers + stored.tolist()[::3]
+        keys = np.array(
+            keys + data.draw(st.lists(st.sampled_from(keys), max_size=30)),
+            dtype=np.int64,
+        )
         np.testing.assert_array_equal(
             KERNELS.membership_probe(stored, keys),
             _oracle.membership_probe(stored, keys),

@@ -204,6 +204,25 @@ class TestBitIdentity:
         assert stats.chunks_ingested == len(chunks_of(stream, 1_777))
         assert supervisor.group.state().equals(sequential.state())
 
+    def test_one_worker_chunks_interleaved_with_mixed(self, stream):
+        # Worker 0 owns shards 0 and 2; every other chunk holds only
+        # their keys, so worker 1's share of it is empty, yet worker 1
+        # is still sent one share per chunk.
+        mixed = chunks_of(stream)
+        owned = np.array_split(keys_owned_by(stream, 4, {0, 2}), len(mixed))
+        chunks = [chunk for pair in zip(mixed, owned) for chunk in pair]
+        assert all(chunk.size for chunk in chunks)
+        sequential = ShardedASketch(4, **GROUP_PARAMS)
+        StreamEngine(sequential, batched=True).run(chunks)
+        runtime = ParallelIngestRuntime(2, shards=4, **GROUP_PARAMS)
+        stats = runtime.run(iter(chunks))
+        assert stats.chunks_ingested == len(chunks)
+        assert runtime.supervisor.group.state().equals(sequential.state())
+        first, second = runtime._slots
+        assert first.sent_chunks == second.sent_chunks == len(chunks)
+        owners = sequential.owners_of(np.concatenate(chunks))
+        assert second.sent_items == int(np.isin(owners, [1, 3]).sum())
+
     def test_full_int64_keys_match_sharded(self):
         # Keys span the whole int64 range, and -1, 0 and both extremes
         # are among the heaviest, so they sit in the shard filters.

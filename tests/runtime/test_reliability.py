@@ -403,6 +403,28 @@ class TestCrashRecovery:
         assert stats.tuples_ingested == len(stream)
         assert again.synopsis.state().equals(final_state)
 
+    def test_resume_rate_counts_only_the_replayed_chunks(
+        self, tmp_path, stream
+    ):
+        """The ingest rate divides the tuples this drive ingested by its
+        time; the journal total stays in ``tuples_ingested``."""
+        chunks = list(stream.chunks(CHUNK))[:10]
+        engine = ResilientEngine(
+            make_asketch(), checkpoint_dir=tmp_path, checkpoint_every=4
+        )
+        with pytest.raises(SimulatedCrash):
+            engine.run(chunks, fault_plan=FaultPlan(crash_at_chunk=9))
+        assert engine.health()["checkpoint"]["chunk_index"] == 8
+
+        recovered = ResilientEngine(checkpoint_dir=tmp_path, checkpoint_every=4)
+        stats = recovered.resume(chunks)
+        assert recovered.health()["tuples_ingested"] == 10 * CHUNK
+        assert stats.chunks_ingested == 10
+        assert stats.tuples_ingested - stats.restored_tuples == 2 * CHUNK
+        assert stats.wall_seconds > 0
+        numerator = stats.wall_throughput_items_per_ms * stats.wall_seconds
+        assert numerator * 1000.0 == pytest.approx(2 * CHUNK)
+
     def test_recovery_with_quarantined_chunks_in_suffix(
         self, tmp_path, stream
     ):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError, NegativeCountError
 from repro.obs import install_registry, uninstall_registry
-from repro.runtime.sharding import ShardedASketch
+from repro.runtime.sharding import ShardedASketch, group_by_owner
 from repro.streams.zipf import zipf_stream
 
 @pytest.fixture(scope="module")
@@ -168,3 +168,67 @@ class TestCountValidation:
         self._rejects_and_changes_nothing(
             sharded, stream, keys, counts, NegativeCountError
         )
+
+
+class TestOwnerPartition:
+    """One stable sort by owner feeds every shard exactly the keys it
+    would get by masking the chunk with its own index."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 300, 70_000])
+    def test_group_by_owner_is_a_stable_grouping(self, count):
+        owners = np.random.default_rng(count).integers(0, count, 5_000)
+        order, ends = group_by_owner(owners, count)
+        assert ends.shape == (count,) and ends[-1] == owners.shape[0]
+        starts = np.concatenate([[0], ends[:-1]])
+        for owner in np.unique(owners[:50]):
+            block = order[starts[owner]:ends[owner]]
+            np.testing.assert_array_equal(
+                block, np.flatnonzero(owners == owner)
+            )
+        assert np.all(np.diff(owners[order]) >= 0)
+
+    @staticmethod
+    def _assert_same_shards(group, reference):
+        for mine, theirs in zip(group.shards, reference.shards):
+            assert mine.state().equals(theirs.state())
+            assert mine.ops == theirs.ops
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 7, 300])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_process_batch_equals_masked_feeds(self, stream, shards,
+                                               weighted):
+        params = dict(total_bytes=4 * 1024, filter_items=8, seed=21)
+        group = ShardedASketch(shards, **params)
+        reference = ShardedASketch(shards, **params)
+        rng = np.random.default_rng(shards)
+        for chunk in stream.chunks(5_000):
+            counts = (
+                rng.integers(0, 4, size=chunk.shape[0]) if weighted else None
+            )
+            group.process_batch(chunk, counts)
+            owners = reference.owners_of(chunk)
+            for index, shard in enumerate(reference.shards):
+                mask = owners == index
+                if mask.any():
+                    shard.process_batch(
+                        chunk[mask], None if counts is None else counts[mask]
+                    )
+        self._assert_same_shards(group, reference)
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 7, 300])
+    def test_process_stream_and_query_batch(self, stream, shards):
+        params = dict(total_bytes=4 * 1024, filter_items=8, seed=22)
+        group = ShardedASketch(shards, **params)
+        reference = ShardedASketch(shards, **params)
+        keys = stream.keys[:12_000]
+        for chunk in np.split(keys, 3):
+            group.process_stream(chunk)
+            owners = reference.owners_of(chunk)
+            for index, shard in enumerate(reference.shards):
+                if (owners == index).any():
+                    shard.process_stream(chunk[owners == index])
+        self._assert_same_shards(group, reference)
+        probe = np.concatenate([keys[:3_000], np.arange(-50, 50)])
+        assert group.query_batch(probe) == [
+            group.query(int(key)) for key in probe
+        ]
