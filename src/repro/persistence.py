@@ -26,19 +26,24 @@ UTF-8 JSON blob ``{version, kind, params, extra}`` plus the state's
 NumPy arrays stored under ``array.<name>`` keys (nested synopses use
 dotted prefixes inside ``<name>``, e.g. ``array.sketch.table``).  The
 archive is a standard ``.npz`` (one ``<key>.npy`` zip member per array)
-deflated at level 1; ``np.load`` reads it, and it reads archives
-deflated at any level, including ``np.savez_compressed``'s.
+with every member stored uncompressed, the layout ``np.savez`` writes;
+``np.load`` reads it.  Deflated archives (level 1 from earlier builds,
+``np.savez_compressed``'s level 6) load too.  A broken container (bad
+zip structure, a member failing its CRC-32 or its deflate stream, a
+truncated ``.npy`` header) raises :class:`~repro.errors.StreamFormatError`
+naming the archive.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -70,18 +75,16 @@ def _unpack_metadata(blob: np.ndarray) -> dict:
 
 
 def _write_npz(handle, arrays: dict[str, np.ndarray]) -> None:
-    """Write ``arrays`` to ``handle`` as an ``.npz`` deflated at level 1.
+    """Write ``arrays`` to ``handle`` as an uncompressed ``.npz``.
 
-    The layout ``np.savez_compressed`` writes (a ``<key>.npy`` member
-    per array, zip64 forced as numpy does), at the fastest deflate
-    level: a checkpoint is mostly small int64 counts, which level 1
-    stores in ~17% more bytes than numpy's default level 6 in under a
-    third of the time.
+    The layout ``np.savez`` writes: a ``ZIP_STORED`` ``<key>.npy``
+    member per array, zip64 forced as numpy does.  A checkpoint is
+    mostly a Count-Min table of int64 counts; deflating it, even at
+    level 1, took longer than writing and fsyncing the stored bytes.
+    ``write_array(..., allow_pickle=False)`` refuses object arrays on
+    every numpy this package supports.
     """
-    with zipfile.ZipFile(
-        handle, mode="w", compression=zipfile.ZIP_DEFLATED,
-        compresslevel=zlib.Z_BEST_SPEED, allowZip64=True,
-    ) as archive:
+    with zipfile.ZipFile(handle, mode="w", allowZip64=True) as archive:
         for key, array in arrays.items():
             with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
                 np.lib.format.write_array(
@@ -110,11 +113,12 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def save_synopsis(synopsis: Any, path: str | Path) -> None:
+def save_synopsis(synopsis: Any, path: str | Path) -> bytes:
     """Write any state-protocol synopsis (parameters + counters) to ``path``.
 
-    The archive is an ``.npz`` deflated at level 1 (see
-    :func:`_write_npz`).  The write is atomic: bytes land in a
+    The archive is an uncompressed ``.npz`` (see :func:`_write_npz`),
+    built in memory and returned, so a caller that hashes or ships it
+    need not read the file back.  The write is atomic: bytes land in a
     ``<path>.tmp`` sibling first, are fsynced, and only then renamed
     over ``path`` (``os.replace``).
     A crash mid-save can therefore never leave a truncated archive where
@@ -143,9 +147,12 @@ def save_synopsis(synopsis: Any, path: str | Path) -> None:
         # target so callers see the same final filename as before.
         target = target.with_name(target.name + ".npz")
     scratch = target.with_name(target.name + ".tmp")
+    buffer = io.BytesIO()
+    _write_npz(buffer, arrays)
+    blob = buffer.getvalue()
     try:
         with open(scratch, "wb") as handle:
-            _write_npz(handle, arrays)
+            handle.write(blob)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(scratch, target)
@@ -154,51 +161,87 @@ def save_synopsis(synopsis: Any, path: str | Path) -> None:
             scratch.unlink()
         raise
     _fsync_directory(target.parent)
+    return blob
 
 
-def load_synopsis(path: str | Path, *, expect_kind: str | None = None) -> Any:
+def _describe(source: str | Path | BinaryIO) -> str:
+    if isinstance(source, (str, os.PathLike)):
+        return os.fspath(source)
+    return getattr(source, "name", "in-memory archive")
+
+
+def _read_members(source: str | Path | BinaryIO) -> dict[str, np.ndarray]:
+    """Every array of the ``.npz`` at ``source``, keyed by member name.
+
+    Container damage is typed: the zip structure (``BadZipFile``, which
+    also reports a stored member failing its CRC-32), a deflated
+    member's stream (``zlib.error``), or a member cut short or holding
+    no valid ``.npy`` header (``EOFError``, ``ValueError``) raises
+    :class:`StreamFormatError` naming the archive.
+    """
+    try:
+        archive = np.load(source)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise StreamFormatError(
+                f"{_describe(source)} is not a synopsis archive "
+                "(a bare .npy array, not an .npz)"
+            )
+        with archive:
+            return {name: archive[name] for name in archive.files}
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        raise StreamFormatError(
+            f"{_describe(source)} is a corrupt synopsis archive: {exc}"
+        ) from exc
+
+
+def load_synopsis(
+    source: str | Path | BinaryIO, *, expect_kind: str | None = None
+) -> Any:
     """Restore a synopsis saved by :func:`save_synopsis`.
 
+    ``source`` is a path or a seekable binary file object (a
+    checkpoint store passes the bytes it verified as ``io.BytesIO``).
     ``expect_kind`` optionally pins the archive's kind (the legacy
-    wrappers use it); a mismatch raises :class:`StreamFormatError`.
+    wrappers use it); a mismatch raises :class:`StreamFormatError`, as
+    does a corrupt archive.
     """
-    with np.load(Path(path)) as archive:
-        if "metadata" not in archive:
-            raise StreamFormatError(
-                f"{path} is not a synopsis archive (no metadata entry)"
-            )
-        metadata = _unpack_metadata(archive["metadata"])
-        version = metadata.get("version")
-        if version != _FORMAT_VERSION:
-            raise StreamFormatError(
-                f"unsupported synopsis format version {version!r} "
-                f"(this build reads version {_FORMAT_VERSION})"
-            )
-        kind = metadata.get("kind")
-        if not isinstance(kind, str):
-            raise StreamFormatError(
-                f"corrupt synopsis metadata: kind is {kind!r}"
-            )
-        if expect_kind is not None and kind != expect_kind:
-            raise StreamFormatError(
-                f"expected a {expect_kind} archive, found {kind!r}"
-            )
-        try:
-            cls = resolve_kind(kind)
-        except ConfigurationError as exc:
-            raise StreamFormatError(
-                f"archive names unknown synopsis kind {kind!r}"
-            ) from exc
-        arrays = {
-            name[len(_ARRAY_PREFIX):]: archive[name]
-            for name in archive.files
-            if name.startswith(_ARRAY_PREFIX)
-        }
-        state = SynopsisState(
-            kind=kind,
-            params=dict(metadata.get("params", {})),
-            arrays=arrays,
-            extra=dict(metadata.get("extra", {})),
+    members = _read_members(source)
+    if "metadata" not in members:
+        raise StreamFormatError(
+            f"{_describe(source)} is not a synopsis archive "
+            "(no metadata entry)"
         )
-        return cls.from_state(state)
-
+    metadata = _unpack_metadata(members["metadata"])
+    version = metadata.get("version")
+    if version != _FORMAT_VERSION:
+        raise StreamFormatError(
+            f"unsupported synopsis format version {version!r} "
+            f"(this build reads version {_FORMAT_VERSION})"
+        )
+    kind = metadata.get("kind")
+    if not isinstance(kind, str):
+        raise StreamFormatError(
+            f"corrupt synopsis metadata: kind is {kind!r}"
+        )
+    if expect_kind is not None and kind != expect_kind:
+        raise StreamFormatError(
+            f"expected a {expect_kind} archive, found {kind!r}"
+        )
+    try:
+        cls = resolve_kind(kind)
+    except ConfigurationError as exc:
+        raise StreamFormatError(
+            f"archive names unknown synopsis kind {kind!r}"
+        ) from exc
+    arrays = {
+        name[len(_ARRAY_PREFIX):]: array
+        for name, array in members.items()
+        if name.startswith(_ARRAY_PREFIX)
+    }
+    state = SynopsisState(
+        kind=kind,
+        params=dict(metadata.get("params", {})),
+        arrays=arrays,
+        extra=dict(metadata.get("extra", {})),
+    )
+    return cls.from_state(state)

@@ -41,6 +41,7 @@ because the journal pins the replay point.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
 import multiprocessing as mp
@@ -147,8 +148,11 @@ def corrupt_file(path: str | Path, seed: int = 0, span: int = 64) -> None:
 
     The fault harness's model of bit rot / torn writes: ``span`` bytes
     starting at a seed-chosen offset are XORed with ``0xFF``, which
-    breaks both the journal checksum and the npz container.  Corrupting
-    an empty file is a no-op.
+    breaks both the journal checksum and the npz container: in a stored
+    archive the damaged member fails its CRC-32 (or the zip structure
+    no longer parses), so ``load_synopsis`` raises
+    :class:`~repro.errors.StreamFormatError`.  Corrupting an empty file
+    is a no-op.
     """
     target = Path(path)
     blob = bytearray(target.read_bytes())
@@ -380,8 +384,7 @@ class CheckpointStore:
         start = time.perf_counter()
         with trace_span("checkpoint", generation=generation,
                         chunk_index=int(chunk_index)):
-            save_synopsis(synopsis, snapshot)
-            blob = snapshot.read_bytes()
+            blob = save_synopsis(synopsis, snapshot)
             digest = hashlib.sha256(blob).hexdigest()
             record = {
                 "generation": generation,
@@ -426,7 +429,8 @@ class CheckpointStore:
 
         Walks the journal newest-first; a generation whose snapshot is
         missing, fails its checksum, or fails to load is skipped and the
-        previous generation is tried.  Returns ``(synopsis, record)``,
+        previous generation is tried.  Each snapshot is read once and
+        restored from the bytes its checksum covered.  Returns ``(synopsis, record)``,
         or ``None`` when the journal is empty.  Raises
         :class:`~repro.errors.RecoveryError` when checkpoints exist but
         none is recoverable.
@@ -450,7 +454,7 @@ class CheckpointStore:
                 )
                 continue
             try:
-                synopsis = load_synopsis(path)
+                synopsis = load_synopsis(io.BytesIO(blob))
             except (StreamFormatError, OSError, ValueError, KeyError) as exc:
                 failures.append(f"gen {record['generation']}: {exc}")
                 continue

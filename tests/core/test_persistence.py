@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -138,6 +140,30 @@ class TestASketchRoundtrip:
             save_synopsis(asketch, tmp_path / "x.npz")
 
 
+class TestArchiveFormat:
+    def test_every_member_is_stored(self, stream, tmp_path):
+        asketch = ASketch(total_bytes=16 * 1024, filter_items=16, seed=3)
+        asketch.process_batch(stream.keys)
+        path = tmp_path / "asketch.npz"
+        save_synopsis(asketch, path)
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert {info.filename for info in members} >= {
+            "metadata.npy", "array.sketch.table.npy"
+        }
+        for info in members:
+            assert info.compress_type == zipfile.ZIP_STORED, info.filename
+
+    def test_returns_the_bytes_written(self, stream, tmp_path):
+        sketch = CountMinSketch(4, row_width=256, seed=2)
+        sketch.update_batch(stream.keys[:500])
+        path = tmp_path / "cms.npz"
+        blob = save_synopsis(sketch, path)
+        assert blob == path.read_bytes()
+        restored = load_synopsis(io.BytesIO(blob), expect_kind="count-min")
+        assert restored.state().equals(sketch.state())
+
+
 def _write_archive(path, metadata: dict, **arrays) -> None:
     """Forge a raw archive to exercise the loader's error paths."""
     blob = np.frombuffer(json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
@@ -145,6 +171,34 @@ def _write_archive(path, metadata: dict, **arrays) -> None:
 
 
 class TestErrorHandling:
+    def test_corrupt_stored_archive(self, stream, tmp_path):
+        """A flipped run of bytes fails the member CRC-32, typed."""
+        from repro.runtime.reliability import corrupt_file
+
+        asketch = ASketch(total_bytes=16 * 1024, filter_items=16, seed=3)
+        asketch.process_batch(stream.keys)
+        path = tmp_path / "asketch.npz"
+        save_synopsis(asketch, path)
+        corrupt_file(path, seed=4)
+        with pytest.raises(StreamFormatError, match="corrupt") as excinfo:
+            load_synopsis(path)
+        assert str(path) in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, zipfile.BadZipFile)
+
+    @pytest.mark.parametrize("cut", [0, 100])
+    def test_truncated_archive(self, tmp_path, cut):
+        path = tmp_path / "cms.npz"
+        save_synopsis(CountMinSketch(4, row_width=64), path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(StreamFormatError, match="corrupt"):
+            load_synopsis(path)
+
+    def test_bare_npy_is_not_an_archive(self, tmp_path):
+        path = tmp_path / "table.npy"
+        np.save(path, np.zeros(4, dtype=np.int64))
+        with pytest.raises(StreamFormatError, match="not a synopsis archive"):
+            load_synopsis(path)
+
     def test_kind_mismatch(self, tmp_path):
         sketch = CountMinSketch(4, row_width=64)
         path = tmp_path / "cms.npz"

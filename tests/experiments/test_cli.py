@@ -106,6 +106,19 @@ class TestCheckpointRestore:
         assert code == 1
         assert "error during restore" in err
 
+    def test_restore_corrupt_archive_exits_1(self, capsys, tmp_path):
+        from repro.runtime.reliability import corrupt_file
+
+        path = tmp_path / "asketch.npz"
+        assert main(["checkpoint", str(path), "--scale", "0.05"]) == 0
+        capsys.readouterr()
+        corrupt_file(path)
+        code = main(["restore", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error during restore" in err
+        assert "corrupt synopsis archive" in err
+
     def test_restore_top_k_unsupported(self, capsys, tmp_path):
         path = tmp_path / "cms.npz"
         code = main(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -129,6 +131,38 @@ def _savez_compressed_archive(synopsis, path: Path) -> None:
         )
 
 
+def _level1_archive(synopsis, path: Path) -> None:
+    """An archive as ``save_synopsis`` wrote it before members were
+    stored: every member deflated at level 1."""
+    state = synopsis.state()
+    metadata = {
+        "version": 2,
+        "kind": state.kind,
+        "params": state.params,
+        "extra": state.extra,
+    }
+    arrays = {
+        "metadata": np.frombuffer(
+            json.dumps(metadata).encode("utf-8"), dtype=np.uint8
+        ),
+        **{f"array.{name}": array for name, array in state.arrays.items()},
+    }
+    with zipfile.ZipFile(
+        path, mode="w", compression=zipfile.ZIP_DEFLATED,
+        compresslevel=zlib.Z_BEST_SPEED, allowZip64=True,
+    ) as archive:
+        for key, array in arrays.items():
+            with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, array, allow_pickle=False)
+
+
+def _rewrite_journal(store: CheckpointStore, records: list[dict]) -> None:
+    store.journal_path.write_text(
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+        encoding="utf-8",
+    )
+
+
 class TestArchiveCompatibility:
     @pytest.fixture
     def ingested(self, stream):
@@ -153,6 +187,42 @@ class TestArchiveCompatibility:
         ).load_latest()
         assert loaded_record == record
         assert restored.state().equals(ingested.state())
+
+    def test_level1_checkpoint_restores_exactly(self, tmp_path, ingested):
+        store = CheckpointStore(tmp_path / "ckpt")
+        record = store.save(ingested, chunk_index=30, tuples_ingested=30_000)
+        snapshot = store.directory / record["snapshot"]
+        _level1_archive(ingested, snapshot)
+        with zipfile.ZipFile(snapshot) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+        record["sha256"] = hashlib.sha256(snapshot.read_bytes()).hexdigest()
+        _rewrite_journal(store, [record])
+        restored, loaded_record = CheckpointStore(
+            tmp_path / "ckpt"
+        ).load_latest()
+        assert loaded_record == record
+        assert restored.state().equals(ingested.state())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_corrupt_deflated_newest_without_checksum_falls_back(
+        self, tmp_path, ingested, seed
+    ):
+        """A broken deflate stream or member CRC-32 is a typed load
+        failure: with no checksum to catch it first, the store still
+        falls back."""
+        store = CheckpointStore(tmp_path / "ckpt")
+        first = store.save(make_asketch(), chunk_index=3, tuples_ingested=0)
+        newest = store.save(ingested, chunk_index=30, tuples_ingested=30_000)
+        snapshot = store.directory / newest["snapshot"]
+        _level1_archive(ingested, snapshot)
+        corrupt_file(snapshot, seed=seed)
+        del newest["sha256"]
+        _rewrite_journal(store, [first, newest])
+        restored, record = store.load_latest()
+        assert record == first
+        assert restored.state().equals(make_asketch().state())
 
     def test_archive_is_a_plain_npz(self, tmp_path, ingested):
         ours, legacy = tmp_path / "ours.npz", tmp_path / "legacy.npz"
@@ -281,6 +351,19 @@ class TestCheckpointStore:
         assert record["generation"] == 5
         snapshots = sorted(p.name for p in tmp_path.glob("gen-*.npz"))
         assert snapshots == ["gen-00000004.npz", "gen-00000005.npz"]
+
+    def test_journal_checksums_match_the_files(self, tmp_path, stream):
+        store = CheckpointStore(tmp_path, keep=3)
+        synopsis = make_asketch()
+        for index, chunk in enumerate(stream.chunks(10_000)):
+            synopsis.process_batch(chunk)
+            store.save(synopsis, chunk_index=index + 1,
+                       tuples_ingested=synopsis.total_mass)
+        records = store.journal_records()
+        assert len(records) == 3
+        for record in records:
+            blob = (tmp_path / record["snapshot"]).read_bytes()
+            assert hashlib.sha256(blob).hexdigest() == record["sha256"]
 
     def test_corrupt_latest_falls_back_one_generation(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=2)
