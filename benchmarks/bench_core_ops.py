@@ -153,7 +153,7 @@ def test_asketch_batched_query_speedup():
         lambda: asketch.query_batch(queries)
     )
 
-    assert batched == looped
+    assert batched.tolist() == looped
     speedup = loop_seconds / batched_seconds
     print(
         f"\nbatched query: per-key loop {loop_seconds:.3f}s, "

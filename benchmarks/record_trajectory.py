@@ -215,9 +215,7 @@ def _accuracy_vs_space(tiny: bool) -> dict:
                 synopsis.process_batch(stream.keys)
             else:
                 synopsis.process_stream(stream.keys)
-            estimates = np.asarray(
-                synopsis.estimate_batch(uniq), dtype=np.int64
-            )
+            estimates = synopsis.estimate_batch(uniq)
             over = estimates - counts
             row[method] = {
                 "bytes": int(synopsis.size_bytes),

@@ -63,7 +63,6 @@ from repro.obs import (
     current_registry,
     install_registry,
     install_tracer,
-    render_prometheus,
     snapshot_metrics,
     trace_span,
     uninstall_registry,
@@ -77,7 +76,6 @@ from repro.synopses import (
     SynopsisSpec,
     SynopsisState,
     build_synopsis,
-    register_synopsis,
     registered_kinds,
 )
 from repro.sketches import (
@@ -139,9 +137,7 @@ __all__ = [
     "kosarak_stream",
     "load_synopsis",
     "make_filter",
-    "register_synopsis",
     "registered_kinds",
-    "render_prometheus",
     "save_synopsis",
     "snapshot_metrics",
     "trace_span",

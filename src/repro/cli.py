@@ -727,14 +727,16 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "resume":
                 return _run_resume(args)
             return _run_restore(args)
-        except ReproError as exc:
+        except (ReproError, OSError) as exc:
+            # OSError: a user-supplied path that is missing, a directory
+            # or unreadable, reported like any other bad input.
             print(f"error during {args.command}: {exc}", file=sys.stderr)
             return 1
 
     if args.command == "health":
         try:
             return _run_health(args)
-        except ReproError as exc:
+        except (ReproError, OSError) as exc:
             print(f"error during health check: {exc}", file=sys.stderr)
             return 1
 

@@ -92,9 +92,11 @@ class KernelGroup:
         """
         return sum(kernel.query(key) for kernel in self._kernels)
 
-    def query_batch(self, keys: Iterable[int]) -> list[int]:
-        """Merged point queries for many keys."""
-        return [self.query(int(key)) for key in keys]
+    def query_batch(self, keys: Iterable[int]) -> np.ndarray:
+        """Merged point queries for many keys, as an int64 array."""
+        return np.fromiter(
+            (self.query(int(key)) for key in keys), dtype=np.int64
+        )
 
     estimate = query
     estimate_batch = query_batch

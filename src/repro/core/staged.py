@@ -450,28 +450,17 @@ class StagedSynopsis:
     #: Sketch-interface alias so metrics treat the synopsis uniformly.
     estimate = query
 
-    def query_batch(self, keys) -> list[int]:
+    def query_batch(self, keys) -> np.ndarray:
         """Point-query every key in order (vectorised Algorithm 2).
 
         One bulk filter probe answers the monitored keys, gathering
         their ``new_count``s at the probed slots; the misses go to the
-        sketch in a single :meth:`FrequencySketch.estimate_array` call.
-        Answers are identical to per-key :meth:`query`, and the
-        operation record is charged once for the whole batch (``n``
-        items, ``n`` filter probes, one batched sketch read per miss)
-        instead of re-entering :meth:`query` per key.  ``keys`` must be
-        one-dimensional.
-        """
-        return self.query_array(keys).tolist()
-
-    estimate_batch = query_batch
-
-    def query_array(self, keys) -> np.ndarray:
-        """:meth:`query_batch`'s answers as an int64 array.
-
-        The form answers travel in between layers (a sharded group
-        scatters each shard's array into its own); only the public
-        :meth:`query_batch` converts to a list.
+        sketch in a single :meth:`FrequencySketch.estimate_batch` call.
+        Answers come back as one int64 array, identical to per-key
+        :meth:`query`, and the operation record is charged once for the
+        whole batch (``n`` items, ``n`` filter probes, one batched
+        sketch read per miss) instead of re-entering :meth:`query` per
+        key.  ``keys`` must be one-dimensional.
         """
         if not isinstance(keys, np.ndarray):
             keys = list(keys)
@@ -483,8 +472,10 @@ class StagedSynopsis:
         hit_mask, answers = self._filter.lookup_many(keys)
         miss_mask = ~hit_mask
         if miss_mask.any():
-            answers[miss_mask] = self._sketch.estimate_array(keys[miss_mask])
+            answers[miss_mask] = self._sketch.estimate_batch(keys[miss_mask])
         return answers
+
+    estimate_batch = query_batch
 
     # -- top-k (§7.2.2) --------------------------------------------------
 

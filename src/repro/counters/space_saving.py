@@ -109,9 +109,12 @@ class SpaceSaving:
             return self._summary.min_count
         return 0
 
-    def estimate_batch(self, keys) -> list[int]:
-        """Point-query every key under the configured convention."""
-        return [self.estimate(int(key)) for key in keys]
+    def estimate_batch(self, keys) -> np.ndarray:
+        """Point-query every key under the configured convention, as an
+        int64 array."""
+        return np.fromiter(
+            (self.estimate(int(key)) for key in keys), dtype=np.int64
+        )
 
     def guaranteed_count(self, key: int) -> int | None:
         """Lower bound ``count - error`` for a monitored key, else None."""

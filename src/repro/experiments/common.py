@@ -98,7 +98,7 @@ def measure_update_phase(method, keys: np.ndarray) -> PhaseMeasurement:
 
 def measure_query_phase(
     method, queries: np.ndarray
-) -> tuple[PhaseMeasurement, list[int]]:
+) -> tuple[PhaseMeasurement, np.ndarray]:
     """Answer ``queries`` and capture the phase's operation delta."""
     before = total_ops(method)
     start = time.perf_counter()

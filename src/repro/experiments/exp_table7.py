@@ -58,7 +58,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _mean_top_error(method, keys: np.ndarray, truths: np.ndarray) -> float:
-    estimates = np.asarray(method.estimate_batch(keys), dtype=np.int64)
+    estimates = method.estimate_batch(keys)
     errors = np.abs(estimates - truths)
     worst = np.sort(errors)[-TOP_ERRORS:]
     return float(worst.mean())

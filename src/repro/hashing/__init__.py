@@ -7,8 +7,6 @@ item keys onto ``[0, h)``.  This package provides:
   ``((a*x + b) mod p) mod h`` construction over the Mersenne prime
   ``p = 2**61 - 1`` (pairwise independent, the textbook choice for
   Count-Min).
-* :class:`~repro.hashing.families.MultiplyShiftHash` — Dietzfelbinger's
-  multiply-shift scheme for power-of-two ranges (2-universal, fastest).
 * :class:`~repro.hashing.families.TabulationHash` — simple tabulation
   (3-independent, strong in practice).
 * :class:`~repro.hashing.families.SignHash` — ±1 valued pairwise-independent
@@ -21,7 +19,6 @@ from repro.hashing.families import (
     MERSENNE_PRIME_61,
     CarterWegmanHash,
     HashFamily,
-    MultiplyShiftHash,
     SignHash,
     TabulationHash,
     make_hash_family,
@@ -31,7 +28,6 @@ __all__ = [
     "MERSENNE_PRIME_61",
     "CarterWegmanHash",
     "HashFamily",
-    "MultiplyShiftHash",
     "SignHash",
     "TabulationHash",
     "make_hash_family",

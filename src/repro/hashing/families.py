@@ -261,37 +261,6 @@ class CarterWegmanHash(HashFamily):
         return out
 
 
-class MultiplyShiftHash(HashFamily):
-    """Dietzfelbinger multiply-shift hashing for power-of-two ranges.
-
-    ``h(x) = (a*x mod 2**64) >> (64 - log2(range))`` with odd ``a`` is
-    2-universal and compiles to a single multiply on real hardware — this is
-    the family a performance-oriented C implementation would use, and its
-    per-evaluation cost constant in the hardware model is lower than
-    Carter-Wegman's.
-    """
-
-    def __init__(self, output_range: int, seed: int) -> None:
-        super().__init__(output_range, seed)
-        if output_range & (output_range - 1):
-            raise ConfigurationError(
-                "MultiplyShiftHash requires a power-of-two range, "
-                f"got {output_range}"
-            )
-        self._shift = 64 - int(output_range).bit_length() + 1
-        rng = np.random.default_rng(seed)
-        self._a = int(rng.integers(0, 1 << 63)) * 2 + 1  # odd
-
-    def __call__(self, key: int) -> int:
-        return ((self._a * key) & _MASK_64) >> self._shift
-
-    def hash_array(self, keys: np.ndarray) -> np.ndarray:
-        k = np.asarray(keys).astype(_UINT64)
-        with np.errstate(over="ignore"):
-            mixed = k * _UINT64(self._a & _MASK_64)
-        return (mixed >> _UINT64(self._shift)).astype(np.int64)
-
-
 class TabulationHash(HashFamily):
     """Simple tabulation hashing over the 8 bytes of a 64-bit key.
 
@@ -343,7 +312,6 @@ class SignHash:
 
 _FAMILIES = {
     "carter-wegman": CarterWegmanHash,
-    "multiply-shift": MultiplyShiftHash,
     "tabulation": TabulationHash,
 }
 
@@ -354,7 +322,7 @@ def make_hash_family(name: str, output_range: int, seed: int) -> HashFamily:
     Parameters
     ----------
     name:
-        One of ``"carter-wegman"``, ``"multiply-shift"``, ``"tabulation"``.
+        One of ``"carter-wegman"``, ``"tabulation"``.
     output_range:
         Size of the hash codomain ``[0, output_range)``.
     seed:

@@ -50,7 +50,8 @@ def find_misclassified(
     Parameters
     ----------
     estimator:
-        Any object with ``estimate_batch`` (sketch or ASketch).
+        Any object whose ``estimate_batch`` returns an int64 array
+        (sketch or ASketch).
     exact:
         Ground truth for the same stream.
     heavy_k:
@@ -82,7 +83,7 @@ def find_misclassified(
         return []
     light_keys = keys[light]
     light_true = true_counts[light]
-    estimates = np.asarray(estimator.estimate_batch(light_keys))
+    estimates = estimator.estimate_batch(light_keys)
     hit = estimates >= threshold
     return [
         Misclassification(int(key), int(true), int(estimate))

@@ -13,8 +13,7 @@ ingestion runtime around them — observable *live* instead of post-hoc:
   quarantine, the worker fleet) start recording; with none
   installed they cost one ``None`` check per chunk/stream call, and
   estimates are bit-identical either way.
-* :mod:`repro.obs.exposition` — Prometheus text format
-  (:func:`render_prometheus`) and JSON snapshots
+* :mod:`repro.obs.exposition` — JSON snapshots
   (:func:`snapshot_metrics` / :func:`write_metrics_json`, schema
   checked by :func:`validate_metrics_json`).
 * :mod:`repro.obs.trace` — span-style structured events
@@ -25,19 +24,18 @@ ingestion runtime around them — observable *live* instead of post-hoc:
 Quickstart::
 
     from repro import ASketch, zipf_stream
-    from repro.obs import install_registry, render_prometheus
+    from repro.obs import install_registry, snapshot_metrics
 
     registry = install_registry()
     sketch = ASketch(total_bytes=128 * 1024)
     sketch.process_batch(zipf_stream(100_000, 25_000, 1.5).keys)
-    print(render_prometheus(registry))
+    print(snapshot_metrics(registry)["counters"])
 
 See DESIGN.md §10 for the metric-to-paper-quantity mapping.
 """
 
 from repro.obs.exposition import (
     METRICS_SCHEMA,
-    render_prometheus,
     snapshot_metrics,
     validate_metrics_json,
     write_metrics_json,
@@ -79,7 +77,6 @@ __all__ = [
     "current_tracer",
     "install_registry",
     "install_tracer",
-    "render_prometheus",
     "snapshot_metrics",
     "trace_point",
     "trace_span",

@@ -1,13 +1,10 @@
-"""Metric exposition: Prometheus text format and JSON snapshots.
+"""Metric exposition: JSON snapshots of a metrics registry.
 
-Two read paths over a :class:`~repro.obs.registry.MetricsRegistry`:
-
-* :func:`render_prometheus` — the Prometheus text exposition format
-  (version 0.0.4), the contract every scraper understands;
-* :func:`snapshot_metrics` / :func:`write_metrics_json` — a JSON-safe
-  snapshot (schema ``repro-metrics/v1``, checked by
-  :func:`validate_metrics_json`), what ``repro-asketch run
-  --metrics-json`` writes and what checkpoint run manifests embed.
+:func:`snapshot_metrics` / :func:`write_metrics_json` read a
+:class:`~repro.obs.registry.MetricsRegistry` into a JSON-safe snapshot
+(schema ``repro-metrics/v1``, checked by :func:`validate_metrics_json`):
+what ``repro-asketch run --metrics-json`` writes and what checkpoint
+run manifests embed.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from repro.obs.registry import (
 )
 
 __all__ = [
-    "render_prometheus",
     "snapshot_metrics",
     "write_metrics_json",
     "validate_metrics_json",
@@ -45,86 +41,6 @@ def _require_registry(registry: MetricsRegistry | None) -> MetricsRegistry:
             "repro.obs.install_registry() first"
         )
     return registry
-
-
-def _format_value(value: float) -> str:
-    if value == math.inf:
-        return "+Inf"
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def _format_labels(labels, extra: tuple[tuple[str, str], ...] = ()) -> str:
-    items = tuple(labels) + extra
-    if not items:
-        return ""
-    body = ",".join(
-        f'{key}="{_escape_label(value)}"' for key, value in items
-    )
-    return "{" + body + "}"
-
-
-def _escape_label(value: str) -> str:
-    return (
-        str(value)
-        .replace("\\", r"\\")
-        .replace('"', r"\"")
-        .replace("\n", r"\n")
-    )
-
-
-def render_prometheus(registry: MetricsRegistry | None = None) -> str:
-    """Render a registry in the Prometheus text exposition format.
-
-    Defaults to the installed registry.  Counters, gauges and
-    histograms map to their native Prometheus types; histogram buckets
-    render cumulatively with the mandatory ``+Inf`` bucket plus
-    ``_sum`` and ``_count`` series.  Output is sorted by metric name,
-    so it is stable across runs (scrape-diff friendly).
-    """
-    registry = _require_registry(registry)
-    lines: list[str] = []
-    seen_types: set[str] = set()
-    for instrument in registry.instruments():
-        name = instrument.name
-        if isinstance(instrument, Counter):
-            if name not in seen_types:
-                seen_types.add(name)
-                lines.append(f"# TYPE {name} counter")
-            lines.append(
-                f"{name}{_format_labels(instrument.labels)} "
-                f"{_format_value(instrument.value)}"
-            )
-        elif isinstance(instrument, Gauge):
-            if name not in seen_types:
-                seen_types.add(name)
-                lines.append(f"# TYPE {name} gauge")
-            lines.append(
-                f"{name}{_format_labels(instrument.labels)} "
-                f"{_format_value(instrument.value)}"
-            )
-        elif isinstance(instrument, Histogram):
-            if name not in seen_types:
-                seen_types.add(name)
-                lines.append(f"# TYPE {name} histogram")
-            for bound, cumulative in instrument.bucket_counts():
-                le = (("le", _format_value(bound)),)
-                lines.append(
-                    f"{name}_bucket"
-                    f"{_format_labels(instrument.labels, le)} {cumulative}"
-                )
-            lines.append(
-                f"{name}_sum{_format_labels(instrument.labels)} "
-                f"{_format_value(instrument.sum)}"
-            )
-            lines.append(
-                f"{name}_count{_format_labels(instrument.labels)} "
-                f"{instrument.count}"
-            )
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
 
 
 def snapshot_metrics(

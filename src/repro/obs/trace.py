@@ -1,7 +1,7 @@
 """Structured-event tracing: span enter/exit records with pluggable sinks.
 
-The trace hook is the third exposure surface of :mod:`repro.obs`
-(besides Prometheus text and JSON snapshots): instrumented code emits
+The trace hook is the second exposure surface of :mod:`repro.obs`
+(besides JSON snapshots): instrumented code emits
 *events* — span ``enter``/``exit`` pairs around ingest, checkpoint and
 recovery work, and ``point`` events for instantaneous occurrences like
 an exchange — into whatever sink is installed.  With no sink installed

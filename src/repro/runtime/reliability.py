@@ -541,8 +541,8 @@ class ShardSupervisor:
 
     estimate = query
 
-    def query_batch(self, keys: Iterable[int]) -> list[int]:
-        """Owner-partitioned point queries for many keys."""
+    def query_batch(self, keys: Iterable[int]) -> np.ndarray:
+        """Owner-partitioned point queries for many keys (int64 array)."""
         return self.group.query_batch(keys)
 
     estimate_batch = query_batch

@@ -212,28 +212,28 @@ class ShardedASketch:
 
     estimate = query
 
-    def query_batch(self, keys: Iterable[int]) -> list[int]:
-        """Owner-shard point queries for many keys.
+    def query_batch(self, keys: Iterable[int]) -> np.ndarray:
+        """Owner-shard point queries for many keys, as an int64 array.
 
         Groups the batch by owner (:func:`group_by_owner`), runs each
-        shard's vectorised ``query_array`` once on its contiguous share,
-        and scatters the int64 answers back into input order with one
-        assignment; the list is built once, here.
+        shard's vectorised ``query_batch`` once on its contiguous share,
+        and scatters the answers back into input order with one
+        assignment.
         """
         if not isinstance(keys, np.ndarray):
             keys = list(keys)
         keys = _key_vector(keys)
+        answers = np.empty(keys.shape[0], dtype=np.int64)
         if keys.size == 0:
-            return []
+            return answers
         owners = self._router.hash_array(encode_key_array(keys))
         order, ends = group_by_owner(owners, len(self._shards))
         shares = np.split(keys[order], ends[:-1])
-        answers = np.empty(keys.shape[0], dtype=np.int64)
         answers[order] = np.concatenate([
-            shard.query_array(share)
+            shard.query_batch(share)
             for shard, share in zip(self._shards, shares) if share.size
         ])
-        return answers.tolist()
+        return answers
 
     estimate_batch = query_batch
 

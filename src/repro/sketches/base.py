@@ -88,31 +88,28 @@ class FrequencySketch(ABC):
         ``keys[i]`` receives ``amounts[i]``.  This is the miss path of
         the ASketch batched ingest: a chunk is pre-aggregated to one
         (key, total) pair per distinct key before it reaches the sketch,
-        and the returned int64 array (``estimate_array(keys)`` read
-        after the whole batch) drives the exchange check.  The default
-        loops :meth:`update` and then reads the estimates; Count-Min
-        overrides with one fused scatter-and-gather per group of rows.
+        and the returned int64 array (:meth:`estimate_batch` read after
+        the whole batch) drives the exchange check.  The default loops
+        :meth:`update` and then reads the estimates; Count-Min overrides
+        with one fused scatter-and-gather per group of rows.
         """
         keys = int64_keys(keys)
         amounts = np.asarray(amounts)
         for key, amount in zip(keys.tolist(), amounts.tolist()):
             self.update(int(key), int(amount))
-        return self.estimate_array(keys)
+        return self.estimate_batch(keys)
 
-    def estimate_batch(self, keys: Iterable[int]) -> list[int]:
-        """Point-query every key; default loops over :meth:`estimate`."""
-        return [self.estimate(key) for key in int64_keys(keys).tolist()]
+    def estimate_batch(self, keys: Iterable[int]) -> np.ndarray:
+        """Point-query every key, as an int64 array in key order.
 
-    def estimate_array(self, keys: Iterable[int]) -> np.ndarray:
-        """:meth:`estimate_batch` as an int64 array.
-
-        The form estimates travel in between layers: the staged query
-        path reads its back stage's misses through it and converts to a
-        list only at its own public boundary.  The default converts
-        :meth:`estimate_batch`; array-backed sketches compute the array
-        here and derive :meth:`estimate_batch` from it.
+        The default loops over :meth:`estimate`; array-backed sketches
+        override with a vectorised read.
         """
-        return np.asarray(self.estimate_batch(keys), dtype=np.int64)
+        keys = int64_keys(keys)
+        return np.fromiter(
+            (self.estimate(key) for key in keys.tolist()),
+            dtype=np.int64, count=len(keys),
+        )
 
     def process_stream(self, keys: np.ndarray) -> None:
         """Ingest a unit-count key array as a stream (driver entry point).

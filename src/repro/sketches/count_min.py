@@ -262,11 +262,7 @@ class CountMinSketch(FrequencySketch):
             int(table[row, col]) for row, col in enumerate(self.hash_columns(key))
         )
 
-    def estimate_batch(self, keys) -> list[int]:
-        """Vectorised point queries."""
-        return self.estimate_array(keys).tolist()
-
-    def estimate_array(self, keys) -> np.ndarray:
+    def estimate_batch(self, keys) -> np.ndarray:
         """Vectorised point queries as the kernel's int64 array."""
         if not isinstance(keys, np.ndarray):
             keys = np.asarray(list(keys))

@@ -97,7 +97,7 @@ class CountSketch(FrequencySketch):
         self, keys: np.ndarray, amounts: np.ndarray
     ) -> np.ndarray:
         """Vectorised per-key weighted updates (signed scatter-add);
-        returns the post-batch :meth:`estimate_array`."""
+        returns the post-batch :meth:`estimate_batch`."""
         keys = np.asarray(keys)
         amounts = np.asarray(amounts, dtype=np.int64)
         encoded = encode_key_array(keys)
@@ -107,7 +107,7 @@ class CountSketch(FrequencySketch):
             columns = self._hashes[row].hash_array(encoded)
             signs = self._signs[row].hash_array(encoded)
             np.add.at(self._table[row], columns, signs * amounts)
-        return self.estimate_array(keys)
+        return self.estimate_batch(keys)
 
     def estimate(self, key: int) -> int:
         """Median of signed cells; can under- as well as over-estimate."""
@@ -119,12 +119,8 @@ class CountSketch(FrequencySketch):
         ]
         return int(statistics.median(values))
 
-    def estimate_batch(self, keys) -> list[int]:
+    def estimate_batch(self, keys) -> np.ndarray:
         """Vectorised point queries (row-wise signed reads, median)."""
-        return self.estimate_array(keys).tolist()
-
-    def estimate_array(self, keys) -> np.ndarray:
-        """:meth:`estimate_batch` as an int64 array."""
         if not isinstance(keys, np.ndarray):
             keys = np.asarray(list(keys))
         if keys.size == 0:

@@ -17,10 +17,6 @@ keys, a cached exact counter, and provenance metadata; they are
 deterministic in their ``seed``.
 """
 
-from repro.streams.adversarial import (
-    lemma2_alternating_stream,
-    lemma3_colliding_stream,
-)
 from repro.streams.base import Stream
 from repro.streams.ip_trace import decode_edge, encode_edge, ip_trace_stream
 from repro.streams.kosarak import kosarak_stream
@@ -33,8 +29,6 @@ __all__ = [
     "encode_edge",
     "ip_trace_stream",
     "kosarak_stream",
-    "lemma2_alternating_stream",
-    "lemma3_colliding_stream",
     "uniform_stream",
     "zipf_stream",
 ]

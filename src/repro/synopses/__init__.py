@@ -14,7 +14,6 @@ from repro.synopses.protocol import (
 from repro.synopses.spec import (
     SynopsisSpec,
     build_synopsis,
-    register_synopsis,
     registered_kinds,
     resolve_kind,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "SynopsisSpec",
     "SynopsisState",
     "build_synopsis",
-    "register_synopsis",
     "registered_kinds",
     "resolve_kind",
     "synopsis_state_of",

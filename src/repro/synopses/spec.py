@@ -5,7 +5,8 @@ describes how to build a synopsis — the single source every
 construction site (CLI, experiment config, shard groups, benchmarks)
 goes through, instead of re-spelling parameter lists.  The registry
 maps a kind name to its implementing class lazily (module path strings,
-resolved on first use) so this module stays import-cycle free.
+resolved and cached on first use) so this module stays import-cycle
+free.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ _BUILTIN_KINDS: dict[str, str] = {
     "shard-supervisor": "repro.runtime.reliability:ShardSupervisor",
 }
 
-#: Kinds registered at runtime (tests, extensions); shadows builtins.
-_RUNTIME_KINDS: dict[str, type] = {}
+#: kind -> class, filled by :func:`resolve_kind` as kinds are imported.
+_RESOLVED: dict[str, type] = {}
 
 
 @dataclass(frozen=True)
@@ -52,40 +53,16 @@ class SynopsisSpec:
         """A copy with some parameters overridden (e.g. a per-run seed)."""
         return replace(self, params={**self.params, **updates})
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe form (CLI and checkpoint metadata)."""
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SynopsisSpec":
-        """Inverse of :meth:`to_dict`."""
-        try:
-            return cls(kind=data["kind"], params=dict(data.get("params", {})))
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"malformed synopsis spec: {data!r}") from exc
-
-
-def register_synopsis(kind: str, cls: type) -> None:
-    """Register (or override) a synopsis class under a kind name.
-
-    The class must satisfy :class:`repro.synopses.protocol.Synopsis`;
-    registration makes it constructible via :func:`build_synopsis` and
-    loadable via :func:`repro.persistence.load_synopsis`.
-    """
-    if not kind:
-        raise ConfigurationError("synopsis kind must be a non-empty string")
-    _RUNTIME_KINDS[kind] = cls
-
 
 def registered_kinds() -> list[str]:
     """All known kind names, sorted."""
-    return sorted(set(_BUILTIN_KINDS) | set(_RUNTIME_KINDS))
+    return sorted(_BUILTIN_KINDS)
 
 
 def resolve_kind(kind: str) -> type:
     """The class implementing a kind (lazy import for builtins)."""
-    if kind in _RUNTIME_KINDS:
-        return _RUNTIME_KINDS[kind]
+    if kind in _RESOLVED:
+        return _RESOLVED[kind]
     try:
         target = _BUILTIN_KINDS[kind]
     except KeyError:
@@ -95,7 +72,7 @@ def resolve_kind(kind: str) -> type:
         ) from None
     module_name, _, class_name = target.partition(":")
     cls = getattr(importlib.import_module(module_name), class_name)
-    _RUNTIME_KINDS[kind] = cls  # cache the import
+    _RESOLVED[kind] = cls
     return cls
 
 

@@ -208,7 +208,7 @@ class TestAlgorithm2:
         asketch = ASketch(total_bytes=64 * 1024, filter_items=16, seed=3)
         asketch.process_stream(skewed_stream.keys[:20000])
         probe = skewed_stream.keys[:50]
-        assert asketch.query_batch(probe) == [
+        assert asketch.query_batch(probe).tolist() == [
             asketch.query(int(k)) for k in probe
         ]
 

@@ -66,7 +66,9 @@ def assert_identical(scalar: ASketch, batched: ASketch, domain) -> None:
     assert scalar.miss_events == batched.miss_events
     assert scalar.exchange_count == batched.exchange_count
     keys = sorted(set(int(k) for k in domain))
-    assert scalar.query_batch(keys) == batched.query_batch(keys)
+    np.testing.assert_array_equal(
+        scalar.query_batch(keys), batched.query_batch(keys)
+    )
 
 
 class TestSingleTupleChunks:
@@ -247,7 +249,7 @@ class TestBatchedQueries:
         asketch, _ = build_pair(kind)
         asketch.process_stream(keys)
         probes = list(range(0, 250))  # residents, sketch keys, unseen keys
-        assert asketch.query_batch(probes) == [
+        assert asketch.query_batch(probes).tolist() == [
             asketch.query(key) for key in probes
         ]
 
@@ -263,7 +265,9 @@ class TestBatchedQueries:
         asketch, _ = build_pair("relaxed-heap")
         asketch.process_stream(np.arange(20, dtype=np.int64))
         probes = [0, 5, 99]
-        assert asketch.estimate_batch(probes) == asketch.query_batch(probes)
+        np.testing.assert_array_equal(
+            asketch.estimate_batch(probes), asketch.query_batch(probes)
+        )
 
 
 class TestFilterBulkApi:

@@ -6,11 +6,43 @@ import numpy as np
 
 from repro.core.asketch import ASketch
 from repro.sketches.count_min import CountMinSketch
-from repro.streams.adversarial import (
-    lemma2_alternating_stream,
-    lemma3_colliding_stream,
-)
+from repro.streams.base import Stream
 from repro.streams.zipf import zipf_stream
+
+
+def lemma2_alternating_stream(stream_size: int) -> Stream:
+    """The Lemma 2 order over keys ``A = 0`` and ``B = 1``:
+    ``A B B A A B B A A B B ...``.
+
+    After the initial ``A``, items arrive in pairs ``B B A A B B ...`` so
+    that each item accumulates two hits in the sketch before overtaking
+    the filter resident, triggering an exchange every other pair: with no
+    sketch collisions and a size-1 filter, ``floor((N-1)/2)`` exchanges,
+    the collision-free maximum.
+    """
+    keys = np.empty(stream_size, dtype=np.int64)
+    keys[0] = 0
+    for position in range(1, stream_size):
+        keys[position] = 1 if (position - 1) // 2 % 2 == 0 else 0
+    return Stream(keys=keys, name="lemma2-alternating", skew=None)
+
+
+def lemma3_colliding_stream(stream_size: int) -> Stream:
+    """The Lemma 3 order over keys ``A = 0`` and ``B = 1``:
+    ``A B B A B A B A B A ...``.
+
+    Combined with a sketch in which both keys collide in every row (a
+    width-1 sketch), each arrival overtakes the filter resident and
+    triggers an exchange: up to ``N - 2``, approaching Lemma 1's bound
+    of ``N``.
+    """
+    keys = np.empty(stream_size, dtype=np.int64)
+    keys[0] = 0
+    if stream_size > 1:
+        keys[1] = 1
+    for position in range(2, stream_size):
+        keys[position] = 1 if position % 2 == 0 else 0
+    return Stream(keys=keys, name="lemma3-colliding", skew=None)
 
 
 class TestLemma1:

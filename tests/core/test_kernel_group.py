@@ -62,7 +62,7 @@ class TestMergedQueries:
         group.process_stream_on(0, streams[0].keys)
         group.process_stream_on(1, streams[1].keys)
         probe = streams[0].keys[:20]
-        assert group.query_batch(probe) == [
+        assert group.query_batch(probe).tolist() == [
             group.query(int(k)) for k in probe
         ]
 

@@ -45,7 +45,9 @@ class TestCountMinRoundtrip:
             restored.update(key)
         np.testing.assert_array_equal(restored.table, sketch.table)
         probe = stream.keys[:50]
-        assert restored.estimate_batch(probe) == sketch.estimate_batch(probe)
+        np.testing.assert_array_equal(
+            restored.estimate_batch(probe), sketch.estimate_batch(probe)
+        )
 
     def test_conservative_flag_survives(self, tmp_path):
         sketch = CountMinSketch(4, row_width=64, seed=1, conservative=True)
@@ -62,7 +64,9 @@ class TestASketchRoundtrip:
         save_synopsis(asketch, path)
         restored = load_synopsis(path, expect_kind="asketch")
         probe = stream.keys[:300]
-        assert restored.query_batch(probe) == asketch.query_batch(probe)
+        np.testing.assert_array_equal(
+            restored.query_batch(probe), asketch.query_batch(probe)
+        )
         assert restored.top_k(16) == asketch.top_k(16)
 
     def test_statistics_survive(self, stream, tmp_path):
@@ -85,7 +89,9 @@ class TestASketchRoundtrip:
         asketch.process_stream(stream.keys[15_000:])
         restored.process_stream(stream.keys[15_000:])
         probe = stream.keys[:300]
-        assert restored.query_batch(probe) == asketch.query_batch(probe)
+        np.testing.assert_array_equal(
+            restored.query_batch(probe), asketch.query_batch(probe)
+        )
         assert restored.exchange_count == asketch.exchange_count
 
     @pytest.mark.parametrize(
@@ -123,7 +129,9 @@ class TestASketchRoundtrip:
         restored = load_synopsis(path, expect_kind="asketch")
         assert type(restored.sketch) is type(asketch.sketch)
         probe = stream.keys[:200]
-        assert restored.query_batch(probe) == asketch.query_batch(probe)
+        np.testing.assert_array_equal(
+            restored.query_batch(probe), asketch.query_batch(probe)
+        )
 
     def test_backend_without_state_protocol_rejected(self, tmp_path):
         class OpaqueSketch(FrequencySketch):

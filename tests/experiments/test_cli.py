@@ -119,6 +119,16 @@ class TestCheckpointRestore:
         assert "error during restore" in err
         assert "corrupt synopsis archive" in err
 
+    @pytest.mark.parametrize("target", ["missing.npz", "."])
+    def test_restore_unreadable_path_exits_1(self, capsys, tmp_path, target):
+        # A missing file and a directory: one error line, no traceback.
+        code = main(["restore", str(tmp_path / target)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error during restore: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_restore_top_k_unsupported(self, capsys, tmp_path):
         path = tmp_path / "cms.npz"
         code = main(
@@ -178,6 +188,17 @@ class TestResume:
     ):
         assert main(["resume", str(tmp_path)]) == 2
         assert "run-manifest.json" in capsys.readouterr().err
+
+    def test_unreadable_journal_exits_1(self, capsys, tmp_path):
+        directory = tmp_path / "ck"
+        self.run_checkpointed(directory, capsys)
+        journal = directory / "journal.jsonl"
+        journal.unlink()
+        journal.mkdir()
+        assert main(["resume", str(directory)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error during resume: ")
+        assert err.count("\n") == 1
 
     def test_every_generation_corrupt_fails(self, capsys, tmp_path):
         from repro.runtime.reliability import corrupt_file

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.hashing import (
     CarterWegmanHash,
-    MultiplyShiftHash,
     SignHash,
     make_hash_family,
 )
@@ -75,15 +74,6 @@ class TestRangeAndDeterminism:
         keys = list(range(200))
         assert [first(k) for k in keys] != [second(k) for k in keys]
 
-    def test_multiply_shift_range(self):
-        family = MultiplyShiftHash(256, seed=3)
-        for key in range(2000):
-            assert 0 <= family(key) < 256
-
-    def test_multiply_shift_rejects_non_power_of_two(self):
-        with pytest.raises(ConfigurationError):
-            MultiplyShiftHash(100, seed=0)
-
     def test_zero_range_rejected(self):
         with pytest.raises(ConfigurationError):
             CarterWegmanHash(0, seed=0)
@@ -108,14 +98,6 @@ class TestVectorisedAgreement:
         vectorised = family.hash_array(keys)
         scalar = np.array([family(int(k)) for k in keys])
         np.testing.assert_array_equal(vectorised, scalar)
-
-    def test_multiply_shift_array_matches_scalar(self, rng):
-        family = MultiplyShiftHash(1 << 12, seed=8)
-        keys = rng.integers(0, 2**31 - 1, size=2000)
-        np.testing.assert_array_equal(
-            family.hash_array(keys),
-            np.array([family(int(k)) for k in keys]),
-        )
 
 
 class TestDistributionQuality:

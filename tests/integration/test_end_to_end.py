@@ -117,7 +117,9 @@ class TestChunkedIngestion:
         for chunk in skewed_stream.chunks(4096):
             chunked.process_stream(chunk)
         probe = skewed_stream.keys[:200]
-        assert whole.query_batch(probe) == chunked.query_batch(probe)
+        assert (
+            whole.query_batch(probe).tolist() == chunked.query_batch(probe).tolist()
+        )
         assert whole.exchange_count == chunked.exchange_count
 
 

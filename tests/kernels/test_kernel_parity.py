@@ -373,7 +373,7 @@ class TestCountMinRowGroups:
         ]
         assert np.array_equal(restored.table, original.table)
         assert np.array_equal(answers[1], answers[0])
-        assert np.array_equal(answers[1], restored.estimate_array(keys))
+        assert np.array_equal(answers[1], restored.estimate_batch(keys))
 
     def test_numpy_update_rejects_non_contiguous_table(self):
         hashes = _cw_hashes(3, 17, seed=2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.asketch import ASketch
@@ -17,8 +18,10 @@ class FixedEstimator:
     def __init__(self, estimates: dict[int, int]) -> None:
         self._estimates = estimates
 
-    def estimate_batch(self, keys) -> list[int]:
-        return [self._estimates.get(int(k), 0) for k in keys]
+    def estimate_batch(self, keys) -> np.ndarray:
+        return np.array(
+            [self._estimates.get(int(k), 0) for k in keys], dtype=np.int64
+        )
 
 
 def build_exact(counts: dict[int, int]) -> ExactCounter:

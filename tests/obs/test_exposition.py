@@ -1,4 +1,4 @@
-"""Unit tests for Prometheus/JSON exposition."""
+"""Unit tests for JSON metric exposition."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 from repro.obs import (
     METRICS_SCHEMA,
     MetricsRegistry,
-    render_prometheus,
     snapshot_metrics,
     validate_metrics_json,
     write_metrics_json,
@@ -24,30 +23,6 @@ def _populated_registry() -> MetricsRegistry:
     histogram.observe(0.05)
     histogram.observe(5.0)
     return registry
-
-
-class TestRenderPrometheus:
-    def test_type_lines_and_values(self):
-        text = render_prometheus(_populated_registry())
-        assert "# TYPE asketch_items_total counter" in text
-        assert "asketch_items_total 100" in text
-        assert "# TYPE dlq_depth gauge" in text
-        assert 'shard_items_total{shard="0"} 60' in text
-
-    def test_histogram_series(self):
-        text = render_prometheus(_populated_registry())
-        assert 'chunk_seconds_bucket{le="0.1"} 1' in text
-        assert 'chunk_seconds_bucket{le="+Inf"} 2' in text
-        assert "chunk_seconds_count 2" in text
-
-    def test_label_values_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("errs", kind='say "hi"\n').inc()
-        text = render_prometheus(registry)
-        assert r'kind="say \"hi\"\n"' in text
-
-    def test_empty_registry_renders_empty(self):
-        assert render_prometheus(MetricsRegistry()) == ""
 
 
 class TestSnapshot:

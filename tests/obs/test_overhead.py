@@ -71,7 +71,7 @@ class TestOverheadBudget:
         keys = zipf_stream(ITEMS, 25_000, 1.5, seed=31).keys
         ratio, bare, observed = _measure_ratio(keys)
         assert observed.state().equals(bare.state())
-        assert observed.query_batch(keys[:100]) == bare.query_batch(
+        assert observed.query_batch(keys[:100]).tolist() == bare.query_batch(
             keys[:100]
-        )
+        ).tolist()
         assert ratio <= 1.03, f"observed/bare ingest ratio {ratio:.3f} > 1.03"

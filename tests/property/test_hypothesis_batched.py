@@ -55,7 +55,9 @@ class TestBatchedEquivalence:
             batched.process_batch(stream[index : index + 1])
         assert full_state(scalar) == full_state(batched)
         probes = sorted(set(keys))
-        assert scalar.query_batch(probes) == batched.query_batch(probes)
+        np.testing.assert_array_equal(
+            scalar.query_batch(probes), batched.query_batch(probes)
+        )
 
     @given(
         keys=st.lists(
@@ -114,6 +116,6 @@ class TestBatchedEquivalence:
         for start in range(0, stream.shape[0], chunk_size):
             asketch.process_batch(stream[start : start + chunk_size])
         probes = sorted(set(keys)) + [999]
-        assert asketch.query_batch(probes) == [
+        assert asketch.query_batch(probes).tolist() == [
             asketch.query(key) for key in probes
         ]

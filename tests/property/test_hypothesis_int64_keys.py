@@ -88,8 +88,8 @@ def assert_invariants(synopsis, stream: np.ndarray) -> None:
     answers = [synopsis.query(key) for key in probes]
     for key, answer in zip(probes, answers):
         assert answer >= exact[key], (key, answer, exact[key])
-    assert synopsis.query_batch(probes) == answers
-    assert synopsis.query_batch(np.array(probes, dtype=np.int64)) == answers
+    assert synopsis.query_batch(probes).tolist() == answers
+    assert synopsis.query_batch(np.array(probes, dtype=np.int64)).tolist() == answers
     assert synopsis.total_mass == stream.shape[0]
 
 

@@ -89,7 +89,7 @@ class TestBatchedIngest:
         assert group.total_mass == len(stream)
         # Batched owner-partitioned queries agree with scalar routing.
         probes = stream.keys[:500].tolist()
-        assert group.query_batch(probes) == [group.query(k) for k in probes]
+        assert group.query_batch(probes).tolist() == [group.query(k) for k in probes]
 
 
 class TestChunkValidation:
@@ -148,7 +148,7 @@ class TestChunkValidation:
         asketch.process_batch(empty)
         asketch.process_batch(empty, empty)
         assert coerce_chunk(empty, 0).tolist() == []
-        assert asketch.query_batch(empty) == []
+        assert asketch.query_batch(empty).tolist() == []
         engine = StreamEngine(asketch, batched=True)
         engine.run([empty, np.array([3, 3, 5])])
         assert engine.stats.chunks_ingested == 2

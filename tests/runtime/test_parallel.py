@@ -189,7 +189,7 @@ class TestBitIdentity:
         assert stats.tuples_ingested == len(stream)
         assert supervisor.group.state().equals(sequential.state())
         queries = stream.keys[:500]
-        assert supervisor.query_batch(queries) == [
+        assert supervisor.query_batch(queries).tolist() == [
             sequential.query(int(k)) for k in queries
         ]
 
@@ -243,7 +243,7 @@ class TestBitIdentity:
         assert runtime.supervisor.group.state().equals(sequential.state())
         probes = np.array(forced + [-2, 1], dtype=np.int64)
         answers = runtime.supervisor.query_batch(probes)
-        assert answers == [sequential.query(int(k)) for k in probes]
+        assert answers.tolist() == [sequential.query(int(k)) for k in probes]
         exact = Counter(keys.tolist())
         assert all(a >= exact[k] for a, k in zip(answers, probes.tolist()))
         assert runtime.supervisor.total_mass == keys.shape[0]

@@ -560,7 +560,7 @@ class TestShardSupervisor:
     def test_query_batch_matches_scalar_queries(self, stream):
         supervisor = self.ingest(stream)
         probes = stream.keys[:500].tolist()
-        assert supervisor.query_batch(probes) == [
+        assert supervisor.query_batch(probes).tolist() == [
             supervisor.query(key) for key in probes
         ]
 
@@ -586,7 +586,9 @@ class TestShardSupervisor:
         restored = ShardSupervisor.from_state(supervisor.state())
         assert restored.state().equals(supervisor.state())
         probes = stream.keys[:200].tolist()
-        assert restored.query_batch(probes) == supervisor.query_batch(probes)
+        np.testing.assert_array_equal(
+            restored.query_batch(probes), supervisor.query_batch(probes)
+        )
 
     def test_checkpoint_roundtrip_through_persistence(self, tmp_path, stream):
         supervisor = self.ingest(stream)
@@ -701,7 +703,9 @@ class TestLegacySupervisorState:
         assert restored.state().extra["errors"] == {}
         assert restored.group.state().equals(supervisor.group.state())
         probes = stream.keys[:500].tolist()
-        assert restored.query_batch(probes) == supervisor.query_batch(probes)
+        np.testing.assert_array_equal(
+            restored.query_batch(probes), supervisor.query_batch(probes)
+        )
 
     def test_failed_shard_state_is_rejected(self, tmp_path, stream):
         supervisor = self.make_group(stream)

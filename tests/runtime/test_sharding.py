@@ -61,7 +61,9 @@ class TestQueries:
         for chunk in stream.chunks(4_000):
             chunked.process_stream(chunk)
         probe = stream.keys[:200]
-        assert whole.query_batch(probe) == chunked.query_batch(probe)
+        np.testing.assert_array_equal(
+            whole.query_batch(probe), chunked.query_batch(probe)
+        )
 
     def test_global_topk(self, sharded, stream):
         sharded.process_stream(stream.keys)
@@ -125,8 +127,8 @@ class TestKeyValidation:
         owners = sharded.owners_of(keys)
         assert owners.tolist() == [sharded.shard_of(k) for k in keys]
         sharded.process_batch(keys)
-        assert sharded.query_batch(keys) == [sharded.query(k) for k in keys]
-        assert sharded.query_batch([]) == []
+        assert sharded.query_batch(keys).tolist() == [sharded.query(k) for k in keys]
+        assert sharded.query_batch([]).tolist() == []
 
 
 class TestCountValidation:
@@ -229,6 +231,6 @@ class TestOwnerPartition:
                     shard.process_stream(chunk[owners == index])
         self._assert_same_shards(group, reference)
         probe = np.concatenate([keys[:3_000], np.arange(-50, 50)])
-        assert group.query_batch(probe) == [
+        assert group.query_batch(probe).tolist() == [
             group.query(int(key)) for key in probe
         ]

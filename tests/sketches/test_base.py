@@ -42,7 +42,7 @@ class TestDefaults:
     def test_default_estimate_batch_loops(self):
         sketch = MinimalSketch()
         sketch.update(5, 3)
-        assert sketch.estimate_batch([5, 6]) == [3, 0]
+        assert sketch.estimate_batch([5, 6]).tolist() == [3, 0]
 
     def test_process_stream_charges_items(self):
         sketch = MinimalSketch()

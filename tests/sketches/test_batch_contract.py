@@ -4,8 +4,8 @@
 returns every key's estimate after the whole batch, as an int64 array,
 and that array must equal ``estimate_batch`` read afterwards — the
 batched exchange check reads it instead of re-probing the sketch.  The
-query side answers in plain Python ``int`` lists whether the keys come
-as an array or any other iterable.
+query side answers in one form on every synopsis: an int64 array,
+whether the keys come as an array or any other iterable.
 """
 
 from __future__ import annotations
@@ -14,8 +14,13 @@ import numpy as np
 import pytest
 
 from repro.core.asketch import ASketch
+from repro.core.kernel_group import KernelGroup
+from repro.counters.space_saving import SpaceSaving
 from repro.errors import ConfigurationError
+from repro.experiments.common import total_ops
+from repro.hardware.costs import OpCounters
 from repro.hashing.families import encode_key_array
+from repro.runtime.reliability import ShardSupervisor
 from repro.runtime.sharding import ShardedASketch
 from repro.sketches.count_min import CountMinSketch
 from repro.sketches.count_sketch import CountSketch
@@ -57,7 +62,7 @@ class TestUpdateReturnsEstimates:
             returned = sketch.update_batch_weighted(keys, amounts)
             assert isinstance(returned, np.ndarray)
             assert returned.dtype == np.int64
-            assert returned.tolist() == sketch.estimate_batch(keys)
+            assert returned.tolist() == sketch.estimate_batch(keys).tolist()
 
     @pytest.mark.parametrize("kind", sorted(SKETCH_KINDS))
     def test_empty_batch(self, kind):
@@ -77,7 +82,7 @@ class TestUpdateReturnsEstimates:
                     encode_key_array(keys)
                 ) == (offset == 0)
                 returned = sketch.update_batch_weighted(keys, amounts)
-                assert returned.tolist() == sketch.estimate_batch(keys)
+                assert returned.tolist() == sketch.estimate_batch(keys).tolist()
 
     def test_count_min_charges_update_plus_estimate(self):
         # One fused pass, but the operation record is the one a separate
@@ -91,38 +96,94 @@ class TestUpdateReturnsEstimates:
         assert sketch.ops.sketch_cell_reads == 4 * 25
 
 
-def _plain_ints(values) -> bool:
-    return isinstance(values, list) and all(type(v) is int for v in values)
+#: Every synopsis with a batch point query, built small.
+BATCH_QUERY_KINDS = {
+    **SKETCH_KINDS,
+    "space-saving": lambda: SpaceSaving(16),
+    **{
+        f"asketch-{kind}": (
+            lambda kind=kind: ASketch(
+                total_bytes=8 * 1024, filter_items=16, filter_kind=kind,
+                seed=5,
+            )
+        )
+        for kind in ("relaxed-heap", "stream-summary", "strict-heap",
+                     "vector")
+    },
+    "sharded": lambda: ShardedASketch(
+        3, total_bytes=24 * 1024, filter_items=16, seed=5
+    ),
+    "kernel-group": lambda: KernelGroup(2, total_bytes=8 * 1024, seed=5),
+    "shard-supervisor": lambda: ShardSupervisor(
+        shards=3, total_bytes=24 * 1024, filter_items=16, seed=5
+    ),
+}
 
 
-class TestQueryAnswersArePlainInts:
-    @pytest.mark.parametrize("kind", ["count-min", "count-sketch"])
-    def test_sketch_estimate_batch(self, kind):
-        sketch = SKETCH_KINDS[kind]()
-        for keys, amounts in _batches(seed=8, domain=200):
-            sketch.update_batch_weighted(keys, amounts)
-        probes = np.arange(-5, 260, dtype=np.int64)
-        from_array = sketch.estimate_batch(probes)
-        from_list = sketch.estimate_batch(probes.tolist())
-        from_generator = sketch.estimate_batch(int(k) for k in probes)
-        assert _plain_ints(from_array)
-        assert from_array == from_list == from_generator
-        assert from_array == [sketch.estimate(int(k)) for k in probes]
-        assert sketch.estimate_batch(np.empty(0, dtype=np.int64)) == []
+def _ingested(kind: str):
+    synopsis = BATCH_QUERY_KINDS[kind]()
+    keys = zipf_stream(20_000, 3_000, 1.2, seed=4).keys
+    ingest = getattr(synopsis, "scatter_stream", None) or (
+        synopsis.process_stream
+    )
+    ingest(keys)
+    probes = np.concatenate([keys[:300], np.arange(-25, 25),
+                             np.arange(5_000, 5_050)])
+    return synopsis, probes
 
-    def test_staged_and_sharded_query_batch(self):
-        keys = zipf_stream(20_000, 3_000, 1.2, seed=4).keys
-        probes = np.concatenate([keys[:300], np.arange(5_000, 5_050)])
-        asketch = ASketch(total_bytes=8 * 1024, filter_items=16, seed=5)
-        group = ShardedASketch(3, total_bytes=24 * 1024, filter_items=16,
-                               seed=5)
-        for synopsis in (asketch, group):
-            for start in range(0, keys.shape[0], 2_000):
-                synopsis.process_batch(keys[start:start + 2_000])
-            answers = synopsis.query_batch(probes)
-            assert _plain_ints(answers)
-            assert answers == synopsis.query_batch(probes.tolist())
-            assert answers == [synopsis.query(int(k)) for k in probes]
+
+def _batch_and_scalar(synopsis):
+    batch = getattr(synopsis, "query_batch", None) or synopsis.estimate_batch
+    scalar = getattr(synopsis, "query", None) or synopsis.estimate
+    return batch, scalar
+
+
+def _ops_of(synopsis) -> OpCounters:
+    """Every operation record the synopsis charges, merged."""
+    if isinstance(synopsis, ShardSupervisor):
+        synopsis = synopsis.group
+    if isinstance(synopsis, ShardedASketch):
+        merged = OpCounters()
+        for shard in synopsis.shards:
+            merged.merge(shard.combined_ops())
+        return merged
+    if isinstance(synopsis, KernelGroup):
+        return synopsis.combined_ops()
+    return total_ops(synopsis)
+
+
+class TestOneAnswerType:
+    """``query_batch`` / ``estimate_batch`` answer in one form: a 1-D
+    int64 array equal to the per-key answers, whatever iterable the keys
+    come in, charged exactly as the per-key queries are charged."""
+
+    @pytest.mark.parametrize("kind", sorted(BATCH_QUERY_KINDS))
+    def test_per_key_answers(self, kind):
+        synopsis, probes = _ingested(kind)
+        batch, scalar = _batch_and_scalar(synopsis)
+        answers = batch(probes)
+        assert isinstance(answers, np.ndarray)
+        assert answers.dtype == np.int64
+        assert answers.shape == probes.shape
+        assert answers.tolist() == [scalar(int(k)) for k in probes]
+        assert batch(probes.tolist()).tolist() == answers.tolist()
+        assert batch(int(k) for k in probes).tolist() == answers.tolist()
+        empty = batch(np.empty(0, dtype=np.int64))
+        assert empty.dtype == np.int64
+        assert empty.shape == (0,)
+
+    @pytest.mark.parametrize("kind", sorted(BATCH_QUERY_KINDS))
+    def test_per_key_ops(self, kind):
+        batched, probes = _ingested(kind)
+        looped, _ = _ingested(kind)
+        before = _ops_of(batched).snapshot()
+        _batch_and_scalar(batched)[0](probes)
+        charged = _ops_of(batched).diff(before)
+        before = _ops_of(looped).snapshot()
+        scalar = _batch_and_scalar(looped)[1]
+        for key in probes.tolist():
+            scalar(key)
+        assert charged == _ops_of(looped).diff(before)
 
 
 #: Keys whose ZigZag code needs all 64 bits, and the largest whose code
@@ -139,8 +200,8 @@ class TestExtremeKeys:
     def test_scalar_update_batch_read(self, kind, key):
         sketch = SKETCH_KINDS[kind]()
         sketch.update(key, 5)
-        assert sketch.estimate_array(np.array([key])).tolist() == [5]
-        assert sketch.estimate_batch([key, key]) == [5, 5]
+        assert sketch.estimate_batch(np.array([key])).tolist() == [5]
+        assert sketch.estimate_batch([key, key]).tolist() == [5, 5]
 
     @pytest.mark.parametrize("kind", ["count-min", "count-sketch"])
     @pytest.mark.parametrize("key", EXTREME_KEYS)
@@ -182,7 +243,6 @@ BATCH_CALLS = {
         keys, np.ones(len(keys), dtype=np.int64)
     ),
     "estimate_batch": lambda sketch, keys: sketch.estimate_batch(keys),
-    "estimate_array": lambda sketch, keys: sketch.estimate_array(keys),
 }
 
 

@@ -86,13 +86,13 @@ class TestBatchScalarEquivalence:
         sketch = CountMinSketch(num_hashes=4, row_width=777, seed=9)
         sketch.update_batch(uniform_keys)
         probe = uniform_keys[:100]
-        assert sketch.estimate_batch(probe) == [
+        assert sketch.estimate_batch(probe).tolist() == [
             sketch.estimate(int(k)) for k in probe
         ]
 
     def test_estimate_batch_empty(self):
         sketch = CountMinSketch(num_hashes=2, row_width=64)
-        assert sketch.estimate_batch([]) == []
+        assert sketch.estimate_batch([]).tolist() == []
 
 
 class TestWeightedAndNegative:

@@ -27,7 +27,9 @@ class TestComposition:
         staged.process_stream(STREAM.keys)
         asketch.process_stream(STREAM.keys)
         probes = STREAM.keys[:500]
-        assert staged.query_batch(probes) == asketch.query_batch(probes)
+        assert (
+            staged.query_batch(probes).tolist() == asketch.query_batch(probes).tolist()
+        )
         assert staged.exchange_count == asketch.exchange_count
         assert staged.combined_ops() == asketch.combined_ops()
 

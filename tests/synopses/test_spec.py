@@ -14,7 +14,6 @@ from repro.sketches.count_min import CountMinSketch
 from repro.synopses import (
     SynopsisSpec,
     build_synopsis,
-    register_synopsis,
     registered_kinds,
     resolve_kind,
 )
@@ -29,28 +28,6 @@ class TestRegistry:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown synopsis kind"):
             resolve_kind("bloom-filter")
-
-    def test_runtime_registration(self):
-        class TinyExact:
-            SYNOPSIS_KIND = "tiny-exact"
-
-            def __init__(self, limit: int = 8) -> None:
-                self.limit = limit
-
-        register_synopsis("tiny-exact", TinyExact)
-        try:
-            assert "tiny-exact" in registered_kinds()
-            built = build_synopsis(SynopsisSpec("tiny-exact", {"limit": 3}))
-            assert isinstance(built, TinyExact)
-            assert built.limit == 3
-        finally:
-            from repro.synopses.spec import _RUNTIME_KINDS
-
-            _RUNTIME_KINDS.pop("tiny-exact", None)
-
-    def test_empty_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_synopsis("", object)
 
 
 class TestSpec:
@@ -72,14 +49,6 @@ class TestSpec:
         derived = base.with_params(seed=7)
         assert derived.params["seed"] == 7
         assert base.params["seed"] == 0  # the original is untouched
-
-    def test_dict_roundtrip(self):
-        spec = SynopsisSpec("asketch", {"total_bytes": 4096, "seed": 2})
-        assert SynopsisSpec.from_dict(spec.to_dict()) == spec
-
-    def test_malformed_dict_rejected(self):
-        with pytest.raises(ConfigurationError, match="malformed"):
-            SynopsisSpec.from_dict({"params": {}})
 
 
 class TestExperimentSpecs:

@@ -113,7 +113,9 @@ class TestAllFilterKindsContinue:
         # layout — not just the entry set — was restored.
         _ingest(asketch, STREAM.keys[10_000:])
         _ingest(restored, STREAM.keys[10_000:])
-        assert restored.query_batch(PROBE) == asketch.query_batch(PROBE)
+        np.testing.assert_array_equal(
+            restored.query_batch(PROBE), asketch.query_batch(PROBE)
+        )
         assert restored.exchange_count == asketch.exchange_count
         assert restored.top_k() == asketch.top_k()
 
@@ -141,4 +143,6 @@ class TestShardedReduce:
         path = tmp_path / "reduced.npz"
         save_synopsis(reduced, path)
         restored = load_synopsis(path)
-        assert restored.query_batch(PROBE) == reduced.query_batch(PROBE)
+        np.testing.assert_array_equal(
+            restored.query_batch(PROBE), reduced.query_batch(PROBE)
+        )
